@@ -12,11 +12,12 @@ def describe(chi, n):
     sc = build_symmetry_class(chi, n)
     print(f"\nchi={chi}, n={n}:")
     print(f"  ambient tensor space dimension: {n}^{sc.m} = {n**sc.m}")
-    print(f"  class dimension (projector rank): {sc.dim}")
+    print(f"  class dimension                 : {sc.dim}")
     print(f"  surviving orbit representatives : {[str(a) for a in sc.delta_bar]}")
     print(f"  basis index set                 : {[str(a) for a in sc.delta_hat]}")
-    idem = spectral_norm(sc.projector @ sc.projector - sc.projector)
-    print(f"  ||K^2 - K|| = {idem:.2e}")
+    v = sc.inclusion
+    gap = spectral_norm(v.conj().T @ v - np.eye(sc.dim))
+    print(f"  ||V*V - I|| = {gap:.2e}")
     return sc
 
 

@@ -29,8 +29,6 @@ from .denselin import (
     gram_schmidt,
     hermitian_eigenvalues,
     kron,
-    kron_all,
-    kron_power,
     matrix_from_pairs,
     matrix_to_pairs,
     polar,
@@ -65,7 +63,6 @@ from .norms import (
 from .symclass import (
     SymmetryClass,
     build_symmetry_class,
-    delta_hat_basis,
     dk_kchi,
     k_chi_matrix,
     sym_op_product,
@@ -108,15 +105,12 @@ __all__ = [
     "spectral_norm",
     "hermitian_eigenvalues",
     "kron",
-    "kron_all",
-    "kron_power",
     "gram_schmidt",
     "dimension_cap",
     "matrix_to_pairs",
     "matrix_from_pairs",
     "SymmetryClass",
     "build_symmetry_class",
-    "delta_hat_basis",
     "symmetrized_kron",
     "sym_op_product",
     "k_chi_matrix",

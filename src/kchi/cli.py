@@ -349,7 +349,10 @@ def _dispatch(cfg: RunConfig) -> tuple[dict, int]:
 
 
 def _emit(report: dict, output: str | None) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericError(f"report holds a non-finite number: {exc}") from exc
     if output is None:
         sys.stdout.write(text)
     else:

@@ -17,6 +17,7 @@ lowered through the ``KCHI_MAX_DIM`` environment variable.
 
 from __future__ import annotations
 
+import itertools
 import os
 
 import numpy as np
@@ -31,8 +32,6 @@ __all__ = [
     "spectral_norm",
     "hermitian_eigenvalues",
     "kron",
-    "kron_all",
-    "kron_power",
     "gram_schmidt",
     "matrix_to_pairs",
     "matrix_from_pairs",
@@ -158,22 +157,33 @@ def kron(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
-def kron_all(mats) -> np.ndarray:
-    """Left-to-right Kronecker product of a nonempty sequence of matrices."""
-    mats = list(mats)
-    if not mats:
-        raise DomainError("kron_all needs at least one matrix")
-    out = as_matrix(mats[0])
-    for mat in mats[1:]:
-        out = kron(out, mat)
-    return out
+def _distinct_arrangements(mats) -> list[list[np.ndarray]]:
+    """The distinct orderings of a multiset of matrices (equal ones share a label).
+
+    Averaging a multilinear expression over them equals averaging it over all
+    m! permutations; they come in sorted label order, so sums are bit-stable.
+    """
+    reps: list[np.ndarray] = []
+    labels: list[int] = []
+    for mat in mats:
+        for i, rep in enumerate(reps):
+            if np.array_equal(mat, rep):
+                labels.append(i)
+                break
+        else:
+            labels.append(len(reps))
+            reps.append(mat)
+    return [
+        [reps[i] for i in arrangement]
+        for arrangement in sorted(set(itertools.permutations(labels)))
+    ]
 
 
-def kron_power(a, m: int) -> np.ndarray:
-    """The m-fold Kronecker power of ``a``."""
-    if m < 1:
-        raise DomainError(f"kron power needs m >= 1, got {m}")
-    return kron_all([a] * m)
+def _require_finite(value, what: str):
+    """Return ``value``, or raise NumericError if any entry overflowed."""
+    if not np.all(np.isfinite(value)):
+        raise NumericError(f"{what} is not finite: the computation overflowed")
+    return value
 
 
 def gram_schmidt(

@@ -24,8 +24,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .combinat import MultiIndex, Partition
-from .denselin import as_matrix, polar, singular_values, spectral_norm
-from .errors import DomainError, ResourceError
+from .denselin import _distinct_arrangements, _require_finite, as_matrix, polar
+from .denselin import singular_values, spectral_norm
+from .errors import DomainError, NumericError, ResourceError
 from .symclass import SymmetryClass, build_symmetry_class, dk_kchi
 from .symgroup import character, degree
 
@@ -305,30 +306,21 @@ def immanant(chi: Partition, a) -> complex:
     mat = as_matrix(a, square=True)
     if mat.shape != (n, n):
         raise DomainError(f"chi={chi} needs a {n}x{n} matrix, got shape {mat.shape}")
-    return _immanant_raw(chi, mat)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _immanant_raw(chi, mat)
+    return _require_finite(value, "immanant")
 
 
 def _mixed_immanant_raw(chi: Partition, mats: list[np.ndarray]) -> complex:
-    # Average of d_chi over column assignments; permutations that place
-    # equal matrices in the same columns coincide, so sum over distinct
-    # label arrangements and divide by their count.
+    # Average of d_chi over column assignments, one term per distinct
+    # arrangement of the arguments.
     n = chi.size
-    reps: list[np.ndarray] = []
-    labels: list[int] = []
-    for mat in mats:
-        for i, rep in enumerate(reps):
-            if np.array_equal(mat, rep):
-                labels.append(i)
-                break
-        else:
-            labels.append(len(reps))
-            reps.append(mat)
-    arrangements = sorted(set(itertools.permutations(labels)))
+    arrangements = _distinct_arrangements(mats)
     total = 0.0 + 0.0j
     scratch = np.empty((n, n), dtype=np.complex128)
     for arrangement in arrangements:
-        for j, label in enumerate(arrangement):
-            scratch[:, j] = reps[label][:, j]
+        for j, mat in enumerate(arrangement):
+            scratch[:, j] = mat[:, j]
         total += _immanant_raw(chi, scratch)
     return total / len(arrangements)
 
@@ -350,7 +342,9 @@ def mixed_immanant(chi: Partition, xs) -> complex:
     for mat in mats:
         if mat.shape != (n, n):
             raise DomainError(f"argument of shape {mat.shape} is not {n}x{n}")
-    return _mixed_immanant_raw(chi, mats)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _mixed_immanant_raw(chi, mats)
+    return _require_finite(value, "mixed immanant")
 
 
 def dk_immanant(chi: Partition, a, xs) -> complex:
@@ -378,7 +372,9 @@ def dk_immanant(chi: Partition, a, xs) -> complex:
             f"immanant derivatives capped at n <= {MAX_MIXED_SIZE}, got n={n}"
         )
     factor = math.factorial(n) // math.factorial(n - k)
-    return factor * _mixed_immanant_raw(chi, [mat] * (n - k) + x_mats)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = factor * _mixed_immanant_raw(chi, [mat] * (n - k) + x_mats)
+    return _require_finite(value, "immanant derivative")
 
 
 def _submatrix(a: np.ndarray, gamma: MultiIndex, delta: MultiIndex) -> np.ndarray:
@@ -566,6 +562,10 @@ def perturbation_bounds(chi: Partition, nu, delta: float) -> PerturbationBounds:
         )
     selection = nu_omega(chi, vals)
     total = 0.0
-    for k in range(1, m + 1):
-        total += elementary_symmetric(m - k, selection) * delta**k
+    try:
+        for k in range(1, m + 1):
+            total += elementary_symmetric(m - k, selection) * delta**k
+    except OverflowError as exc:
+        raise NumericError(f"perturbation bound overflowed: {exc}") from exc
+    _require_finite(total, "perturbation bound")
     return PerturbationBounds(kchi_bound=total, imm_bound=total)

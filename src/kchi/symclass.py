@@ -7,8 +7,10 @@ For an irreducible character chi of S_m and V = C^n, the symmetrizer
 is an orthogonal projection of the m-fold tensor power onto the symmetry
 class V_chi, where P(sigma) permutes Kronecker factors,
 ``P(sigma)(v_1 (x) ... (x) v_m) = v_{sigma^{-1}(1)} (x) ... (x) v_{sigma^{-1}(m)}``.
-Columns of the assembled projector are the decomposable symmetrized
-tensors e*_alpha in product-basis coordinates.
+Its columns are the decomposable symmetrized tensors e*_alpha in
+product-basis coordinates.  P(sigma) maps each S_m-orbit of multi-indices
+to itself, so K_chi is block diagonal over the orbits: the class is built
+one orbit block at a time and the n^m x n^m symmetrizer is never formed.
 
 The class carries three distinguished index sets:
 
@@ -16,8 +18,8 @@ The class carries three distinguished index sets:
   multiplicity partition of alpha);
 * delta_bar: the weakly increasing members of omega (one per orbit);
 * delta_hat: a basis extension delta_bar <= delta_hat <= omega, chosen by
-  a greedy lexicographic rank sweep, so {e*_alpha : alpha in delta_hat} is
-  a basis of V_chi.
+  a greedy lexicographic rank sweep within each orbit, so
+  {e*_alpha : alpha in delta_hat} is a basis of V_chi.
 
 All operators on V_chi are returned as matrices in the orthonormal basis
 obtained by Gram-Schmidt from that e*-basis, so operator norms equal
@@ -26,6 +28,7 @@ spectral norms of coordinate matrices.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -40,14 +43,14 @@ from .combinat import (
     majorizes,
     multiplicity_partition,
 )
-from .denselin import as_matrix, dimension_cap, gram_schmidt, kron_all, kron_power
+from .denselin import _distinct_arrangements, _require_finite, as_matrix, dimension_cap
+from .denselin import gram_schmidt, kron
 from .errors import DomainError, NumericError, ResourceError
 from .symgroup import char_table, character_sum_over_stabilizer, degree
 
 __all__ = [
     "SymmetryClass",
     "build_symmetry_class",
-    "delta_hat_basis",
     "symmetrized_kron",
     "sym_op_product",
     "k_chi_matrix",
@@ -64,15 +67,14 @@ RANK_EXTENSION_TOL = 1e-9
 class SymmetryClass:
     """The symmetry class of C^n associated with an irreducible character.
 
-    ``projector`` is the n^m x n^m symmetrizer; ``inclusion`` holds the
-    orthonormal basis of the class as columns in product-basis coordinates;
-    ``basis_b`` is the upper triangular change of basis expressing those
-    orthonormal vectors through the e*-basis indexed by ``delta_hat``.
+    ``inclusion`` holds the orthonormal basis of the class as columns in
+    product-basis coordinates; ``basis_b`` is the upper triangular change
+    of basis expressing those orthonormal vectors through the e*-basis
+    indexed by ``delta_hat``.
     """
 
     chi: Partition
     n: int
-    projector: np.ndarray
     domain: tuple[MultiIndex, ...]
     omega: tuple[MultiIndex, ...]
     delta_bar: tuple[MultiIndex, ...]
@@ -100,8 +102,11 @@ class SymmetryClass:
             ) from None
 
     def estar_coords(self, alpha: MultiIndex) -> np.ndarray:
-        """Coordinates of e*_alpha in the product basis (a projector column)."""
-        return self.projector[:, self.index_of(alpha)].copy()
+        """Coordinates of e*_alpha in the product basis (a symmetrizer column)."""
+        self.index_of(alpha)
+        rows = np.arange(self.n**self.m)
+        column = _estar_columns(self.chi, self.n, [alpha.entries], rows)[:, 0]
+        return column.astype(np.complex128)
 
 
 def build_symmetry_class(chi: Partition, n: int) -> SymmetryClass:
@@ -121,24 +126,7 @@ def build_symmetry_class(chi: Partition, n: int) -> SymmetryClass:
             f"symmetry class is zero: chi={chi} has {chi.length} parts but n={n}"
         )
 
-    table = char_table(m)
     domain = enumerate_maps("gamma", m, n)
-    size = n**m
-    entries0 = np.array([a.entries for a in domain], dtype=np.intp) - 1
-    weights = np.array([n ** (m - 1 - i) for i in range(m)], dtype=np.intp)
-    deg = degree(chi)
-
-    projector = np.zeros((size, size), dtype=np.complex128)
-    cols = np.arange(size)
-    for sigma in all_permutations(m):
-        value = table.value(chi, sigma.cycle_type())
-        if value == 0:
-            continue
-        inv = np.array(sigma.inverse().images, dtype=np.intp) - 1
-        rows = entries0[:, inv] @ weights
-        projector[rows, cols] += value
-    projector *= deg / math.factorial(m)
-
     omega = []
     for alpha in domain:
         by_sum = character_sum_over_stabilizer(chi, alpha) != 0
@@ -153,68 +141,90 @@ def build_symmetry_class(chi: Partition, n: int) -> SymmetryClass:
     if not omega:
         raise NumericError("no surviving symmetrized tensors despite l(chi) <= n")
 
-    position = {alpha: i for i, alpha in enumerate(domain)}
     delta_bar = tuple(a for a in omega if a.is_weakly_increasing())
-    delta_hat = _greedy_basis(projector, omega, position)
+    orbits = [_orbit_basis(chi, a) for a in delta_bar]
+    kept = np.sort(np.concatenate([rows[cols] for rows, cols, _, _ in orbits]))
+    delta_hat = tuple(domain[i] for i in kept)
     if not set(delta_bar) <= set(delta_hat):
         raise NumericError("basis sweep dropped an orbit representative")
 
-    columns = projector[:, [position[a] for a in delta_hat]]
-    inclusion, basis_b = gram_schmidt(columns)
+    # Distinct orbits are orthogonal, so Gram-Schmidt over delta_hat in
+    # lexicographic order is the per-orbit Gram-Schmidt, scattered.
+    inclusion = np.zeros((n**m, len(kept)), dtype=np.complex128)
+    basis_b = np.zeros((len(kept), len(kept)), dtype=np.complex128)
+    for rows, cols, ortho, coeffs in orbits:
+        at = np.searchsorted(kept, rows[cols])
+        inclusion[np.ix_(rows, at)] = ortho
+        basis_b[np.ix_(at, at)] = coeffs
 
     return SymmetryClass(
         chi=chi,
         n=n,
-        projector=projector,
         domain=domain,
         omega=tuple(omega),
         delta_bar=delta_bar,
         delta_hat=delta_hat,
         basis_b=basis_b,
         inclusion=inclusion,
-        _position=position,
+        _position={alpha: i for i, alpha in enumerate(domain)},
     )
 
 
-def _greedy_basis(
-    projector: np.ndarray,
-    omega: list[MultiIndex],
-    position: dict,
-) -> tuple[MultiIndex, ...]:
-    # Sweep omega in lexicographic order, keeping alpha whenever e*_alpha
-    # enlarges the span.  Distinct orbits are orthogonal, so the first
-    # element seen from each orbit (its weakly increasing representative)
-    # always survives.
-    size = projector.shape[0]
-    rank = int(round(float(np.real(np.trace(projector)))))
-    basis = np.zeros((size, 0), dtype=np.complex128)
-    kept = []
-    for alpha in omega:
-        if basis.shape[1] == rank:
+@functools.cache
+def _symmetrizer_terms(chi: Partition) -> tuple[np.ndarray, np.ndarray]:
+    # 0-based images of sigma^{-1} for each sigma with chi(sigma) != 0, and
+    # those chi(sigma).  Read-only, as the cache shares them.
+    table = char_table(chi.size)
+    perms = all_permutations(chi.size)
+    values = np.array([table.value(chi, p.cycle_type()) for p in perms], dtype=float)
+    inverses = np.array([p.inverse().images for p in perms], dtype=np.intp) - 1
+    inverses, values = inverses[values != 0], values[values != 0]
+    inverses.setflags(write=False)
+    values.setflags(write=False)
+    return inverses, values
+
+
+def _estar_columns(chi: Partition, n: int, alphas, rows: np.ndarray) -> np.ndarray:
+    # e*_alpha for each alpha in ``alphas``, restricted to the sorted
+    # product-basis positions ``rows``, which must cover their orbits.
+    inverses, values = _symmetrizer_terms(chi)
+    codes = (np.array(alphas) - 1)[:, inverses] @ n ** np.arange(chi.size - 1, -1, -1)
+    out = np.zeros((len(rows), len(alphas)))
+    np.add.at(out, (np.searchsorted(rows, codes), np.arange(len(alphas))[:, None]), values)
+    return out * (degree(chi) / math.factorial(chi.size))
+
+
+def _orbit_basis(chi: Partition, a: MultiIndex):
+    # Greedy lexicographic sweep over the e*-columns of the orbit of ``a``,
+    # up to the orbit's rank from characters, and Gram-Schmidt of the kept
+    # ones.  Returns the orbit's product-basis positions, the kept columns
+    # and gram_schmidt's (ortho, coeffs).
+    orbit = sorted(set(itertools.permutations(a.entries)))
+    rows = (np.array(orbit) - 1) @ a.n ** np.arange(a.m - 1, -1, -1)
+    block = _estar_columns(chi, a.n, orbit, rows)
+    stabilizer_size = math.prod(math.factorial(c) for c in multiplicity_partition(a).parts)
+    rank = degree(chi) * character_sum_over_stabilizer(chi, a) // stabilizer_size
+    basis = np.zeros((len(orbit), 0))
+    cols = []
+    for j, v in enumerate(block.T):
+        if len(cols) == rank:
             break
-        v = projector[:, position[alpha]]
-        w = v - basis @ (basis.conj().T @ v)
-        w = w - basis @ (basis.conj().T @ w)
+        w = v - basis @ (basis.T @ v)
+        w = w - basis @ (basis.T @ w)
         norm = float(np.linalg.norm(w))
-        if norm > RANK_EXTENSION_TOL:
-            kept.append(alpha)
+        if norm > RANK_EXTENSION_TOL * float(np.linalg.norm(v)):
+            cols.append(j)
             basis = np.hstack([basis, (w / norm)[:, None]])
-    if len(kept) != rank:
+    if len(cols) != rank:
         raise NumericError(
-            f"rank sweep found {len(kept)} basis tensors, projector rank is {rank}"
+            f"rank sweep found {len(cols)} basis tensors in the orbit of {a}, "
+            f"the character formula gives {rank}"
         )
-    return tuple(kept)
+    return (rows, cols, *gram_schmidt(block[:, cols]))
 
 
-def delta_hat_basis(sc: SymmetryClass) -> tuple[MultiIndex, ...]:
-    """The lexicographic basis extension delta_bar <= delta_hat <= omega."""
-    return sc.delta_hat
-
-
-def _check_ops(sc: SymmetryClass, ops, expected: int) -> list[np.ndarray]:
+def _check_ops(sc: SymmetryClass, ops) -> list[np.ndarray]:
     mats = [as_matrix(op, square=True) for op in ops]
-    if len(mats) != expected:
-        raise DomainError(f"expected {expected} operators, got {len(mats)}")
     for mat in mats:
         if mat.shape != (sc.n, sc.n):
             raise DomainError(
@@ -226,31 +236,35 @@ def _check_ops(sc: SymmetryClass, ops, expected: int) -> list[np.ndarray]:
 def symmetrized_kron(ops) -> np.ndarray:
     """The symmetrized tensor product (1/m!) sum_sigma X^{sigma(1)} (x) ... (x) X^{sigma(m)}.
 
-    Permutations that pick equal factors in the same slots give equal
-    Kronecker products, so the sum runs over the distinct arrangements of
-    the multiset of factors (in sorted order, for bit-stable results) with
-    the common multiplicity as weight.
+    Sums one Kronecker product per distinct arrangement of the factors
+    (see ``_distinct_arrangements``).  The class kernels below compute its
+    compression without forming this n^m x n^m matrix.
     """
     mats = [as_matrix(op, square=True) for op in ops]
     if not mats:
         raise DomainError("symmetrized product needs at least one factor")
-    m = len(mats)
-    reps: list[np.ndarray] = []
-    labels: list[int] = []
-    for mat in mats:
-        for i, rep in enumerate(reps):
-            if mat.shape == rep.shape and np.array_equal(mat, rep):
-                labels.append(i)
-                break
-        else:
-            labels.append(len(reps))
-            reps.append(mat)
-    arrangements = sorted(set(itertools.permutations(labels)))
+    arrangements = _distinct_arrangements(mats)
     total = None
     for arrangement in arrangements:
-        term = kron_all([reps[i] for i in arrangement])
+        term = functools.reduce(kron, arrangement)
         total = term if total is None else total + term
     return total / len(arrangements)
+
+
+def _compress(sc: SymmetryClass, mats: list[np.ndarray]) -> np.ndarray:
+    # V* (mean over distinct arrangements of A_1 (x) ... (x) A_m) V, with
+    # each factor applied to its own tensor axis of the inclusion V.
+    n, m, v = sc.n, sc.m, sc.inclusion
+    arrangements = _distinct_arrangements(mats)
+    total = np.zeros_like(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for arrangement in arrangements:
+            w = v
+            for i, mat in enumerate(arrangement):
+                w = mat @ w.reshape(n**i, n, -1)
+            total += w.reshape(n**m, sc.dim)
+        out = (v.conj().T @ total) / len(arrangements)
+    return _require_finite(out, "compressed operator")
 
 
 def sym_op_product(sc: SymmetryClass, ops) -> np.ndarray:
@@ -260,9 +274,10 @@ def sym_op_product(sc: SymmetryClass, ops) -> np.ndarray:
     matrix of X^1 * ... * X^m in the orthonormal basis; the result is
     invariant under permuting the operators.
     """
-    mats = _check_ops(sc, ops, sc.m)
-    middle = symmetrized_kron(mats)
-    return sc.inclusion.conj().T @ middle @ sc.inclusion
+    mats = _check_ops(sc, ops)
+    if len(mats) != sc.m:
+        raise DomainError(f"expected {sc.m} operators, got {len(mats)}")
+    return _compress(sc, mats)
 
 
 def k_chi_matrix(sc: SymmetryClass, a) -> np.ndarray:
@@ -272,9 +287,8 @@ def k_chi_matrix(sc: SymmetryClass, a) -> np.ndarray:
     the compression of that power is exactly the induced operator; the
     map is multiplicative in ``a``.
     """
-    (mat,) = _check_ops(sc, [a], 1)
-    power = kron_power(mat, sc.m)
-    return sc.inclusion.conj().T @ power @ sc.inclusion
+    (mat,) = _check_ops(sc, [a])
+    return _compress(sc, [mat] * sc.m)
 
 
 def dk_kchi(sc: SymmetryClass, t, xs) -> np.ndarray:
@@ -286,15 +300,11 @@ def dk_kchi(sc: SymmetryClass, t, xs) -> np.ndarray:
     and for k = m it does not depend on ``t``.  k = 0 returns the induced
     operator itself.
     """
-    (t_mat,) = _check_ops(sc, [t], 1)
-    x_mats = [as_matrix(x, square=True) for x in xs]
-    for mat in x_mats:
-        if mat.shape != (sc.n, sc.n):
-            raise DomainError(
-                f"direction of shape {mat.shape} does not act on C^{sc.n}"
-            )
+    t_mat, *x_mats = _check_ops(sc, [t, *xs])
     k = len(x_mats)
     if k > sc.m:
         return np.zeros((sc.dim, sc.dim), dtype=np.complex128)
     factor = math.factorial(sc.m) // math.factorial(sc.m - k)
-    return factor * sym_op_product(sc, [t_mat] * (sc.m - k) + x_mats)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = factor * _compress(sc, [t_mat] * (sc.m - k) + x_mats)
+    return _require_finite(value, "derivative")

@@ -26,6 +26,14 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def run_module(argv):
+    """Run ``python -m kchi`` in a fresh interpreter on the tree under test."""
+    env = dict(os.environ, PYTHONPATH=str(Path(kchi.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "kchi", *argv], capture_output=True, text=True, env=env
+    )
+
+
 # ---------------------------------------------------------------------------
 # Argument parsing.
 # ---------------------------------------------------------------------------
@@ -269,6 +277,31 @@ def test_dimension_cap_exit_code(capsys, tmp_path, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv,mat",
+    [
+        (["immanant", "--chi", "1,1"], np.diag([1e200, 1e200])),
+        (["power", "--chi", "2", "--n", "2"], np.diag([1e200, 1.0])),
+        (["perturb", "--chi", "2,1", "--delta", "1e200"], np.diag([1.0, 2.0, 3.0])),
+    ],
+)
+def test_overflow_is_a_numeric_error(tmp_path, argv, mat):
+    # finite input whose result overflows: exit 3, no JSON, no numpy warning
+    path = write_matrix(tmp_path / "a.json", mat)
+    result = run_module([*argv, "--input", path])
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert "Warning" not in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_non_finite_report_is_a_numeric_error(capsys, monkeypatch):
+    monkeypatch.setattr(kchi.cli, "_dispatch", lambda cfg: ({"value": float("inf")}, 0))
+    code, out, _ = run_cli(capsys, ["chartable", "--m", "2"])
+    assert code == 3
+    assert out == ""
+
+
 def test_output_flag_writes_the_same_bytes(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, stdout, _ = run_cli(capsys, ["chartable", "--m", "2"])
@@ -302,5 +335,11 @@ def test_console_script_is_installed():
         text=True,
         env=env,
     )
+    assert result.returncode == 0
+    assert json.loads(result.stdout)["values"] == [[1, 1], [-1, 1]]
+
+
+def test_python_dash_m_runs_the_cli():
+    result = run_module(["chartable", "--m", "2"])
     assert result.returncode == 0
     assert json.loads(result.stdout)["values"] == [[1, 1], [-1, 1]]

@@ -11,8 +11,6 @@ from kchi import (
     gram_schmidt,
     hermitian_eigenvalues,
     kron,
-    kron_all,
-    kron_power,
     matrix_from_pairs,
     matrix_to_pairs,
     polar,
@@ -176,16 +174,6 @@ def test_kron_mixed_product():
     np.testing.assert_allclose(
         kron(a, b) @ kron(c, d), kron(a @ c, b @ d), atol=RECON_TOL
     )
-
-
-def test_kron_power():
-    np.testing.assert_allclose(kron_power(np.eye(2), 3), np.eye(8))
-    a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    np.testing.assert_allclose(kron_power(a, 2), kron(a, a))
-    with pytest.raises(DomainError):
-        kron_power(a, 0)
-    with pytest.raises(DomainError):
-        kron_all([])
 
 
 def test_dimension_cap_environment(monkeypatch):

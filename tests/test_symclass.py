@@ -16,7 +16,6 @@ from kchi import (
     character,
     character_sum_over_stabilizer,
     degree,
-    delta_hat_basis,
     dk_kchi,
     enumerate_maps,
     k_chi_matrix,
@@ -95,7 +94,8 @@ def test_wedge_square_frozen():
             [0.0, 0.0, 0.0, 0.0],
         ]
     )
-    np.testing.assert_allclose(sc.projector, expected, atol=EXACT_TOL)
+    q = sc.inclusion
+    np.testing.assert_allclose(q @ q.conj().T, expected, atol=EXACT_TOL)
 
 
 def test_symmetric_square_frozen():
@@ -133,15 +133,16 @@ def test_dimension_matches_orbital_formula():
 @pytest.mark.parametrize("chi,n", SMALL_CLASSES)
 def test_projector_matches_brute_force(chi, n):
     sc = build_symmetry_class(chi, n)
+    q = sc.inclusion
     np.testing.assert_allclose(
-        sc.projector, brute_force_projector(chi, n), atol=EXACT_TOL
+        q @ q.conj().T, brute_force_projector(chi, n), atol=EXACT_TOL
     )
 
 
 @pytest.mark.parametrize("chi,n", SMALL_CLASSES)
 def test_projector_is_an_orthogonal_projection(chi, n):
     sc = build_symmetry_class(chi, n)
-    k = sc.projector
+    k = brute_force_projector(chi, n)
     np.testing.assert_allclose(k @ k, k, atol=PROJECTOR_TOL)
     np.testing.assert_allclose(k.conj().T, k, atol=PROJECTOR_TOL)
     assert round(float(np.trace(k).real)) == sc.dim
@@ -152,7 +153,35 @@ def test_inclusion_spans_the_range(chi, n):
     sc = build_symmetry_class(chi, n)
     q = sc.inclusion
     np.testing.assert_allclose(q.conj().T @ q, np.eye(sc.dim), atol=PROJECTOR_TOL)
-    np.testing.assert_allclose(q @ q.conj().T, sc.projector, atol=PROJECTOR_TOL)
+    np.testing.assert_allclose(
+        q @ q.conj().T, brute_force_projector(chi, n), atol=PROJECTOR_TOL
+    )
+
+
+@pytest.mark.parametrize("chi,n", SMALL_CLASSES)
+def test_estar_coords_are_brute_force_projector_columns(chi, n):
+    sc = build_symmetry_class(chi, n)
+    k = brute_force_projector(chi, n)
+    for alpha in sc.domain:
+        np.testing.assert_allclose(
+            sc.estar_coords(alpha), k[:, sc.index_of(alpha)], atol=EXACT_TOL
+        )
+
+
+def test_cap_class_dimension_and_multiplicativity():
+    # (2,1,1) on C^8 sits at the n^m = 4096 cap; its dimension is
+    # chi(1)/m! * sum_sigma chi(sigma) n^{c(sigma)}, c counting cycles
+    chi, n = Partition((2, 1, 1)), 8
+    sc = build_symmetry_class(chi, n)
+    expected = sum(
+        character(chi, sigma.cycle_type()) * n ** len(sigma.cycle_type().parts)
+        for sigma in all_permutations(chi.size)
+    ) * degree(chi) // math.factorial(chi.size)
+    assert sc.dim == expected == 1134
+    rng = np.random.default_rng(29)
+    a, b = random_complex(rng, n), random_complex(rng, n)
+    ka, kb, kab = k_chi_matrix(sc, a), k_chi_matrix(sc, b), k_chi_matrix(sc, a @ b)
+    assert np.abs(ka @ kb - kab).max() <= PRODUCT_TOL * np.abs(kab).max()
 
 
 def test_index_chain_and_order():
@@ -196,11 +225,6 @@ def test_basis_b_converts_tensors_to_orthonormal_basis():
         estar = np.column_stack([sc.estar_coords(a) for a in sc.delta_hat])
         np.testing.assert_allclose(estar @ sc.basis_b, sc.inclusion, atol=EXACT_TOL)
         np.testing.assert_allclose(sc.basis_b, np.triu(sc.basis_b), atol=0)
-
-
-def test_delta_hat_basis_accessor():
-    sc = build_symmetry_class(Partition((2, 1)), 2)
-    assert delta_hat_basis(sc) == sc.delta_hat
 
 
 def test_build_rejects_bad_arguments():
@@ -269,6 +293,30 @@ def test_sym_op_product_with_equal_factors_is_the_power_map():
         np.testing.assert_allclose(
             sym_op_product(sc, [t] * sc.m), k_chi_matrix(sc, t), atol=EXACT_TOL
         )
+
+
+@pytest.mark.parametrize("chi,n", SMALL_CLASSES + [(Partition((2, 1)), 5)])
+def test_kernels_match_the_symmetrized_kron_reference(chi, n):
+    # the factor-by-factor kernels against the explicit n^m x n^m route
+    rng = np.random.default_rng(83)
+    sc = build_symmetry_class(chi, n)
+    q = sc.inclusion
+
+    def reference(ops):
+        return q.conj().T @ symmetrized_kron(ops) @ q
+
+    def check(value, expected):
+        scale = max(1.0, float(np.abs(expected).max()))
+        np.testing.assert_allclose(value, expected, rtol=0, atol=EXACT_TOL * scale)
+
+    ops = [random_complex(rng, n) for _ in range(sc.m)]
+    check(sym_op_product(sc, ops), reference(ops))
+    t = random_complex(rng, n)
+    check(k_chi_matrix(sc, t), reference([t] * sc.m))
+    for k in range(1, sc.m + 1):
+        xs = [random_complex(rng, n) for _ in range(k)]
+        factor = math.factorial(sc.m) // math.factorial(sc.m - k)
+        check(dk_kchi(sc, t, xs), factor * reference([t] * (sc.m - k) + xs))
 
 
 def test_sym_op_product_rejects_wrong_shapes():
