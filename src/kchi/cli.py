@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import verify as verify_mod
 from .combinat import Partition
-from .denselin import matrix_from_pairs, matrix_to_pairs, singular_values
+from .denselin import as_matrix, matrix_from_pairs, matrix_to_pairs, singular_values
 from .errors import DomainError, NumericError, ResourceError
 from .norms import (
     dk_norm_verify,
@@ -200,7 +200,8 @@ def parse_args(argv=None) -> RunConfig:
     )
 
 
-def _load_matrix(path: str):
+def _load_square(path: str, n: int | None = None):
+    # A square matrix from a JSON file, of shape (n, n) when n is given.
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -209,18 +210,9 @@ def _load_matrix(path: str):
     except json.JSONDecodeError as exc:
         raise DomainError(f"{path} is not valid JSON: {exc}") from exc
     try:
-        return matrix_from_pairs(payload)
+        return as_matrix(matrix_from_pairs(payload), square=True, n=n)
     except DomainError as exc:
         raise DomainError(f"{path}: {exc}") from exc
-
-
-def _load_square(path: str, n: int | None = None):
-    mat = _load_matrix(path)
-    if mat.shape[0] != mat.shape[1]:
-        raise DomainError(f"{path}: expected a square matrix, got shape {mat.shape}")
-    if n is not None and mat.shape != (n, n):
-        raise DomainError(f"{path}: expected a {n}x{n} matrix, got shape {mat.shape}")
-    return mat
 
 
 def _cmd_chartable(cfg: RunConfig) -> dict:

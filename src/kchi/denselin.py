@@ -63,8 +63,12 @@ def dimension_cap() -> int:
     return min(value, DEFAULT_DIMENSION_CAP)
 
 
-def as_matrix(obj, *, square: bool = False) -> np.ndarray:
-    """Coerce to a 2-D complex128 array, checking finiteness."""
+def as_matrix(obj, *, square: bool = False, n: int | None = None) -> np.ndarray:
+    """Coerce to a 2-D complex128 array, checking finiteness.
+
+    ``square`` requires a square matrix; ``n`` requires an operator on C^n,
+    that is shape ``(n, n)``.
+    """
     a = np.asarray(obj, dtype=np.complex128)
     if a.ndim != 2:
         raise DomainError(f"expected a matrix, got array of shape {a.shape}")
@@ -72,6 +76,8 @@ def as_matrix(obj, *, square: bool = False) -> np.ndarray:
         raise DomainError("matrix entries must be finite")
     if square and a.shape[0] != a.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {a.shape}")
+    if n is not None and a.shape != (n, n):
+        raise DomainError(f"matrix of shape {a.shape} does not act on C^{n}")
     return a
 
 

@@ -15,10 +15,8 @@ the immanant routes that factor K_chi(A) through submatrix immanants.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -28,7 +26,7 @@ from .denselin import _distinct_arrangements, _require_finite, as_matrix, polar
 from .denselin import singular_values, spectral_norm
 from .errors import DomainError, NumericError, ResourceError
 from .symclass import SymmetryClass, build_symmetry_class, dk_kchi
-from .symgroup import character, degree
+from .symgroup import _permutation_characters, degree
 
 __all__ = [
     "elementary_symmetric",
@@ -228,9 +226,7 @@ def dk_norm_verify(
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
-    t_mat = as_matrix(t, square=True)
-    if t_mat.shape != (sc.n, sc.n):
-        raise DomainError(f"matrix of shape {t_mat.shape} does not act on C^{sc.n}")
+    t_mat = as_matrix(t, n=sc.n)
     nu = singular_values(t_mat)
     formula = dk_norm_formula(sc.chi, k, nu, n=sc.n)
     p, w = polar(t_mat)
@@ -256,41 +252,10 @@ def dk_norm_verify(
     )
 
 
-@lru_cache(maxsize=None)
-def _perm_data(n: int) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
-    # All of S_n as 0-based image rows, with each permutation's cycle type.
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-    types = []
-    for row in perms:
-        seen = [False] * n
-        lengths = []
-        for start in range(n):
-            if seen[start]:
-                continue
-            length = 0
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = int(row[j])
-                length += 1
-            lengths.append(length)
-        types.append(tuple(sorted(lengths, reverse=True)))
-    return perms, tuple(types)
-
-
-@lru_cache(maxsize=None)
-def _char_vector(chi: Partition) -> np.ndarray:
-    perms, types = _perm_data(chi.size)
-    del perms
-    return np.array([character(chi, Partition(t)) for t in types], dtype=np.float64)
-
-
 def _immanant_raw(chi: Partition, a: np.ndarray) -> complex:
-    n = chi.size
-    perms, _ = _perm_data(n)
-    rows = np.arange(n)
-    products = a[rows, perms].prod(axis=1)
-    return complex(_char_vector(chi) @ products)
+    images, values = _permutation_characters(chi)
+    products = a[np.arange(chi.size), images].prod(axis=1)
+    return complex(values @ products)
 
 
 def immanant(chi: Partition, a) -> complex:
@@ -303,9 +268,7 @@ def immanant(chi: Partition, a) -> complex:
         raise ResourceError(
             f"immanants capped at n <= {MAX_IMMANANT_SIZE}, got n={n}"
         )
-    mat = as_matrix(a, square=True)
-    if mat.shape != (n, n):
-        raise DomainError(f"chi={chi} needs a {n}x{n} matrix, got shape {mat.shape}")
+    mat = as_matrix(a, n=n)
     with np.errstate(over="ignore", invalid="ignore"):
         value = _immanant_raw(chi, mat)
     return _require_finite(value, "immanant")
@@ -336,12 +299,9 @@ def mixed_immanant(chi: Partition, xs) -> complex:
         raise ResourceError(
             f"mixed immanants capped at n <= {MAX_MIXED_SIZE}, got n={n}"
         )
-    mats = [as_matrix(x, square=True) for x in xs]
+    mats = [as_matrix(x, n=n) for x in xs]
     if len(mats) != n:
         raise DomainError(f"chi={chi} needs {n} matrices, got {len(mats)}")
-    for mat in mats:
-        if mat.shape != (n, n):
-            raise DomainError(f"argument of shape {mat.shape} is not {n}x{n}")
     with np.errstate(over="ignore", invalid="ignore"):
         value = _mixed_immanant_raw(chi, mats)
     return _require_finite(value, "mixed immanant")
@@ -355,13 +315,8 @@ def dk_immanant(chi: Partition, a, xs) -> complex:
     ``a``.  k = 0 returns d_chi(a).
     """
     n = chi.size
-    mat = as_matrix(a, square=True)
-    if mat.shape != (n, n):
-        raise DomainError(f"chi={chi} needs a {n}x{n} matrix, got shape {mat.shape}")
-    x_mats = [as_matrix(x, square=True) for x in xs]
-    for x in x_mats:
-        if x.shape != (n, n):
-            raise DomainError(f"direction of shape {x.shape} is not {n}x{n}")
+    mat = as_matrix(a, n=n)
+    x_mats = [as_matrix(x, n=n) for x in xs]
     k = len(x_mats)
     if k > n:
         raise DomainError(f"derivative order {k} exceeds n={n}")
@@ -389,26 +344,13 @@ def immanant_matrix(sc: SymmetryClass, a) -> np.ndarray:
     Row gamma and column delta run over delta_hat; the selection repeats
     rows and columns of ``a`` as prescribed by the multi-indices.
     """
-    mat = as_matrix(a, square=True)
-    if mat.shape != (sc.n, sc.n):
-        raise DomainError(f"matrix of shape {mat.shape} does not act on C^{sc.n}")
-    d = sc.dim
-    out = np.empty((d, d), dtype=np.complex128)
-    for i, gamma in enumerate(sc.delta_hat):
-        for j, delta in enumerate(sc.delta_hat):
-            out[i, j] = _immanant_raw(sc.chi, _submatrix(mat, gamma, delta))
-    return out
+    return mixed_immanant_matrix(sc, a, [])
 
 
 def mixed_immanant_matrix(sc: SymmetryClass, a, xs) -> np.ndarray:
     """Matrix of mixed immanants of submatrices, a in m-k slots per entry."""
-    mat = as_matrix(a, square=True)
-    if mat.shape != (sc.n, sc.n):
-        raise DomainError(f"matrix of shape {mat.shape} does not act on C^{sc.n}")
-    x_mats = [as_matrix(x, square=True) for x in xs]
-    for x in x_mats:
-        if x.shape != (sc.n, sc.n):
-            raise DomainError(f"direction of shape {x.shape} does not act on C^{sc.n}")
+    mat = as_matrix(a, n=sc.n)
+    x_mats = [as_matrix(x, n=sc.n) for x in xs]
     k = len(x_mats)
     if k > sc.m:
         raise DomainError(f"derivative order {k} exceeds m={sc.m}")
@@ -430,11 +372,12 @@ def dk_kchi_via_immanants(sc: SymmetryClass, a, xs) -> np.ndarray:
     (chi(id)/(m-k)!) * B* M B with M the mixed-immanant matrix and B the
     triangular change of basis.
     """
-    xs = list(xs)
-    k = len(xs)
+    mat = as_matrix(a, n=sc.n)
+    x_mats = [as_matrix(x, n=sc.n) for x in xs]
+    k = len(x_mats)
     if k > sc.m:
         return np.zeros((sc.dim, sc.dim), dtype=np.complex128)
-    mixed = mixed_immanant_matrix(sc, a, xs)
+    mixed = mixed_immanant_matrix(sc, mat, x_mats)
     coeff = degree(sc.chi) / math.factorial(sc.m - k)
     return coeff * (sc.basis_b.conj().T @ mixed @ sc.basis_b)
 
@@ -448,9 +391,7 @@ def dk_immanant_via_power(chi: Partition, a, xs) -> complex:
     c the gamma column of the inverse change of basis.
     """
     n = chi.size
-    mat = as_matrix(a, square=True)
-    if mat.shape != (n, n):
-        raise DomainError(f"chi={chi} needs a {n}x{n} matrix, got shape {mat.shape}")
+    mat = as_matrix(a, n=n)
     sc = build_symmetry_class(chi, n)
     gamma = MultiIndex(tuple(range(1, n + 1)), n)
     pos = sc.delta_hat.index(gamma)
@@ -514,9 +455,7 @@ def immanant_bound_verify(
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
     n = chi.size
-    mat = as_matrix(a, square=True)
-    if mat.shape != (n, n):
-        raise DomainError(f"chi={chi} needs a {n}x{n} matrix, got shape {mat.shape}")
+    mat = as_matrix(a, n=n)
     if not 1 <= k <= n:
         raise DomainError(f"need 1 <= k <= n={n}, got k={k}")
     nu = singular_values(mat)

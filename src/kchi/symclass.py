@@ -38,7 +38,6 @@ import numpy as np
 from .combinat import (
     MultiIndex,
     Partition,
-    all_permutations,
     enumerate_maps,
     majorizes,
     multiplicity_partition,
@@ -46,7 +45,7 @@ from .combinat import (
 from .denselin import _distinct_arrangements, _require_finite, as_matrix, dimension_cap
 from .denselin import gram_schmidt, kron
 from .errors import DomainError, NumericError, ResourceError
-from .symgroup import char_table, character_sum_over_stabilizer, degree
+from .symgroup import _permutation_characters, character_sum_over_stabilizer, degree
 
 __all__ = [
     "SymmetryClass",
@@ -170,25 +169,14 @@ def build_symmetry_class(chi: Partition, n: int) -> SymmetryClass:
     )
 
 
-@functools.cache
-def _symmetrizer_terms(chi: Partition) -> tuple[np.ndarray, np.ndarray]:
-    # 0-based images of sigma^{-1} for each sigma with chi(sigma) != 0, and
-    # those chi(sigma).  Read-only, as the cache shares them.
-    table = char_table(chi.size)
-    perms = all_permutations(chi.size)
-    values = np.array([table.value(chi, p.cycle_type()) for p in perms], dtype=float)
-    inverses = np.array([p.inverse().images for p in perms], dtype=np.intp) - 1
-    inverses, values = inverses[values != 0], values[values != 0]
-    inverses.setflags(write=False)
-    values.setflags(write=False)
-    return inverses, values
-
-
 def _estar_columns(chi: Partition, n: int, alphas, rows: np.ndarray) -> np.ndarray:
     # e*_alpha for each alpha in ``alphas``, restricted to the sorted
     # product-basis positions ``rows``, which must cover their orbits.
-    inverses, values = _symmetrizer_terms(chi)
-    codes = (np.array(alphas) - 1)[:, inverses] @ n ** np.arange(chi.size - 1, -1, -1)
+    # The symmetrizer sums chi(sigma) e_{alpha o sigma^-1} over S_m; reindexed
+    # by sigma^-1 it reads the rows themselves, as chi(sigma) = chi(sigma^-1).
+    images, values = _permutation_characters(chi)
+    images, values = images[values != 0], values[values != 0]
+    codes = (np.array(alphas) - 1)[:, images] @ n ** np.arange(chi.size - 1, -1, -1)
     out = np.zeros((len(rows), len(alphas)))
     np.add.at(out, (np.searchsorted(rows, codes), np.arange(len(alphas))[:, None]), values)
     return out * (degree(chi) / math.factorial(chi.size))
@@ -221,16 +209,6 @@ def _orbit_basis(chi: Partition, a: MultiIndex):
             f"the character formula gives {rank}"
         )
     return (rows, cols, *gram_schmidt(block[:, cols]))
-
-
-def _check_ops(sc: SymmetryClass, ops) -> list[np.ndarray]:
-    mats = [as_matrix(op, square=True) for op in ops]
-    for mat in mats:
-        if mat.shape != (sc.n, sc.n):
-            raise DomainError(
-                f"operator of shape {mat.shape} does not act on C^{sc.n}"
-            )
-    return mats
 
 
 def symmetrized_kron(ops) -> np.ndarray:
@@ -274,7 +252,7 @@ def sym_op_product(sc: SymmetryClass, ops) -> np.ndarray:
     matrix of X^1 * ... * X^m in the orthonormal basis; the result is
     invariant under permuting the operators.
     """
-    mats = _check_ops(sc, ops)
+    mats = [as_matrix(op, n=sc.n) for op in ops]
     if len(mats) != sc.m:
         raise DomainError(f"expected {sc.m} operators, got {len(mats)}")
     return _compress(sc, mats)
@@ -287,8 +265,7 @@ def k_chi_matrix(sc: SymmetryClass, a) -> np.ndarray:
     the compression of that power is exactly the induced operator; the
     map is multiplicative in ``a``.
     """
-    (mat,) = _check_ops(sc, [a])
-    return _compress(sc, [mat] * sc.m)
+    return _compress(sc, [as_matrix(a, n=sc.n)] * sc.m)
 
 
 def dk_kchi(sc: SymmetryClass, t, xs) -> np.ndarray:
@@ -300,7 +277,7 @@ def dk_kchi(sc: SymmetryClass, t, xs) -> np.ndarray:
     and for k = m it does not depend on ``t``.  k = 0 returns the induced
     operator itself.
     """
-    t_mat, *x_mats = _check_ops(sc, [t, *xs])
+    t_mat, *x_mats = [as_matrix(op, n=sc.n) for op in [t, *xs]]
     k = len(x_mats)
     if k > sc.m:
         return np.zeros((sc.dim, sc.dim), dtype=np.complex128)

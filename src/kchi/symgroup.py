@@ -18,9 +18,12 @@ import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
 
+import numpy as np
+
 from .combinat import (
     MultiIndex,
     Partition,
+    Permutation,
     multiplicity_partition,
     partitions_of,
 )
@@ -133,6 +136,40 @@ def char_table(m: int) -> CharTable:
         tuple(character(lam, rho) for rho in parts) for lam in parts
     )
     return CharTable(m, parts, values)
+
+
+@cache
+def _permutation_characters(chi: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """All of S_m as 0-based image rows in lexicographic order, and chi on each.
+
+    Both arrays are read-only, as the cache shares them.
+    """
+    table = char_table(chi.size)
+    images, classes = _permutation_classes(chi.size)
+    row = table.values[table.partitions.index(chi)]
+    values = np.array(row, dtype=np.float64)[classes]
+    values.setflags(write=False)
+    return images, values
+
+
+@cache
+def _permutation_classes(m: int) -> tuple[np.ndarray, np.ndarray]:
+    # The rows of S_m and, for each row, the column of its cycle type in
+    # char_table(m).  A point's cycle length is the first power of the row
+    # that fixes it; the key counts the points on l-cycles in digit l-1 of
+    # base m+1, so equal keys mean equal cycle types.
+    images = np.array(list(itertools.permutations(range(m))), dtype=np.intp)
+    lengths = np.zeros_like(images)
+    power = images
+    for step in range(1, m + 1):
+        lengths[(power == np.arange(m)) & (lengths == 0)] = step
+        power = np.take_along_axis(images, power, axis=1)
+    keys = ((m + 1) ** (lengths - 1)).sum(axis=1)
+    _, first, classes = np.unique(keys, return_index=True, return_inverse=True)
+    types = [Permutation(tuple(images[i] + 1)).cycle_type() for i in first]
+    columns = np.array([char_table(m).partitions.index(t) for t in types])
+    images.setflags(write=False)
+    return images, columns[classes.reshape(-1)]
 
 
 def character_sum_over_stabilizer(lam: Partition, alpha: MultiIndex) -> int:

@@ -99,6 +99,27 @@ class CheckResult:
         }
 
 
+def _at_most(
+    name: str, params: dict, observed, tolerance: float, measure: str
+) -> CheckResult:
+    """A row that passes when the observed ``measure`` is at most ``tolerance``."""
+    return CheckResult(
+        name=name,
+        params=params,
+        expected=f"{measure} <= {tolerance}",
+        observed=observed,
+        tolerance=tolerance,
+        passed=observed <= tolerance,
+    )
+
+
+def _exact(name: str, params: dict, misses: int) -> CheckResult:
+    """A row that passes when an exact count of misses is zero."""
+    return CheckResult(
+        name, params, expected=0, observed=misses, tolerance=0.0, passed=misses == 0
+    )
+
+
 def _classes(max_m: int, max_n: int, *, min_m: int = 1):
     for m in range(min_m, max_m + 1):
         for n in range(m, max_n + 1):
@@ -133,13 +154,10 @@ def check_norm_identity(seed: int = 0, max_n: int = 4) -> list[CheckResult]:
                 worst[k] = max(worst[k], abs(observed - expected) / max(1.0, expected))
         for k in range(1, m + 1):
             results.append(
-                CheckResult(
-                    name="derivative norm equals closed formula",
-                    params={"chi": list(chi.parts), "n": n, "k": k, "draws": 20},
-                    expected="relative error <= 1e-07",
-                    observed=worst[k],
-                    tolerance=1e-7,
-                    passed=worst[k] <= 1e-7,
+                _at_most(
+                    "derivative norm equals closed formula",
+                    {"chi": list(chi.parts), "n": n, "k": k, "draws": 20},
+                    worst[k], 1e-7, "relative error",
                 )
             )
     return results
@@ -189,36 +207,20 @@ def check_special_reductions(seed: int = 0, max_n: int = 4) -> list[CheckResult]
                     )
                     val = dk_norm_formula(chi, 1, nu, n=n)
                     bds_worst = max(bds_worst, abs(val - double_sum))
-            results.append(
-                CheckResult(
-                    name="full symmetric reduction",
-                    params={"m": m, "n": n, "spectra": 50},
-                    expected="relative error <= 1e-09",
-                    observed=sym_worst,
-                    tolerance=1e-9,
-                    passed=sym_worst <= 1e-9,
-                )
-            )
-            results.append(
-                CheckResult(
-                    name="antisymmetric reduction",
-                    params={"m": m, "n": n, "spectra": 50},
-                    expected="relative error <= 1e-09",
-                    observed=wedge_worst,
-                    tolerance=1e-9,
-                    passed=wedge_worst <= 1e-9,
-                )
-            )
-            results.append(
-                CheckResult(
-                    name="first derivative matches double sum",
-                    params={"m": m, "n": n, "spectra": 50},
-                    expected="absolute error <= 1e-10",
-                    observed=bds_worst,
-                    tolerance=1e-10,
-                    passed=bds_worst <= 1e-10,
-                )
-            )
+            params = {"m": m, "n": n, "spectra": 50}
+            results += [
+                _at_most(
+                    "full symmetric reduction", params, sym_worst, 1e-9, "relative error"
+                ),
+                _at_most(
+                    "antisymmetric reduction", params, wedge_worst, 1e-9, "relative error"
+                ),
+                _at_most(
+                    "first derivative matches double sum",
+                    params,
+                    bds_worst, 1e-10, "absolute error",
+                ),
+            ]
     return results
 
 
@@ -265,32 +267,19 @@ def check_sup_attainment(
                     xs = [random_unit_matrix(n, rng_x) for _ in range(k)]
                     sup = max(sup, spectral_norm(dk_kchi(sc, t, xs)))
                 excess = max(excess, sup - formula)
-            results.append(
-                CheckResult(
-                    name="sampled directions never beat the formula",
-                    params={
-                        "chi": list(chi.parts),
-                        "n": n,
-                        "k": k,
-                        "draws": draws,
-                        "tuples": tuples,
-                    },
-                    expected="sup - formula <= 1e-07",
-                    observed=excess,
-                    tolerance=1e-7,
-                    passed=excess <= 1e-7,
-                )
-            )
-            results.append(
-                CheckResult(
-                    name="unitary polar directions attain the formula",
-                    params={"chi": list(chi.parts), "n": n, "k": k, "draws": draws},
-                    expected="relative error <= 1e-07",
-                    observed=attain_err,
-                    tolerance=1e-7,
-                    passed=attain_err <= 1e-7,
-                )
-            )
+            params = {"chi": list(chi.parts), "n": n, "k": k, "draws": draws}
+            results += [
+                _at_most(
+                    "sampled directions never beat the formula",
+                    {**params, "tuples": tuples},
+                    excess, 1e-7, "sup - formula",
+                ),
+                _at_most(
+                    "unitary polar directions attain the formula",
+                    params,
+                    attain_err, 1e-7, "relative error",
+                ),
+            ]
     return results
 
 
@@ -340,13 +329,10 @@ def check_finite_differences(
                 )
                 worst = max(worst, float(err))
             results.append(
-                CheckResult(
-                    name="finite differences confirm the derivative",
-                    params={"chi": list(chi.parts), "n": size, "k": k, "cases": cases},
-                    expected="relative error <= 1e-05",
-                    observed=worst,
-                    tolerance=1e-5,
-                    passed=worst <= 1e-5,
+                _at_most(
+                    "finite differences confirm the derivative",
+                    {"chi": list(chi.parts), "n": size, "k": k, "cases": cases},
+                    worst, 1e-5, "relative error",
                 )
             )
     return results
@@ -377,13 +363,10 @@ def check_spectrum(seed: int = 0, max_n: int = 4) -> list[CheckResult]:
                 want = np.sort([lambda_eigenvalue(a, k, nu) for a in sc.delta_hat])
                 worst = max(worst, float(np.max(np.abs(got - want))))
         results.append(
-            CheckResult(
-                name="derivative spectrum matches eigenvalue formula",
-                params={"chi": list(chi.parts), "n": n, "draws": 3},
-                expected="max eigenvalue deviation <= 1e-07",
-                observed=worst,
-                tolerance=1e-7,
-                passed=worst <= 1e-7,
+            _at_most(
+                "derivative spectrum matches eigenvalue formula",
+                {"chi": list(chi.parts), "n": n, "draws": 3},
+                worst, 1e-7, "max eigenvalue deviation",
             )
         )
     return results
@@ -410,13 +393,10 @@ def check_membership_routes(seed: int = 0, max_n: int = 4) -> list[CheckResult]:
                     if by_sum != by_major:
                         disagreements += 1
             results.append(
-                CheckResult(
-                    name="stabilizer sum agrees with majorization",
-                    params={"m": m, "n": n, "pairs": pairs},
-                    expected=0,
-                    observed=disagreements,
-                    tolerance=0.0,
-                    passed=disagreements == 0,
+                _exact(
+                    "stabilizer sum agrees with majorization",
+                    {"m": m, "n": n, "pairs": pairs},
+                    disagreements,
                 )
             )
     return results
@@ -450,13 +430,10 @@ def check_power_factorization(seed: int = 0, max_n: int = 4) -> list[CheckResult
                 err = np.linalg.norm(direct - via) / max(1.0, np.linalg.norm(direct))
                 worst = max(worst, float(err))
             results.append(
-                CheckResult(
-                    name="power map factors through immanants",
-                    params={"chi": list(chi.parts), "n": n, "draws": 20},
-                    expected="relative error <= 1e-09",
-                    observed=worst,
-                    tolerance=1e-9,
-                    passed=worst <= 1e-9,
+                _at_most(
+                    "power map factors through immanants",
+                    {"chi": list(chi.parts), "n": n, "draws": 20},
+                    worst, 1e-9, "relative error",
                 )
             )
     return results
@@ -487,18 +464,10 @@ def check_immanant_bound(
                 )
                 excess = report.sample_sup - report.bound_value
                 results.append(
-                    CheckResult(
-                        name="immanant derivative stays below bound",
-                        params={
-                            "chi": list(chi.parts),
-                            "n": n,
-                            "k": k,
-                            "tuples": tuples,
-                        },
-                        expected="sup - bound <= 1e-07",
-                        observed=excess,
-                        tolerance=1e-7,
-                        passed=excess <= 1e-7,
+                    _at_most(
+                        "immanant derivative stays below bound",
+                        {"chi": list(chi.parts), "n": n, "k": k, "tuples": tuples},
+                        excess, 1e-7, "sup - bound",
                     )
                 )
     if max_n >= 2:
@@ -558,26 +527,15 @@ def check_taylor_perturbation(
             direct_imm = immanant(chi, a + y)
             err = abs(direct_imm - scalar) / max(1.0, abs(direct_imm))
             worst_imm = max(worst_imm, float(err))
-        results.append(
-            CheckResult(
-                name="operator Taylor series is exact",
-                params={"chi": list(chi.parts), "n": size, "draws": 5},
-                expected="relative error <= 1e-09",
-                observed=worst_op,
-                tolerance=1e-9,
-                passed=worst_op <= 1e-9,
-            )
-        )
-        results.append(
-            CheckResult(
-                name="immanant Taylor series is exact",
-                params={"chi": list(chi.parts), "n": size, "draws": 5},
-                expected="relative error <= 1e-09",
-                observed=worst_imm,
-                tolerance=1e-9,
-                passed=worst_imm <= 1e-9,
-            )
-        )
+        params = {"chi": list(chi.parts), "n": size, "draws": 5}
+        results += [
+            _at_most(
+                "operator Taylor series is exact", params, worst_op, 1e-9, "relative error"
+            ),
+            _at_most(
+                "immanant Taylor series is exact", params, worst_imm, 1e-9, "relative error"
+            ),
+        ]
 
     deltas = (0.01, 0.1, 1.0)
     worst_op_violation = -math.inf
@@ -601,27 +559,19 @@ def check_taylor_perturbation(
         worst_imm_violation = max(
             worst_imm_violation, actual_imm - bound_imm.imm_bound
         )
-    results.append(
-        CheckResult(
-            name="operator perturbation bound dominates",
-            params={"n": size, "perturbations": perturbations, "deltas": list(deltas)},
-            expected="difference - bound <= 1e-08",
-            observed=worst_op_violation,
-            tolerance=1e-8,
-            passed=worst_op_violation <= 1e-8,
-        )
-    )
-    results.append(
-        CheckResult(
-            name="immanant perturbation bound dominates",
-            params={"n": size, "perturbations": perturbations, "deltas": list(deltas)},
-            expected="difference - bound <= 1e-08",
-            observed=worst_imm_violation,
-            tolerance=1e-8,
-            passed=worst_imm_violation <= 1e-8,
-        )
-    )
-    return results
+    params = {"n": size, "perturbations": perturbations, "deltas": list(deltas)}
+    return results + [
+        _at_most(
+            "operator perturbation bound dominates",
+            params,
+            worst_op_violation, 1e-8, "difference - bound",
+        ),
+        _at_most(
+            "immanant perturbation bound dominates",
+            params,
+            worst_imm_violation, 1e-8, "difference - bound",
+        ),
+    ]
 
 
 def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
@@ -661,28 +611,12 @@ def check_characters(seed: int = 0, max_n: int = 4) -> list[CheckResult]:
                 )
                 wanted = fact if lam == mu else 0
                 worst = max(worst, abs(total - wanted))
-        results.append(
-            CheckResult(
-                name="first orthogonality relations",
-                params={"m": m},
-                expected=0,
-                observed=worst,
-                tolerance=0.0,
-                passed=worst == 0,
-            )
-        )
+        results.append(_exact("first orthogonality relations", {"m": m}, worst))
         degree_misses = sum(
             1 for lam in table.partitions if degree(lam) != _hook_degree(lam)
         )
         results.append(
-            CheckResult(
-                name="degrees match hook length formula",
-                params={"m": m},
-                expected=0,
-                observed=degree_misses,
-                tolerance=0.0,
-                passed=degree_misses == 0,
-            )
+            _exact("degrees match hook length formula", {"m": m}, degree_misses)
         )
     standard = Partition((2, 1))
     misses = 0
@@ -690,17 +624,11 @@ def check_characters(seed: int = 0, max_n: int = 4) -> list[CheckResult]:
         fixed = sum(1 for part in rho.parts if part == 1)
         if character(standard, rho) != fixed - 1:
             misses += 1
-    results.append(
-        CheckResult(
-            name="standard character of S_3 counts fixed points minus one",
-            params={"m": 3},
-            expected=0,
-            observed=misses,
-            tolerance=0.0,
-            passed=misses == 0,
+    return results + [
+        _exact(
+            "standard character of S_3 counts fixed points minus one", {"m": 3}, misses
         )
-    )
-    return results
+    ]
 
 
 CRITERIA = (

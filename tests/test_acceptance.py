@@ -5,6 +5,7 @@ PASS/FAIL lines as they complete.
 """
 
 import json
+import re
 import time
 
 import numpy as np
@@ -76,6 +77,21 @@ def test_full_report_round_trip():
     report = verify.run_verify(max_n=2, seed=0)
     assert report["all_passed"] is True
     assert [c["name"] for c in report["criteria"]] == [label for label, _ in verify.CRITERIA]
+
+
+def test_at_most_rows_state_their_tolerance_once():
+    # every "<measure> <= t" row carries t as its tolerance and passes iff
+    # observed <= t
+    rows = [
+        row
+        for criterion in verify.run_verify(max_n=2, seed=0)["criteria"]
+        for row in criterion["checks"]
+    ]
+    at_most = [row for row in rows if re.search(r" <= \S+$", str(row["expected"]))]
+    assert len(at_most) > len(rows) // 2
+    for row in at_most:
+        assert row["tolerance"] == float(row["expected"].rsplit(" <= ", 1)[1])
+        assert row["passed"] == (row["observed"] <= row["tolerance"])
 
 
 def test_check_results_serialize_numpy_scalars():

@@ -30,6 +30,7 @@ from kchi import (
     k_chi_matrix,
     lambda_eigenvalue,
     mixed_immanant,
+    mixed_immanant_matrix,
     nu_omega,
     partitions_of,
     perturbation_bounds,
@@ -39,6 +40,7 @@ from kchi import (
     sample_rng,
     singular_values,
     spectral_norm,
+    sym_op_product,
 )
 
 FORMULA_TOL = 1e-9
@@ -582,3 +584,55 @@ def test_perturbation_bounds_validation():
         perturbation_bounds(Partition((2,)), (1.0, 1.0), -0.5)
     with pytest.raises(DomainError):
         perturbation_bounds(Partition((2, 1)), (1.0, 1.0), 0.5)
+
+
+# ---------------------------------------------------------------------------
+# One operator check for every public function that takes an operator.
+# ---------------------------------------------------------------------------
+
+CHI = Partition((2, 1))
+SC = build_symmetry_class(CHI, 3)
+EYE = np.eye(3)
+
+# each call puts ``op`` in one operator slot; the other operators are valid
+OPERATOR_CALLS = {
+    "k_chi_matrix": lambda op: k_chi_matrix(SC, op),
+    "sym_op_product": lambda op: sym_op_product(SC, [EYE, op, EYE]),
+    "dk_kchi": lambda op: dk_kchi(SC, EYE, [op]),
+    "dk_kchi k > m": lambda op: dk_kchi(SC, op, [EYE] * 4),
+    "dk_norm_verify": lambda op: dk_norm_verify(SC, op, 1, samples=1),
+    "immanant": lambda op: immanant(CHI, op),
+    "mixed_immanant": lambda op: mixed_immanant(CHI, [EYE, EYE, op]),
+    "dk_immanant": lambda op: dk_immanant(CHI, EYE, [op]),
+    "immanant_matrix": lambda op: immanant_matrix(SC, op),
+    "mixed_immanant_matrix": lambda op: mixed_immanant_matrix(SC, EYE, [op]),
+    "dk_kchi_via_immanants": lambda op: dk_kchi_via_immanants(SC, op, [EYE]),
+    "dk_kchi_via_immanants k > m": lambda op: dk_kchi_via_immanants(SC, op, [EYE] * 4),
+    "dk_kchi_via_immanants direction k > m": (
+        lambda op: dk_kchi_via_immanants(SC, EYE, [op] * 4)
+    ),
+    "dk_immanant_via_power": lambda op: dk_immanant_via_power(CHI, op, [EYE]),
+    "immanant_bound_verify": lambda op: immanant_bound_verify(CHI, op, 1, samples=1),
+}
+
+BAD_OPERATORS = {
+    "wrong size": np.eye(4),
+    "non-square": np.ones((3, 2)),
+    "NaN": np.full((3, 3), np.nan),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_OPERATORS))
+@pytest.mark.parametrize("call", sorted(OPERATOR_CALLS))
+def test_every_operator_argument_is_checked(call, bad):
+    OPERATOR_CALLS[call](EYE)
+    with pytest.raises(DomainError):
+        OPERATOR_CALLS[call](BAD_OPERATORS[bad])
+
+
+def test_immanant_route_validates_before_the_vanishing_shortcut():
+    # k > m vanishes identically, but only for operators on C^n
+    with pytest.raises(DomainError):
+        dk_kchi_via_immanants(SC, np.full((5, 5), np.nan), [np.eye(7)] * 4)
+    zero = dk_kchi_via_immanants(SC, EYE, [EYE] * 4)
+    assert zero.shape == (SC.dim, SC.dim) and not zero.any()

@@ -22,6 +22,7 @@ from kchi import (
     multiplicity_partition,
     partitions_of,
 )
+from kchi.symgroup import _permutation_characters
 
 TRACE_TOL = 1e-8
 
@@ -285,6 +286,20 @@ def test_stabilizer_sum_over_full_group():
         for lam in partitions_of(m):
             expected = math.factorial(m) if lam.parts == (m,) else 0
             assert character_sum_over_stabilizer(lam, alpha) == expected
+
+
+def test_permutation_table_matches_combinat():
+    # the shared S_m table behind the symmetrizer and the immanant: the rows
+    # of all_permutations in order, and chi read off each row's cycle type
+    for m in range(1, 8):
+        perms = all_permutations(m)
+        rows = np.array([p.images for p in perms]) - 1
+        types = [p.cycle_type() for p in perms]
+        for lam in partitions_of(m):
+            images, values = _permutation_characters(lam)
+            np.testing.assert_array_equal(images, rows)
+            assert values.tolist() == [character(lam, t) for t in types]
+            assert not images.flags.writeable and not values.flags.writeable
 
 
 # ---------------------------------------------------------------------------
