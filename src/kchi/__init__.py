@@ -25,7 +25,6 @@ from .combinat import (
 )
 from .denselin import (
     as_matrix,
-    dimension_cap,
     gram_schmidt,
     hermitian_eigenvalues,
     kron,
@@ -106,7 +105,6 @@ __all__ = [
     "hermitian_eigenvalues",
     "kron",
     "gram_schmidt",
-    "dimension_cap",
     "matrix_to_pairs",
     "matrix_from_pairs",
     "SymmetryClass",

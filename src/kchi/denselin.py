@@ -11,14 +11,13 @@ conventions the rest of the package relies on:
   triangular coefficient matrix ``b`` with ``ortho = vectors @ b``.
 
 Matrices are numpy arrays of complex128.  The Kronecker product is capped
-by ``dimension_cap()`` so accidental blowups fail fast; the cap can be
-lowered through the ``KCHI_MAX_DIM`` environment variable.
+at ``DEFAULT_DIMENSION_CAP`` rows and columns so accidental blowups fail
+fast.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 
 import numpy as np
 
@@ -35,7 +34,6 @@ __all__ = [
     "gram_schmidt",
     "matrix_to_pairs",
     "matrix_from_pairs",
-    "dimension_cap",
     "MAX_SVD_DIM",
     "DEFAULT_DIMENSION_CAP",
     "GRAM_SCHMIDT_PIVOT_TOL",
@@ -44,23 +42,6 @@ __all__ = [
 MAX_SVD_DIM = 400
 DEFAULT_DIMENSION_CAP = 4096
 GRAM_SCHMIDT_PIVOT_TOL = 1e-9
-
-
-def dimension_cap() -> int:
-    """Largest admissible matrix dimension for Kronecker-power work.
-
-    ``KCHI_MAX_DIM`` may lower (never raise) the built-in cap.
-    """
-    raw = os.environ.get("KCHI_MAX_DIM")
-    if raw is None:
-        return DEFAULT_DIMENSION_CAP
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise DomainError(f"KCHI_MAX_DIM must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise DomainError(f"KCHI_MAX_DIM must be positive, got {value}")
-    return min(value, DEFAULT_DIMENSION_CAP)
 
 
 def as_matrix(obj, *, square: bool = False, n: int | None = None) -> np.ndarray:
@@ -136,12 +117,12 @@ def spectral_norm(a) -> float:
         raise NumericError(f"spectral norm did not converge: {exc}") from exc
 
 
-def hermitian_eigenvalues(a, *, hermitian_tol: float = 1e-9) -> np.ndarray:
+def hermitian_eigenvalues(a) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, sorted descending."""
     a = as_matrix(a, square=True)
     skew = spectral_norm(a - a.conj().T)
     scale = max(1.0, spectral_norm(a))
-    if skew > hermitian_tol * scale:
+    if skew > 1e-9 * scale:
         raise DomainError(
             f"matrix is not Hermitian (skew part {skew:.3e} at scale {scale:.3e})"
         )
@@ -153,12 +134,11 @@ def kron(a, b) -> np.ndarray:
     """Kronecker product with ``(a (x) b)(x (x) y) = a x (x) b y``."""
     a = as_matrix(a)
     b = as_matrix(b)
-    cap = dimension_cap()
     rows = a.shape[0] * b.shape[0]
     cols = a.shape[1] * b.shape[1]
-    if rows > cap or cols > cap:
+    if rows > DEFAULT_DIMENSION_CAP or cols > DEFAULT_DIMENSION_CAP:
         raise ResourceError(
-            f"kron result would be {rows}x{cols}, above the cap {cap}"
+            f"kron result would be {rows}x{cols}, above the cap {DEFAULT_DIMENSION_CAP}"
         )
     return np.kron(a, b)
 
@@ -192,16 +172,14 @@ def _require_finite(value, what: str):
     return value
 
 
-def gram_schmidt(
-    vectors, *, pivot_tol: float = GRAM_SCHMIDT_PIVOT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def gram_schmidt(vectors) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormalize the columns of ``vectors`` in order.
 
     Returns ``(ortho, coeffs)`` where ``ortho`` has orthonormal columns,
     ``coeffs`` is upper triangular with positive real diagonal, and
     ``ortho = vectors @ coeffs`` (so column j of ``coeffs`` expresses the
     j-th orthonormal vector in terms of the input ones).  A pivot below
-    ``pivot_tol`` means the inputs are linearly dependent.
+    ``GRAM_SCHMIDT_PIVOT_TOL`` means the inputs are linearly dependent.
     """
     m = as_matrix(vectors)
     if m.shape[1] == 0:
@@ -212,8 +190,9 @@ def gram_schmidt(
         )
     q, r = np.linalg.qr(m, mode="reduced")
     diag = np.diagonal(r).copy()
-    if np.any(np.abs(diag) < pivot_tol):
-        bad = int(np.argmax(np.abs(diag) < pivot_tol))
+    small = np.abs(diag) < GRAM_SCHMIDT_PIVOT_TOL
+    if small.any():
+        bad = int(np.argmax(small))
         raise DomainError(
             f"input vectors are linearly dependent (pivot {abs(diag[bad]):.3e} "
             f"at column {bad})"

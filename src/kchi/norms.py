@@ -16,7 +16,7 @@ the immanant routes that factor K_chi(A) through submatrix immanants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -170,20 +170,7 @@ class DerivReport:
         )
 
     def to_json_obj(self) -> dict:
-        return {
-            "chi": list(self.chi.parts),
-            "m": self.m,
-            "n": self.n,
-            "k": self.k,
-            "formula_value": self.formula_value,
-            "identity_value": self.identity_value,
-            "attained_value": self.attained_value,
-            "sample_max": self.sample_max,
-            "samples": self.samples,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "chi": list(self.chi.parts), "ok": self.ok}
 
 
 def sample_rng(seed: int, index: int) -> np.random.Generator:
@@ -435,17 +422,7 @@ class ImmanantReport:
         return self.sample_sup <= self.bound_value + self.tolerance
 
     def to_json_obj(self) -> dict:
-        return {
-            "chi": list(self.chi.parts),
-            "n": self.n,
-            "k": self.k,
-            "bound_value": self.bound_value,
-            "sample_sup": self.sample_sup,
-            "samples": self.samples,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "chi": list(self.chi.parts), "ok": self.ok}
 
 
 def immanant_bound_verify(

@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,8 +42,8 @@ from .combinat import (
     majorizes,
     multiplicity_partition,
 )
-from .denselin import _distinct_arrangements, _require_finite, as_matrix, dimension_cap
-from .denselin import gram_schmidt, kron
+from .denselin import DEFAULT_DIMENSION_CAP, _distinct_arrangements, _require_finite
+from .denselin import as_matrix, gram_schmidt, kron
 from .errors import DomainError, NumericError, ResourceError
 from .symgroup import _permutation_characters, character_sum_over_stabilizer, degree
 
@@ -74,13 +74,11 @@ class SymmetryClass:
 
     chi: Partition
     n: int
-    domain: tuple[MultiIndex, ...]
     omega: tuple[MultiIndex, ...]
     delta_bar: tuple[MultiIndex, ...]
     delta_hat: tuple[MultiIndex, ...]
     basis_b: np.ndarray
     inclusion: np.ndarray
-    _position: dict = field(repr=False)
 
     @property
     def m(self) -> int:
@@ -92,13 +90,12 @@ class SymmetryClass:
         return len(self.delta_hat)
 
     def index_of(self, alpha: MultiIndex) -> int:
-        """Position of ``alpha`` in the lexicographic listing of the domain."""
-        try:
-            return self._position[alpha]
-        except KeyError:
+        """Position of ``alpha`` in the lexicographic listing of all n^m multi-indices."""
+        if not isinstance(alpha, MultiIndex) or (alpha.m, alpha.n) != (self.m, self.n):
             raise DomainError(
                 f"{alpha} is not a multi-index of this class (m={self.m}, n={self.n})"
-            ) from None
+            )
+        return int(_encode(np.array(alpha.entries), self.n))
 
     def estar_coords(self, alpha: MultiIndex) -> np.ndarray:
         """Coordinates of e*_alpha in the product basis (a symmetrizer column)."""
@@ -117,33 +114,35 @@ def build_symmetry_class(chi: Partition, n: int) -> SymmetryClass:
         raise ResourceError(
             f"tensor power capped at m <= {MAX_TENSOR_FACTORS}, got m={m}"
         )
-    cap = dimension_cap()
-    if n**m > cap:
-        raise ResourceError(f"n^m = {n**m} exceeds the dimension cap {cap}")
+    if n**m > DEFAULT_DIMENSION_CAP:
+        raise ResourceError(
+            f"n^m = {n**m} exceeds the dimension cap {DEFAULT_DIMENSION_CAP}"
+        )
     if chi.length > n:
         raise DomainError(
             f"symmetry class is zero: chi={chi} has {chi.length} parts but n={n}"
         )
 
-    domain = enumerate_maps("gamma", m, n)
-    omega = []
-    for alpha in domain:
-        by_sum = character_sum_over_stabilizer(chi, alpha) != 0
-        by_majorization = majorizes(chi, multiplicity_partition(alpha))
-        if by_sum != by_majorization:
+    # Membership of alpha in omega depends only on its multiplicity
+    # partition, so it is decided once per orbit, at the weakly increasing
+    # representative; the survivors are delta_bar.
+    delta_bar, orbits = [], []
+    for a in enumerate_maps("increasing", m, n):
+        total = character_sum_over_stabilizer(chi, a)
+        by_majorization = majorizes(chi, multiplicity_partition(a))
+        if (total != 0) != by_majorization:
             raise NumericError(
-                f"membership routes disagree at alpha={alpha}: "
-                f"character sum says {by_sum}, majorization says {by_majorization}"
+                f"membership routes disagree at alpha={a}: "
+                f"character sum says {total != 0}, majorization says {by_majorization}"
             )
-        if by_sum:
-            omega.append(alpha)
-    if not omega:
+        if by_majorization:
+            delta_bar.append(a)
+            orbits.append(_orbit_basis(chi, a, total))
+    if not orbits:
         raise NumericError("no surviving symmetrized tensors despite l(chi) <= n")
 
-    delta_bar = tuple(a for a in omega if a.is_weakly_increasing())
-    orbits = [_orbit_basis(chi, a) for a in delta_bar]
     kept = np.sort(np.concatenate([rows[cols] for rows, cols, _, _ in orbits]))
-    delta_hat = tuple(domain[i] for i in kept)
+    delta_hat = _decode(kept, m, n)
     if not set(delta_bar) <= set(delta_hat):
         raise NumericError("basis sweep dropped an orbit representative")
 
@@ -159,14 +158,24 @@ def build_symmetry_class(chi: Partition, n: int) -> SymmetryClass:
     return SymmetryClass(
         chi=chi,
         n=n,
-        domain=domain,
-        omega=tuple(omega),
-        delta_bar=delta_bar,
+        omega=_decode(np.sort(np.concatenate([rows for rows, *_ in orbits])), m, n),
+        delta_bar=tuple(delta_bar),
         delta_hat=delta_hat,
         basis_b=basis_b,
         inclusion=inclusion,
-        _position={alpha: i for i, alpha in enumerate(domain)},
     )
+
+
+def _encode(entries: np.ndarray, n: int) -> np.ndarray:
+    # Lexicographic positions of the multi-indices whose entries (1..n) run
+    # along the last axis: base-n numbers, most significant entry first.
+    dims = (n,) * entries.shape[-1]
+    return np.ravel_multi_index(tuple(np.moveaxis(entries - 1, -1, 0)), dims)
+
+
+def _decode(codes: np.ndarray, m: int, n: int) -> tuple[MultiIndex, ...]:
+    entries = np.stack(np.unravel_index(codes, (n,) * m), axis=-1) + 1
+    return tuple(MultiIndex(tuple(row), n) for row in entries.tolist())
 
 
 def _estar_columns(chi: Partition, n: int, alphas, rows: np.ndarray) -> np.ndarray:
@@ -176,22 +185,23 @@ def _estar_columns(chi: Partition, n: int, alphas, rows: np.ndarray) -> np.ndarr
     # by sigma^-1 it reads the rows themselves, as chi(sigma) = chi(sigma^-1).
     images, values = _permutation_characters(chi)
     images, values = images[values != 0], values[values != 0]
-    codes = (np.array(alphas) - 1)[:, images] @ n ** np.arange(chi.size - 1, -1, -1)
+    codes = _encode(np.array(alphas)[:, images], n)
     out = np.zeros((len(rows), len(alphas)))
     np.add.at(out, (np.searchsorted(rows, codes), np.arange(len(alphas))[:, None]), values)
     return out * (degree(chi) / math.factorial(chi.size))
 
 
-def _orbit_basis(chi: Partition, a: MultiIndex):
+def _orbit_basis(chi: Partition, a: MultiIndex, total: int):
     # Greedy lexicographic sweep over the e*-columns of the orbit of ``a``,
-    # up to the orbit's rank from characters, and Gram-Schmidt of the kept
-    # ones.  Returns the orbit's product-basis positions, the kept columns
-    # and gram_schmidt's (ortho, coeffs).
+    # up to the orbit's rank from characters (``total`` is the character sum
+    # over the stabilizer of ``a``), and Gram-Schmidt of the kept ones.
+    # Returns the orbit's product-basis positions, the kept columns and
+    # gram_schmidt's (ortho, coeffs).
     orbit = sorted(set(itertools.permutations(a.entries)))
-    rows = (np.array(orbit) - 1) @ a.n ** np.arange(a.m - 1, -1, -1)
+    rows = _encode(np.array(orbit), a.n)
     block = _estar_columns(chi, a.n, orbit, rows)
     stabilizer_size = math.prod(math.factorial(c) for c in multiplicity_partition(a).parts)
-    rank = degree(chi) * character_sum_over_stabilizer(chi, a) // stabilizer_size
+    rank = degree(chi) * total // stabilizer_size
     basis = np.zeros((len(orbit), 0))
     cols = []
     for j, v in enumerate(block.T):

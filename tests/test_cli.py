@@ -268,13 +268,14 @@ def test_resource_cap_exit_code(capsys):
     assert out == ""
 
 
-def test_dimension_cap_exit_code(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("KCHI_MAX_DIM", "8")
-    path = write_matrix(tmp_path / "a.json", np.eye(3))
-    code, _, _ = run_cli(
-        capsys, ["power", "--chi", "2,1", "--n", "3", "--input", path]
+def test_dimension_cap_exit_code(capsys, tmp_path):
+    # 5^6 = 15625 is above the 4096 cap on n^m
+    path = write_matrix(tmp_path / "a.json", np.eye(5))
+    code, out, _ = run_cli(
+        capsys, ["power", "--chi", "3,3", "--n", "5", "--input", path]
     )
     assert code == 3
+    assert out == ""
 
 
 @pytest.mark.parametrize(

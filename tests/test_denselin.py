@@ -7,7 +7,6 @@ from kchi import (
     DomainError,
     ResourceError,
     as_matrix,
-    dimension_cap,
     gram_schmidt,
     hermitian_eigenvalues,
     kron,
@@ -176,27 +175,11 @@ def test_kron_mixed_product():
     )
 
 
-def test_dimension_cap_environment(monkeypatch):
-    monkeypatch.delenv("KCHI_MAX_DIM", raising=False)
-    assert dimension_cap() == 4096
-    monkeypatch.setenv("KCHI_MAX_DIM", "100")
-    assert dimension_cap() == 100
-    monkeypatch.setenv("KCHI_MAX_DIM", "999999")
-    assert dimension_cap() == 4096
-    monkeypatch.setenv("KCHI_MAX_DIM", "zero")
-    with pytest.raises(DomainError):
-        dimension_cap()
-    monkeypatch.setenv("KCHI_MAX_DIM", "0")
-    with pytest.raises(DomainError):
-        dimension_cap()
-
-
-def test_kron_respects_cap(monkeypatch):
-    monkeypatch.setenv("KCHI_MAX_DIM", "8")
-    a = np.eye(3)
+def test_kron_respects_cap():
+    # 65 * 64 = 4160 rows is over the 4096 cap; the check runs before np.kron
     with pytest.raises(ResourceError):
-        kron(a, a)
-    kron(np.eye(2), np.eye(4))  # exactly at the cap
+        kron(np.eye(65), np.eye(64))
+    assert kron(np.ones((1, 64)), np.ones((1, 64))).shape == (1, 4096)  # exactly at the cap
 
 
 def test_gram_schmidt_of_orthonormal_input():

@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
+import kchi.symclass
 from kchi import (
     DomainError,
     MultiIndex,
+    NumericError,
     Partition,
     ResourceError,
     all_permutations,
@@ -162,7 +164,7 @@ def test_inclusion_spans_the_range(chi, n):
 def test_estar_coords_are_brute_force_projector_columns(chi, n):
     sc = build_symmetry_class(chi, n)
     k = brute_force_projector(chi, n)
-    for alpha in sc.domain:
+    for alpha in enumerate_maps("gamma", sc.m, sc.n):
         np.testing.assert_allclose(
             sc.estar_coords(alpha), k[:, sc.index_of(alpha)], atol=EXACT_TOL
         )
@@ -210,7 +212,7 @@ def test_tensor_norms_follow_stabilizer_sums():
     for chi, n in SMALL_CLASSES:
         sc = build_symmetry_class(chi, n)
         scale = degree(chi) / math.factorial(sc.m)
-        for alpha in sc.domain:
+        for alpha in enumerate_maps("gamma", sc.m, sc.n):
             coords = sc.estar_coords(alpha)
             norm_sq = float(np.real(coords.conj() @ coords))
             expected = scale * character_sum_over_stabilizer(chi, alpha)
@@ -236,16 +238,44 @@ def test_build_rejects_bad_arguments():
         build_symmetry_class(Partition((7,)), 2)
 
 
-def test_build_respects_dimension_cap(monkeypatch):
-    monkeypatch.setenv("KCHI_MAX_DIM", "8")
-    with pytest.raises(ResourceError):
+def test_omega_is_exactly_the_support():
+    for chi, n in SMALL_CLASSES:
+        sc = build_symmetry_class(chi, n)
+        support = {
+            alpha
+            for alpha in enumerate_maps("gamma", sc.m, sc.n)
+            if np.linalg.norm(sc.estar_coords(alpha)) > 1e-12
+        }
+        assert set(sc.omega) == support
+
+
+def test_membership_routes_are_cross_checked(monkeypatch):
+    # one route flipped: the build must refuse rather than pick one
+    majorizes = kchi.symclass.majorizes
+    monkeypatch.setattr(kchi.symclass, "majorizes", lambda lam, mu: not majorizes(lam, mu))
+    with pytest.raises(NumericError, match="membership routes disagree"):
         build_symmetry_class(Partition((2, 1)), 3)
+
+
+def test_build_respects_dimension_cap():
+    # 5^6 = 15625 > 4096: refused before anything of that size is allocated
+    with pytest.raises(ResourceError):
+        build_symmetry_class(Partition((3, 3)), 5)
+
+
+def test_index_of_is_the_lexicographic_position():
+    for chi, n in SMALL_CLASSES:
+        sc = build_symmetry_class(chi, n)
+        positions = [sc.index_of(a) for a in enumerate_maps("gamma", sc.m, sc.n)]
+        assert positions == list(range(n**sc.m))
 
 
 def test_index_of_rejects_foreign_indices():
     sc = build_symmetry_class(Partition((1, 1)), 2)
     with pytest.raises(DomainError):
         sc.index_of(MultiIndex((1, 1, 1), 2))
+    with pytest.raises(DomainError):
+        sc.index_of(MultiIndex((1, 1), 3))
 
 
 # ---------------------------------------------------------------------------
