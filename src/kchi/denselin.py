@@ -143,11 +143,14 @@ def kron(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
-def _distinct_arrangements(mats) -> list[list[np.ndarray]]:
-    """The distinct orderings of a multiset of matrices (equal ones share a label).
+def _distinct_arrangements(mats) -> tuple[list[np.ndarray], list[tuple[int, ...]]]:
+    """The distinct factors of a multiset of matrices and their distinct orderings.
 
-    Averaging a multilinear expression over them equals averaging it over all
-    m! permutations; they come in sorted label order, so sums are bit-stable.
+    Returns ``(reps, orders)``: equal factors share one entry of ``reps``,
+    and each order lists, slot by slot, the index into ``reps``.  Averaging
+    a multilinear expression over the orders equals averaging it over all
+    m! permutations; they come in sorted order, so sums are bit-stable.
+    Factors may be stacks of matrices; stacks of another shape never match.
     """
     reps: list[np.ndarray] = []
     labels: list[int] = []
@@ -159,10 +162,15 @@ def _distinct_arrangements(mats) -> list[list[np.ndarray]]:
         else:
             labels.append(len(reps))
             reps.append(mat)
-    return [
-        [reps[i] for i in arrangement]
-        for arrangement in sorted(set(itertools.permutations(labels)))
-    ]
+    return reps, sorted(set(itertools.permutations(labels)))
+
+
+def _spectral_norms(stack: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix in a stack ``(..., r, c)``."""
+    try:
+        return np.linalg.svd(stack, compute_uv=False)[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"spectral norm did not converge: {exc}") from exc
 
 
 def _require_finite(value, what: str):

@@ -22,10 +22,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .combinat import MultiIndex, Partition
-from .denselin import _distinct_arrangements, _require_finite, as_matrix, polar
-from .denselin import singular_values, spectral_norm
+from .denselin import _distinct_arrangements, _require_finite, _spectral_norms
+from .denselin import as_matrix, polar, singular_values, spectral_norm
 from .errors import DomainError, NumericError, ResourceError
-from .symclass import SymmetryClass, build_symmetry_class, dk_kchi
+from .symclass import SymmetryClass, _dk_stack, build_symmetry_class, dk_kchi
 from .symgroup import _permutation_characters, degree
 
 __all__ = [
@@ -58,6 +58,12 @@ MAX_IMMANANT_SIZE = 8
 MAX_MIXED_SIZE = 6
 
 REPORT_TOL = 1e-7
+
+# Random unit tuples are drawn and evaluated this many at a time, so the
+# sampling verifiers' memory does not grow with the sample count.  A chunk
+# of (3)/3 second derivatives holds about 21 kB per tuple; at 64 the peak
+# RSS of `run_verify(max_n=3)` is about 2 MB above the one-at-a-time loop's.
+SAMPLE_CHUNK = 64
 
 
 def elementary_symmetric(t: int, values) -> float:
@@ -117,7 +123,8 @@ def dk_norm_formula(chi: Partition, k: int, nu, n: int | None = None) -> float:
             f"m={m} exceeds the number of singular values {len(vals)}; "
             "the norm identity requires m <= n"
         )
-    return math.factorial(k) * elementary_symmetric(m - k, nu_omega(chi, vals))
+    value = math.factorial(k) * elementary_symmetric(m - k, nu_omega(chi, vals))
+    return _require_finite(value, "derivative norm formula")
 
 
 def lambda_eigenvalue(alpha: MultiIndex, k: int, nu) -> float:
@@ -202,6 +209,44 @@ def random_unit_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
             return g / s
 
 
+def _unit_stack(n: int, k: int, seed: int, start: int, count: int) -> np.ndarray:
+    # The k random_unit_matrix draws of each sample start + i (0 <= i < count)
+    # from sample_rng(seed, start + i), as one (count, k, n, n) stack
+    # normalized by one batched SVD.  A sample with a draw of norm at most
+    # 1e-12 is redrawn one matrix at a time, as random_unit_matrix redraws.
+    streams = [sample_rng(seed, start + i) for i in range(count)]
+    gauss = np.array([[random_matrix(n, rng) for _ in range(k)] for rng in streams])
+    norms = _spectral_norms(gauss)
+    rejected = (norms <= 1e-12).any(axis=1)
+    norms[rejected] = 1.0
+    units = gauss / norms[..., None, None]
+    for i in np.flatnonzero(rejected):
+        rng = sample_rng(seed, start + i)
+        units[i] = [random_unit_matrix(n, rng) for _ in range(k)]
+    return units
+
+
+def _sampled_max(evaluate, n: int, k: int, samples: int, seed: int, start: int = 0) -> float:
+    # Largest value of ``evaluate`` over random unit k-tuples of n x n
+    # matrices, tuple i (0 <= i < samples) from sample_rng(seed, start + i).
+    # The tuples are drawn SAMPLE_CHUNK at a time; ``evaluate`` takes the k
+    # direction stacks (S, n, n) of one chunk and returns S values.
+    best = 0.0
+    for lo in range(0, samples, SAMPLE_CHUNK):
+        units = _unit_stack(n, k, seed, start + lo, min(SAMPLE_CHUNK, samples - lo))
+        best = max(best, float(np.max(evaluate(list(units.swapaxes(0, 1))))))
+    return best
+
+
+def _dk_norm_sup(
+    sc: SymmetryClass, t: np.ndarray, k: int, samples: int, seed: int, start: int = 0
+) -> float:
+    # Sampled sup of ||D^k K_chi(t)(X_1, ..., X_k)|| over random unit tuples.
+    return _sampled_max(
+        lambda xs: _spectral_norms(_dk_stack(sc, t, xs)), sc.n, k, samples, seed, start
+    )
+
+
 def dk_norm_verify(
     sc: SymmetryClass, t, k: int, samples: int = 100, seed: int = 0
 ) -> DerivReport:
@@ -220,11 +265,7 @@ def dk_norm_verify(
     eye = np.eye(sc.n, dtype=np.complex128)
     identity_value = spectral_norm(dk_kchi(sc, p, [eye] * k))
     attained_value = spectral_norm(dk_kchi(sc, t_mat, [w.conj().T] * k))
-    sample_max = 0.0
-    for i in range(samples):
-        rng = sample_rng(seed, i)
-        xs = [random_unit_matrix(sc.n, rng) for _ in range(k)]
-        sample_max = max(sample_max, spectral_norm(dk_kchi(sc, t_mat, xs)))
+    sample_max = _dk_norm_sup(sc, t_mat, k, samples, seed)
     return DerivReport(
         chi=sc.chi,
         m=sc.m,
@@ -239,10 +280,10 @@ def dk_norm_verify(
     )
 
 
-def _immanant_raw(chi: Partition, a: np.ndarray) -> complex:
+def _immanant_raw(chi: Partition, a: np.ndarray):
+    # d_chi of an (n, n) matrix, or of each matrix in a stack (..., n, n).
     images, values = _permutation_characters(chi)
-    products = a[np.arange(chi.size), images].prod(axis=1)
-    return complex(values @ products)
+    return a[..., np.arange(chi.size), images].prod(axis=-1) @ values
 
 
 def immanant(chi: Partition, a) -> complex:
@@ -257,22 +298,36 @@ def immanant(chi: Partition, a) -> complex:
         )
     mat = as_matrix(a, n=n)
     with np.errstate(over="ignore", invalid="ignore"):
-        value = _immanant_raw(chi, mat)
+        value = complex(_immanant_raw(chi, mat))
     return _require_finite(value, "immanant")
 
 
-def _mixed_immanant_raw(chi: Partition, mats: list[np.ndarray]) -> complex:
+def _mixed_immanant_raw(chi: Partition, reps, orders):
     # Average of d_chi over column assignments, one term per distinct
-    # arrangement of the arguments.
-    n = chi.size
-    arrangements = _distinct_arrangements(mats)
-    total = 0.0 + 0.0j
-    scratch = np.empty((n, n), dtype=np.complex128)
-    for arrangement in arrangements:
-        for j, mat in enumerate(arrangement):
-            scratch[:, j] = mat[:, j]
-        total += _immanant_raw(chi, scratch)
-    return total / len(arrangements)
+    # arrangement (reps, orders) of the arguments from
+    # ``_distinct_arrangements``: column j comes from reps[order[j]].  Each
+    # argument is an (n, n) matrix or a stack (..., n, n), and stacks give
+    # one value per matrix.
+    total = 0.0
+    for order in orders:
+        columns = np.broadcast_arrays(*(reps[i][..., :, j] for j, i in enumerate(order)))
+        total = total + _immanant_raw(chi, np.stack(columns, axis=-1))
+    return total / len(orders)
+
+
+def _dk_immanant_raw(chi: Partition, a: np.ndarray, xs: list[np.ndarray]):
+    # D^k d_chi(a) on k = len(xs) <= n directions, each an (n, n) matrix or
+    # an (S, n, n) stack of per-sample directions.
+    n, k = chi.size, len(xs)
+    if n > MAX_MIXED_SIZE:
+        raise ResourceError(
+            f"immanant derivatives capped at n <= {MAX_MIXED_SIZE}, got n={n}"
+        )
+    factor = math.factorial(n) // math.factorial(n - k)
+    mats = [a] * (n - k) + list(xs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = factor * _mixed_immanant_raw(chi, *_distinct_arrangements(mats))
+    return _require_finite(value, "immanant derivative")
 
 
 def mixed_immanant(chi: Partition, xs) -> complex:
@@ -290,7 +345,7 @@ def mixed_immanant(chi: Partition, xs) -> complex:
     if len(mats) != n:
         raise DomainError(f"chi={chi} needs {n} matrices, got {len(mats)}")
     with np.errstate(over="ignore", invalid="ignore"):
-        value = _mixed_immanant_raw(chi, mats)
+        value = complex(_mixed_immanant_raw(chi, *_distinct_arrangements(mats)))
     return _require_finite(value, "mixed immanant")
 
 
@@ -309,20 +364,7 @@ def dk_immanant(chi: Partition, a, xs) -> complex:
         raise DomainError(f"derivative order {k} exceeds n={n}")
     if k == 0:
         return immanant(chi, mat)
-    if n > MAX_MIXED_SIZE:
-        raise ResourceError(
-            f"immanant derivatives capped at n <= {MAX_MIXED_SIZE}, got n={n}"
-        )
-    factor = math.factorial(n) // math.factorial(n - k)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = factor * _mixed_immanant_raw(chi, [mat] * (n - k) + x_mats)
-    return _require_finite(value, "immanant derivative")
-
-
-def _submatrix(a: np.ndarray, gamma: MultiIndex, delta: MultiIndex) -> np.ndarray:
-    rows = [e - 1 for e in gamma.entries]
-    cols = [e - 1 for e in delta.entries]
-    return a[np.ix_(rows, cols)]
+    return complex(_dk_immanant_raw(chi, mat, x_mats))
 
 
 def immanant_matrix(sc: SymmetryClass, a) -> np.ndarray:
@@ -341,14 +383,14 @@ def mixed_immanant_matrix(sc: SymmetryClass, a, xs) -> np.ndarray:
     k = len(x_mats)
     if k > sc.m:
         raise DomainError(f"derivative order {k} exceeds m={sc.m}")
-    d = sc.dim
-    out = np.empty((d, d), dtype=np.complex128)
-    for i, gamma in enumerate(sc.delta_hat):
-        for j, delta in enumerate(sc.delta_hat):
-            slots = [_submatrix(mat, gamma, delta)] * (sc.m - k) + [
-                _submatrix(x, gamma, delta) for x in x_mats
-            ]
-            out[i, j] = _mixed_immanant_raw(sc.chi, slots)
+    reps, orders = _distinct_arrangements([mat] * (sc.m - k) + x_mats)
+    index = np.array([alpha.entries for alpha in sc.delta_hat]) - 1
+    out = np.empty((sc.dim, sc.dim), dtype=np.complex128)
+    # One row gamma at a time, so memory stays at dim * m! * m entries.
+    for i, gamma in enumerate(index):
+        # A[gamma|delta] for every delta in delta_hat, as a (dim, m, m) stack
+        at = (gamma[:, None], index[:, None, :])
+        out[i] = _mixed_immanant_raw(sc.chi, [rep[at] for rep in reps], orders)
     return out
 
 
@@ -401,7 +443,8 @@ def dk_immanant_bound(chi: Partition, k: int, nu) -> float:
         raise DomainError(f"chi={chi} needs {n} singular values, got {len(vals)}")
     if not 0 <= k <= n:
         raise DomainError(f"need 0 <= k <= n={n}, got k={k}")
-    return math.factorial(k) * elementary_symmetric(n - k, nu_omega(chi, vals))
+    value = math.factorial(k) * elementary_symmetric(n - k, nu_omega(chi, vals))
+    return _require_finite(value, "immanant derivative bound")
 
 
 @dataclass(frozen=True)
@@ -437,11 +480,9 @@ def immanant_bound_verify(
         raise DomainError(f"need 1 <= k <= n={n}, got k={k}")
     nu = singular_values(mat)
     bound = dk_immanant_bound(chi, k, nu)
-    sup = 0.0
-    for i in range(samples):
-        rng = sample_rng(seed, i)
-        xs = [random_unit_matrix(n, rng) for _ in range(k)]
-        sup = max(sup, abs(dk_immanant(chi, mat, xs)))
+    sup = _sampled_max(
+        lambda xs: np.abs(_dk_immanant_raw(chi, mat, xs)), n, k, samples, seed
+    )
     return ImmanantReport(
         chi=chi,
         n=n,

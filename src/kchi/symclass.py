@@ -231,28 +231,45 @@ def symmetrized_kron(ops) -> np.ndarray:
     mats = [as_matrix(op, square=True) for op in ops]
     if not mats:
         raise DomainError("symmetrized product needs at least one factor")
-    arrangements = _distinct_arrangements(mats)
+    reps, orders = _distinct_arrangements(mats)
     total = None
-    for arrangement in arrangements:
-        term = functools.reduce(kron, arrangement)
+    for order in orders:
+        term = functools.reduce(kron, [reps[i] for i in order])
         total = term if total is None else total + term
-    return total / len(arrangements)
+    return total / len(orders)
 
 
 def _compress(sc: SymmetryClass, mats: list[np.ndarray]) -> np.ndarray:
-    # V* (mean over distinct arrangements of A_1 (x) ... (x) A_m) V, with
-    # each factor applied to its own tensor axis of the inclusion V.
+    # V* (mean over distinct arrangements of A_1 (x) ... (x) A_m) V for S
+    # samples at once, with each factor applied to its own tensor axis of
+    # the inclusion V.  A factor is one (n, n) matrix that every sample
+    # shares or an (S, n, n) stack.  The shared factors of an arrangement
+    # are applied first, once, and the sample axis appears with the first
+    # stacked factor.  Returns the (S, dim, dim) stack; S = 1 without stacks.
     n, m, v = sc.n, sc.m, sc.inclusion
-    arrangements = _distinct_arrangements(mats)
-    total = np.zeros_like(v)
+    reps, orders = _distinct_arrangements(mats)
+    samples = max((len(rep) for rep in reps if rep.ndim == 3), default=1)
+    total = np.zeros((samples, n**m, sc.dim), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        for arrangement in arrangements:
-            w = v
-            for i, mat in enumerate(arrangement):
-                w = mat @ w.reshape(n**i, n, -1)
-            total += w.reshape(n**m, sc.dim)
-        out = (v.conj().T @ total) / len(arrangements)
+        for order in orders:
+            arrangement = [reps[i] for i in order]
+            w = v[None]
+            for axis in sorted(range(m), key=lambda i: arrangement[i].ndim):
+                mat = arrangement[axis][..., None, :, :]
+                w = mat @ w.reshape(len(w), n**axis, n, -1)
+            total += w.reshape(-1, n**m, sc.dim)
+        out = (v.conj().T @ total) / len(orders)
     return _require_finite(out, "compressed operator")
+
+
+def _dk_stack(sc: SymmetryClass, t: np.ndarray, xs: list[np.ndarray]) -> np.ndarray:
+    # D^k K_chi(t) on k = len(xs) <= m directions, each an (n, n) matrix or
+    # an (S, n, n) stack of per-sample directions; returns (S, dim, dim).
+    k = len(xs)
+    factor = math.factorial(sc.m) // math.factorial(sc.m - k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = factor * _compress(sc, [t] * (sc.m - k) + list(xs))
+    return _require_finite(value, "derivative")
 
 
 def sym_op_product(sc: SymmetryClass, ops) -> np.ndarray:
@@ -265,7 +282,7 @@ def sym_op_product(sc: SymmetryClass, ops) -> np.ndarray:
     mats = [as_matrix(op, n=sc.n) for op in ops]
     if len(mats) != sc.m:
         raise DomainError(f"expected {sc.m} operators, got {len(mats)}")
-    return _compress(sc, mats)
+    return _compress(sc, mats)[0]
 
 
 def k_chi_matrix(sc: SymmetryClass, a) -> np.ndarray:
@@ -275,7 +292,7 @@ def k_chi_matrix(sc: SymmetryClass, a) -> np.ndarray:
     the compression of that power is exactly the induced operator; the
     map is multiplicative in ``a``.
     """
-    return _compress(sc, [as_matrix(a, n=sc.n)] * sc.m)
+    return _compress(sc, [as_matrix(a, n=sc.n)] * sc.m)[0]
 
 
 def dk_kchi(sc: SymmetryClass, t, xs) -> np.ndarray:
@@ -288,10 +305,6 @@ def dk_kchi(sc: SymmetryClass, t, xs) -> np.ndarray:
     operator itself.
     """
     t_mat, *x_mats = [as_matrix(op, n=sc.n) for op in [t, *xs]]
-    k = len(x_mats)
-    if k > sc.m:
+    if len(x_mats) > sc.m:
         return np.zeros((sc.dim, sc.dim), dtype=np.complex128)
-    factor = math.factorial(sc.m) // math.factorial(sc.m - k)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = factor * _compress(sc, [t_mat] * (sc.m - k) + x_mats)
-    return _require_finite(value, "derivative")
+    return _dk_stack(sc, t_mat, x_mats)[0]

@@ -26,6 +26,7 @@ from .combinat import (
 from .denselin import hermitian_eigenvalues, polar, singular_values, spectral_norm
 from .errors import DomainError
 from .norms import (
+    _dk_norm_sup,
     dk_immanant,
     dk_kchi_via_immanants,
     dk_norm_formula,
@@ -68,6 +69,10 @@ __all__ = [
 REPORT_SCHEMA = "kchi-report/1"
 
 FD_STEP = 1e-4
+
+# The largest matrix size any criterion checks; run_verify rejects a larger
+# max_n rather than report a scope it did not check.
+MAX_N = 4
 
 
 def _json_scalar(value: object) -> object:
@@ -131,11 +136,11 @@ def _classes(max_m: int, max_n: int, *, min_m: int = 1):
 def check_norm_identity(seed: int = 0, max_n: int = 4) -> list[CheckResult]:
     """Spectral norm of the k-th derivative against k! p_{m-k}(nu_{omega(chi)}).
 
-    Every character of S_m for 2 <= m <= n <= min(4, max_n), twenty seeded
+    Every character of S_m for 2 <= m <= n <= min(MAX_N, max_n), twenty seeded
     random operators each, all orders 1 <= k <= m; the operator route goes
     through the polar factor with identity directions.
     """
-    top = min(4, max_n)
+    top = min(MAX_N, max_n)
     results = []
     stream = 0
     for m, n, chi in _classes(top, top, min_m=2):
@@ -170,7 +175,7 @@ def check_special_reductions(seed: int = 0, max_n: int = 4) -> list[CheckResult]
     k! p_{m-k}(nu_1..nu_m), and for k = 1 every chi must match the double
     sum over products of all-but-one selected values.
     """
-    top = min(4, max_n)
+    top = min(MAX_N, max_n)
     results = []
     stream = 0
     for m in range(2, top + 1):
@@ -260,12 +265,8 @@ def check_sup_attainment(
                 attain_err = max(
                     attain_err, abs(attained - formula) / max(1.0, formula)
                 )
-                sup = 0.0
-                for _ in range(tuples):
-                    rng_x = sample_rng(seed, stream)
-                    stream += 1
-                    xs = [random_unit_matrix(n, rng_x) for _ in range(k)]
-                    sup = max(sup, spectral_norm(dk_kchi(sc, t, xs)))
+                sup = _dk_norm_sup(sc, t, k, tuples, seed, start=stream)
+                stream += tuples
                 excess = max(excess, sup - formula)
             params = {"chi": list(chi.parts), "n": n, "k": k, "draws": draws}
             results += [
@@ -378,7 +379,7 @@ def check_membership_routes(seed: int = 0, max_n: int = 4) -> list[CheckResult]:
     The stabilizer character sum is nonzero exactly when chi majorizes the
     multiplicity partition, for every multi-index and every character.
     """
-    top = min(4, max_n)
+    top = min(MAX_N, max_n)
     del seed
     results = []
     for m in range(1, top + 1):
@@ -450,7 +451,7 @@ def check_immanant_bound(
     Random unit tuples stay below k! p_{n-k}(nu_{omega(chi)}) everywhere;
     the permanent of diag(1, 0) at k = 1 stays clearly below it.
     """
-    top = min(4, max_n)
+    top = min(MAX_N, max_n)
     results = []
     stream = 0
     for n in range(1, top + 1):
@@ -647,8 +648,8 @@ CRITERIA = (
 
 def run_verify(max_n: int = 4, seed: int = 0) -> dict:
     """Run every verification area and assemble the JSON report."""
-    if max_n < 2:
-        raise DomainError(f"max_n must be >= 2, got {max_n}")
+    if not 2 <= max_n <= MAX_N:
+        raise DomainError(f"max_n must be between 2 and the cap {MAX_N}, got {max_n}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     criteria = []

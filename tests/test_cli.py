@@ -211,6 +211,26 @@ def test_verify_output_is_byte_stable(capsys):
     assert out1 == out2
 
 
+def test_verify_max_n_above_the_cap_is_a_domain_error(capsys):
+    code, out, err = run_cli(capsys, ["verify", "--max-n", "5"])
+    assert code == 2
+    assert out == ""
+    assert "cap 4" in err
+
+
+def test_verify_max_n_at_the_cap_is_accepted(capsys, monkeypatch):
+    # one real criterion keeps this fast; every criterion at n = 4 runs in
+    # tests/test_acceptance.py
+    monkeypatch.setattr(
+        "kchi.verify.CRITERIA", (("character table oracles", kchi.verify.check_characters),)
+    )
+    code, out, _ = run_cli(capsys, ["verify", "--max-n", "4"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["max_n"] == 4
+    assert report["all_passed"] is True
+
+
 def test_verify_failure_exits_four(capsys, monkeypatch):
     def failing_run(max_n, seed):
         return {"schema": "kchi-report/1", "all_passed": False, "criteria": []}
@@ -284,6 +304,8 @@ def test_dimension_cap_exit_code(capsys, tmp_path):
         (["immanant", "--chi", "1,1"], np.diag([1e200, 1e200])),
         (["power", "--chi", "2", "--n", "2"], np.diag([1e200, 1.0])),
         (["perturb", "--chi", "2,1", "--delta", "1e200"], np.diag([1.0, 2.0, 3.0])),
+        (["norm", "--chi", "2,1", "--n", "3", "--k", "1"], np.diag([1e200] * 3)),
+        (["bound", "--chi", "2,1", "--k", "1"], np.diag([1e200] * 3)),
     ],
 )
 def test_overflow_is_a_numeric_error(tmp_path, argv, mat):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from kchi import (
     DomainError,
     MultiIndex,
+    NumericError,
     Partition,
     ResourceError,
     build_symmetry_class,
@@ -121,6 +122,13 @@ def test_norm_formula_validation():
         dk_norm_formula(Partition((2,)), 1, (2.0, -1.0))
     with pytest.raises(DomainError):
         dk_norm_formula(Partition((2,)), 1, nu, n=3)
+
+
+def test_closed_forms_raise_instead_of_overflowing():
+    with pytest.raises(NumericError):
+        dk_norm_formula(Partition((2, 1)), 1, [1e200] * 3, n=3)
+    with pytest.raises(NumericError):
+        dk_immanant_bound(Partition((2, 1)), 1, [1e200] * 3)
 
 
 def test_lambda_eigenvalue_example():
