@@ -59,11 +59,16 @@ MAX_MIXED_SIZE = 6
 
 REPORT_TOL = 1e-7
 
-# Random unit tuples are drawn and evaluated this many at a time, so the
-# sampling verifiers' memory does not grow with the sample count.  A chunk
-# of (3)/3 second derivatives holds about 21 kB per tuple; at 64 the peak
-# RSS of `run_verify(max_n=3)` is about 2 MB above the one-at-a-time loop's.
+# Random unit tuples are drawn and evaluated at most SAMPLE_CHUNK at a
+# time, so the sampling verifiers' memory does not grow with the sample
+# count, and only as many as keep the largest per-chunk array within
+# SAMPLE_CHUNK_BYTES, so it does not grow with the class either.  That array
+# is (S, n^m, dim) complex in the compression kernel and (S, n!, n) complex
+# in the immanant sum.  A class too large for two tuples is evaluated one
+# tuple at a time.  Every class `run_verify` samples, and the (2,1)/4
+# `kchi norm`, has n^m * dim at most 2560 and gets the full chunk.
 SAMPLE_CHUNK = 64
+SAMPLE_CHUNK_BYTES = 1 << 22
 
 
 def elementary_symmetric(t: int, values) -> float:
@@ -226,14 +231,22 @@ def _unit_stack(n: int, k: int, seed: int, start: int, count: int) -> np.ndarray
     return units
 
 
-def _sampled_max(evaluate, n: int, k: int, samples: int, seed: int, start: int = 0) -> float:
+def _sample_chunk(tuple_bytes: int) -> int:
+    # Tuples per chunk when one tuple's largest working array takes
+    # ``tuple_bytes``: SAMPLE_CHUNK, fewer for large arrays, at least one.
+    return max(1, min(SAMPLE_CHUNK, SAMPLE_CHUNK_BYTES // tuple_bytes))
+
+
+def _sampled_max(
+    evaluate, n: int, k: int, samples: int, seed: int, chunk: int, start: int = 0
+) -> float:
     # Largest value of ``evaluate`` over random unit k-tuples of n x n
     # matrices, tuple i (0 <= i < samples) from sample_rng(seed, start + i).
-    # The tuples are drawn SAMPLE_CHUNK at a time; ``evaluate`` takes the k
+    # The tuples are drawn ``chunk`` at a time; ``evaluate`` takes the k
     # direction stacks (S, n, n) of one chunk and returns S values.
     best = 0.0
-    for lo in range(0, samples, SAMPLE_CHUNK):
-        units = _unit_stack(n, k, seed, start + lo, min(SAMPLE_CHUNK, samples - lo))
+    for lo in range(0, samples, chunk):
+        units = _unit_stack(n, k, seed, start + lo, min(chunk, samples - lo))
         best = max(best, float(np.max(evaluate(list(units.swapaxes(0, 1))))))
     return best
 
@@ -242,8 +255,9 @@ def _dk_norm_sup(
     sc: SymmetryClass, t: np.ndarray, k: int, samples: int, seed: int, start: int = 0
 ) -> float:
     # Sampled sup of ||D^k K_chi(t)(X_1, ..., X_k)|| over random unit tuples.
+    chunk = _sample_chunk(16 * sc.n**sc.m * sc.dim)
     return _sampled_max(
-        lambda xs: _spectral_norms(_dk_stack(sc, t, xs)), sc.n, k, samples, seed, start
+        lambda xs: _spectral_norms(_dk_stack(sc, t, xs)), sc.n, k, samples, seed, chunk, start
     )
 
 
@@ -480,8 +494,9 @@ def immanant_bound_verify(
         raise DomainError(f"need 1 <= k <= n={n}, got k={k}")
     nu = singular_values(mat)
     bound = dk_immanant_bound(chi, k, nu)
+    chunk = _sample_chunk(16 * math.factorial(n) * n)
     sup = _sampled_max(
-        lambda xs: np.abs(_dk_immanant_raw(chi, mat, xs)), n, k, samples, seed
+        lambda xs: np.abs(_dk_immanant_raw(chi, mat, xs)), n, k, samples, seed, chunk
     )
     return ImmanantReport(
         chi=chi,

@@ -1,7 +1,7 @@
 """The stacked sampling route against the one-sample-at-a-time reference.
 
-The sampling verifiers draw their random unit tuples SAMPLE_CHUNK at a
-time and evaluate each chunk through the batched compression kernel.  The
+The sampling verifiers draw their random unit tuples at most SAMPLE_CHUNK
+at a time and evaluate each chunk through the batched compression kernel.  The
 reference route below is the per-sample loop they replaced: one
 ``random_unit_matrix`` draw per direction, one kernel call per tuple, with
 the factors applied to the tensor axes in order.
@@ -25,7 +25,7 @@ from kchi import (
     sample_rng,
 )
 from kchi.denselin import _distinct_arrangements
-from kchi.norms import SAMPLE_CHUNK, _unit_stack
+from kchi.norms import SAMPLE_CHUNK, SAMPLE_CHUNK_BYTES, _sample_chunk, _unit_stack
 from kchi.symclass import _dk_stack
 from kchi.symgroup import _permutation_characters
 
@@ -149,4 +149,54 @@ def test_sampled_suprema_match_the_reference_loop(samples):
     a = random_matrix(3, sample_rng(2, 10**6))
     report = immanant_bound_verify(chi, a, 1, samples=samples, seed=6)
     want = reference_sup(lambda xs: abs(reference_dk_immanant(chi, a, xs)), 3, 1, samples, 6)
+    assert abs(report.sample_sup - want) <= KERNEL_TOL * want
+
+
+@pytest.mark.parametrize(
+    "rows, dim",
+    # (n^m, dim) of (2,1)/4, the largest class run_verify samples, of
+    # (3,1)/4, of the class_ladder rung (3,1)/6, and of (2,1,1)/8 at the
+    # dimension cap, whose inclusion alone is 74 MB.
+    [(64, 40), (256, 135), (1296, 630), (4096, 1134)],
+)
+def test_chunk_keeps_the_kernel_stack_bounded(rows, dim):
+    tuple_bytes = 16 * rows * dim
+    chunk = _sample_chunk(tuple_bytes)
+    assert 1 <= chunk <= SAMPLE_CHUNK
+    assert chunk * tuple_bytes <= max(SAMPLE_CHUNK_BYTES, tuple_bytes)
+    if 2 * tuple_bytes > SAMPLE_CHUNK_BYTES:
+        assert chunk == 1
+    if SAMPLE_CHUNK * tuple_bytes <= SAMPLE_CHUNK_BYTES:
+        assert chunk == SAMPLE_CHUNK
+
+
+def test_verifiers_draw_chunks_sized_from_the_class(monkeypatch):
+    # With the byte budget shrunk, (2,1)/3 (n^m * dim = 432) fits 5 tuples
+    # per chunk and the n = 3 immanant sum (3! * 3 entries) fits 7; the
+    # suprema still equal the reference loop's.
+    sizes = []
+    stack = kchi.norms._unit_stack
+
+    def recording_stack(n, k, seed, start, count):
+        sizes.append(count)
+        return stack(n, k, seed, start, count)
+
+    monkeypatch.setattr(kchi.norms, "_unit_stack", recording_stack)
+    monkeypatch.setattr(kchi.norms, "SAMPLE_CHUNK_BYTES", 16 * 432 * 5 + 100)
+    sc = build_symmetry_class(Partition((2, 1)), 3)
+    t = random_matrix(3, sample_rng(1, 10**6))
+    report = dk_norm_verify(sc, t, 2, samples=23, seed=4)
+    assert sizes == [5, 5, 5, 5, 3]
+    want = reference_sup(
+        lambda xs: np.linalg.norm(reference_dk_kchi(sc, t, xs), 2), 3, 2, 23, 4
+    )
+    assert abs(report.sample_max - want) <= KERNEL_TOL * want
+
+    sizes.clear()
+    monkeypatch.setattr(kchi.norms, "SAMPLE_CHUNK_BYTES", 16 * 18 * 7)
+    chi = Partition((2, 1))
+    a = random_matrix(3, sample_rng(2, 10**6))
+    report = immanant_bound_verify(chi, a, 1, samples=23, seed=6)
+    assert sizes == [7, 7, 7, 2]
+    want = reference_sup(lambda xs: abs(reference_dk_immanant(chi, a, xs)), 3, 1, 23, 6)
     assert abs(report.sample_sup - want) <= KERNEL_TOL * want
