@@ -15,8 +15,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
-from dataclasses import dataclass
 
 from . import verify as verify_mod
 from .combinat import Partition
@@ -34,26 +34,7 @@ from .symclass import build_symmetry_class, dk_kchi, k_chi_matrix
 from .symgroup import char_table
 from .verify import REPORT_SCHEMA
 
-__all__ = ["RunConfig", "parse_args", "run_verify", "main"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated result of command-line parsing."""
-
-    command: str
-    chi: Partition | None = None
-    m: int | None = None
-    n: int | None = None
-    k: int | None = None
-    input_path: str | None = None
-    x_paths: tuple[str, ...] = ()
-    samples: int = 100
-    seed: int = 0
-    delta: float | None = None
-    max_n: int = 4
-    tolerance: float | None = None
-    output: str | None = None
+__all__ = ["parse_args", "main"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,127 +58,110 @@ def _partition_flag(text: str) -> Partition:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
+def _number(kind, ok, expected: str):
+    """A flag type that parses with ``kind`` and accepts values where ``ok`` holds."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text}")
+        return value
+
+    # argparse names the type in its "invalid int value" message
+    parse.__name__ = kind.__name__
+    return parse
 
 
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text}")
-    return value
+# Comparisons with nan are false, so the float types reject nan as well as
+# inf; the int types never call math.isfinite, which overflows on huge ints.
+_POSITIVE_INT = _number(int, lambda v: v >= 1, "a positive integer")
+_NONNEG_INT = _number(int, lambda v: v >= 0, "an integer >= 0")
+_SEED = _number(int, lambda v: 0 <= v < 2**64, "an unsigned 64-bit integer seed")
+_POSITIVE_FLOAT = _number(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
+_NONNEG_FLOAT = _number(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
 
 
-def _seed_flag(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(
-            f"seed must be an unsigned 64-bit integer, got {text}"
-        )
-    return value
+def _input_flag(p: argparse.ArgumentParser, required: bool = True) -> None:
+    p.add_argument("--input", dest="input_path", metavar="INPUT", required=required)
 
 
-def _nonneg_float(text: str) -> float:
-    value = float(text)
-    if not value >= 0.0:
-        raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text}")
-    return value
+def _seed_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=_SEED, default=0)
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"expected a number > 0, got {text}")
-    return value
+def _sampling_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--samples", type=_POSITIVE_INT, default=100)
+    _seed_flag(p)
+    p.add_argument("--tolerance", type=_POSITIVE_FLOAT)
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="kchi", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("chartable", help="character table of S_m as JSON")
-    p.add_argument("--m", type=_positive_int, required=True)
-    p.add_argument("--output")
+    def command(name: str, help_text: str, handler) -> _Parser:
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("power", help="induced operator K_chi(A) on the class")
+    p = command("chartable", "character table of S_m as JSON", _cmd_chartable)
+    p.add_argument("--m", type=_POSITIVE_INT, required=True)
+
+    p = command("power", "induced operator K_chi(A) on the class", _cmd_power)
     p.add_argument("--chi", type=_partition_flag, required=True)
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--output")
+    p.add_argument("--n", type=_POSITIVE_INT, required=True)
+    _input_flag(p)
 
-    p = sub.add_parser("deriv", help="k-th derivative of the induced operator")
+    p = command("deriv", "k-th derivative of the induced operator", _cmd_deriv)
     p.add_argument("--chi", type=_partition_flag, required=True)
-    p.add_argument("--k", type=_nonneg_int, required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--x", action="append", default=[], metavar="X.json")
-    p.add_argument("--output")
+    p.add_argument("--k", type=_NONNEG_INT, required=True)
+    _input_flag(p)
+    p.add_argument("--x", dest="x_paths", action="append", default=[], metavar="X.json")
 
-    p = sub.add_parser("norm", help="derivative norm report")
+    p = command("norm", "derivative norm report", _cmd_norm)
     p.add_argument("--chi", type=_partition_flag, required=True)
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--input")
-    p.add_argument("--samples", type=_positive_int, default=100)
-    p.add_argument("--seed", type=_seed_flag, default=0)
-    p.add_argument("--tolerance", type=_positive_float)
-    p.add_argument("--output")
+    p.add_argument("--n", type=_POSITIVE_INT, required=True)
+    p.add_argument("--k", type=_POSITIVE_INT, required=True)
+    _input_flag(p, required=False)
+    _sampling_flags(p)
 
-    p = sub.add_parser("immanant", help="immanant d_chi(A)")
+    p = command("immanant", "immanant d_chi(A)", _cmd_immanant)
     p.add_argument("--chi", type=_partition_flag, required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--output")
+    _input_flag(p)
 
-    p = sub.add_parser("bound", help="immanant derivative bound report")
+    p = command("bound", "immanant derivative bound report", _cmd_bound)
     p.add_argument("--chi", type=_partition_flag, required=True)
-    p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--samples", type=_positive_int, default=100)
-    p.add_argument("--seed", type=_seed_flag, default=0)
-    p.add_argument("--tolerance", type=_positive_float)
-    p.add_argument("--output")
+    p.add_argument("--k", type=_POSITIVE_INT, required=True)
+    _input_flag(p)
+    _sampling_flags(p)
 
-    p = sub.add_parser("perturb", help="perturbation bounds for K_chi and d_chi")
+    p = command("perturb", "perturbation bounds for K_chi and d_chi", _cmd_perturb)
     p.add_argument("--chi", type=_partition_flag, required=True)
-    p.add_argument("--delta", type=_nonneg_float, required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--output")
+    p.add_argument("--delta", type=_NONNEG_FLOAT, required=True)
+    _input_flag(p)
 
-    p = sub.add_parser("verify", help="run the full verification suite")
-    p.add_argument("--max-n", dest="max_n", type=_positive_int, default=4)
-    p.add_argument("--seed", type=_seed_flag, default=0)
-    p.add_argument("--output")
+    p = command("verify", "run the full verification suite", _cmd_verify)
+    p.add_argument("--max-n", type=_POSITIVE_INT, default=4)
+    _seed_flag(p)
 
+    for p in sub.choices.values():
+        p.add_argument("--output")
     return parser
 
 
-def parse_args(argv=None) -> RunConfig:
-    """Parse command-line arguments into a validated RunConfig.
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse command-line arguments into a validated ``argparse.Namespace``.
 
-    Usage problems (unknown flags, malformed partitions, mismatched flag
-    combinations) terminate with exit code 1.
+    ``handler`` holds the subcommand's report builder; ``--input`` is stored
+    as ``input_path`` and ``--x`` as ``x_paths``.  Usage problems (unknown
+    flags, malformed partitions, out-of-range or non-finite numbers,
+    mismatched flag combinations) terminate with exit code 1.
     """
     parser = _build_parser()
     ns = parser.parse_args(argv)
-    if ns.command == "deriv" and len(ns.x) != ns.k:
-        parser.error(f"--k {ns.k} requires exactly {ns.k} --x flags, got {len(ns.x)}")
-    return RunConfig(
-        command=ns.command,
-        chi=getattr(ns, "chi", None),
-        m=getattr(ns, "m", None),
-        n=getattr(ns, "n", None),
-        k=getattr(ns, "k", None),
-        input_path=getattr(ns, "input", None),
-        x_paths=tuple(getattr(ns, "x", ()) or ()),
-        samples=getattr(ns, "samples", 100),
-        seed=getattr(ns, "seed", 0),
-        delta=getattr(ns, "delta", None),
-        max_n=getattr(ns, "max_n", 4),
-        tolerance=getattr(ns, "tolerance", None),
-        output=getattr(ns, "output", None),
-    )
+    if ns.command == "deriv" and len(ns.x_paths) != ns.k:
+        parser.error(f"--k {ns.k} requires exactly {ns.k} --x flags, got {len(ns.x_paths)}")
+    return ns
 
 
 def _load_square(path: str, n: int | None = None):
@@ -215,11 +179,9 @@ def _load_square(path: str, n: int | None = None):
         raise DomainError(f"{path}: {exc}") from exc
 
 
-def _cmd_chartable(cfg: RunConfig) -> dict:
+def _cmd_chartable(cfg: argparse.Namespace) -> dict:
     table = char_table(cfg.m)
     return {
-        "schema": REPORT_SCHEMA,
-        "command": "chartable",
         "m": cfg.m,
         "partitions": [list(p.parts) for p in table.partitions],
         "cycle_types": [list(p.parts) for p in table.partitions],
@@ -227,40 +189,37 @@ def _cmd_chartable(cfg: RunConfig) -> dict:
     }
 
 
-def _cmd_power(cfg: RunConfig) -> dict:
+def _class_matrix(sc, mat) -> dict:
+    # An operator on the symmetry class, in the basis indexed by delta_hat.
+    return {
+        "chi": list(sc.chi.parts),
+        "n": sc.n,
+        "dim": sc.dim,
+        "delta_hat": [list(alpha.entries) for alpha in sc.delta_hat],
+        "matrix": matrix_to_pairs(mat),
+    }
+
+
+def _cmd_power(cfg: argparse.Namespace) -> dict:
     a = _load_square(cfg.input_path, cfg.n)
     sc = build_symmetry_class(cfg.chi, cfg.n)
-    mat = k_chi_matrix(sc, a)
-    return {
-        "schema": REPORT_SCHEMA,
-        "command": "power",
-        "chi": list(cfg.chi.parts),
-        "n": cfg.n,
-        "dim": sc.dim,
-        "delta_hat": [list(alpha.entries) for alpha in sc.delta_hat],
-        "matrix": matrix_to_pairs(mat),
-    }
+    return _class_matrix(sc, k_chi_matrix(sc, a))
 
 
-def _cmd_deriv(cfg: RunConfig) -> dict:
+def _cmd_deriv(cfg: argparse.Namespace) -> dict:
     t = _load_square(cfg.input_path)
-    n = t.shape[0]
-    xs = [_load_square(path, n) for path in cfg.x_paths]
-    sc = build_symmetry_class(cfg.chi, n)
-    mat = dk_kchi(sc, t, xs)
-    return {
-        "schema": REPORT_SCHEMA,
-        "command": "deriv",
-        "chi": list(cfg.chi.parts),
-        "n": n,
-        "k": cfg.k,
-        "dim": sc.dim,
-        "delta_hat": [list(alpha.entries) for alpha in sc.delta_hat],
-        "matrix": matrix_to_pairs(mat),
-    }
+    xs = [_load_square(path, t.shape[0]) for path in cfg.x_paths]
+    sc = build_symmetry_class(cfg.chi, t.shape[0])
+    return {**_class_matrix(sc, dk_kchi(sc, t, xs)), "k": cfg.k}
 
 
-def _cmd_norm(cfg: RunConfig) -> dict:
+def _with_tolerance(report, cfg: argparse.Namespace) -> dict:
+    if cfg.tolerance is not None:
+        report = dataclasses.replace(report, tolerance=cfg.tolerance)
+    return report.to_json_obj()
+
+
+def _cmd_norm(cfg: argparse.Namespace) -> dict:
     if cfg.input_path is not None:
         t = _load_square(cfg.input_path, cfg.n)
     else:
@@ -269,48 +228,25 @@ def _cmd_norm(cfg: RunConfig) -> dict:
         t = random_matrix(cfg.n, sample_rng(cfg.seed, cfg.samples))
     sc = build_symmetry_class(cfg.chi, cfg.n)
     report = dk_norm_verify(sc, t, cfg.k, samples=cfg.samples, seed=cfg.seed)
-    if cfg.tolerance is not None:
-        report = dataclasses.replace(report, tolerance=cfg.tolerance)
-    return {
-        "schema": REPORT_SCHEMA,
-        "command": "norm",
-        **report.to_json_obj(),
-    }
+    return _with_tolerance(report, cfg)
 
 
-def _cmd_immanant(cfg: RunConfig) -> dict:
+def _cmd_immanant(cfg: argparse.Namespace) -> dict:
+    chi = cfg.chi
+    value = immanant(chi, _load_square(cfg.input_path, chi.size))
+    return {"chi": list(chi.parts), "n": chi.size, "value": [value.real, value.imag]}
+
+
+def _cmd_bound(cfg: argparse.Namespace) -> dict:
     a = _load_square(cfg.input_path, cfg.chi.size)
-    value = immanant(cfg.chi, a)
-    return {
-        "schema": REPORT_SCHEMA,
-        "command": "immanant",
-        "chi": list(cfg.chi.parts),
-        "n": cfg.chi.size,
-        "value": [value.real, value.imag],
-    }
+    report = immanant_bound_verify(cfg.chi, a, cfg.k, samples=cfg.samples, seed=cfg.seed)
+    return _with_tolerance(report, cfg)
 
 
-def _cmd_bound(cfg: RunConfig) -> dict:
-    a = _load_square(cfg.input_path, cfg.chi.size)
-    report = immanant_bound_verify(
-        cfg.chi, a, cfg.k, samples=cfg.samples, seed=cfg.seed
-    )
-    if cfg.tolerance is not None:
-        report = dataclasses.replace(report, tolerance=cfg.tolerance)
-    return {
-        "schema": REPORT_SCHEMA,
-        "command": "bound",
-        **report.to_json_obj(),
-    }
-
-
-def _cmd_perturb(cfg: RunConfig) -> dict:
-    t = _load_square(cfg.input_path)
-    nu = singular_values(t)
+def _cmd_perturb(cfg: argparse.Namespace) -> dict:
+    nu = singular_values(_load_square(cfg.input_path))
     bounds = perturbation_bounds(cfg.chi, nu, cfg.delta)
     return {
-        "schema": REPORT_SCHEMA,
-        "command": "perturb",
         "chi": list(cfg.chi.parts),
         "delta": cfg.delta,
         "nu": [float(v) for v in nu],
@@ -319,25 +255,15 @@ def _cmd_perturb(cfg: RunConfig) -> dict:
     }
 
 
-def run_verify(cfg: RunConfig) -> tuple[dict, int]:
-    """Run the verification suite for a parsed config; exit 0 iff all pass."""
-    report = verify_mod.run_verify(max_n=cfg.max_n, seed=cfg.seed)
-    return report, 0 if report["all_passed"] else 4
+def _cmd_verify(cfg: argparse.Namespace) -> dict:
+    # Looked up on the module at call time, so tests can substitute it.
+    return verify_mod.run_verify(max_n=cfg.max_n, seed=cfg.seed)
 
 
-def _dispatch(cfg: RunConfig) -> tuple[dict, int]:
-    if cfg.command == "verify":
-        return run_verify(cfg)
-    handlers = {
-        "chartable": _cmd_chartable,
-        "power": _cmd_power,
-        "deriv": _cmd_deriv,
-        "norm": _cmd_norm,
-        "immanant": _cmd_immanant,
-        "bound": _cmd_bound,
-        "perturb": _cmd_perturb,
-    }
-    return handlers[cfg.command](cfg), 0
+def _dispatch(cfg: argparse.Namespace) -> tuple[dict, int]:
+    """Run the subcommand's handler, stamp its payload and pick the exit code."""
+    report = {**cfg.handler(cfg), "schema": REPORT_SCHEMA, "command": cfg.command}
+    return report, 4 if report.get("all_passed") is False else 0
 
 
 def _emit(report: dict, output: str | None) -> None:

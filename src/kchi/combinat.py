@@ -118,9 +118,6 @@ class MultiIndex:
     def is_weakly_increasing(self) -> bool:
         return all(a <= b for a, b in zip(self.entries, self.entries[1:]))
 
-    def is_strictly_increasing(self) -> bool:
-        return all(a < b for a, b in zip(self.entries, self.entries[1:]))
-
     def __str__(self) -> str:
         return "(" + ",".join(str(e) for e in self.entries) + ")"
 

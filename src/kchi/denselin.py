@@ -62,34 +62,31 @@ def as_matrix(obj, *, square: bool = False, n: int | None = None) -> np.ndarray:
     return a
 
 
+def _square_svd(a, compute_uv: bool):
+    """LAPACK's SVD of a square matrix of dimension at most ``MAX_SVD_DIM``."""
+    a = as_matrix(a, square=True)
+    if a.shape[0] > MAX_SVD_DIM:
+        raise ResourceError(
+            f"svd capped at dimension {MAX_SVD_DIM}, got {a.shape[0]}"
+        )
+    try:
+        return np.linalg.svd(a, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"svd did not converge: {exc}") from exc
+
+
 def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Singular value decomposition ``a = u @ diag(s) @ v.conj().T``.
 
     ``s`` is weakly decreasing and nonnegative; ``u`` and ``v`` are unitary.
     """
-    a = as_matrix(a, square=True)
-    if a.shape[0] > MAX_SVD_DIM:
-        raise ResourceError(
-            f"svd capped at dimension {MAX_SVD_DIM}, got {a.shape[0]}"
-        )
-    try:
-        u, s, vh = np.linalg.svd(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"svd did not converge: {exc}") from exc
+    u, s, vh = _square_svd(a, compute_uv=True)
     return u, s, vh.conj().T
 
 
 def singular_values(a) -> np.ndarray:
     """Singular values of a square matrix, sorted descending."""
-    a = as_matrix(a, square=True)
-    if a.shape[0] > MAX_SVD_DIM:
-        raise ResourceError(
-            f"svd capped at dimension {MAX_SVD_DIM}, got {a.shape[0]}"
-        )
-    try:
-        return np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"svd did not converge: {exc}") from exc
+    return _square_svd(a, compute_uv=False)
 
 
 def polar(t) -> tuple[np.ndarray, np.ndarray]:
@@ -111,10 +108,7 @@ def spectral_norm(a) -> float:
     a = as_matrix(a)
     if a.size == 0:
         return 0.0
-    try:
-        return float(np.linalg.norm(a, 2))
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"spectral norm did not converge: {exc}") from exc
+    return float(_spectral_norms(a))
 
 
 def hermitian_eigenvalues(a) -> np.ndarray:

@@ -102,7 +102,11 @@ def _check_nu(nu) -> tuple[float, ...]:
 
 def nu_omega(chi: Partition, nu) -> tuple[float, ...]:
     """The selection (nu_1 repeated chi_1 times, nu_2 repeated chi_2 times, ...)."""
-    vals = _check_nu(nu)
+    return _nu_omega(chi, _check_nu(nu))
+
+
+def _nu_omega(chi: Partition, vals: tuple[float, ...]) -> tuple[float, ...]:
+    # nu_omega on singular values that _check_nu has already validated
     if chi.length > len(vals):
         raise DomainError(
             f"chi={chi} has {chi.length} parts but only {len(vals)} singular values given"
@@ -128,7 +132,7 @@ def dk_norm_formula(chi: Partition, k: int, nu, n: int | None = None) -> float:
             f"m={m} exceeds the number of singular values {len(vals)}; "
             "the norm identity requires m <= n"
         )
-    value = math.factorial(k) * elementary_symmetric(m - k, nu_omega(chi, vals))
+    value = math.factorial(k) * elementary_symmetric(m - k, _nu_omega(chi, vals))
     return _require_finite(value, "derivative norm formula")
 
 
@@ -457,7 +461,7 @@ def dk_immanant_bound(chi: Partition, k: int, nu) -> float:
         raise DomainError(f"chi={chi} needs {n} singular values, got {len(vals)}")
     if not 0 <= k <= n:
         raise DomainError(f"need 0 <= k <= n={n}, got k={k}")
-    value = math.factorial(k) * elementary_symmetric(n - k, nu_omega(chi, vals))
+    value = math.factorial(k) * elementary_symmetric(n - k, _nu_omega(chi, vals))
     return _require_finite(value, "immanant derivative bound")
 
 
@@ -532,7 +536,7 @@ def perturbation_bounds(chi: Partition, nu, delta: float) -> PerturbationBounds:
             f"m={m} exceeds the number of singular values {len(vals)}; "
             "the Taylor terms are derivative norms, which need m <= n"
         )
-    selection = nu_omega(chi, vals)
+    selection = _nu_omega(chi, vals)
     total = 0.0
     try:
         for k in range(1, m + 1):

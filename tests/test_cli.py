@@ -84,6 +84,26 @@ def test_parse_args_rejects_unknown_input():
         assert exc.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norm", "--chi", "2,1", "--n", "3", "--k", "1", "--tolerance", "inf"],
+        ["norm", "--chi", "2,1", "--n", "3", "--k", "1", "--tolerance", "1e400"],
+        ["bound", "--chi", "2,1", "--k", "1", "--input", "a.json", "--tolerance", "nan"],
+        ["perturb", "--chi", "2,1", "--delta", "inf", "--input", "a.json"],
+        ["perturb", "--chi", "2,1", "--delta", "nan", "--input", "a.json"],
+        ["norm", "--chi", "2,1", "--n", "3", "--k", "1", "--samples", "0"],
+        ["verify", "--seed", "18446744073709551616"],
+        ["verify", "--max-n", "0"],
+    ],
+)
+def test_parse_args_rejects_out_of_range_numbers(argv):
+    # non-finite floats are usage errors, caught before any computation
+    with pytest.raises(SystemExit) as exc:
+        parse_args(argv)
+    assert exc.value.code == 1
+
+
 # ---------------------------------------------------------------------------
 # Commands.
 # ---------------------------------------------------------------------------
@@ -239,6 +259,35 @@ def test_verify_failure_exits_four(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["verify", "--max-n", "2"])
     assert code == 4
     assert json.loads(out)["all_passed"] is False
+
+
+@pytest.mark.parametrize(
+    "command,flags",
+    [
+        ("chartable", ["--m", "3"]),
+        ("power", ["--chi", "2,1", "--n", "3", "--input", "{a}"]),
+        ("deriv", ["--chi", "2,1", "--k", "1", "--input", "{a}", "--x", "{a}"]),
+        ("norm", ["--chi", "2,1", "--n", "3", "--k", "1", "--samples", "5"]),
+        ("immanant", ["--chi", "2,1", "--input", "{a}"]),
+        ("bound", ["--chi", "2,1", "--k", "1", "--input", "{a}", "--samples", "5"]),
+        ("perturb", ["--chi", "2,1", "--delta", "0.5", "--input", "{a}"]),
+        ("verify", ["--max-n", "2"]),
+    ],
+)
+def test_every_report_carries_one_stamp(capsys, monkeypatch, tmp_path, command, flags):
+    monkeypatch.setattr(
+        "kchi.verify.CRITERIA", (("character table oracles", kchi.verify.check_characters),)
+    )
+    a = write_matrix(tmp_path / "a.json", np.diag([3.0, 2.0, 1.0]))
+    code, out, _ = run_cli(capsys, [command, *(f.format(a=a) for f in flags)])
+    assert code == 0
+    report = json.loads(out)
+    assert report["schema"] == kchi.verify.REPORT_SCHEMA
+    assert report["command"] == command
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert command in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
