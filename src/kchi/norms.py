@@ -189,17 +189,21 @@ class DerivReport:
         return {**asdict(self), "chi": list(self.chi.parts), "ok": self.ok}
 
 
+def _check_stream(seed: int, index: int) -> tuple[int, int]:
+    seed = int(seed)
+    index = int(index)
+    if seed < 0 or index < 0:
+        raise DomainError(f"seed and sample index must be >= 0, got ({seed}, {index})")
+    return seed, index
+
+
 def sample_rng(seed: int, index: int) -> np.random.Generator:
     """Generator for one sample, derived from (seed, sample index).
 
     Each sample owns an independent stream, so sampling loops can be
     reordered or parallelized without changing any draw.
     """
-    seed = int(seed)
-    index = int(index)
-    if seed < 0 or index < 0:
-        raise DomainError(f"seed and sample index must be >= 0, got ({seed}, {index})")
-    return np.random.default_rng((seed, index))
+    return np.random.default_rng(_check_stream(seed, index))
 
 
 def random_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -218,13 +222,104 @@ def random_unit_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
             return g / s
 
 
+# numpy's SeedSequence (pool of four 32-bit words) and PCG64 seeding
+# constants, which sample_rng's default_rng((seed, index)) goes through.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _words(value: int) -> list[int]:
+    # The little-endian 32-bit words SeedSequence reads from a non-negative
+    # int; 0 is one word.
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash_keys(init: int, mult: int, calls: int) -> np.ndarray:
+    # The running hash constant of ``calls`` successive hashmix calls: call
+    # c xors with key c and multiplies by key c + 1.
+    return np.cumprod(np.array([init] + [mult] * calls, dtype=np.uint32), dtype=np.uint32)
+
+
+def _hashmix(values: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    # SeedSequence's hashmix of column j of ``values`` with keys j and j + 1,
+    # wrapping in uint32 as the C code does.
+    mixed = (values ^ keys[:-1]) * keys[1:]
+    return mixed ^ (mixed >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    mixed = _MIX_L * x - _MIX_R * y
+    return mixed ^ (mixed >> 16)
+
+
+def _stream_states(seed: int, start: int, count: int) -> list[tuple[int, int]]:
+    # The PCG64 (state, inc) of sample_rng(seed, start + i) for i < count,
+    # seeded as one chunk: SeedSequence's pool hash and generate_state(4,
+    # uint64) run down the chunk's column of each entropy word at once.  The
+    # entropy of a stream is the words of seed followed by those of its
+    # index; words past the pool's four are mixed into every pool word, and
+    # only on the streams that have them.
+    seed_words = _words(seed)
+    entropy = [seed_words + _words(start + i) for i in range(count)]
+    lengths = np.array([len(e) for e in entropy])
+    width = max(4, int(lengths.max()))
+    words = np.array([e + [0] * (width - len(e)) for e in entropy], dtype=np.uint32)
+    keys = _hash_keys(_INIT_A, _MULT_A, 4 * width)
+    pool = _hashmix(words[:, :4], keys[:5])
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        hashed = _hashmix(pool[:, [src]], keys[4 + 3 * src : 8 + 3 * src])
+        pool[:, dst] = _mix(pool[:, dst], hashed)
+    for src in range(4, width):
+        mixed = _mix(pool, _hashmix(words[:, [src]], keys[4 * src : 4 * src + 5]))
+        pool = np.where((lengths > src)[:, None], mixed, pool)
+    generated = _hashmix(pool[:, [0, 1, 2, 3, 0, 1, 2, 3]], _hash_keys(_INIT_B, _MULT_B, 8))
+    # generate_state(4, uint64) joins its eight words little-endian; PCG64
+    # reads initstate and initseq from them as (high, low) pairs, and its
+    # srandom step sets inc = 2 initseq + 1, state = (initstate + inc) * MULT + inc.
+    states = []
+    for init_hi, init_lo, seq_hi, seq_lo in (
+        np.ascontiguousarray(generated, dtype="<u4").view("<u8").tolist()
+    ):
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        state = ((init_hi << 64 | init_lo) + inc) * _PCG_MULT + inc
+        states.append((state & _MASK128, inc))
+    return states
+
+
+def _gaussian_stack(n: int, k: int, seed: int, start: int, count: int) -> np.ndarray:
+    # The k random_matrix draws of each sample start + i (0 <= i < count)
+    # from sample_rng(seed, start + i), as one (count, k, n, n) stack.  One
+    # standard_normal call per sample reads its (k, 2, n, n) normals from
+    # the stream in the order random_matrix's 2k calls read them.
+    bit_generator = np.random.PCG64()
+    gen = np.random.Generator(bit_generator)
+    normals = np.empty((count, k, 2, n, n))
+    for out, (state, inc) in zip(normals, _stream_states(seed, start, count)):
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        gen.standard_normal(out=out)
+    return (normals[:, :, 0] + 1j * normals[:, :, 1]) / math.sqrt(2.0)
+
+
 def _unit_stack(n: int, k: int, seed: int, start: int, count: int) -> np.ndarray:
     # The k random_unit_matrix draws of each sample start + i (0 <= i < count)
     # from sample_rng(seed, start + i), as one (count, k, n, n) stack
     # normalized by one batched SVD.  A sample with a draw of norm at most
     # 1e-12 is redrawn one matrix at a time, as random_unit_matrix redraws.
-    streams = [sample_rng(seed, start + i) for i in range(count)]
-    gauss = np.array([[random_matrix(n, rng) for _ in range(k)] for rng in streams])
+    seed, start = _check_stream(seed, start)
+    gauss = _gaussian_stack(n, k, seed, start, count)
     norms = _spectral_norms(gauss)
     rejected = (norms <= 1e-12).any(axis=1)
     norms[rejected] = 1.0

@@ -14,6 +14,7 @@ import pytest
 
 import kchi.norms
 from kchi import (
+    DomainError,
     Partition,
     build_symmetry_class,
     dk_kchi,
@@ -91,19 +92,47 @@ def test_stacked_draws_equal_per_sample_draws(n, k):
     assert np.array_equal(got, reference_draws(n, k, 5, 17, 2048))
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**100])
+@pytest.mark.parametrize("start", [0, 2**32 - 3, 10**12])
+def test_bulk_seeding_matches_sample_rng_across_word_boundaries(seed, start):
+    # A seed or index takes one 32-bit entropy word below 2**32 and more
+    # above it; a chunk from 2**32 - 3 mixes one- and two-word indices, and
+    # 2**100 (four words) puts every stream past the pool's four words.
+    got = _unit_stack(2, 2, seed, start, 6)
+    assert np.array_equal(got, reference_draws(2, 2, seed, start, 6))
+
+
+def test_negative_seeds_are_rejected_by_the_sampling_verifiers():
+    sc = build_symmetry_class(Partition((2, 1)), 2)
+    with pytest.raises(DomainError):
+        dk_norm_verify(sc, np.eye(2), 1, samples=3, seed=-1)
+    with pytest.raises(DomainError):
+        immanant_bound_verify(Partition((2, 1)), np.eye(3), 1, samples=3, seed=-1)
+
+
 def test_a_rejected_draw_is_redrawn_as_random_unit_matrix_redraws(monkeypatch):
-    # The first Gaussian of sample 2's stream is made zero, on every replay
-    # of that stream, so random_unit_matrix must reject it and draw again.
+    # The first Gaussian of sample 2's stream is made zero on every replay
+    # of that stream: in the chunk's bulk fill, and in random_matrix, which
+    # the redraw and the reference go through.  The chunk must reject
+    # sample 2 and redraw it as random_unit_matrix does.
     n, k, seed = 3, 2, 9
     first = sample_rng(seed, 2).bit_generator.state
     draw = kchi.norms.random_matrix
+    fill = kchi.norms._gaussian_stack
 
     def zero_first_draw(size, rng):
         at_start = rng.bit_generator.state == first
         g = draw(size, rng)
         return np.zeros_like(g) if at_start else g
 
+    def zero_first_fill(size, order, stream_seed, start, count):
+        g = fill(size, order, stream_seed, start, count)
+        if stream_seed == seed and start <= 2 < start + count:
+            g[2 - start, 0] = 0.0
+        return g
+
     unpatched = _unit_stack(n, k, seed, 0, 4)
+    monkeypatch.setattr(kchi.norms, "_gaussian_stack", zero_first_fill)
     monkeypatch.setattr(kchi.norms, "random_matrix", zero_first_draw)
     got = _unit_stack(n, k, seed, 0, 4)
     want = reference_draws(n, k, seed, 0, 4)

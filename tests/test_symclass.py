@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kchi.symclass
 from kchi import (
@@ -31,6 +33,7 @@ EXACT_TOL = 1e-12
 PRODUCT_TOL = 1e-9
 FD_STEP = 1e-4
 FD_REL_TOL = 1e-5
+PROPERTY_TOL = 1e-12
 
 SMALL_CLASSES = [
     (Partition((1, 1)), 2),
@@ -47,6 +50,11 @@ SMALL_CLASSES = [
 
 def random_complex(rng, n):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def random_unitary(rng, n):
+    q, r = np.linalg.qr(random_complex(rng, n))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def vec_index(entries, n):
@@ -477,6 +485,45 @@ def test_derivative_matches_finite_differences():
         approx = central_difference(sc, t, xs[:k])
         scale = max(1.0, float(np.abs(exact).max()))
         assert np.abs(exact - approx).max() / scale < FD_REL_TOL
+
+
+@st.composite
+def derivative_points(draw):
+    # A small class, an order 0 <= k <= m, a base point and k directions.
+    chi, n = draw(st.sampled_from(SMALL_CLASSES))
+    k = draw(st.integers(0, chi.size))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sc = build_symmetry_class(chi, n)
+    return sc, random_complex(rng, n), [random_complex(rng, n) for _ in range(k)], rng
+
+
+def derivative_scale(sc, t, xs):
+    # m!/(m-k)! ||t||^(m-k) prod ||x_i||, which bounds ||D^k K_chi(t)(xs)||
+    # and sets the size of its rounding error.
+    k = len(xs)
+    norms = [np.linalg.norm(t, 2)] * (sc.m - k) + [np.linalg.norm(x, 2) for x in xs]
+    return math.factorial(sc.m) // math.factorial(sc.m - k) * math.prod(norms)
+
+
+@settings(deadline=None, derandomize=True)
+@given(derivative_points(), st.floats(1e-8, 1e8), st.floats(0.0, 2 * math.pi))
+def test_derivative_is_homogeneous_in_the_base_point(point, size, phase):
+    sc, t, xs, _ = point
+    c = size * np.exp(1j * phase)
+    got = dk_kchi(sc, c * t, xs)
+    want = c ** (sc.m - len(xs)) * dk_kchi(sc, t, xs)
+    scale = size ** (sc.m - len(xs)) * derivative_scale(sc, t, xs)
+    assert np.abs(got - want).max() <= PROPERTY_TOL * scale
+
+
+@settings(deadline=None, derandomize=True)
+@given(derivative_points())
+def test_derivative_norm_is_unitarily_invariant(point):
+    sc, t, xs, rng = point
+    u, v = random_unitary(rng, sc.n), random_unitary(rng, sc.n)
+    got = np.linalg.norm(dk_kchi(sc, u @ t @ v, [u @ x @ v for x in xs]), 2)
+    want = np.linalg.norm(dk_kchi(sc, t, xs), 2)
+    assert abs(got - want) <= PROPERTY_TOL * derivative_scale(sc, t, xs)
 
 
 def test_derivative_at_psd_arguments_is_psd():
