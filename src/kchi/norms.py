@@ -66,7 +66,11 @@ REPORT_TOL = 1e-7
 # is (S, n^m, dim) complex in the compression kernel and (S, n!, n) complex
 # in the immanant sum.  A class too large for two tuples is evaluated one
 # tuple at a time.  Every class `run_verify` samples, and the (2,1)/4
-# `kchi norm`, has n^m * dim at most 2560 and gets the full chunk.
+# `kchi norm`, has n^m * dim at most 2560 and gets the full chunk.  A
+# derivative supremum that contracts each chunk against the base point's
+# (n^{2k}, dim^2) tensor (see _dk_norm_sup) keeps the same chunks, and takes
+# that route only when the tensor and a chunk's (S, n^{2k}) outer products
+# also fit SAMPLE_CHUNK_BYTES.
 SAMPLE_CHUNK = 64
 SAMPLE_CHUNK_BYTES = 1 << 22
 
@@ -342,7 +346,8 @@ def _sampled_max(
     # Largest value of ``evaluate`` over random unit k-tuples of n x n
     # matrices, tuple i (0 <= i < samples) from sample_rng(seed, start + i).
     # The tuples are drawn ``chunk`` at a time; ``evaluate`` takes the k
-    # direction stacks (S, n, n) of one chunk and returns S values.
+    # direction stacks (S, n, n) of one chunk and returns S values, through
+    # one kernel call or, for _dk_norm_sup's tensor route, one GEMM.
     best = 0.0
     for lo in range(0, samples, chunk):
         units = _unit_stack(n, k, seed, start + lo, min(chunk, samples - lo))
@@ -350,13 +355,57 @@ def _sampled_max(
     return best
 
 
+def _tensor_route(n: int, dim: int, k: int, samples: int, chunk: int) -> bool:
+    # Whether _dk_norm_sup contracts against the derivative tensor: its
+    # n^{2k} matrix-unit tuples must take fewer kernel evaluations than the
+    # samples, and its largest arrays, the (n^{2k}, dim^2) tensor and a
+    # chunk's (S, n^{2k}) outer products, must fit SAMPLE_CHUNK_BYTES.
+    units = n ** (2 * k)
+    return units < samples and 16 * units * max(dim * dim, chunk) <= SAMPLE_CHUNK_BYTES
+
+
+def _derivative_tensor(sc: SymmetryClass, t: np.ndarray, k: int, chunk: int) -> np.ndarray:
+    # D^k K_chi(t) on every k-tuple of matrix units, as the (n^{2k}, dim^2)
+    # tensor L: row r holds the value on (E_1, ..., E_k) where E_i is unit
+    # d_i, the i-th most significant base-n^2 digit of r, and unit a n + b is
+    # E_ab.  The tuples go through the kernel ``chunk`` at a time.
+    units = np.eye(sc.n**2, dtype=np.complex128).reshape(-1, sc.n, sc.n)
+    digits = np.indices((sc.n**2,) * k).reshape(k, -1)
+    blocks = [
+        _dk_stack(sc, t, [units[d[lo : lo + chunk]] for d in digits])
+        for lo in range(0, digits.shape[1], chunk)
+    ]
+    return np.concatenate(blocks).reshape(digits.shape[1], -1)
+
+
+def _contract(tensor: np.ndarray, xs: list[np.ndarray], dim: int) -> np.ndarray:
+    # D^k K_chi(t)(X_1, ..., X_k) for each sample of the k direction stacks
+    # (S, n, n), by multilinearity: the (S, n^{2k}) outer products of the
+    # directions' entries, ordered as the tensor's rows, times the tensor.
+    outer = xs[0].reshape(len(xs[0]), -1)
+    for x in xs[1:]:
+        outer = (outer[:, :, None] * x.reshape(len(x), 1, -1)).reshape(len(x), -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = (outer @ tensor).reshape(-1, dim, dim)
+    return _require_finite(value, "derivative")
+
+
 def _dk_norm_sup(
     sc: SymmetryClass, t: np.ndarray, k: int, samples: int, seed: int, start: int = 0
 ) -> float:
     # Sampled sup of ||D^k K_chi(t)(X_1, ..., X_k)|| over random unit tuples.
+    # The chunk is sized for the kernel's (S, n^m, dim) array.  When
+    # _tensor_route allows, the kernel runs only on the n^{2k} matrix-unit
+    # tuples, once per base point, and each chunk of drawn tuples is one
+    # GEMM against that tensor; otherwise each chunk is one kernel call.
     chunk = _sample_chunk(16 * sc.n**sc.m * sc.dim)
+    if _tensor_route(sc.n, sc.dim, k, samples, chunk):
+        tensor = _derivative_tensor(sc, t, k, chunk)
+        evaluate = lambda xs: _contract(tensor, xs, sc.dim)
+    else:
+        evaluate = lambda xs: _dk_stack(sc, t, xs)
     return _sampled_max(
-        lambda xs: _spectral_norms(_dk_stack(sc, t, xs)), sc.n, k, samples, seed, chunk, start
+        lambda xs: _spectral_norms(evaluate(xs)), sc.n, k, samples, seed, chunk, start
     )
 
 
@@ -581,6 +630,18 @@ class ImmanantReport:
         return {**asdict(self), "chi": list(self.chi.parts), "ok": self.ok}
 
 
+def _immanant_sup(
+    chi: Partition, a: np.ndarray, k: int, samples: int, seed: int, start: int = 0
+) -> float:
+    # Sampled sup of |D^k d_chi(a)(X_1, ..., X_k)| over random unit tuples,
+    # tuple i from sample_rng(seed, start + i).
+    n = chi.size
+    chunk = _sample_chunk(16 * math.factorial(n) * n)
+    return _sampled_max(
+        lambda xs: np.abs(_dk_immanant_raw(chi, a, xs)), n, k, samples, seed, chunk, start
+    )
+
+
 def immanant_bound_verify(
     chi: Partition, a, k: int, samples: int = 100, seed: int = 0
 ) -> ImmanantReport:
@@ -593,16 +654,12 @@ def immanant_bound_verify(
         raise DomainError(f"need 1 <= k <= n={n}, got k={k}")
     nu = singular_values(mat)
     bound = dk_immanant_bound(chi, k, nu)
-    chunk = _sample_chunk(16 * math.factorial(n) * n)
-    sup = _sampled_max(
-        lambda xs: np.abs(_dk_immanant_raw(chi, mat, xs)), n, k, samples, seed, chunk
-    )
     return ImmanantReport(
         chi=chi,
         n=n,
         k=k,
         bound_value=float(bound),
-        sample_sup=float(sup),
+        sample_sup=_immanant_sup(chi, mat, k, samples, seed),
         samples=samples,
         seed=seed,
     )

@@ -1,18 +1,23 @@
 """The stacked sampling route against the one-sample-at-a-time reference.
 
 The sampling verifiers draw their random unit tuples at most SAMPLE_CHUNK
-at a time and evaluate each chunk through the batched compression kernel.  The
+at a time and evaluate each chunk through the batched compression kernel,
+or, for a derivative supremum over more tuples than the derivative has
+matrix-unit tuples, through one product with its k-linear tensor.  The
 reference route below is the per-sample loop they replaced: one
 ``random_unit_matrix`` draw per direction, one kernel call per tuple, with
 the factors applied to the tensor axes in order.
 """
 
+import collections
 import math
 
 import numpy as np
 import pytest
 
 import kchi.norms
+import kchi.symclass
+import kchi.verify
 from kchi import (
     DomainError,
     Partition,
@@ -26,7 +31,15 @@ from kchi import (
     sample_rng,
 )
 from kchi.denselin import _distinct_arrangements
-from kchi.norms import SAMPLE_CHUNK, SAMPLE_CHUNK_BYTES, _sample_chunk, _unit_stack
+from kchi.norms import (
+    SAMPLE_CHUNK,
+    SAMPLE_CHUNK_BYTES,
+    _contract,
+    _derivative_tensor,
+    _sample_chunk,
+    _tensor_route,
+    _unit_stack,
+)
 from kchi.symclass import _dk_stack
 from kchi.symgroup import _permutation_characters
 
@@ -166,6 +179,9 @@ def test_batched_kernel_matches_the_per_sample_loop():
     "samples", [1, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 1000]
 )
 def test_sampled_suprema_match_the_reference_loop(samples):
+    # (2,1)/3 at k = 2 has 9^2 = 81 matrix-unit tuples: samples 1 to 65
+    # evaluate each chunk through the kernel, 1000 contract each chunk
+    # against the derivative tensor.
     sc = build_symmetry_class(Partition((2, 1)), 3)
     t = random_matrix(3, sample_rng(1, 10**6))
     report = dk_norm_verify(sc, t, 2, samples=samples, seed=4)
@@ -179,6 +195,108 @@ def test_sampled_suprema_match_the_reference_loop(samples):
     report = immanant_bound_verify(chi, a, 1, samples=samples, seed=6)
     want = reference_sup(lambda xs: abs(reference_dk_immanant(chi, a, xs)), 3, 1, samples, 6)
     assert abs(report.sample_sup - want) <= KERNEL_TOL * want
+
+
+def test_tensor_contraction_matches_the_kernel():
+    # Multilinearity as a second route: the tensor built on matrix units,
+    # contracted with directions that are not unit-norm, against the kernel
+    # on those directions.
+    rng = sample_rng(8, 0)
+    samples = 5
+    for m in range(1, 4):
+        for n in range(1, 4):
+            for chi in partitions_of(m):
+                if chi.length > n:
+                    continue
+                sc = build_symmetry_class(chi, n)
+                t = random_matrix(n, rng)
+                chunk = _sample_chunk(16 * n**m * sc.dim)
+                for k in range(1, m + 1):
+                    tensor = _derivative_tensor(sc, t, k, chunk)
+                    assert tensor.shape == (n ** (2 * k), sc.dim**2)
+                    xs = [
+                        np.array([3.0 * random_matrix(n, rng) for _ in range(samples)])
+                        for _ in range(k)
+                    ]
+                    want = _dk_stack(sc, t, xs)
+                    got = _contract(tensor, xs, sc.dim)
+                    assert np.abs(got - want).max() <= KERNEL_TOL * np.abs(want).max()
+
+
+def test_kernel_route_where_the_tensor_is_no_cheaper_or_too_large(monkeypatch):
+    # The cli_session `norm` call, (2,1)/4 at k = 2 with 100 samples, has
+    # 4^4 = 256 > 100 matrix-unit tuples; (3,1)/6 at k = 1 has a 36 x 630^2
+    # tensor of 229 MB, judged without building the class.  Both evaluate
+    # each chunk through the kernel.
+    assert not _tensor_route(4, 40, 2, 100, _sample_chunk(16 * 4**3 * 40))
+    assert not _tensor_route(6, 630, 1, 10**6, _sample_chunk(16 * 6**4 * 630))
+
+    def no_tensor(*args):
+        raise AssertionError("the tensor route was taken")
+
+    monkeypatch.setattr(kchi.norms, "_derivative_tensor", no_tensor)
+    sc = build_symmetry_class(Partition((2, 1)), 4)
+    report = dk_norm_verify(sc, random_matrix(4, sample_rng(3, 0)), 2, samples=100, seed=3)
+    assert report.ok
+
+
+@pytest.mark.parametrize("budget", [SAMPLE_CHUNK_BYTES, 1 << 14, 2048])
+def test_tensor_route_stays_within_the_byte_budget(monkeypatch, budget):
+    # With budget 2048, (1,1)/2 at k = 2 has a 256-byte tensor, but its
+    # chunk of 32 tuples has 32 x 16 outer products of 8192 bytes: it keeps
+    # the kernel route.
+    taken = []
+    contract = kchi.norms._contract
+
+    def recording_contract(tensor, xs, dim):
+        outer_bytes = 16 * len(xs[0]) * len(tensor)
+        value = contract(tensor, xs, dim)
+        taken.append(max(tensor.nbytes, outer_bytes, value.nbytes))
+        return value
+
+    monkeypatch.setattr(kchi.norms, "_contract", recording_contract)
+    monkeypatch.setattr(kchi.norms, "SAMPLE_CHUNK_BYTES", budget)
+    rng = sample_rng(9, 0)
+    routes = set()
+    cases = [
+        ((1, 1), 2, 1), ((1, 1), 2, 2), ((2,), 2, 2),
+        ((2, 1), 3, 1), ((2, 1), 3, 2), ((3,), 3, 2),
+    ]
+    for chi, n, k in cases:
+        sc = build_symmetry_class(Partition(chi), n)
+        taken.clear()
+        dk_norm_verify(sc, random_matrix(n, rng), k, samples=200, seed=1)
+        chunk = _sample_chunk(16 * n ** sum(chi) * sc.dim)
+        assert bool(taken) == _tensor_route(n, sc.dim, k, 200, chunk)
+        assert all(size <= budget for size in taken)
+        routes.add(bool(taken))
+    assert routes == ({True, False} if budget < SAMPLE_CHUNK_BYTES else {True})
+
+
+def test_sup_criterion_runs_the_kernel_on_matrix_units_only(monkeypatch):
+    # Per base point the supremum criterion may call the kernel only to
+    # build the derivative tensor, ceil(n^{2k} / chunk) times, and once for
+    # the attaining directions; evaluating the 200 drawn tuples per chunk
+    # through the kernel would take ceil(200 / 64) + 1 = 5 calls.
+    calls = collections.Counter()
+    compress = kchi.symclass._compress
+
+    def counting_compress(sc, mats):
+        calls[sc.chi, sc.n, mats[0].tobytes()] += 1
+        return compress(sc, mats)
+
+    monkeypatch.setattr(kchi.symclass, "_compress", counting_compress)
+    results = kchi.verify.check_sup_attainment(seed=0, max_n=3, tuples=200, draws=2)
+    assert all(r.passed for r in results)
+    monkeypatch.undo()
+    classes = collections.Counter()
+    for (chi, n, _), count in calls.items():
+        m, k = next((m, k) for nn, m, k in kchi.verify.SUP_CONFIGS if nn == n and m == chi.size)
+        sc = build_symmetry_class(chi, n)
+        chunk = _sample_chunk(16 * n**m * sc.dim)
+        assert count <= math.ceil(n ** (2 * k) / chunk) + 1
+        classes[chi, n] += 1
+    assert len(classes) == 5 and set(classes.values()) == {2}
 
 
 @pytest.mark.parametrize(
@@ -229,3 +347,30 @@ def test_verifiers_draw_chunks_sized_from_the_class(monkeypatch):
     assert sizes == [7, 7, 7, 2]
     want = reference_sup(lambda xs: abs(reference_dk_immanant(chi, a, xs)), 3, 1, 23, 6)
     assert abs(report.sample_sup - want) <= KERNEL_TOL * want
+
+
+def test_immanant_bound_rows_draw_disjoint_streams(monkeypatch):
+    # Every base point of the immanant-bound criterion and every tuple of
+    # its rows, the strict-slack row included, reads a stream of its own.
+    tuple_streams = []
+    base_streams = []
+    unit_stack = kchi.norms._unit_stack
+    draw_base = kchi.verify.sample_rng
+
+    def recording_stack(n, k, seed, start, count):
+        tuple_streams.extend((seed, start + i) for i in range(count))
+        return unit_stack(n, k, seed, start, count)
+
+    def recording_rng(seed, index):
+        base_streams.append((seed, index))
+        return draw_base(seed, index)
+
+    monkeypatch.setattr(kchi.norms, "_unit_stack", recording_stack)
+    monkeypatch.setattr(kchi.verify, "sample_rng", recording_rng)
+    results = kchi.verify.check_immanant_bound(seed=2, max_n=3, tuples=30, strict_samples=50)
+    assert all(r.passed for r in results)
+    rows = len(results) - 1
+    assert len(base_streams) == rows
+    assert len(tuple_streams) == 30 * rows + 50
+    assert len(set(tuple_streams)) == len(tuple_streams)
+    assert not set(tuple_streams) & set(base_streams)
