@@ -67,8 +67,8 @@ def perturbations():
     nu = singular_values(a)
     chi = Partition((2, 1))
     for delta in (0.01, 0.1, 1.0):
-        bounds = perturbation_bounds(chi, nu, delta)
-        print(f"  delta={delta:5.2f}: |d(A) - d(A+X)| <= {bounds.imm_bound:.6f}")
+        bound = perturbation_bounds(chi, nu, delta)
+        print(f"  delta={delta:5.2f}: |d(A) - d(A+X)| <= {bound:.6f}")
 
 
 if __name__ == "__main__":

@@ -16,11 +16,9 @@ from .combinat import (
     Permutation,
     all_permutations,
     enumerate_maps,
-    identity_permutation,
     majorizes,
     multiplicity_partition,
     omega_of,
-    orbit_and_stabilizer,
     partitions_of,
 )
 from .denselin import (
@@ -39,7 +37,6 @@ from .errors import DomainError, KchiError, NumericError, ResourceError
 from .norms import (
     DerivReport,
     ImmanantReport,
-    PerturbationBounds,
     dk_immanant,
     dk_immanant_bound,
     dk_immanant_via_power,
@@ -89,8 +86,6 @@ __all__ = [
     "multiplicity_partition",
     "enumerate_maps",
     "all_permutations",
-    "identity_permutation",
-    "orbit_and_stabilizer",
     "character",
     "degree",
     "class_size",
@@ -129,7 +124,6 @@ __all__ = [
     "dk_immanant_bound",
     "ImmanantReport",
     "immanant_bound_verify",
-    "PerturbationBounds",
     "perturbation_bounds",
     "sample_rng",
     "random_matrix",

@@ -135,7 +135,7 @@ def _build_parser() -> _Parser:
     _input_flag(p)
     _sampling_flags(p)
 
-    p = command("perturb", "perturbation bounds for K_chi and d_chi", _cmd_perturb)
+    p = command("perturb", "perturbation bound for K_chi and d_chi", _cmd_perturb)
     p.add_argument("--chi", type=_partition_flag, required=True)
     p.add_argument("--delta", type=_NONNEG_FLOAT, required=True)
     _input_flag(p)
@@ -245,13 +245,11 @@ def _cmd_bound(cfg: argparse.Namespace) -> dict:
 
 def _cmd_perturb(cfg: argparse.Namespace) -> dict:
     nu = singular_values(_load_square(cfg.input_path))
-    bounds = perturbation_bounds(cfg.chi, nu, cfg.delta)
     return {
         "chi": list(cfg.chi.parts),
         "delta": cfg.delta,
         "nu": [float(v) for v in nu],
-        "kchi_bound": bounds.kchi_bound,
-        "imm_bound": bounds.imm_bound,
+        "bound": perturbation_bounds(cfg.chi, nu, cfg.delta),
     }
 
 

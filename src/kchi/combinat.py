@@ -14,7 +14,6 @@ explicit enumerations at desk scale.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import total_ordering
@@ -31,8 +30,6 @@ __all__ = [
     "multiplicity_partition",
     "enumerate_maps",
     "all_permutations",
-    "identity_permutation",
-    "orbit_and_stabilizer",
     "MAX_PARTITION_SIZE",
     "MAX_ORBIT_DEGREE",
 ]
@@ -107,17 +104,6 @@ class MultiIndex:
     def __lt__(self, other: "MultiIndex") -> bool:
         return (self.entries, self.n) < (other.entries, other.n)
 
-    def permuted(self, sigma: "Permutation") -> "MultiIndex":
-        """The composition alpha.sigma, i.e. ``i -> alpha(sigma(i))``."""
-        if sigma.degree != self.m:
-            raise DomainError(
-                f"permutation degree {sigma.degree} does not match domain size {self.m}"
-            )
-        return MultiIndex(tuple(self.entries[j - 1] for j in sigma.images), self.n)
-
-    def is_weakly_increasing(self) -> bool:
-        return all(a <= b for a, b in zip(self.entries, self.entries[1:]))
-
     def __str__(self) -> str:
         return "(" + ",".join(str(e) for e in self.entries) + ")"
 
@@ -140,18 +126,6 @@ class Permutation:
 
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, j in enumerate(self.images, start=1):
-            inv[j - 1] = i
-        return Permutation(tuple(inv))
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """The product self.other, i.e. ``i -> self(other(i))``."""
-        if other.degree != self.degree:
-            raise DomainError("cannot compose permutations of different degrees")
-        return Permutation(tuple(self.images[j - 1] for j in other.images))
 
     def cycle_type(self) -> Partition:
         """Cycle lengths, sorted into a partition of the degree."""
@@ -237,9 +211,8 @@ def multiplicity_partition(alpha: MultiIndex) -> Partition:
 def enumerate_maps(mode: str, m: int, n: int) -> tuple[MultiIndex, ...]:
     """All multi-indices ``{1..m} -> {1..n}`` of a given kind, in lex order.
 
-    ``mode`` selects the family: ``"gamma"`` (every map), ``"increasing"``
-    (weakly increasing), or ``"strict"`` (strictly increasing; empty when
-    m > n).
+    ``mode`` selects the family: ``"gamma"`` (every map) or ``"increasing"``
+    (weakly increasing).
     """
     if m < 1 or n < 1:
         raise DomainError(f"m and n must be positive, got m={m}, n={n}")
@@ -248,8 +221,6 @@ def enumerate_maps(mode: str, m: int, n: int) -> tuple[MultiIndex, ...]:
         tuples = itertools.product(values, repeat=m)
     elif mode == "increasing":
         tuples = itertools.combinations_with_replacement(values, m)
-    elif mode == "strict":
-        tuples = itertools.combinations(values, m)
     else:
         raise DomainError(f"unknown enumeration mode {mode!r}")
     return tuple(MultiIndex(t, n) for t in tuples)
@@ -263,33 +234,3 @@ def all_permutations(m: int) -> tuple[Permutation, ...]:
         raise ResourceError(f"refusing to enumerate S_{m} (cap is {MAX_ORBIT_DEGREE})")
     return tuple(Permutation(p) for p in itertools.permutations(range(1, m + 1)))
 
-
-def identity_permutation(m: int) -> Permutation:
-    return Permutation(tuple(range(1, m + 1)))
-
-
-def orbit_and_stabilizer(
-    alpha: MultiIndex,
-) -> tuple[MultiIndex, tuple[Permutation, ...]]:
-    """Lex-first orbit element of ``alpha`` and its stabilizer in S_m.
-
-    The representative is the weakly increasing rearrangement of ``alpha``
-    (the lexicographic minimum of ``{alpha.sigma : sigma in S_m}``); the
-    stabilizer ``{sigma : alpha.sigma = alpha}`` comes back in lexicographic
-    order of image tuples.  The orbit size is m!/len(stabilizer).
-    """
-    m = alpha.m
-    if m > MAX_ORBIT_DEGREE:
-        raise ResourceError(
-            f"orbit enumeration needs all of S_{m}; cap is degree {MAX_ORBIT_DEGREE}"
-        )
-    representative = MultiIndex(tuple(sorted(alpha.entries)), alpha.n)
-    stabilizer = tuple(
-        sigma for sigma in all_permutations(m) if alpha.permuted(sigma) == alpha
-    )
-    expected = math.prod(
-        math.factorial(c) for c in Counter(alpha.entries).values()
-    )
-    if len(stabilizer) != expected:
-        raise AssertionError("orbit-stabilizer bookkeeping is inconsistent")
-    return representative, stabilizer

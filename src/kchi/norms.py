@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -45,7 +44,6 @@ __all__ = [
     "dk_immanant_bound",
     "ImmanantReport",
     "immanant_bound_verify",
-    "PerturbationBounds",
     "perturbation_bounds",
     "sample_rng",
     "random_matrix",
@@ -193,11 +191,15 @@ class DerivReport:
         return {**asdict(self), "chi": list(self.chi.parts), "ok": self.ok}
 
 
-def _check_stream(seed: int, index: int) -> tuple[int, int]:
+def _check_stream(seed: int, index: int, count: int = 1) -> tuple[int, int]:
+    # The streams (seed, index + i) for i < count, each part in [0, 2**64).
     seed = int(seed)
     index = int(index)
-    if seed < 0 or index < 0:
-        raise DomainError(f"seed and sample index must be >= 0, got ({seed}, {index})")
+    if not (0 <= seed < 2**64 and 0 <= index and index + count <= 2**64):
+        raise DomainError(
+            f"seed and sample indices must lie in [0, 2**64), got seed {seed}, "
+            f"indices {index}..{index + count - 1}"
+        )
     return seed, index
 
 
@@ -205,7 +207,8 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
     """Generator for one sample, derived from (seed, sample index).
 
     Each sample owns an independent stream, so sampling loops can be
-    reordered or parallelized without changing any draw.
+    reordered or parallelized without changing any draw.  The seed and the
+    index each lie in [0, 2**64).
     """
     return np.random.default_rng(_check_stream(seed, index))
 
@@ -268,22 +271,17 @@ def _stream_states(seed: int, start: int, count: int) -> list[tuple[int, int]]:
     # seeded as one chunk: SeedSequence's pool hash and generate_state(4,
     # uint64) run down the chunk's column of each entropy word at once.  The
     # entropy of a stream is the words of seed followed by those of its
-    # index; words past the pool's four are mixed into every pool word, and
-    # only on the streams that have them.
+    # index; both are below 2**64 (_check_stream), so it fills at most the
+    # pool's four words, zero-padded.
     seed_words = _words(seed)
     entropy = [seed_words + _words(start + i) for i in range(count)]
-    lengths = np.array([len(e) for e in entropy])
-    width = max(4, int(lengths.max()))
-    words = np.array([e + [0] * (width - len(e)) for e in entropy], dtype=np.uint32)
-    keys = _hash_keys(_INIT_A, _MULT_A, 4 * width)
-    pool = _hashmix(words[:, :4], keys[:5])
+    words = np.array([e + [0] * (4 - len(e)) for e in entropy], dtype=np.uint32)
+    keys = _hash_keys(_INIT_A, _MULT_A, 16)
+    pool = _hashmix(words, keys[:5])
     for src in range(4):
         dst = [d for d in range(4) if d != src]
         hashed = _hashmix(pool[:, [src]], keys[4 + 3 * src : 8 + 3 * src])
         pool[:, dst] = _mix(pool[:, dst], hashed)
-    for src in range(4, width):
-        mixed = _mix(pool, _hashmix(words[:, [src]], keys[4 * src : 4 * src + 5]))
-        pool = np.where((lengths > src)[:, None], mixed, pool)
     generated = _hashmix(pool[:, [0, 1, 2, 3, 0, 1, 2, 3]], _hash_keys(_INIT_B, _MULT_B, 8))
     # generate_state(4, uint64) joins its eight words little-endian; PCG64
     # reads initstate and initseq from them as (high, low) pairs, and its
@@ -322,7 +320,7 @@ def _unit_stack(n: int, k: int, seed: int, start: int, count: int) -> np.ndarray
     # from sample_rng(seed, start + i), as one (count, k, n, n) stack
     # normalized by one batched SVD.  A sample with a draw of norm at most
     # 1e-12 is redrawn one matrix at a time, as random_unit_matrix redraws.
-    seed, start = _check_stream(seed, start)
+    seed, start = _check_stream(seed, start, count)
     gauss = _gaussian_stack(n, k, seed, start, count)
     norms = _spectral_norms(gauss)
     rejected = (norms <= 1e-12).any(axis=1)
@@ -665,18 +663,12 @@ def immanant_bound_verify(
     )
 
 
-class PerturbationBounds(NamedTuple):
-    kchi_bound: float
-    imm_bound: float
+def perturbation_bounds(chi: Partition, nu, delta: float) -> float:
+    """Lipschitz-type bound on K_chi and d_chi under a perturbation of norm delta.
 
-
-def perturbation_bounds(chi: Partition, nu, delta: float) -> PerturbationBounds:
-    """Lipschitz-type bounds on K_chi and d_chi under a perturbation of norm delta.
-
-    Both read Sum_{k=1}^{m} p_{m-k}(nu_{omega(chi)}) * delta^k from the
-    Taylor expansion; the first bounds the operator difference
-    ||K_chi(T) - K_chi(T+X)||, the second the scalar |d_chi(A) - d_chi(A+Y)|
-    (where the matrix size equals |chi|).
+    The Taylor tail Sum_{k=1}^{m} p_{m-k}(nu_{omega(chi)}) * delta^k bounds
+    both the operator difference ||K_chi(T) - K_chi(T+X)|| and, where the
+    matrix size equals |chi|, the scalar |d_chi(A) - d_chi(A+Y)|.
     """
     delta = float(delta)
     if not np.isfinite(delta) or delta < 0.0:
@@ -695,5 +687,4 @@ def perturbation_bounds(chi: Partition, nu, delta: float) -> PerturbationBounds:
             total += elementary_symmetric(m - k, selection) * delta**k
     except OverflowError as exc:
         raise NumericError(f"perturbation bound overflowed: {exc}") from exc
-    _require_finite(total, "perturbation bound")
-    return PerturbationBounds(kchi_bound=total, imm_bound=total)
+    return _require_finite(total, "perturbation bound")

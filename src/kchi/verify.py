@@ -67,7 +67,7 @@ __all__ = [
     "REPORT_SCHEMA",
 ]
 
-REPORT_SCHEMA = "kchi-report/1"
+REPORT_SCHEMA = "kchi-report/2"
 
 FD_STEP = 1e-4
 
@@ -554,14 +554,12 @@ def check_taylor_perturbation(
         nu = singular_values(t)
         bound = perturbation_bounds(chi, nu, delta)
         actual_op = spectral_norm(k_chi_matrix(sc, t + x) - k_chi_matrix(sc, t))
-        worst_op_violation = max(worst_op_violation, actual_op - bound.kchi_bound)
+        worst_op_violation = max(worst_op_violation, actual_op - bound)
         a = random_matrix(size, rng)
         y = delta * random_unit_matrix(size, rng)
         bound_imm = perturbation_bounds(chi, singular_values(a), delta)
         actual_imm = abs(immanant(chi, a + y) - immanant(chi, a))
-        worst_imm_violation = max(
-            worst_imm_violation, actual_imm - bound_imm.imm_bound
-        )
+        worst_imm_violation = max(worst_imm_violation, actual_imm - bound_imm)
     params = {"n": size, "perturbations": perturbations, "deltas": list(deltas)}
     return results + [
         _at_most(

@@ -209,8 +209,8 @@ def test_perturb_command(capsys, tmp_path):
     )
     assert code == 0
     report = json.loads(out)
-    assert np.isclose(report["kchi_bound"], 3.0)
-    assert np.isclose(report["imm_bound"], 3.0)
+    assert np.isclose(report["bound"], 3.0)
+    assert "kchi_bound" not in report and "imm_bound" not in report
     assert report["nu"] == [1.0, 1.0]
 
 

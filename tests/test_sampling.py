@@ -105,14 +105,30 @@ def test_stacked_draws_equal_per_sample_draws(n, k):
     assert np.array_equal(got, reference_draws(n, k, 5, 17, 2048))
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**100])
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
 @pytest.mark.parametrize("start", [0, 2**32 - 3, 10**12])
 def test_bulk_seeding_matches_sample_rng_across_word_boundaries(seed, start):
-    # A seed or index takes one 32-bit entropy word below 2**32 and more
-    # above it; a chunk from 2**32 - 3 mixes one- and two-word indices, and
-    # 2**100 (four words) puts every stream past the pool's four words.
+    # A seed or index takes one 32-bit entropy word below 2**32 and two
+    # above it; a chunk from 2**32 - 3 mixes one- and two-word indices.
     got = _unit_stack(2, 2, seed, start, 6)
     assert np.array_equal(got, reference_draws(2, 2, seed, start, 6))
+
+
+def test_seeds_and_indices_from_2_to_the_64_are_rejected():
+    # A chunk may end on stream 2**64 - 1 but not cross it.
+    last = _unit_stack(2, 1, 2**64 - 1, 2**64 - 3, 3)
+    assert np.array_equal(last, reference_draws(2, 1, 2**64 - 1, 2**64 - 3, 3))
+    with pytest.raises(DomainError):
+        sample_rng(2**64, 0)
+    with pytest.raises(DomainError):
+        sample_rng(0, 2**64)
+    with pytest.raises(DomainError):
+        _unit_stack(2, 1, 0, 2**64 - 3, 4)
+    sc = build_symmetry_class(Partition((2, 1)), 2)
+    with pytest.raises(DomainError):
+        dk_norm_verify(sc, np.eye(2), 1, samples=3, seed=2**64)
+    with pytest.raises(DomainError):
+        immanant_bound_verify(Partition((2, 1)), np.eye(3), 1, samples=3, seed=2**100)
 
 
 def test_negative_seeds_are_rejected_by_the_sampling_verifiers():
