@@ -70,9 +70,11 @@ def _square_svd(a, compute_uv: bool):
             f"svd capped at dimension {MAX_SVD_DIM}, got {a.shape[0]}"
         )
     try:
-        return np.linalg.svd(a, compute_uv=compute_uv)
+        result = np.linalg.svd(a, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"svd did not converge: {exc}") from exc
+    _require_finite(result[1] if compute_uv else result, "svd")
+    return result
 
 
 def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -367,6 +367,23 @@ def test_overflow_is_a_numeric_error(tmp_path, argv, mat):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norm", "--chi", "1,1", "--n", "2", "--k", "1"],
+        ["bound", "--chi", "2", "--k", "2"],
+        ["perturb", "--chi", "2", "--delta", "0.1"],
+    ],
+)
+def test_singular_value_overflow_exits_three(capsys, tmp_path, argv):
+    # Finite entries of 1e308 whose singular value 2e308 overflows in the SVD.
+    path = write_matrix(tmp_path / "a.json", np.full((2, 2), 1e308))
+    code, out, err = run_cli(capsys, [*argv, "--input", path])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("kchi: ") and err.count("\n") == 1
+
+
 def test_non_finite_report_is_a_numeric_error(capsys, monkeypatch):
     monkeypatch.setattr(kchi.cli, "_dispatch", lambda cfg: ({"value": float("inf")}, 0))
     code, out, _ = run_cli(capsys, ["chartable", "--m", "2"])

@@ -5,6 +5,7 @@ import pytest
 
 from kchi import (
     DomainError,
+    NumericError,
     ResourceError,
     as_matrix,
     gram_schmidt,
@@ -69,6 +70,15 @@ def test_singular_values_against_gram_eigenvalues():
 def test_svd_rejects_oversize():
     with pytest.raises(ResourceError):
         singular_values(np.eye(401))
+
+
+def test_svd_overflow_is_a_numeric_error():
+    # Finite entries whose largest singular value, 2e308, overflows.
+    big = np.full((2, 2), 1e308)
+    with pytest.raises(NumericError):
+        singular_values(big)
+    with pytest.raises(NumericError):
+        svd(big)
 
 
 def test_polar_of_unitary():
