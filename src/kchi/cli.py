@@ -223,9 +223,8 @@ def _cmd_norm(cfg: argparse.Namespace) -> dict:
     if cfg.input_path is not None:
         t = _load_square(cfg.input_path, cfg.n)
     else:
-        # Seeded draw from the stream just past the sampling range, so the
-        # operator never collides with a verification sample.
-        t = random_matrix(cfg.n, sample_rng(cfg.seed, cfg.samples))
+        # Seeded draw from stream 1; the sampled tuples read stream 0.
+        t = random_matrix(cfg.n, sample_rng(cfg.seed, 1))
     sc = build_symmetry_class(cfg.chi, cfg.n)
     report = dk_norm_verify(sc, t, cfg.k, samples=cfg.samples, seed=cfg.seed)
     return _with_tolerance(report, cfg)

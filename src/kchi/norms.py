@@ -191,28 +191,18 @@ class DerivReport:
         return {**asdict(self), "chi": list(self.chi.parts), "ok": self.ok}
 
 
-def _check_stream(seed: int, index: int, count: int = 1) -> tuple[int, int]:
-    # The streams (seed, index + i) for i < count, each part in [0, 2**64).
-    seed = int(seed)
-    index = int(index)
-    if not (0 <= seed < 2**64 and 0 <= index and index + count <= 2**64):
-        raise DomainError(
-            f"seed and sample indices must lie in [0, 2**64), got seed {seed}, "
-            f"indices {index}..{index + count - 1}"
-        )
-    return seed, index
-
-
 def sample_rng(seed: int, index: int) -> np.random.Generator:
-    """Generator for one sample, derived from (seed, sample index).
+    """Seeded generator number ``index`` of a run with seed ``seed``.
 
-    Each sample owns an independent stream, so sampling loops can be
-    reordered or parallelized without changing any draw.  The seed and the
-    index each lie in [0, 2**64) and together form the 128-bit key of a
-    Philox counter-based generator: key word 0 is the seed, key word 1 the
-    index, and the counter starts at 0.
+    The seed and the index each lie in [0, 2**64) and together form the
+    128-bit key of a Philox counter-based generator: key word 0 is the
+    seed, key word 1 the index, and the counter starts at 0.
     """
-    seed, index = _check_stream(seed, index)
+    seed, index = int(seed), int(index)
+    if not (0 <= seed < 2**64 and 0 <= index < 2**64):
+        raise DomainError(
+            f"seed and sample index must lie in [0, 2**64), got seed {seed}, index {index}"
+        )
     return np.random.Generator(np.random.Philox(key=seed + (index << 64)))
 
 
@@ -232,37 +222,20 @@ def random_unit_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
             return g / s
 
 
-def _gaussian_stack(n: int, k: int, seed: int, start: int, count: int) -> np.ndarray:
-    # The k random_matrix draws of each sample start + i (0 <= i < count)
-    # from sample_rng(seed, start + i), as one (count, k, n, n) stack.  Each
-    # sample restores the state of a fresh Philox (counter 0, empty buffer,
-    # so no draw carries over) with key (seed, start + i); one
-    # standard_normal call then reads its (k, 2, n, n) normals in the order
-    # random_matrix's 2k calls read them.
-    bit_generator = np.random.Philox(key=seed)
-    gen = np.random.Generator(bit_generator)
-    fresh = bit_generator.state
-    normals = np.empty((count, k, 2, n, n))
-    for out, index in zip(normals, range(start, start + count)):
-        fresh["state"]["key"][1] = index
-        bit_generator.state = fresh
-        gen.standard_normal(out=out)
-    return (normals[:, :, 0] + 1j * normals[:, :, 1]) / math.sqrt(2.0)
-
-
-def _unit_stack(n: int, k: int, seed: int, start: int, count: int) -> np.ndarray:
-    # The k random_unit_matrix draws of each sample start + i (0 <= i < count)
-    # from sample_rng(seed, start + i), as one (count, k, n, n) stack
-    # normalized by one batched SVD.  A sample with a draw of norm at most
-    # 1e-12 is redrawn one matrix at a time, as random_unit_matrix redraws.
-    seed, start = _check_stream(seed, start, count)
-    gauss = _gaussian_stack(n, k, seed, start, count)
+def _unit_stack(n: int, k: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    # count random unit k-tuples from rng, as one (count, k, n, n) stack
+    # normalized by one batched SVD.  One standard_normal call reads the
+    # normals in the order 2 * count * k random_matrix calls read them, so
+    # the stack equals count * k random_unit_matrix calls on rng.  A tuple
+    # with a draw of norm at most 1e-12 is redrawn from rng after the
+    # chunk, as random_unit_matrix redraws.
+    normals = rng.standard_normal((count, k, 2, n, n))
+    gauss = (normals[:, :, 0] + 1j * normals[:, :, 1]) / math.sqrt(2.0)
     norms = _spectral_norms(gauss)
     rejected = (norms <= 1e-12).any(axis=1)
     norms[rejected] = 1.0
     units = gauss / norms[..., None, None]
     for i in np.flatnonzero(rejected):
-        rng = sample_rng(seed, start + i)
         units[i] = [random_unit_matrix(n, rng) for _ in range(k)]
     return units
 
@@ -274,16 +247,16 @@ def _sample_chunk(tuple_bytes: int) -> int:
 
 
 def _sampled_max(
-    evaluate, n: int, k: int, samples: int, seed: int, chunk: int, start: int = 0
+    evaluate, n: int, k: int, samples: int, rng: np.random.Generator, chunk: int
 ) -> float:
-    # Largest value of ``evaluate`` over random unit k-tuples of n x n
-    # matrices, tuple i (0 <= i < samples) from sample_rng(seed, start + i).
-    # The tuples are drawn ``chunk`` at a time; ``evaluate`` takes the k
+    # Largest value of ``evaluate`` over ``samples`` random unit k-tuples of
+    # n x n matrices, read in order from rng ``chunk`` at a time, so the
+    # tuples do not depend on the chunk size.  ``evaluate`` takes the k
     # direction stacks (S, n, n) of one chunk and returns S values, through
     # one kernel call or, for _dk_norm_sup's tensor route, one GEMM.
     best = 0.0
     for lo in range(0, samples, chunk):
-        units = _unit_stack(n, k, seed, start + lo, min(chunk, samples - lo))
+        units = _unit_stack(n, k, rng, min(chunk, samples - lo))
         best = max(best, float(np.max(evaluate(list(units.swapaxes(0, 1))))))
     return best
 
@@ -324,7 +297,7 @@ def _contract(tensor: np.ndarray, xs: list[np.ndarray], dim: int) -> np.ndarray:
 
 
 def _dk_norm_sup(
-    sc: SymmetryClass, t: np.ndarray, k: int, samples: int, seed: int, start: int = 0
+    sc: SymmetryClass, t: np.ndarray, k: int, samples: int, rng: np.random.Generator
 ) -> float:
     # Sampled sup of ||D^k K_chi(t)(X_1, ..., X_k)|| over random unit tuples.
     # The chunk is sized for the kernel's (S, n^m, dim) array.  When
@@ -338,7 +311,7 @@ def _dk_norm_sup(
     else:
         evaluate = lambda xs: _dk_stack(sc, t, xs)
     return _sampled_max(
-        lambda xs: _spectral_norms(evaluate(xs)), sc.n, k, samples, seed, chunk, start
+        lambda xs: _spectral_norms(evaluate(xs)), sc.n, k, samples, rng, chunk
     )
 
 
@@ -351,8 +324,8 @@ def dk_norm_verify(
     PSD factor, the value at the attaining unitary directions, and a
     sampled supremum over random unit tuples.
     """
-    if samples < 1:
-        raise DomainError(f"samples must be >= 1, got {samples}")
+    if not 1 <= samples < 2**64:
+        raise DomainError(f"samples must lie in [1, 2**64), got {samples}")
     t_mat = as_matrix(t, n=sc.n)
     nu = singular_values(t_mat)
     formula = dk_norm_formula(sc.chi, k, nu, n=sc.n)
@@ -360,7 +333,7 @@ def dk_norm_verify(
     eye = np.eye(sc.n, dtype=np.complex128)
     identity_value = spectral_norm(dk_kchi(sc, p, [eye] * k))
     attained_value = spectral_norm(dk_kchi(sc, t_mat, [w.conj().T] * k))
-    sample_max = _dk_norm_sup(sc, t_mat, k, samples, seed)
+    sample_max = _dk_norm_sup(sc, t_mat, k, samples, sample_rng(seed, 0))
     return DerivReport(
         chi=sc.chi,
         m=sc.m,
@@ -564,14 +537,14 @@ class ImmanantReport:
 
 
 def _immanant_sup(
-    chi: Partition, a: np.ndarray, k: int, samples: int, seed: int, start: int = 0
+    chi: Partition, a: np.ndarray, k: int, samples: int, rng: np.random.Generator
 ) -> float:
-    # Sampled sup of |D^k d_chi(a)(X_1, ..., X_k)| over random unit tuples,
-    # tuple i from sample_rng(seed, start + i).
+    # Sampled sup of |D^k d_chi(a)(X_1, ..., X_k)| over random unit tuples
+    # read in order from rng.
     n = chi.size
     chunk = _sample_chunk(16 * math.factorial(n) * n)
     return _sampled_max(
-        lambda xs: np.abs(_dk_immanant_raw(chi, a, xs)), n, k, samples, seed, chunk, start
+        lambda xs: np.abs(_dk_immanant_raw(chi, a, xs)), n, k, samples, rng, chunk
     )
 
 
@@ -579,8 +552,8 @@ def immanant_bound_verify(
     chi: Partition, a, k: int, samples: int = 100, seed: int = 0
 ) -> ImmanantReport:
     """Sample |D^k d_chi(A)| over random unit tuples against the closed bound."""
-    if samples < 1:
-        raise DomainError(f"samples must be >= 1, got {samples}")
+    if not 1 <= samples < 2**64:
+        raise DomainError(f"samples must lie in [1, 2**64), got {samples}")
     n = chi.size
     mat = as_matrix(a, n=n)
     if not 1 <= k <= n:
@@ -592,7 +565,7 @@ def immanant_bound_verify(
         n=n,
         k=k,
         bound_value=float(bound),
-        sample_sup=_immanant_sup(chi, mat, k, samples, seed),
+        sample_sup=_immanant_sup(chi, mat, k, samples, sample_rng(seed, 0)),
         samples=samples,
         seed=seed,
     )

@@ -243,6 +243,7 @@ def check_sup_attainment(
 
     Random unit-norm direction tuples stay below the formula, while the
     inverse unitary polar factor attains it, at each configured (n, m, k).
+    Each base point's tuples continue the stream it was drawn from.
     """
     results = []
     stream = 0
@@ -266,8 +267,7 @@ def check_sup_attainment(
                 attain_err = max(
                     attain_err, abs(attained - formula) / max(1.0, formula)
                 )
-                sup = _dk_norm_sup(sc, t, k, tuples, seed, start=stream)
-                stream += tuples
+                sup = _dk_norm_sup(sc, t, k, tuples, rng)
                 excess = max(excess, sup - formula)
             params = {"chi": list(chi.parts), "n": n, "k": k, "draws": draws}
             results += [
@@ -451,7 +451,8 @@ def check_immanant_bound(
 
     Random unit tuples stay below k! p_{n-k}(nu_{omega(chi)}) everywhere;
     the permanent of diag(1, 0) at k = 1 stays clearly below it.  Each
-    base point and each tuple draws from a stream of its own.
+    base point's tuples continue the stream it was drawn from, and the
+    slack row reads the next stream.
     """
     top = min(MAX_N, max_n)
     results = []
@@ -463,8 +464,7 @@ def check_immanant_bound(
                 stream += 1
                 a = random_matrix(n, rng)
                 bound = dk_immanant_bound(chi, k, singular_values(a))
-                sup = _immanant_sup(chi, a, k, tuples, seed, start=stream)
-                stream += tuples
+                sup = _immanant_sup(chi, a, k, tuples, rng)
                 excess = sup - bound
                 results.append(
                     _at_most(
@@ -477,7 +477,7 @@ def check_immanant_bound(
         a = np.diag([1.0, 0.0]).astype(np.complex128)
         chi = Partition((2,))
         bound = dk_immanant_bound(chi, 1, singular_values(a))
-        margin = bound - _immanant_sup(chi, a, 1, strict_samples, seed, start=stream)
+        margin = bound - _immanant_sup(chi, a, 1, strict_samples, sample_rng(seed, stream))
         results.append(
             CheckResult(
                 name="permanent bound strictly slack at diag(1, 0)",

@@ -92,6 +92,14 @@ def test_full_report_passes_at_other_seeds(seed):
     assert report["all_passed"] is True, failed
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sup_criterion_passes_at_other_seeds(seed):
+    # run_verify(max_n=2) skips the supremum criterion: every SUP_CONFIGS
+    # entry has n >= 3.
+    results = verify.check_sup_attainment(seed=seed, max_n=3, tuples=200, draws=2)
+    assert results and all(r.passed for r in results), results
+
+
 def test_at_most_rows_state_their_tolerance_once():
     # every "<measure> <= t" row carries t as its tolerance and passes iff
     # observed <= t

@@ -384,6 +384,28 @@ def test_singular_value_overflow_exits_three(capsys, tmp_path, argv):
     assert err.startswith("kchi: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norm", "--chi", "2", "--n", "2", "--k", "1", "--input"],
+        ["norm", "--chi", "2", "--n", "2", "--k", "1"],
+        ["bound", "--chi", "2", "--k", "1", "--input"],
+    ],
+)
+def test_huge_sample_counts_exit_two_before_drawing(capsys, monkeypatch, tmp_path, argv):
+    # A sample count that cannot finish is refused before any tuple is drawn.
+    def no_draws(*args):
+        raise AssertionError("tuples were drawn")
+
+    monkeypatch.setattr(kchi.norms, "_unit_stack", no_draws)
+    if argv[-1] == "--input":
+        argv = [*argv, write_matrix(tmp_path / "eye2.json", np.eye(2))]
+    code, out, err = run_cli(capsys, [*argv, "--samples", str(2**64)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("kchi: ") and err.count("\n") == 1
+
+
 def test_non_finite_report_is_a_numeric_error(capsys, monkeypatch):
     monkeypatch.setattr(kchi.cli, "_dispatch", lambda cfg: ({"value": float("inf")}, 0))
     code, out, _ = run_cli(capsys, ["chartable", "--m", "2"])

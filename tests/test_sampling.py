@@ -1,12 +1,13 @@
 """The stacked sampling route against the one-sample-at-a-time reference.
 
-The sampling verifiers draw their random unit tuples at most SAMPLE_CHUNK
-at a time and evaluate each chunk through the batched compression kernel,
-or, for a derivative supremum over more tuples than the derivative has
-matrix-unit tuples, through one product with its k-linear tensor.  The
-reference route below is the per-sample loop they replaced: one
-``random_unit_matrix`` draw per direction, one kernel call per tuple, with
-the factors applied to the tensor axes in order.
+A sampled supremum reads its random unit tuples in order from one
+generator, at most SAMPLE_CHUNK at a time, and evaluates each chunk through
+the batched compression kernel, or, for a derivative supremum over more
+tuples than the derivative has matrix-unit tuples, through one product with
+its k-linear tensor.  The reference route below is the per-sample loop they
+replaced: one ``random_unit_matrix`` call per direction on the same
+generator, one kernel call per tuple, with the factors applied to the
+tensor axes in order.
 """
 
 import collections
@@ -79,40 +80,26 @@ def reference_dk_immanant(chi, a, xs):
     return math.factorial(n) // math.factorial(n - k) * total / len(orders)
 
 
-def reference_draws(n, k, seed, start, count):
-    return np.array(
-        [
-            [random_unit_matrix(n, rng) for _ in range(k)]
-            for rng in (sample_rng(seed, start + i) for i in range(count))
-        ]
-    )
+def reference_draws(n, k, rng, count):
+    return np.array([[random_unit_matrix(n, rng) for _ in range(k)] for _ in range(count)])
 
 
 def reference_sup(evaluate, n, k, samples, seed):
+    rng = sample_rng(seed, 0)
     best = 0.0
-    for i in range(samples):
-        rng = sample_rng(seed, i)
+    for _ in range(samples):
         best = max(best, evaluate([random_unit_matrix(n, rng) for _ in range(k)]))
     return best
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-@pytest.mark.parametrize("k", [1, 2])
-def test_stacked_draws_equal_per_sample_draws(n, k):
-    got = np.concatenate(
-        [_unit_stack(n, k, 5, 17 + lo, SAMPLE_CHUNK) for lo in range(0, 2048, SAMPLE_CHUNK)]
-    )
-    assert np.array_equal(got, reference_draws(n, k, 5, 17, 2048))
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 6, 2**64 - 1])
-@pytest.mark.parametrize("start", [0, 1, 2**32 - 3, 10**12, 2**63, 2**64 - 6])
-def test_bulk_seeding_matches_sample_rng_across_word_boundaries(seed, start):
-    # Stream (seed, i) has the Philox key seed + (i << 64).  The cases take
-    # each key word at its ends, at its top bit and on both sides of its
-    # 32-bit halves; a chunk from 2**64 - 6 ends on the last index.
-    got = _unit_stack(2, 2, seed, start, 6)
-    assert np.array_equal(got, reference_draws(2, 2, seed, start, 6))
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_chunked_draws_equal_sequential_draws(n, k):
+    # Chunk sizes that do not divide the 197 tuples: each chunk continues
+    # the generator where the last one stopped.
+    rng = sample_rng(5, 17)
+    got = np.concatenate([_unit_stack(n, k, rng, count) for count in (64, 1, 63, 64, 5)])
+    assert np.array_equal(got, reference_draws(n, k, sample_rng(5, 17), 197))
 
 
 @pytest.mark.parametrize(
@@ -131,15 +118,10 @@ def test_sample_rng_keys_philox_with_the_seed_then_the_index(seed, index, raw):
 
 
 def test_seeds_and_indices_from_2_to_the_64_are_rejected():
-    # A chunk may end on stream 2**64 - 1 but not cross it.
-    last = _unit_stack(2, 1, 2**64 - 1, 2**64 - 3, 3)
-    assert np.array_equal(last, reference_draws(2, 1, 2**64 - 1, 2**64 - 3, 3))
     with pytest.raises(DomainError):
         sample_rng(2**64, 0)
     with pytest.raises(DomainError):
         sample_rng(0, 2**64)
-    with pytest.raises(DomainError):
-        _unit_stack(2, 1, 0, 2**64 - 3, 4)
     sc = build_symmetry_class(Partition((2, 1)), 2)
     with pytest.raises(DomainError):
         dk_norm_verify(sc, np.eye(2), 1, samples=3, seed=2**64)
@@ -155,39 +137,45 @@ def test_negative_seeds_are_rejected_by_the_sampling_verifiers():
         immanant_bound_verify(Partition((2, 1)), np.eye(3), 1, samples=3, seed=-1)
 
 
-def test_a_rejected_draw_is_redrawn_as_random_unit_matrix_redraws(monkeypatch):
-    # The first Gaussian of sample 2's stream is made zero on every replay
-    # of that stream: in the chunk's bulk fill, and in random_matrix, which
-    # the redraw and the reference go through.  The chunk must reject
-    # sample 2 and redraw it as random_unit_matrix does.
+@pytest.mark.parametrize("samples", [0, 2**64])
+def test_sample_counts_outside_1_to_2_to_the_64_are_rejected(monkeypatch, samples):
+    # Refused before any tuple is drawn: 2**64 tuples would never finish.
+    def no_draws(*args):
+        raise AssertionError("tuples were drawn")
+
+    monkeypatch.setattr(kchi.norms, "_unit_stack", no_draws)
+    sc = build_symmetry_class(Partition((2, 1)), 2)
+    with pytest.raises(DomainError):
+        dk_norm_verify(sc, np.eye(2), 1, samples=samples)
+    with pytest.raises(DomainError):
+        immanant_bound_verify(Partition((2, 1)), np.eye(3), 1, samples=samples)
+
+
+class ZeroFirstDrawOfTupleTwo:
+    # A generator whose first bulk draw has tuple 2's first matrix zeroed;
+    # every later draw passes through unchanged.
+    def __init__(self, rng):
+        self.rng = rng
+        self.bulk = True
+
+    def standard_normal(self, size):
+        out = self.rng.standard_normal(size)
+        if self.bulk:
+            out[2, 0] = 0.0
+            self.bulk = False
+        return out
+
+
+def test_a_rejected_draw_is_redrawn_from_the_same_generator():
+    # Tuple 2 is rejected and redrawn after the chunk, as the next k
+    # random_unit_matrix draws of the same generator; the others stay.
     n, k, seed = 3, 2, 9
-    first = sample_rng(seed, 2).bit_generator.state
-    draw = kchi.norms.random_matrix
-    fill = kchi.norms._gaussian_stack
-
-    def zero_first_draw(size, rng):
-        # A Philox state holds arrays: compare key, counter and buffer position.
-        state = rng.bit_generator.state
-        at_start = (
-            np.array_equal(state["state"]["key"], first["state"]["key"])
-            and np.array_equal(state["state"]["counter"], first["state"]["counter"])
-            and np.array_equal(state["buffer_pos"], first["buffer_pos"])
-        )
-        g = draw(size, rng)
-        return np.zeros_like(g) if at_start else g
-
-    def zero_first_fill(size, order, stream_seed, start, count):
-        g = fill(size, order, stream_seed, start, count)
-        if stream_seed == seed and start <= 2 < start + count:
-            g[2 - start, 0] = 0.0
-        return g
-
-    unpatched = _unit_stack(n, k, seed, 0, 4)
-    monkeypatch.setattr(kchi.norms, "_gaussian_stack", zero_first_fill)
-    monkeypatch.setattr(kchi.norms, "random_matrix", zero_first_draw)
-    got = _unit_stack(n, k, seed, 0, 4)
-    want = reference_draws(n, k, seed, 0, 4)
-    assert np.array_equal(got, want)
+    unpatched = _unit_stack(n, k, sample_rng(seed, 0), 4)
+    got = _unit_stack(n, k, ZeroFirstDrawOfTupleTwo(sample_rng(seed, 0)), 4)
+    rng = sample_rng(seed, 0)
+    rng.standard_normal((4, k, 2, n, n))
+    assert np.array_equal(got[2], [random_unit_matrix(n, rng) for _ in range(k)])
+    assert np.allclose(np.linalg.norm(got[2], 2, axis=(1, 2)), 1.0)
     assert not np.array_equal(got[2], unpatched[2])
     assert np.array_equal(np.delete(got, 2, axis=0), np.delete(unpatched, 2, axis=0))
 
@@ -362,9 +350,9 @@ def test_verifiers_draw_chunks_sized_from_the_class(monkeypatch):
     sizes = []
     stack = kchi.norms._unit_stack
 
-    def recording_stack(n, k, seed, start, count):
+    def recording_stack(n, k, rng, count):
         sizes.append(count)
-        return stack(n, k, seed, start, count)
+        return stack(n, k, rng, count)
 
     monkeypatch.setattr(kchi.norms, "_unit_stack", recording_stack)
     monkeypatch.setattr(kchi.norms, "SAMPLE_CHUNK_BYTES", 16 * 432 * 5 + 100)
@@ -387,28 +375,39 @@ def test_verifiers_draw_chunks_sized_from_the_class(monkeypatch):
     assert abs(report.sample_sup - want) <= KERNEL_TOL * want
 
 
-def test_immanant_bound_rows_draw_disjoint_streams(monkeypatch):
-    # Every base point of the immanant-bound criterion and every tuple of
-    # its rows, the strict-slack row included, reads a stream of its own.
-    tuple_streams = []
-    base_streams = []
+@pytest.mark.parametrize(
+    "criterion, scope",
+    [
+        (kchi.verify.check_sup_attainment, {"tuples": 30, "draws": 2}),
+        (kchi.verify.check_immanant_bound, {"tuples": 30, "strict_samples": 50}),
+    ],
+)
+def test_sampled_rows_continue_their_base_points_generators(monkeypatch, criterion, scope):
+    # Each base point of the two sampled criteria reads a generator of its
+    # own, and its row's tuples are read from that generator before the
+    # next base point is drawn; the strict-slack row reads one more.
+    opened = []
+    drawn = collections.Counter()
     unit_stack = kchi.norms._unit_stack
     draw_base = kchi.verify.sample_rng
 
-    def recording_stack(n, k, seed, start, count):
-        tuple_streams.extend((seed, start + i) for i in range(count))
-        return unit_stack(n, k, seed, start, count)
-
     def recording_rng(seed, index):
-        base_streams.append((seed, index))
-        return draw_base(seed, index)
+        rng = draw_base(seed, index)
+        opened.append((index, rng))
+        return rng
+
+    def recording_stack(n, k, rng, count):
+        assert rng is opened[-1][1]
+        drawn[id(rng)] += count
+        return unit_stack(n, k, rng, count)
 
     monkeypatch.setattr(kchi.norms, "_unit_stack", recording_stack)
     monkeypatch.setattr(kchi.verify, "sample_rng", recording_rng)
-    results = kchi.verify.check_immanant_bound(seed=2, max_n=3, tuples=30, strict_samples=50)
+    results = criterion(seed=2, max_n=3, **scope)
     assert all(r.passed for r in results)
-    rows = len(results) - 1
-    assert len(base_streams) == rows
-    assert len(tuple_streams) == 30 * rows + 50
-    assert len(set(tuple_streams)) == len(tuple_streams)
-    assert not set(tuple_streams) & set(base_streams)
+    indices = [index for index, _ in opened]
+    assert len(set(indices)) == len(indices)
+    want = [scope["tuples"]] * len(opened)
+    if "strict_samples" in scope:
+        want[-1] = scope["strict_samples"]
+    assert [drawn[id(rng)] for _, rng in opened] == want
