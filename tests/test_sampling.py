@@ -117,6 +117,21 @@ def test_sample_rng_keys_philox_with_the_seed_then_the_index(seed, index, raw):
     assert sample_rng(seed, index).bit_generator.random_raw(2).tolist() == raw
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 6, 2**64 - 1])
+@pytest.mark.parametrize("index", [0, 1, 2**32 - 3, 10**12, 2**63, 2**64 - 6])
+def test_sample_rng_key_words_across_word_boundaries(seed, index):
+    # Key word 0 is the seed and key word 1 the index, with the counter at
+    # 0.  The cases take each word at its ends, at its top bit and on both
+    # sides of its 32-bit halves; the reference generator is keyed by the
+    # two words directly, not by the 128-bit integer sample_rng builds.
+    words = np.array([seed, index], dtype=np.uint64)
+    state = sample_rng(seed, index).bit_generator.state["state"]
+    assert np.array_equal(state["key"], words)
+    assert not state["counter"].any()
+    want = reference_draws(2, 2, np.random.Generator(np.random.Philox(key=words)), 6)
+    assert np.array_equal(_unit_stack(2, 2, sample_rng(seed, index), 6), want)
+
+
 def test_seeds_and_indices_from_2_to_the_64_are_rejected():
     with pytest.raises(DomainError):
         sample_rng(2**64, 0)
