@@ -71,6 +71,10 @@ REPORT_TOL = 1e-7
 # also fit SAMPLE_CHUNK_BYTES.
 SAMPLE_CHUNK = 64
 SAMPLE_CHUNK_BYTES = 1 << 22
+# A supremum whose samples pass more than this through that array in all is
+# refused: at the 1e7 to 1e8 B/s both routes reach on a 2-CPU box, 16 GiB
+# is 3 to 30 minutes.  100 samples of (2,1,1)/8 at the cap take 7.4 GB.
+SAMPLE_BUDGET_BYTES = 1 << 34
 
 
 def elementary_symmetric(t: int, values) -> float:
@@ -180,15 +184,20 @@ class DerivReport:
 
     @property
     def ok(self) -> bool:
-        scale = max(1.0, self.formula_value)
         return (
             self.sample_max <= self.formula_value + self.tolerance
-            and abs(self.identity_value - self.formula_value) <= self.tolerance * scale
-            and abs(self.attained_value - self.formula_value) <= self.tolerance * scale
+            and _relative_error(self.identity_value, self.formula_value) <= self.tolerance
+            and _relative_error(self.attained_value, self.formula_value) <= self.tolerance
         )
 
     def to_json_obj(self) -> dict:
         return {**asdict(self), "chi": list(self.chi.parts), "ok": self.ok}
+
+
+def _relative_error(observed, expected) -> float:
+    # |observed - expected| / max(1, |expected|): abs on scalars, Frobenius on matrices
+    size = np.linalg.norm if np.ndim(expected) else abs
+    return float(size(observed - expected) / max(1.0, size(expected)))
 
 
 def sample_rng(seed: int, index: int) -> np.random.Generator:
@@ -244,6 +253,18 @@ def _sample_chunk(tuple_bytes: int) -> int:
     # Tuples per chunk when one tuple's largest working array takes
     # ``tuple_bytes``: SAMPLE_CHUNK, fewer for large arrays, at least one.
     return max(1, min(SAMPLE_CHUNK, SAMPLE_CHUNK_BYTES // tuple_bytes))
+
+
+def _check_samples(samples: int, tuple_bytes: int) -> None:
+    # Before any draw: a count outside [1, 2**64) is a domain error, and one
+    # past SAMPLE_BUDGET_BYTES at ``tuple_bytes`` per sample a resource error.
+    if not 1 <= samples < 2**64:
+        raise DomainError(f"samples must lie in [1, 2**64), got {samples}")
+    if samples * tuple_bytes > SAMPLE_BUDGET_BYTES:
+        raise ResourceError(
+            f"sampling capped at {SAMPLE_BUDGET_BYTES} bytes of evaluated tuples; "
+            f"{samples} samples of {tuple_bytes} bytes each exceed it"
+        )
 
 
 def _sampled_max(
@@ -304,7 +325,9 @@ def _dk_norm_sup(
     # _tensor_route allows, the kernel runs only on the n^{2k} matrix-unit
     # tuples, once per base point, and each chunk of drawn tuples is one
     # GEMM against that tensor; otherwise each chunk is one kernel call.
-    chunk = _sample_chunk(16 * sc.n**sc.m * sc.dim)
+    tuple_bytes = 16 * sc.n**sc.m * sc.dim
+    _check_samples(samples, tuple_bytes)
+    chunk = _sample_chunk(tuple_bytes)
     if _tensor_route(sc.n, sc.dim, k, samples, chunk):
         tensor = _derivative_tensor(sc, t, k, chunk)
         evaluate = lambda xs: _contract(tensor, xs, sc.dim)
@@ -324,16 +347,14 @@ def dk_norm_verify(
     PSD factor, the value at the attaining unitary directions, and a
     sampled supremum over random unit tuples.
     """
-    if not 1 <= samples < 2**64:
-        raise DomainError(f"samples must lie in [1, 2**64), got {samples}")
     t_mat = as_matrix(t, n=sc.n)
     nu = singular_values(t_mat)
     formula = dk_norm_formula(sc.chi, k, nu, n=sc.n)
+    sample_max = _dk_norm_sup(sc, t_mat, k, samples, sample_rng(seed, 0))
     p, w = polar(t_mat)
     eye = np.eye(sc.n, dtype=np.complex128)
     identity_value = spectral_norm(dk_kchi(sc, p, [eye] * k))
     attained_value = spectral_norm(dk_kchi(sc, t_mat, [w.conj().T] * k))
-    sample_max = _dk_norm_sup(sc, t_mat, k, samples, sample_rng(seed, 0))
     return DerivReport(
         chi=sc.chi,
         m=sc.m,
@@ -542,7 +563,9 @@ def _immanant_sup(
     # Sampled sup of |D^k d_chi(a)(X_1, ..., X_k)| over random unit tuples
     # read in order from rng.
     n = chi.size
-    chunk = _sample_chunk(16 * math.factorial(n) * n)
+    tuple_bytes = 16 * math.factorial(n) * n
+    _check_samples(samples, tuple_bytes)
+    chunk = _sample_chunk(tuple_bytes)
     return _sampled_max(
         lambda xs: np.abs(_dk_immanant_raw(chi, a, xs)), n, k, samples, rng, chunk
     )
@@ -552,8 +575,6 @@ def immanant_bound_verify(
     chi: Partition, a, k: int, samples: int = 100, seed: int = 0
 ) -> ImmanantReport:
     """Sample |D^k d_chi(A)| over random unit tuples against the closed bound."""
-    if not 1 <= samples < 2**64:
-        raise DomainError(f"samples must lie in [1, 2**64), got {samples}")
     n = chi.size
     mat = as_matrix(a, n=n)
     if not 1 <= k <= n:

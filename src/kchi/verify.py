@@ -1,16 +1,21 @@
 """End-to-end checks of the package against independent oracles.
 
-Each ``check_*`` function exercises one verification area at a scale
-controlled by ``max_n`` and returns a list of CheckResult rows; the
+Each ``check_*(seed, max_n)`` function exercises one verification area at
+a scale controlled by ``max_n`` and returns a list of CheckResult rows; the
 expected side of every comparison comes from a route independent of the
 implementation under test (closed formulas, finite differences, brute
-enumeration, hook lengths).  ``run_verify`` runs all areas and folds the
-rows into one JSON-ready report.  Reports contain only deterministic
-values, so a rerun with the same arguments and seed is byte-identical.
+enumeration, hook lengths).  Beyond ``max_n`` the scope is fixed; the
+sample counts ``SUP_TUPLES``, ``SUP_DRAWS``, ``FD_CASES``,
+``IMMANANT_TUPLES``, ``SLACK_SAMPLES`` and ``PERTURBATIONS`` are module
+constants.  A criterion's i-th random draw reads ``sample_rng(seed, i)``.
+``run_verify`` runs all areas and folds the rows into one JSON-ready
+report.  Reports contain only deterministic values, so a rerun with the
+same arguments and seed is byte-identical.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +33,7 @@ from .errors import DomainError
 from .norms import (
     _dk_norm_sup,
     _immanant_sup,
+    _relative_error,
     dk_immanant,
     dk_immanant_bound,
     dk_kchi_via_immanants,
@@ -74,6 +80,21 @@ FD_STEP = 1e-4
 # The largest matrix size any criterion checks; run_verify rejects a larger
 # max_n rather than report a scope it did not check.
 MAX_N = 4
+
+# (n, m, k) of the supremum criterion and (m, n) of the factorization one.
+SUP_CONFIGS = ((3, 2, 1), (3, 3, 2), (4, 3, 1))
+POWER_CONFIGS = ((2, 2), (2, 3), (3, 3))
+
+# Sample counts: random unit tuples per base point and base points per
+# class of the supremum criterion, base points per (chi, k) of the finite
+# differences, tuples per (chi, k) of the immanant bound and of its
+# strict-slack row, and the perturbation draws.
+SUP_TUPLES = 1000
+SUP_DRAWS = 10
+FD_CASES = 10
+IMMANANT_TUPLES = 1000
+SLACK_SAMPLES = 10000
+PERTURBATIONS = 200
 
 
 def _json_scalar(value: object) -> object:
@@ -126,12 +147,23 @@ def _exact(name: str, params: dict, misses: int) -> CheckResult:
     )
 
 
+def _draws(seed: int):
+    # A criterion's random draws: the i-th is sample_rng(seed, i), looked up
+    # on the module at each step so that a substitute sees every call.
+    for index in itertools.count():
+        yield sample_rng(seed, index)
+
+
+def _characters(m: int, n: int) -> list[Partition]:
+    # The characters of S_m whose symmetry class on C^n is nonzero.
+    return [chi for chi in partitions_of(m) if chi.length <= n]
+
+
 def _classes(max_m: int, max_n: int, *, min_m: int = 1):
     for m in range(min_m, max_m + 1):
         for n in range(m, max_n + 1):
-            for chi in partitions_of(m):
-                if chi.length <= n:
-                    yield m, n, chi
+            for chi in _characters(m, n):
+                yield m, n, chi
 
 
 def check_norm_identity(seed: int = 0, max_n: int = 4) -> list[CheckResult]:
@@ -143,21 +175,19 @@ def check_norm_identity(seed: int = 0, max_n: int = 4) -> list[CheckResult]:
     """
     top = min(MAX_N, max_n)
     results = []
-    stream = 0
+    draws = _draws(seed)
     for m, n, chi in _classes(top, top, min_m=2):
         sc = build_symmetry_class(chi, n)
         eye = np.eye(n, dtype=np.complex128)
         worst = {k: 0.0 for k in range(1, m + 1)}
-        for _ in range(20):
-            rng = sample_rng(seed, stream)
-            stream += 1
+        for rng in itertools.islice(draws, 20):
             t = random_matrix(n, rng)
             nu = singular_values(t)
             p, _ = polar(t)
             for k in range(1, m + 1):
                 observed = spectral_norm(dk_kchi(sc, p, [eye] * k))
                 expected = dk_norm_formula(chi, k, nu, n=n)
-                worst[k] = max(worst[k], abs(observed - expected) / max(1.0, expected))
+                worst[k] = max(worst[k], _relative_error(observed, expected))
         for k in range(1, m + 1):
             results.append(
                 _at_most(
@@ -178,34 +208,26 @@ def check_special_reductions(seed: int = 0, max_n: int = 4) -> list[CheckResult]
     """
     top = min(MAX_N, max_n)
     results = []
-    stream = 0
+    draws = _draws(seed)
     for m in range(2, top + 1):
         for n in range(m, top + 1):
             sym_worst = 0.0
             wedge_worst = 0.0
             bds_worst = 0.0
-            for _ in range(50):
-                rng = sample_rng(seed, stream)
-                stream += 1
+            for rng in itertools.islice(draws, 50):
                 nu = np.sort(rng.uniform(0.0, 2.0, size=n))[::-1]
                 for k in range(1, m + 1):
                     sym_val = dk_norm_formula(Partition((m,)), k, nu, n=n)
                     sym_ref = (
                         math.factorial(m) / math.factorial(m - k) * nu[0] ** (m - k)
                     )
-                    sym_worst = max(
-                        sym_worst, abs(sym_val - sym_ref) / max(1.0, sym_ref)
-                    )
+                    sym_worst = max(sym_worst, _relative_error(sym_val, sym_ref))
                     wedge_val = dk_norm_formula(Partition((1,) * m), k, nu, n=n)
                     wedge_ref = math.factorial(k) * elementary_symmetric(
                         m - k, nu[:m]
                     )
-                    wedge_worst = max(
-                        wedge_worst, abs(wedge_val - wedge_ref) / max(1.0, wedge_ref)
-                    )
-                for chi in partitions_of(m):
-                    if chi.length > n:
-                        continue
+                    wedge_worst = max(wedge_worst, _relative_error(wedge_val, wedge_ref))
+                for chi in _characters(m, n):
                     selection = nu_omega(chi, nu)
                     double_sum = sum(
                         math.prod(selection[i] for i in range(m) if i != j)
@@ -230,50 +252,37 @@ def check_special_reductions(seed: int = 0, max_n: int = 4) -> list[CheckResult]
     return results
 
 
-SUP_CONFIGS = ((3, 2, 1), (3, 3, 2), (4, 3, 1))
-
-
-def check_sup_attainment(
-    seed: int = 0,
-    max_n: int = 4,
-    tuples: int = 1000,
-    draws: int = 10,
-) -> list[CheckResult]:
+def check_sup_attainment(seed: int = 0, max_n: int = 4) -> list[CheckResult]:
     """The formula value is a true supremum: never exceeded, and attained.
 
     Random unit-norm direction tuples stay below the formula, while the
-    inverse unitary polar factor attains it, at each configured (n, m, k).
-    Each base point's tuples continue the stream it was drawn from.
+    inverse unitary polar factor attains it, at each configured (n, m, k)
+    of SUP_CONFIGS: SUP_DRAWS base points per class, each followed on its
+    own generator by SUP_TUPLES tuples.
     """
     results = []
-    stream = 0
+    draws = _draws(seed)
     for n, m, k in SUP_CONFIGS:
         if n > max_n:
             continue
-        for chi in partitions_of(m):
-            if chi.length > n:
-                continue
+        for chi in _characters(m, n):
             sc = build_symmetry_class(chi, n)
             excess = -math.inf
             attain_err = 0.0
-            for _ in range(draws):
-                rng = sample_rng(seed, stream)
-                stream += 1
+            for rng in itertools.islice(draws, SUP_DRAWS):
                 t = random_matrix(n, rng)
                 nu = singular_values(t)
                 formula = dk_norm_formula(chi, k, nu, n=n)
                 _, w = polar(t)
                 attained = spectral_norm(dk_kchi(sc, t, [w.conj().T] * k))
-                attain_err = max(
-                    attain_err, abs(attained - formula) / max(1.0, formula)
-                )
-                sup = _dk_norm_sup(sc, t, k, tuples, rng)
+                attain_err = max(attain_err, _relative_error(attained, formula))
+                sup = _dk_norm_sup(sc, t, k, SUP_TUPLES, rng)
                 excess = max(excess, sup - formula)
-            params = {"chi": list(chi.parts), "n": n, "k": k, "draws": draws}
+            params = {"chi": list(chi.parts), "n": n, "k": k, "draws": SUP_DRAWS}
             results += [
                 _at_most(
                     "sampled directions never beat the formula",
-                    {**params, "tuples": tuples},
+                    {**params, "tuples": SUP_TUPLES},
                     excess, 1e-7, "sup - formula",
                 ),
                 _at_most(
@@ -304,36 +313,29 @@ def _fd_derivative(sc: SymmetryClass, t: np.ndarray, xs, step: float) -> np.ndar
     raise DomainError(f"finite differences implemented for orders 1 and 2, got {len(xs)}")
 
 
-def check_finite_differences(
-    seed: int = 0, max_n: int = 4, cases: int = 10
-) -> list[CheckResult]:
+def check_finite_differences(seed: int = 0, max_n: int = 4) -> list[CheckResult]:
     """Algebraic derivatives against central finite differences.
 
-    Orders one and two, ten random base points and directions per
-    character, compared in Frobenius norm at step 1e-4.
+    Orders one and two, FD_CASES random base points and directions per
+    character, compared in Frobenius norm at step FD_STEP.
     """
     size = min(3, max_n)
     results = []
-    stream = 0
+    draws = _draws(seed)
     for chi in partitions_of(size):
         sc = build_symmetry_class(chi, size)
         for k in (1, 2):
             worst = 0.0
-            for _ in range(cases):
-                rng = sample_rng(seed, stream)
-                stream += 1
+            for rng in itertools.islice(draws, FD_CASES):
                 t = random_matrix(size, rng)
                 xs = [random_unit_matrix(size, rng) for _ in range(k)]
                 algebraic = dk_kchi(sc, t, xs)
                 numeric = _fd_derivative(sc, t, xs, FD_STEP)
-                err = np.linalg.norm(numeric - algebraic) / max(
-                    1.0, np.linalg.norm(algebraic)
-                )
-                worst = max(worst, float(err))
+                worst = max(worst, _relative_error(numeric, algebraic))
             results.append(
                 _at_most(
                     "finite differences confirm the derivative",
-                    {"chi": list(chi.parts), "n": size, "k": k, "cases": cases},
+                    {"chi": list(chi.parts), "n": size, "k": k, "cases": FD_CASES},
                     worst, 1e-5, "relative error",
                 )
             )
@@ -348,14 +350,12 @@ def check_spectrum(seed: int = 0, max_n: int = 4) -> list[CheckResult]:
     """
     top = min(3, max_n)
     results = []
-    stream = 0
+    draws = _draws(seed)
     for m, n, chi in _classes(top, top):
         sc = build_symmetry_class(chi, n)
         eye = np.eye(n, dtype=np.complex128)
         worst = 0.0
-        for _ in range(3):
-            rng = sample_rng(seed, stream)
-            stream += 1
+        for rng in itertools.islice(draws, 3):
             t = random_matrix(n, rng)
             nu = singular_values(t)
             p, _ = polar(t)
@@ -404,33 +404,26 @@ def check_membership_routes(seed: int = 0, max_n: int = 4) -> list[CheckResult]:
     return results
 
 
-POWER_CONFIGS = ((2, 2), (2, 3), (3, 3))
-
-
 def check_power_factorization(seed: int = 0, max_n: int = 4) -> list[CheckResult]:
     """Induced operator versus its factorization through submatrix immanants.
 
     K_chi(A) in the orthonormal basis must equal
-    (chi(id)/m!) B* [d_chi(A[gamma|delta])] B entrywise.
+    (chi(id)/m!) B* [d_chi(A[gamma|delta])] B entrywise, at each (m, n) of
+    POWER_CONFIGS.
     """
     results = []
-    stream = 0
+    draws = _draws(seed)
     for m, n in POWER_CONFIGS:
         if n > max_n:
             continue
-        for chi in partitions_of(m):
-            if chi.length > n:
-                continue
+        for chi in _characters(m, n):
             sc = build_symmetry_class(chi, n)
             worst = 0.0
-            for _ in range(20):
-                rng = sample_rng(seed, stream)
-                stream += 1
+            for rng in itertools.islice(draws, 20):
                 a = random_matrix(n, rng)
                 direct = k_chi_matrix(sc, a)
                 via = dk_kchi_via_immanants(sc, a, [])
-                err = np.linalg.norm(direct - via) / max(1.0, np.linalg.norm(direct))
-                worst = max(worst, float(err))
+                worst = max(worst, _relative_error(via, direct))
             results.append(
                 _at_most(
                     "power map factors through immanants",
@@ -441,35 +434,29 @@ def check_power_factorization(seed: int = 0, max_n: int = 4) -> list[CheckResult
     return results
 
 
-def check_immanant_bound(
-    seed: int = 0,
-    max_n: int = 4,
-    tuples: int = 1000,
-    strict_samples: int = 10000,
-) -> list[CheckResult]:
+def check_immanant_bound(seed: int = 0, max_n: int = 4) -> list[CheckResult]:
     """Immanant derivative bound: never exceeded, strictly slack for one case.
 
-    Random unit tuples stay below k! p_{n-k}(nu_{omega(chi)}) everywhere;
-    the permanent of diag(1, 0) at k = 1 stays clearly below it.  Each
-    base point's tuples continue the stream it was drawn from, and the
-    slack row reads the next stream.
+    IMMANANT_TUPLES random unit tuples per (chi, k) stay below
+    k! p_{n-k}(nu_{omega(chi)}), each continuing the generator of its base
+    point; the permanent of diag(1, 0) at k = 1 stays clearly below it over
+    SLACK_SAMPLES tuples from the next generator.
     """
     top = min(MAX_N, max_n)
     results = []
-    stream = 0
+    draws = _draws(seed)
     for n in range(1, top + 1):
         for chi in partitions_of(n):
             for k in range(1, n + 1):
-                rng = sample_rng(seed, stream)
-                stream += 1
+                rng = next(draws)
                 a = random_matrix(n, rng)
                 bound = dk_immanant_bound(chi, k, singular_values(a))
-                sup = _immanant_sup(chi, a, k, tuples, rng)
+                sup = _immanant_sup(chi, a, k, IMMANANT_TUPLES, rng)
                 excess = sup - bound
                 results.append(
                     _at_most(
                         "immanant derivative stays below bound",
-                        {"chi": list(chi.parts), "n": n, "k": k, "tuples": tuples},
+                        {"chi": list(chi.parts), "n": n, "k": k, "tuples": IMMANANT_TUPLES},
                         excess, 1e-7, "sup - bound",
                     )
                 )
@@ -477,11 +464,11 @@ def check_immanant_bound(
         a = np.diag([1.0, 0.0]).astype(np.complex128)
         chi = Partition((2,))
         bound = dk_immanant_bound(chi, 1, singular_values(a))
-        margin = bound - _immanant_sup(chi, a, 1, strict_samples, sample_rng(seed, stream))
+        margin = bound - _immanant_sup(chi, a, 1, SLACK_SAMPLES, next(draws))
         results.append(
             CheckResult(
                 name="permanent bound strictly slack at diag(1, 0)",
-                params={"chi": [2], "k": 1, "samples": strict_samples},
+                params={"chi": [2], "k": 1, "samples": SLACK_SAMPLES},
                 expected="bound - sup >= 0.05",
                 observed=margin,
                 tolerance=0.05,
@@ -491,45 +478,38 @@ def check_immanant_bound(
     return results
 
 
-def check_taylor_perturbation(
-    seed: int = 0, max_n: int = 4, perturbations: int = 200
-) -> list[CheckResult]:
+def check_taylor_perturbation(seed: int = 0, max_n: int = 4) -> list[CheckResult]:
     """Exact Taylor reconstruction and the Lipschitz-type difference bounds.
 
     Both polynomial maps must rebuild exactly from their derivatives, and
     the closed-form perturbation bounds must dominate actual differences
-    at perturbation norms 0.01, 0.1, and 1.
+    over PERTURBATIONS draws at perturbation norms 0.01, 0.1, and 1.
     """
     size = min(3, max_n)
     results = []
-    stream = 0
-    chis = [chi for chi in partitions_of(size)]
+    draws = _draws(seed)
+    chis = partitions_of(size)
     classes = {chi: build_symmetry_class(chi, size) for chi in chis}
 
     for chi in chis:
         sc = classes[chi]
         worst_op = 0.0
         worst_imm = 0.0
-        for _ in range(5):
-            rng = sample_rng(seed, stream)
-            stream += 1
+        for rng in itertools.islice(draws, 5):
             t = random_matrix(size, rng)
             x = random_matrix(size, rng)
             total = np.zeros((sc.dim, sc.dim), dtype=np.complex128)
             for k in range(0, size + 1):
                 total += dk_kchi(sc, t, [x] * k) / math.factorial(k)
             direct = k_chi_matrix(sc, t + x)
-            err = np.linalg.norm(direct - total) / max(1.0, np.linalg.norm(direct))
-            worst_op = max(worst_op, float(err))
+            worst_op = max(worst_op, _relative_error(total, direct))
             a = random_matrix(size, rng)
             y = random_matrix(size, rng)
             scalar = sum(
                 dk_immanant(chi, a, [y] * k) / math.factorial(k)
                 for k in range(0, size + 1)
             )
-            direct_imm = immanant(chi, a + y)
-            err = abs(direct_imm - scalar) / max(1.0, abs(direct_imm))
-            worst_imm = max(worst_imm, float(err))
+            worst_imm = max(worst_imm, _relative_error(scalar, immanant(chi, a + y)))
         params = {"chi": list(chi.parts), "n": size, "draws": 5}
         results += [
             _at_most(
@@ -543,9 +523,7 @@ def check_taylor_perturbation(
     deltas = (0.01, 0.1, 1.0)
     worst_op_violation = -math.inf
     worst_imm_violation = -math.inf
-    for i in range(perturbations):
-        rng = sample_rng(seed, stream)
-        stream += 1
+    for i, rng in enumerate(itertools.islice(draws, PERTURBATIONS)):
         delta = deltas[i % len(deltas)]
         chi = chis[i % len(chis)]
         sc = classes[chi]
@@ -560,7 +538,7 @@ def check_taylor_perturbation(
         bound_imm = perturbation_bounds(chi, singular_values(a), delta)
         actual_imm = abs(immanant(chi, a + y) - immanant(chi, a))
         worst_imm_violation = max(worst_imm_violation, actual_imm - bound_imm)
-    params = {"n": size, "perturbations": perturbations, "deltas": list(deltas)}
+    params = {"n": size, "perturbations": PERTURBATIONS, "deltas": list(deltas)}
     return results + [
         _at_most(
             "operator perturbation bound dominates",

@@ -93,10 +93,12 @@ def test_full_report_passes_at_other_seeds(seed):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_sup_criterion_passes_at_other_seeds(seed):
+def test_sup_criterion_passes_at_other_seeds(monkeypatch, seed):
     # run_verify(max_n=2) skips the supremum criterion: every SUP_CONFIGS
     # entry has n >= 3.
-    results = verify.check_sup_attainment(seed=seed, max_n=3, tuples=200, draws=2)
+    monkeypatch.setattr(verify, "SUP_TUPLES", 200)
+    monkeypatch.setattr(verify, "SUP_DRAWS", 2)
+    results = verify.check_sup_attainment(seed=seed, max_n=3)
     assert results and all(r.passed for r in results), results
 
 

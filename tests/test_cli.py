@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +27,9 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
-def run_module(argv):
+def run_module(argv, **env):
     """Run ``python -m kchi`` in a fresh interpreter on the tree under test."""
-    env = dict(os.environ, PYTHONPATH=str(Path(kchi.__file__).resolve().parents[1]))
+    env = dict(os.environ, PYTHONPATH=str(Path(kchi.__file__).resolve().parents[1]), **env)
     return subprocess.run(
         [sys.executable, "-m", "kchi", *argv], capture_output=True, text=True, env=env
     )
@@ -231,6 +232,17 @@ def test_verify_output_is_byte_stable(capsys):
     assert out1 == out2
 
 
+def test_verify_output_is_byte_stable_across_processes():
+    # Fresh interpreters with different string hashing print the same bytes,
+    # so no report depends on set or dict iteration order.
+    runs = [
+        run_module(["verify", "--max-n", "2", "--seed", "3"], PYTHONHASHSEED=hash_seed)
+        for hash_seed in ("0", "1")
+    ]
+    assert [run.returncode for run in runs] == [0, 0], runs[0].stderr + runs[1].stderr
+    assert runs[0].stdout == runs[1].stdout
+
+
 def test_verify_max_n_above_the_cap_is_a_domain_error(capsys):
     code, out, err = run_cli(capsys, ["verify", "--max-n", "5"])
     assert code == 2
@@ -404,6 +416,32 @@ def test_huge_sample_counts_exit_two_before_drawing(capsys, monkeypatch, tmp_pat
     assert code == 2
     assert out == ""
     assert err.startswith("kchi: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, samples",
+    [
+        (["bound", "--chi", "2", "--k", "1"], 10**12),
+        (["norm", "--chi", "2", "--n", "2", "--k", "1"], 2**64 - 1),
+    ],
+)
+def test_sample_counts_past_the_budget_exit_three_promptly(
+    capsys, monkeypatch, tmp_path, argv, samples
+):
+    # Counts below 2**64 whose tuples would take hours are refused as a
+    # resource error, before any tuple is drawn.
+    def no_draws(*args):
+        raise AssertionError("tuples were drawn")
+
+    monkeypatch.setattr(kchi.norms, "_unit_stack", no_draws)
+    path = write_matrix(tmp_path / "eye2.json", np.eye(2))
+    started = time.monotonic()
+    code, out, err = run_cli(capsys, [*argv, "--input", path, "--samples", str(samples)])
+    assert time.monotonic() - started < 1.0
+    assert code == 3
+    assert out == ""
+    assert err.startswith("kchi: ") and err.count("\n") == 1
+    assert str(kchi.norms.SAMPLE_BUDGET_BYTES) in err
 
 
 def test_non_finite_report_is_a_numeric_error(capsys, monkeypatch):

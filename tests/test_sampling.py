@@ -327,7 +327,9 @@ def test_sup_criterion_runs_the_kernel_on_matrix_units_only(monkeypatch):
         return compress(sc, mats)
 
     monkeypatch.setattr(kchi.symclass, "_compress", counting_compress)
-    results = kchi.verify.check_sup_attainment(seed=0, max_n=3, tuples=200, draws=2)
+    monkeypatch.setattr(kchi.verify, "SUP_TUPLES", 200)
+    monkeypatch.setattr(kchi.verify, "SUP_DRAWS", 2)
+    results = kchi.verify.check_sup_attainment(seed=0, max_n=3)
     assert all(r.passed for r in results)
     monkeypatch.undo()
     classes = collections.Counter()
@@ -393,8 +395,8 @@ def test_verifiers_draw_chunks_sized_from_the_class(monkeypatch):
 @pytest.mark.parametrize(
     "criterion, scope",
     [
-        (kchi.verify.check_sup_attainment, {"tuples": 30, "draws": 2}),
-        (kchi.verify.check_immanant_bound, {"tuples": 30, "strict_samples": 50}),
+        (kchi.verify.check_sup_attainment, {"SUP_TUPLES": 30, "SUP_DRAWS": 2}),
+        (kchi.verify.check_immanant_bound, {"IMMANANT_TUPLES": 30, "SLACK_SAMPLES": 50}),
     ],
 )
 def test_sampled_rows_continue_their_base_points_generators(monkeypatch, criterion, scope):
@@ -418,11 +420,46 @@ def test_sampled_rows_continue_their_base_points_generators(monkeypatch, criteri
 
     monkeypatch.setattr(kchi.norms, "_unit_stack", recording_stack)
     monkeypatch.setattr(kchi.verify, "sample_rng", recording_rng)
-    results = criterion(seed=2, max_n=3, **scope)
+    for name, value in scope.items():
+        monkeypatch.setattr(kchi.verify, name, value)
+    results = criterion(seed=2, max_n=3)
     assert all(r.passed for r in results)
     indices = [index for index, _ in opened]
     assert len(set(indices)) == len(indices)
-    want = [scope["tuples"]] * len(opened)
-    if "strict_samples" in scope:
-        want[-1] = scope["strict_samples"]
+    want = [30] * len(opened)
+    if "SLACK_SAMPLES" in scope:
+        want[-1] = scope["SLACK_SAMPLES"]
     assert [drawn[id(rng)] for _, rng in opened] == want
+
+
+# Every sample count of the verify criteria, shrunk so each runs in well
+# under a second.
+SMALL_SCOPE = {
+    "SUP_TUPLES": 5,
+    "SUP_DRAWS": 1,
+    "FD_CASES": 1,
+    "IMMANANT_TUPLES": 5,
+    "SLACK_SAMPLES": 5,
+    "PERTURBATIONS": 4,
+}
+
+
+@pytest.mark.parametrize("label, criterion", kchi.verify.CRITERIA)
+def test_every_criterion_follows_one_draw_schedule(monkeypatch, label, criterion):
+    # A criterion's i-th random draw reads sample_rng(seed, i): the indices
+    # it opens are 0, 1, ..., N-1 in order, all at the seed it was given.
+    opened = []
+    draw = kchi.verify.sample_rng
+
+    def recording_rng(seed, index):
+        opened.append((seed, index))
+        return draw(seed, index)
+
+    monkeypatch.setattr(kchi.verify, "sample_rng", recording_rng)
+    for name, value in SMALL_SCOPE.items():
+        monkeypatch.setattr(kchi.verify, name, value)
+    assert criterion(seed=11, max_n=3)
+    if criterion in (kchi.verify.check_membership_routes, kchi.verify.check_characters):
+        assert opened == []
+    else:
+        assert opened == [(11, i) for i in range(len(opened))] and opened, label
