@@ -96,6 +96,15 @@ class MultiIndex:
         if any(e < 1 or e > self.n for e in entries):
             raise DomainError(f"entries of {entries} fall outside 1..{self.n}")
 
+    @classmethod
+    def _trusted(cls, entries: tuple[int, ...], n: int) -> "MultiIndex":
+        # A multi-index from a tuple of ints already known to lie in 1..n,
+        # such as a base-n decoding, without __post_init__'s checks.
+        alpha = object.__new__(cls)
+        object.__setattr__(alpha, "entries", entries)
+        object.__setattr__(alpha, "n", n)
+        return alpha
+
     @property
     def m(self) -> int:
         """Domain size."""

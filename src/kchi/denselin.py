@@ -139,25 +139,37 @@ def kron(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
-def _distinct_arrangements(mats) -> tuple[list[np.ndarray], list[tuple[int, ...]]]:
-    """The distinct factors of a multiset of matrices and their distinct orderings.
+def _distinct_factors(mats) -> tuple[list[np.ndarray], list[int]]:
+    """The distinct factors of a multiset of matrices and their multiplicities.
 
-    Returns ``(reps, orders)``: equal factors share one entry of ``reps``,
-    and each order lists, slot by slot, the index into ``reps``.  Averaging
-    a multilinear expression over the orders equals averaging it over all
-    m! permutations; they come in sorted order, so sums are bit-stable.
-    Factors may be stacks of matrices; stacks of another shape never match.
+    Returns ``(reps, counts)``: equal factors share one entry of ``reps``,
+    listed in order of first appearance, and ``counts[i]`` is how often
+    ``reps[i]`` occurs.  Factors may be stacks of matrices; stacks of
+    another shape never match.
     """
     reps: list[np.ndarray] = []
-    labels: list[int] = []
+    counts: list[int] = []
     for mat in mats:
         for i, rep in enumerate(reps):
             if np.array_equal(mat, rep):
-                labels.append(i)
+                counts[i] += 1
                 break
         else:
-            labels.append(len(reps))
             reps.append(mat)
+            counts.append(1)
+    return reps, counts
+
+
+def _distinct_arrangements(mats) -> tuple[list[np.ndarray], list[tuple[int, ...]]]:
+    """The distinct factors of a multiset of matrices and their distinct orderings.
+
+    Returns ``(reps, orders)`` with ``reps`` from ``_distinct_factors``;
+    each order lists, slot by slot, the index into ``reps``.  Averaging a
+    multilinear expression over the orders equals averaging it over all
+    m! permutations; they come in sorted order, so sums are bit-stable.
+    """
+    reps, counts = _distinct_factors(mats)
+    labels = [i for i, count in enumerate(counts) for _ in range(count)]
     return reps, sorted(set(itertools.permutations(labels)))
 
 

@@ -61,14 +61,16 @@ REPORT_TOL = 1e-7
 # time, so the sampling verifiers' memory does not grow with the sample
 # count, and only as many as keep the largest per-chunk array within
 # SAMPLE_CHUNK_BYTES, so it does not grow with the class either.  That array
-# is (S, n^m, dim) complex in the compression kernel and (S, n!, n) complex
-# in the immanant sum.  A class too large for two tuples is evaluated one
-# tuple at a time.  Every class `run_verify` samples, and the (2,1)/4
-# `kchi norm`, has n^m * dim at most 2560 and gets the full chunk.  A
-# derivative supremum that contracts each chunk against the base point's
-# (n^{2k}, dim^2) tensor (see _dk_norm_sup) keeps the same chunks, and takes
-# that route only when the tensor and a chunk's (S, n^{2k}) outer products
-# also fit SAMPLE_CHUNK_BYTES.
+# is one (S, n^m, dim) complex state of the compression kernel, which holds
+# at most three such arrays' worth at once, or 1 MiB if that is more
+# (symclass._column_block splits the columns of V to keep it so), and
+# (S, n!, n) complex in the immanant sum.  A class too large for two tuples
+# is evaluated one tuple at a time.  Every class `run_verify` samples, and
+# the (2,1)/4 `kchi norm`, has n^m * dim at most 2560 and gets the full
+# chunk.  A derivative supremum that contracts each chunk against the base
+# point's (n^{2k}, dim^2) tensor (see _dk_norm_sup) keeps the same chunks,
+# and takes that route only when the tensor and a chunk's (S, n^{2k}) outer
+# products also fit SAMPLE_CHUNK_BYTES.
 SAMPLE_CHUNK = 64
 SAMPLE_CHUNK_BYTES = 1 << 22
 # A supremum whose samples pass more than this through that array in all is

@@ -42,7 +42,8 @@ from .combinat import (
     majorizes,
     multiplicity_partition,
 )
-from .denselin import DEFAULT_DIMENSION_CAP, _distinct_arrangements, _require_finite
+from .denselin import DEFAULT_DIMENSION_CAP, _distinct_arrangements, _distinct_factors
+from .denselin import _require_finite
 from .denselin import as_matrix, gram_schmidt, kron
 from .errors import DomainError, NumericError, ResourceError
 from .symgroup import _permutation_characters, character_sum_over_stabilizer, degree
@@ -60,14 +61,15 @@ __all__ = [
 
 MAX_TENSOR_FACTORS = 6
 RANK_EXTENSION_TOL = 1e-9
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
 class SymmetryClass:
     """The symmetry class of C^n associated with an irreducible character.
 
-    ``inclusion`` holds the orthonormal basis of the class as columns in
-    product-basis coordinates; ``basis_b`` is the upper triangular change
+    ``inclusion`` holds the orthonormal basis of the class as real columns
+    in product-basis coordinates; ``basis_b`` is the upper triangular change
     of basis expressing those orthonormal vectors through the e*-basis
     indexed by ``delta_hat``.
     """
@@ -147,12 +149,16 @@ def build_symmetry_class(chi: Partition, n: int) -> SymmetryClass:
         raise NumericError("basis sweep dropped an orbit representative")
 
     # Distinct orbits are orthogonal, so Gram-Schmidt over delta_hat in
-    # lexicographic order is the per-orbit Gram-Schmidt, scattered.
-    inclusion = np.zeros((n**m, len(kept)), dtype=np.complex128)
+    # lexicographic order is the per-orbit Gram-Schmidt, scattered.  The
+    # e*-columns are real and Gram-Schmidt keeps them real, so V is stored
+    # real and V* is V.T.
+    inclusion = np.zeros((n**m, len(kept)))
     basis_b = np.zeros((len(kept), len(kept)), dtype=np.complex128)
     for rows, cols, ortho, coeffs in orbits:
+        if np.any(ortho.imag):
+            raise NumericError("the orthonormal basis of the class is not real")
         at = np.searchsorted(kept, rows[cols])
-        inclusion[np.ix_(rows, at)] = ortho
+        inclusion[np.ix_(rows, at)] = ortho.real
         basis_b[np.ix_(at, at)] = coeffs
 
     return SymmetryClass(
@@ -175,7 +181,7 @@ def _encode(entries: np.ndarray, n: int) -> np.ndarray:
 
 def _decode(codes: np.ndarray, m: int, n: int) -> tuple[MultiIndex, ...]:
     entries = np.stack(np.unravel_index(codes, (n,) * m), axis=-1) + 1
-    return tuple(MultiIndex(tuple(row), n) for row in entries.tolist())
+    return tuple(MultiIndex._trusted(tuple(row), n) for row in entries.tolist())
 
 
 def _estar_columns(chi: Partition, n: int, alphas, rows: np.ndarray) -> np.ndarray:
@@ -243,23 +249,95 @@ def _compress(sc: SymmetryClass, mats: list[np.ndarray]) -> np.ndarray:
     # V* (mean over distinct arrangements of A_1 (x) ... (x) A_m) V for S
     # samples at once, with each factor applied to its own tensor axis of
     # the inclusion V.  A factor is one (n, n) matrix that every sample
-    # shares or an (S, n, n) stack.  The shared factors of an arrangement
-    # are applied first, once, and the sample axis appears with the first
-    # stacked factor.  Returns the (S, dim, dim) stack; S = 1 without stacks.
-    n, m, v = sc.n, sc.m, sc.inclusion
-    reps, orders = _distinct_arrangements(mats)
-    samples = max((len(rep) for rep in reps if rep.ndim == 3), default=1)
-    total = np.zeros((samples, n**m, sc.dim), dtype=np.complex128)
+    # shares or an (S, n, n) stack.  For each placement of the stacked
+    # factors on the axes, the shared factors are summed over their
+    # arrangements on the other axes first, without the sample axis, and
+    # the stacked ones then on the placed axes.  Column j of the result
+    # depends only on column j of V, so the sums run over blocks of columns
+    # sized by _column_block.  Returns the (S, dim, dim) stack; S = 1
+    # without stacks.
+    m, v = sc.m, sc.inclusion
+    reps, counts = _distinct_factors(mats)
+    shared = [(rep, c) for rep, c in zip(reps, counts) if rep.ndim == 2]
+    stacked = [(rep, c) for rep, c in zip(reps, counts) if rep.ndim == 3]
+    samples = max((len(rep) for rep, _ in stacked), default=1)
+    placements = list(itertools.combinations(range(m), sum(c for _, c in stacked)))
+    block = _column_block(sc, samples, len(placements), shared, stacked)
+    out = np.empty((samples, sc.dim, sc.dim), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        for order in orders:
-            arrangement = [reps[i] for i in order]
-            w = v[None]
-            for axis in sorted(range(m), key=lambda i: arrangement[i].ndim):
-                mat = arrangement[axis][..., None, :, :]
-                w = mat @ w.reshape(len(w), n**axis, n, -1)
-            total += w.reshape(-1, n**m, sc.dim)
-        out = (v.conj().T @ total) / len(orders)
+        for lo in range(0, sc.dim, block):
+            cols = v[None, :, lo : lo + block]
+            total = None
+            for placed in placements:
+                rest = [axis for axis in range(m) if axis not in placed]
+                w = _arrangement_sum(sc.n, cols, shared, rest)
+                w = _arrangement_sum(sc.n, w, stacked, placed)
+                if total is None:
+                    total = w
+                else:
+                    total += w
+            # V is real: V* times the complex sums is one real GEMM on
+            # their interleaved (re, im) entries.
+            block_out = out[..., lo : lo + block].view(np.float64)
+            np.matmul(v.T, total.view(np.float64), out=block_out)
+        out /= math.factorial(m) // math.prod(math.factorial(c) for c in counts)
     return _require_finite(out, "compressed operator")
+
+
+def _arrangement_sum(n: int, w: np.ndarray, factors, axes) -> np.ndarray:
+    # The sum over the distinct arrangements of the multiset ``factors``
+    # ((matrix, multiplicity) pairs) on the tensor axes ``axes``, in order,
+    # applied to w.  After the first j of those axes the sum of the partial
+    # products depends only on the sub-multiset of factors used, so one
+    # state is kept per sub-multiset; each step applies every factor with
+    # copies left and adds the results that reach the same sub-multiset.
+    states = {(0,) * len(factors): w}
+    for axis in axes:
+        step: dict[tuple[int, ...], np.ndarray] = {}
+        for used in list(states):
+            state = states.pop(used)
+            for i, (mat, copies) in enumerate(factors):
+                if used[i] < copies:
+                    key = used[:i] + (used[i] + 1,) + used[i + 1 :]
+                    term = _axis_product(n, mat, state, axis)
+                    if key in step:
+                        step[key] += term
+                    else:
+                        step[key] = term
+        states = step
+    (w,) = states.values()
+    return w
+
+
+def _axis_product(n: int, mat: np.ndarray, w: np.ndarray, axis: int) -> np.ndarray:
+    # ``mat``, an (n, n) matrix or an (S, n, n) stack, applied to tensor
+    # axis ``axis`` of each (n^m, cols) slice of w, of shape (1 or S, n^m, cols).
+    out = mat[..., None, :, :] @ w.reshape(len(w), n**axis, n, -1)
+    return out.reshape(len(out), w.shape[1], -1)
+
+
+def _column_block(sc: SymmetryClass, samples: int, placements: int, shared, stacked) -> int:
+    # Columns of V per block.  Per column the sums hold at most two levels
+    # of sub-multiset states and one new product for each multiset (see
+    # _live_states), the stacked ones with a sample axis, and the total
+    # over placements.  Blocks keep that within three (S, n^m, dim) arrays,
+    # what summing the arrangements one at a time holds (the running total,
+    # a product and its input), or within _BLOCK_BYTES if that is larger,
+    # so calls that small run as one block.
+    column_states = _live_states(shared) + 1
+    column_states += samples * (_live_states(stacked) + 1 + (placements > 1))
+    state_bytes = 16 * sc.n**sc.m * sc.dim
+    blocks = -(-column_states * state_bytes // max(_BLOCK_BYTES, 3 * samples * state_bytes))
+    return -(-sc.dim // blocks)
+
+
+def _live_states(factors) -> int:
+    # Most sub-multisets of two consecutive sizes: the states
+    # _arrangement_sum holds at once over ``factors``.
+    sizes = [1]
+    for _, copies in factors:
+        sizes = [sum(sizes[max(0, j - copies) : j + 1]) for j in range(len(sizes) + copies)]
+    return max(map(sum, zip(sizes, sizes[1:])), default=1)
 
 
 def _dk_stack(sc: SymmetryClass, t: np.ndarray, xs: list[np.ndarray]) -> np.ndarray:

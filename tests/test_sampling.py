@@ -7,11 +7,15 @@ tuples than the derivative has matrix-unit tuples, through one product with
 its k-linear tensor.  The reference route below is the per-sample loop they
 replaced: one ``random_unit_matrix`` call per direction on the same
 generator, one kernel call per tuple, with the factors applied to the
-tensor axes in order.
+tensor axes in order, one distinct arrangement at a time.  The kernel
+itself sums over sub-multisets of the factors; the tests below also
+compare it with that per-arrangement sum, count its axis products and
+bound its memory.
 """
 
 import collections
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,10 +30,12 @@ from kchi import (
     dk_kchi,
     dk_norm_verify,
     immanant_bound_verify,
+    k_chi_matrix,
     partitions_of,
     random_matrix,
     random_unit_matrix,
     sample_rng,
+    sym_op_product,
 )
 from kchi.denselin import _distinct_arrangements
 from kchi.norms import (
@@ -43,6 +49,7 @@ from kchi.norms import (
 )
 from kchi.symclass import _dk_stack
 from kchi.symgroup import _permutation_characters
+from test_symclass import SMALL_CLASSES
 
 KERNEL_TOL = 1e-12
 
@@ -52,7 +59,7 @@ def reference_compress(sc, mats):
     # tuple of (n, n) factors, each applied to its own tensor axis in order.
     n, m, v = sc.n, sc.m, sc.inclusion
     reps, orders = _distinct_arrangements(mats)
-    total = np.zeros_like(v)
+    total = np.zeros(v.shape, dtype=np.complex128)
     for order in orders:
         w = v
         for i, label in enumerate(order):
@@ -214,6 +221,127 @@ def test_batched_kernel_matches_the_per_sample_loop():
                         scale = np.abs(want).max()
                         assert np.abs(stacked[s] - want).max() <= KERNEL_TOL * scale
                         assert np.abs(dk_kchi(sc, t, tup) - want).max() <= KERNEL_TOL * scale
+
+
+KERNEL_CLASSES = SMALL_CLASSES + [(Partition((2, 2, 1)), 4)]
+REFERENCE_TOL = 1e-13
+
+
+def close_to_reference(got, want):
+    return np.abs(got - want).max() <= REFERENCE_TOL * max(1.0, np.abs(want).max())
+
+
+def direction_kinds(k, draw):
+    # k distinct directions and, for k >= 2, one direction k times and one
+    # k - 1 times beside another.
+    xs = [draw() for _ in range(k)]
+    if k < 2:
+        return [xs]
+    return [xs, xs[:1] * k, xs[:1] * (k - 1) + xs[1:2]]
+
+
+@pytest.mark.parametrize("chi, n", KERNEL_CLASSES)
+def test_sub_multiset_kernel_matches_the_per_arrangement_sum(chi, n):
+    # Each kind of direction tuple as (n, n) matrices and as (S, n, n)
+    # stacks, against the sum over every distinct arrangement, one sample
+    # at a time.
+    sc = build_symmetry_class(chi, n)
+    rng = sample_rng(12, 0)
+    samples = 2
+    t = random_matrix(n, rng)
+    for k in range(sc.m + 1):
+        for xs in direction_kinds(k, lambda: random_matrix(n, rng)):
+            assert close_to_reference(_dk_stack(sc, t, xs)[0], reference_dk_kchi(sc, t, xs))
+        draw_stack = lambda: np.array([random_matrix(n, rng) for _ in range(samples)])
+        for xs in direction_kinds(k, draw_stack):
+            got = _dk_stack(sc, t, xs)
+            for s in range(len(got)):
+                want = reference_dk_kchi(sc, t, [x[s] for x in xs])
+                assert close_to_reference(got[s], want)
+
+
+@pytest.mark.parametrize("width", [1, 3, 7])
+def test_column_blocks_match_one_block(monkeypatch, width):
+    sc = build_symmetry_class(Partition((2, 1)), 3)
+    rng = sample_rng(14, 0)
+    t = random_matrix(3, rng)
+    cases = [
+        [],
+        [random_matrix(3, rng)],
+        [np.array([random_matrix(3, rng) for _ in range(4)]) for _ in range(2)],
+        [np.array([random_matrix(3, rng) for _ in range(4)])] * 3,
+    ]
+    whole = [_dk_stack(sc, t, xs) for xs in cases]
+    monkeypatch.setattr(kchi.symclass, "_column_block", lambda *args: width)
+    for xs, want in zip(cases, whole):
+        assert close_to_reference(_dk_stack(sc, t, xs), want)
+
+
+def count_axis_products(monkeypatch):
+    # Records, per call of the axis-product helper, whether it ran on the
+    # sample axis.
+    calls = []
+    product = kchi.symclass._axis_product
+
+    def counting(n, mat, w, axis):
+        calls.append(mat.ndim == 3 or len(w) > 1)
+        return product(n, mat, w, axis)
+
+    monkeypatch.setattr(kchi.symclass, "_axis_product", counting)
+    return calls
+
+
+def test_axis_products_follow_the_sub_multisets(monkeypatch):
+    # m = 5 distinct factors take 5 * 2^4 = 80 products, not 5 * 5! = 600;
+    # {T, X1, X2, X3} takes 32, {T, T, T, X} 10 and K_chi m.
+    calls = count_axis_products(monkeypatch)
+    rng = sample_rng(15, 0)
+    sc5 = build_symmetry_class(Partition((3, 2)), 2)
+    sc4 = build_symmetry_class(Partition((3, 1)), 2)
+    xs = [random_matrix(2, rng) for _ in range(5)]
+    for call, count in [
+        (lambda: sym_op_product(sc5, xs), 80),
+        (lambda: k_chi_matrix(sc5, xs[0]), 5),
+        (lambda: dk_kchi(sc4, xs[0], xs[1:4]), 32),
+        (lambda: dk_kchi(sc4, xs[0], xs[1:2]), 10),
+        (lambda: k_chi_matrix(sc4, xs[0]), 4),
+    ]:
+        calls.clear()
+        call()
+        assert len(calls) == count and not any(calls)
+
+
+@pytest.mark.parametrize(
+    "chi, n", [(Partition((2, 1)), 3), (Partition((3, 1)), 2), (Partition((3, 2)), 2)]
+)
+@pytest.mark.parametrize("k", [1, 2])
+def test_stacked_products_do_not_outnumber_the_arrangements(monkeypatch, chi, n, k):
+    # Summing each of the m!/(m-k)! arrangements of T^(m-k) X1..Xk took k
+    # products on the sample axis per arrangement.
+    calls = count_axis_products(monkeypatch)
+    rng = sample_rng(16, 0)
+    sc = build_symmetry_class(chi, n)
+    xs = [np.array([random_matrix(n, rng) for _ in range(3)]) for _ in range(k)]
+    _dk_stack(sc, random_matrix(n, rng), xs)
+    assert sum(calls) <= k * math.factorial(sc.m) // math.factorial(sc.m - k)
+
+
+def test_a_derivative_holds_no_more_than_three_stacks(monkeypatch):
+    # Peak traced memory of D^k K_chi at (3,1)/6 for every k stays within
+    # three (n^m, dim) complex arrays and the (dim, dim) result.
+    sc = build_symmetry_class(Partition((3, 1)), 6)
+    rng = sample_rng(17, 0)
+    t = random_matrix(6, rng)
+    bound = 16 * (3 * 6**4 * sc.dim + sc.dim**2)
+    for k in range(sc.m + 1):
+        xs = [random_matrix(6, rng) for _ in range(k)]
+        tracemalloc.start()
+        try:
+            dk_kchi(sc, t, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (k, peak, bound)
 
 
 @pytest.mark.parametrize(

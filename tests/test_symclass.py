@@ -171,6 +171,40 @@ def test_inclusion_spans_the_range(chi, n):
 
 
 @pytest.mark.parametrize("chi,n", SMALL_CLASSES)
+def test_inclusion_is_real(chi, n):
+    # The e*-columns are real and Gram-Schmidt keeps them real, so the
+    # class stores V real and the kernels apply V.T as V*.
+    assert build_symmetry_class(chi, n).inclusion.dtype == np.float64
+
+
+def test_a_complex_orbit_basis_is_a_numeric_error(monkeypatch):
+    gram_schmidt = kchi.symclass.gram_schmidt
+
+    def rotated(vectors):
+        ortho, coeffs = gram_schmidt(vectors)
+        return ortho * np.exp(0.1j), coeffs
+
+    monkeypatch.setattr(kchi.symclass, "gram_schmidt", rotated)
+    with pytest.raises(NumericError, match="not real"):
+        build_symmetry_class(Partition((2, 1)), 3)
+
+
+@pytest.mark.parametrize("chi,n", SMALL_CLASSES)
+def test_decoded_indices_equal_validated_ones(chi, n):
+    # omega and delta_hat are decoded from base-n positions without
+    # re-validation; every position decodes to the validated multi-index
+    # and back through index_of.
+    sc = build_symmetry_class(chi, n)
+    codes = np.arange(n**sc.m)
+    decoded = kchi.symclass._decode(codes, sc.m, n)
+    for alphas in (decoded, sc.omega, sc.delta_hat):
+        assert alphas == tuple(MultiIndex(alpha.entries, alpha.n) for alpha in alphas)
+        assert all(type(e) is int for alpha in alphas for e in alpha.entries)
+    assert [sc.index_of(alpha) for alpha in decoded] == codes.tolist()
+    assert list(decoded) == sorted(decoded)
+
+
+@pytest.mark.parametrize("chi,n", SMALL_CLASSES)
 def test_estar_coords_are_brute_force_projector_columns(chi, n):
     sc = build_symmetry_class(chi, n)
     k = brute_force_projector(chi, n)
