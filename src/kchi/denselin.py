@@ -181,6 +181,60 @@ def _spectral_norms(stack: np.ndarray) -> np.ndarray:
         raise NumericError(f"spectral norm did not converge: {exc}") from exc
 
 
+# Relative slack on both Gram bounds of _largest_spectral_norm.  Their
+# rounding errors, and LAPACK's on a top singular value, are a few hundred
+# ulps at every dimension the package reaches, far inside it.
+_GRAM_MARGIN = 1e-8
+
+
+def _largest_spectral_norm(stack: np.ndarray, floor: float) -> float:
+    """``max(floor, float(np.max(_spectral_norms(stack))))``, bit for bit.
+
+    LAPACK runs only on the samples of the stack ``(S, d, d)`` that can
+    reach that value.  With ``G = X* X``, each sample's top singular value
+    s_1 lies between ``(||G^2||_F / ||G||_F)^{1/2}`` and ``||G^2||_F^{1/4}``.
+    A sample whose upper bound, widened by _GRAM_MARGIN, stays below the
+    floor or below another sample's narrowed lower bound cannot hold the
+    maximum.  The bounds are taken on each sample scaled by the power of
+    two of its largest entry, so they neither overflow nor underflow.
+    """
+    flat = stack.reshape(len(stack), -1).view(np.float64)
+    peak = np.maximum(flat.max(axis=1), -flat.min(axis=1))
+    # A subnormal peak keeps the finite scale 2**1021, which still lifts it
+    # to at least 2**-53, so the bounds stay normal.
+    exponent = np.maximum(np.frexp(peak)[1], -1021)
+    scale = np.ldexp(1.0, -exponent)[:, None, None]
+    gram_sq = np.empty(len(stack))
+    square_sq = np.empty(len(stack))
+    # A third of the samples at a time: the block's scaled samples, their
+    # conjugates and Gram matrices together take about as much as the stack.
+    step = -(-len(stack) // 3)
+    for lo in range(0, len(stack), step):
+        block = slice(lo, lo + step)
+        gram_sq[block], square_sq[block] = _gram_squares(stack[block] * scale[block])
+    ratio = np.divide(square_sq, gram_sq, out=np.zeros_like(gram_sq), where=gram_sq > 0)
+    upper = np.ldexp(square_sq**0.125 * (1.0 + _GRAM_MARGIN), exponent)
+    lower = np.ldexp(ratio**0.25 * (1.0 - _GRAM_MARGIN), exponent)
+    # "Not below" rather than "at least", so a NaN sample reaches LAPACK.
+    keep = ~(upper < max(floor, float(np.max(lower))))
+    if not keep.any():
+        return floor
+    return max(floor, float(np.max(_spectral_norms(stack[keep]))))
+
+
+def _gram_squares(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # ||G||_F^2 and ||G^2||_F^2 for G = X* X of each X in a stack (S, d, d);
+    # G^2 overwrites the stack, and G is freed before the next block's.
+    gram = np.matmul(stack.conj().swapaxes(-1, -2), stack)
+    return _squared_frobenius(gram), _squared_frobenius(np.matmul(gram, gram, out=stack))
+
+
+def _squared_frobenius(stack: np.ndarray) -> np.ndarray:
+    # Sum of |entry|^2 over each matrix of a complex stack.
+    flat = stack.reshape(len(stack), -1).view(np.float64)
+    return np.einsum("ij,ij->i", flat, flat)
+
+
 def _require_finite(value, what: str):
     """Return ``value``, or raise NumericError if any entry overflowed."""
     if not np.all(np.isfinite(value)):

@@ -21,8 +21,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .combinat import MultiIndex, Partition
-from .denselin import _distinct_arrangements, _require_finite, _spectral_norms
-from .denselin import as_matrix, polar, singular_values, spectral_norm
+from .denselin import _distinct_arrangements, _largest_spectral_norm, _require_finite
+from .denselin import _spectral_norms, as_matrix, polar, singular_values, spectral_norm
 from .errors import DomainError, NumericError, ResourceError
 from .symclass import SymmetryClass, _dk_stack, build_symmetry_class, dk_kchi
 from .symgroup import _permutation_characters, degree
@@ -70,7 +70,9 @@ REPORT_TOL = 1e-7
 # chunk.  A derivative supremum that contracts each chunk against the base
 # point's (n^{2k}, dim^2) tensor (see _dk_norm_sup) keeps the same chunks,
 # and takes that route only when the tensor and a chunk's (S, n^{2k}) outer
-# products also fit SAMPLE_CHUNK_BYTES.
+# products also fit SAMPLE_CHUNK_BYTES.  Reducing a chunk's (S, dim, dim)
+# values to their largest spectral norm takes about one more array of that
+# size (denselin._largest_spectral_norm), less than a state since dim <= n^m.
 SAMPLE_CHUNK = 64
 SAMPLE_CHUNK_BYTES = 1 << 22
 # A supremum whose samples pass more than this through that array in all is
@@ -270,17 +272,17 @@ def _check_samples(samples: int, tuple_bytes: int) -> None:
 
 
 def _sampled_max(
-    evaluate, n: int, k: int, samples: int, rng: np.random.Generator, chunk: int
+    reduce, n: int, k: int, samples: int, rng: np.random.Generator, chunk: int
 ) -> float:
-    # Largest value of ``evaluate`` over ``samples`` random unit k-tuples of
-    # n x n matrices, read in order from rng ``chunk`` at a time, so the
-    # tuples do not depend on the chunk size.  ``evaluate`` takes the k
-    # direction stacks (S, n, n) of one chunk and returns S values, through
-    # one kernel call or, for _dk_norm_sup's tensor route, one GEMM.
+    # Largest value over ``samples`` random unit k-tuples of n x n matrices,
+    # read in order from rng ``chunk`` at a time, so the tuples do not
+    # depend on the chunk size.  ``reduce(xs, best)`` takes the k direction
+    # stacks (S, n, n) of one chunk and the largest value so far, and
+    # returns the largest value including the chunk's.
     best = 0.0
     for lo in range(0, samples, chunk):
         units = _unit_stack(n, k, rng, min(chunk, samples - lo))
-        best = max(best, float(np.max(evaluate(list(units.swapaxes(0, 1))))))
+        best = reduce(list(units.swapaxes(0, 1)), best)
     return best
 
 
@@ -327,6 +329,8 @@ def _dk_norm_sup(
     # _tensor_route allows, the kernel runs only on the n^{2k} matrix-unit
     # tuples, once per base point, and each chunk of drawn tuples is one
     # GEMM against that tensor; otherwise each chunk is one kernel call.
+    # Either way only the chunk's samples that can beat the running
+    # maximum reach LAPACK.
     tuple_bytes = 16 * sc.n**sc.m * sc.dim
     _check_samples(samples, tuple_bytes)
     chunk = _sample_chunk(tuple_bytes)
@@ -336,7 +340,8 @@ def _dk_norm_sup(
     else:
         evaluate = lambda xs: _dk_stack(sc, t, xs)
     return _sampled_max(
-        lambda xs: _spectral_norms(evaluate(xs)), sc.n, k, samples, rng, chunk
+        lambda xs, best: _largest_spectral_norm(evaluate(xs), best),
+        sc.n, k, samples, rng, chunk,
     )
 
 
@@ -569,7 +574,8 @@ def _immanant_sup(
     _check_samples(samples, tuple_bytes)
     chunk = _sample_chunk(tuple_bytes)
     return _sampled_max(
-        lambda xs: np.abs(_dk_immanant_raw(chi, a, xs)), n, k, samples, rng, chunk
+        lambda xs, best: max(best, float(np.max(np.abs(_dk_immanant_raw(chi, a, xs))))),
+        n, k, samples, rng, chunk,
     )
 
 

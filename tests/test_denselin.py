@@ -1,7 +1,11 @@
 """Tests for the dense linear algebra conventions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kchi import (
     DomainError,
@@ -18,6 +22,7 @@ from kchi import (
     spectral_norm,
     svd,
 )
+from kchi.denselin import _largest_spectral_norm, _spectral_norms
 
 RECON_TOL = 1e-10
 ORACLE_TOL = 1e-9
@@ -153,6 +158,67 @@ def test_spectral_norm_inequalities():
         b = random_complex(rng, 4)
         assert spectral_norm(a @ b) <= spectral_norm(a) * spectral_norm(b) + 1e-12
         assert spectral_norm(a + b) <= spectral_norm(a) + spectral_norm(b) + 1e-12
+
+
+SAMPLE_KINDS = ("gaussian", "rank one", "zero", "copy")
+FLOOR_KINDS = ("zero", "below", "equal", "largest", "above")
+
+
+@st.composite
+def floored_stacks(draw):
+    # A stack (S, dim, dim) of Gaussian, rank-one and zero samples and
+    # copies of earlier ones (ties), each scaled by its own 2**e, and a
+    # floor below, equal to or above the samples' spectral norms.
+    count = draw(st.integers(1, 70))
+    dim = draw(st.integers(1, 12))
+    kinds = draw(st.lists(st.sampled_from(SAMPLE_KINDS), min_size=count, max_size=count))
+    low = draw(st.integers(-900, 900))
+    high = draw(st.integers(low, 900))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = np.zeros((count, dim, dim), dtype=np.complex128)
+    for i, kind in enumerate(kinds):
+        if kind == "copy" and i:
+            stack[i] = stack[rng.integers(i)]
+        elif kind != "zero":
+            if kind == "rank one":
+                x = random_complex(rng, dim, 1) @ random_complex(rng, 1, dim)
+            else:
+                x = random_complex(rng, dim)
+            stack[i] = x * 2.0 ** int(rng.integers(low, high + 1))
+    values = _spectral_norms(stack)
+    floor = {
+        "zero": 0.0,
+        "below": np.nextafter(values.min(), -np.inf),
+        "equal": values[draw(st.integers(0, count - 1))],
+        "largest": values.max(),
+        "above": np.nextafter(values.max(), np.inf),
+    }[draw(st.sampled_from(FLOOR_KINDS))]
+    return stack, float(floor)
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(floored_stacks())
+def test_largest_spectral_norm_equals_the_full_svd_maximum(case):
+    stack, floor = case
+    assert _largest_spectral_norm(stack, floor) == max(
+        floor, float(np.max(_spectral_norms(stack)))
+    )
+
+
+def test_largest_spectral_norm_holds_about_one_more_stack():
+    # The shape of a (2,1)/3 sampling chunk: the Gram temporaries, taken a
+    # third of the samples at a time, and the copy sent to LAPACK each take
+    # about one stack, and never at once.
+    rng = np.random.default_rng(3)
+    stack = random_complex(rng, 64 * 16, 16).reshape(64, 16, 16)
+    for floor in (0.0, np.inf):
+        tracemalloc.start()
+        try:
+            _largest_spectral_norm(stack, floor)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * stack.nbytes, (floor, peak)
 
 
 def test_hermitian_eigenvalues():

@@ -14,6 +14,7 @@ bound its memory.
 """
 
 import collections
+import json
 import math
 import tracemalloc
 
@@ -31,13 +32,15 @@ from kchi import (
     dk_norm_verify,
     immanant_bound_verify,
     k_chi_matrix,
+    matrix_to_pairs,
     partitions_of,
     random_matrix,
     random_unit_matrix,
     sample_rng,
     sym_op_product,
 )
-from kchi.denselin import _distinct_arrangements
+from kchi.cli import main
+from kchi.denselin import _distinct_arrangements, _spectral_norms
 from kchi.norms import (
     SAMPLE_CHUNK,
     SAMPLE_CHUNK_BYTES,
@@ -89,6 +92,11 @@ def reference_dk_immanant(chi, a, xs):
 
 def reference_draws(n, k, rng, count):
     return np.array([[random_unit_matrix(n, rng) for _ in range(k)] for _ in range(count)])
+
+
+def full_svd_reducer(stack, floor):
+    # The chunk reduction without pruning: every evaluated sample's SVD.
+    return max(floor, float(np.max(_spectral_norms(stack))))
 
 
 def reference_sup(evaluate, n, k, samples, seed):
@@ -347,10 +355,11 @@ def test_a_derivative_holds_no_more_than_three_stacks(monkeypatch):
 @pytest.mark.parametrize(
     "samples", [1, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 1000]
 )
-def test_sampled_suprema_match_the_reference_loop(samples):
+def test_sampled_suprema_match_the_reference_loop(monkeypatch, samples):
     # (2,1)/3 at k = 2 has 9^2 = 81 matrix-unit tuples: samples 1 to 65
     # evaluate each chunk through the kernel, 1000 contract each chunk
-    # against the derivative tensor.
+    # against the derivative tensor.  On either route the report equals the
+    # one that takes every evaluated sample's SVD.
     sc = build_symmetry_class(Partition((2, 1)), 3)
     t = random_matrix(3, sample_rng(1, 10**6))
     report = dk_norm_verify(sc, t, 2, samples=samples, seed=4)
@@ -358,12 +367,63 @@ def test_sampled_suprema_match_the_reference_loop(samples):
         lambda xs: np.linalg.norm(reference_dk_kchi(sc, t, xs), 2), 3, 2, samples, 4
     )
     assert abs(report.sample_max - want) <= KERNEL_TOL * want
+    with monkeypatch.context() as patch:
+        patch.setattr(kchi.norms, "_largest_spectral_norm", full_svd_reducer)
+        assert dk_norm_verify(sc, t, 2, samples=samples, seed=4) == report
 
     chi = Partition((2, 1))
     a = random_matrix(3, sample_rng(2, 10**6))
     report = immanant_bound_verify(chi, a, 1, samples=samples, seed=6)
     want = reference_sup(lambda xs: abs(reference_dk_immanant(chi, a, xs)), 3, 1, samples, 6)
     assert abs(report.sample_sup - want) <= KERNEL_TOL * want
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sup_rows_equal_the_full_svd_rows_from_few_svds(monkeypatch, seed):
+    # The supremum criterion at max_n = 3 evaluates 1000 tuples at each of
+    # 10 base points of 5 classes.  Its rows are the same bytes when every
+    # evaluated sample's SVD is taken, and at most a tenth of the tuples
+    # reach LAPACK.
+    evaluated, decomposed = [], []
+    reducer = kchi.norms._largest_spectral_norm
+    spectral_norms = kchi.denselin._spectral_norms
+
+    def counting_reducer(stack, floor):
+        evaluated.append(len(stack))
+        return reducer(stack, floor)
+
+    def counting_norms(stack):
+        if stack.ndim == 3:
+            decomposed.append(len(stack))
+        return spectral_norms(stack)
+
+    monkeypatch.setattr(kchi.norms, "_largest_spectral_norm", counting_reducer)
+    monkeypatch.setattr(kchi.denselin, "_spectral_norms", counting_norms)
+    pruned = kchi.verify.check_sup_attainment(seed, max_n=3)
+    assert sum(evaluated) == 5 * kchi.verify.SUP_DRAWS * kchi.verify.SUP_TUPLES == 50_000
+    assert sum(decomposed) <= 0.1 * sum(evaluated)
+    monkeypatch.setattr(kchi.norms, "_largest_spectral_norm", full_svd_reducer)
+    full = kchi.verify.check_sup_attainment(seed, max_n=3)
+    assert [r.to_json_obj() for r in pruned] == [r.to_json_obj() for r in full]
+
+
+@pytest.mark.parametrize("exponent", [-400, 300])
+def test_norm_at_extreme_magnitudes_prints_the_full_svd_bytes(
+    monkeypatch, capsys, tmp_path, exponent
+):
+    # D^1 K_chi(T) at (2,1)/3 is quadratic in T: at 2**-400 the Gram
+    # squares of its values underflow unless each sample is rescaled first,
+    # and at 2**300 they overflow.
+    path = tmp_path / "t.json"
+    t = 2.0**exponent * random_matrix(3, sample_rng(20, 0))
+    path.write_text(json.dumps(matrix_to_pairs(t)))
+    argv = ["norm", "--chi", "2,1", "--n", "3", "--k", "1", "--samples", "200"]
+    argv += ["--input", str(path)]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert err == ""
+    monkeypatch.setattr(kchi.norms, "_largest_spectral_norm", full_svd_reducer)
+    assert (main(argv), *capsys.readouterr()) == (code, out, "")
 
 
 def test_tensor_contraction_matches_the_kernel():
