@@ -14,6 +14,7 @@ explicit enumerations at desk scale.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import total_ordering
@@ -45,7 +46,10 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        parts = tuple(int(p) for p in self.parts)
+        try:
+            parts = tuple(operator.index(p) for p in self.parts)
+        except TypeError:
+            raise DomainError(f"partition parts must be integers, got {self.parts!r}") from None
         object.__setattr__(self, "parts", parts)
         if any(p <= 0 for p in parts):
             raise DomainError(f"partition parts must be positive, got {parts}")
@@ -73,6 +77,24 @@ class Partition:
 
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
+
+
+def _check_partition(*partitions) -> None:
+    # The boundary check of every public function that takes partitions.
+    for chi in partitions:
+        if not isinstance(chi, Partition):
+            raise DomainError(f"expected a Partition, got {type(chi).__name__} {chi!r}")
+
+
+def _positive_size(n) -> int:
+    # ``n`` as an int, when it is an integer of at least 1.
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise DomainError(f"n must be an integer, got {n!r}") from None
+    if n < 1:
+        raise DomainError(f"n must be positive, got {n}")
+    return n
 
 
 @total_ordering
@@ -181,6 +203,7 @@ def majorizes(lam: Partition, mu: Partition) -> bool:
 
     Both partitions must partition the same number.
     """
+    _check_partition(lam, mu)
     if lam.size != mu.size:
         raise DomainError(
             f"cannot compare partitions of different numbers: {lam} vs {mu}"
@@ -201,6 +224,7 @@ def omega_of(pi: Partition, n: int) -> MultiIndex:
     This is the lexicographically smallest multi-index whose multiplicity
     partition equals ``pi``; it needs ``n`` at least the number of parts.
     """
+    _check_partition(pi)
     if pi.length > n:
         raise DomainError(
             f"partition {pi} has {pi.length} parts but the codomain only has {n} values"

@@ -50,7 +50,10 @@ def as_matrix(obj, *, square: bool = False, n: int | None = None) -> np.ndarray:
     ``square`` requires a square matrix; ``n`` requires an operator on C^n,
     that is shape ``(n, n)``.
     """
-    a = np.asarray(obj, dtype=np.complex128)
+    try:
+        a = np.asarray(obj, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"cannot read a complex matrix: {exc}") from None
     if a.ndim != 2:
         raise DomainError(f"expected a matrix, got array of shape {a.shape}")
     if a.size and not np.all(np.isfinite(a)):

@@ -20,11 +20,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .combinat import MultiIndex, Partition
-from .denselin import _distinct_arrangements, _largest_spectral_norm, _require_finite
-from .denselin import _spectral_norms, as_matrix, polar, singular_values, spectral_norm
+from .combinat import MultiIndex, Partition, _check_partition, _positive_size
+from .denselin import _distinct_factors, _largest_spectral_norm, _require_finite
+from .denselin import as_matrix, polar, singular_values, spectral_norm
 from .errors import DomainError, NumericError, ResourceError
-from .symclass import SymmetryClass, _dk_stack, build_symmetry_class, dk_kchi
+from .symclass import SymmetryClass, _arrangement_sum, _dk_stack, _live_states
+from .symclass import build_symmetry_class, dk_kchi
 from .symgroup import _permutation_characters, degree
 
 __all__ = [
@@ -63,11 +64,13 @@ REPORT_TOL = 1e-7
 # SAMPLE_CHUNK_BYTES, so it does not grow with the class either.  That array
 # is one (S, n^m, dim) complex state of the compression kernel, which holds
 # at most three such arrays' worth at once, or 1 MiB if that is more
-# (symclass._column_block splits the columns of V to keep it so), and
-# (S, n!, n) complex in the immanant sum.  A class too large for two tuples
-# is evaluated one tuple at a time.  Every class `run_verify` samples, and
-# the (2,1)/4 `kchi norm`, has n^m * dim at most 2560 and gets the full
-# chunk.  A derivative supremum that contracts each chunk against the base
+# (symclass._column_block splits the columns of V to keep it so).  The
+# immanant sum keeps all it holds at once within SAMPLE_CHUNK_BYTES: its
+# live (S, n!) complex states, a product and its gathered entries (see
+# _immanant_sup).  A class too large for two tuples is evaluated one tuple
+# at a time.  Every class `run_verify` samples, and the (2,1)/4
+# `kchi norm`, has n^m * dim at most 2560 and gets the full chunk.  A
+# derivative supremum that contracts each chunk against the base
 # point's (n^{2k}, dim^2) tensor (see _dk_norm_sup) keeps the same chunks,
 # and takes that route only when the tensor and a chunk's (S, n^{2k}) outer
 # products also fit SAMPLE_CHUNK_BYTES.  Reducing a chunk's (S, dim, dim)
@@ -112,6 +115,7 @@ def _check_nu(nu) -> tuple[float, ...]:
 
 def nu_omega(chi: Partition, nu) -> tuple[float, ...]:
     """The selection (nu_1 repeated chi_1 times, nu_2 repeated chi_2 times, ...)."""
+    _check_partition(chi)
     return _nu_omega(chi, _check_nu(nu))
 
 
@@ -131,6 +135,7 @@ def dk_norm_formula(chi: Partition, k: int, nu, n: int | None = None) -> float:
     1 <= k <= m <= len(nu) (the equality needs as many singular values as
     tensor factors).
     """
+    _check_partition(chi)
     m = chi.size
     vals = _check_nu(nu)
     if n is not None and len(vals) != n:
@@ -221,36 +226,26 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
 
 def random_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
     """Square matrix with independent standard complex Gaussian entries."""
+    n = _positive_size(n)
     real = rng.standard_normal((n, n))
     imag = rng.standard_normal((n, n))
     return (real + 1j * imag) / math.sqrt(2.0)
 
 
 def random_unit_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Gaussian matrix rescaled to spectral norm one."""
-    while True:
-        g = random_matrix(n, rng)
-        s = spectral_norm(g)
-        if s > 1e-12:
-            return g / s
+    """Haar-distributed random unitary n x n matrix, of spectral norm one."""
+    return _unit_stack(_positive_size(n), 1, rng, 1)[0, 0]
 
 
 def _unit_stack(n: int, k: int, rng: np.random.Generator, count: int) -> np.ndarray:
-    # count random unit k-tuples from rng, as one (count, k, n, n) stack
-    # normalized by one batched SVD.  One standard_normal call reads the
-    # normals in the order 2 * count * k random_matrix calls read them, so
-    # the stack equals count * k random_unit_matrix calls on rng.  A tuple
-    # with a draw of norm at most 1e-12 is redrawn from rng after the
-    # chunk, as random_unit_matrix redraws.
+    # count Haar unitary k-tuples from rng, as one (count, k, n, n) stack
+    # equal to count * k random_unit_matrix calls on rng.  Q of each complex
+    # Gaussian's QR, its columns times the phases of R's diagonal, is Haar
+    # distributed (Mezzadri, Notices AMS 54, 2007); a zero pivot's phase is
+    # 1, so no draw is rejected.
     normals = rng.standard_normal((count, k, 2, n, n))
-    gauss = (normals[:, :, 0] + 1j * normals[:, :, 1]) / math.sqrt(2.0)
-    norms = _spectral_norms(gauss)
-    rejected = (norms <= 1e-12).any(axis=1)
-    norms[rejected] = 1.0
-    units = gauss / norms[..., None, None]
-    for i in np.flatnonzero(rejected):
-        units[i] = [random_unit_matrix(n, rng) for _ in range(k)]
-    return units
+    q, r = np.linalg.qr(normals[:, :, 0] + 1j * normals[:, :, 1])
+    return q * np.exp(1j * np.angle(np.diagonal(r, axis1=-2, axis2=-1)))[..., None, :]
 
 
 def _sample_chunk(tuple_bytes: int) -> int:
@@ -376,17 +371,12 @@ def dk_norm_verify(
     )
 
 
-def _immanant_raw(chi: Partition, a: np.ndarray):
-    # d_chi of an (n, n) matrix, or of each matrix in a stack (..., n, n).
-    images, values = _permutation_characters(chi)
-    return a[..., np.arange(chi.size), images].prod(axis=-1) @ values
-
-
 def immanant(chi: Partition, a) -> complex:
     """The immanant d_chi(A) = sum over sigma of chi(sigma) prod a_{i,sigma(i)}.
 
     chi = (1,...,1) gives the determinant and chi = (n) the permanent.
     """
+    _check_partition(chi)
     n = chi.size
     if n > MAX_IMMANANT_SIZE:
         raise ResourceError(
@@ -394,21 +384,22 @@ def immanant(chi: Partition, a) -> complex:
         )
     mat = as_matrix(a, n=n)
     with np.errstate(over="ignore", invalid="ignore"):
-        value = complex(_immanant_raw(chi, mat))
+        value = complex(_mixed_immanant_raw(chi, [mat], [n]))
     return _require_finite(value, "immanant")
 
 
-def _mixed_immanant_raw(chi: Partition, reps, orders):
-    # Average of d_chi over column assignments, one term per distinct
-    # arrangement (reps, orders) of the arguments from
-    # ``_distinct_arrangements``: column j comes from reps[order[j]].  Each
-    # argument is an (n, n) matrix or a stack (..., n, n), and stacks give
-    # one value per matrix.
-    total = 0.0
-    for order in orders:
-        columns = np.broadcast_arrays(*(reps[i][..., :, j] for j, i in enumerate(order)))
-        total = total + _immanant_raw(chi, np.stack(columns, axis=-1))
-    return total / len(orders)
+def _mixed_immanant_raw(chi: Partition, reps, counts):
+    # Mean of d_chi over the distinct assignments of its columns to the
+    # arguments, reps[i] filling counts[i] of them (from _distinct_factors);
+    # arguments are (n, n) matrices or (..., n, n) stacks.  The kernel's
+    # sub-multiset sum runs over the columns: a state holds, for each
+    # permutation p, the products of the entries (p(j), j) so far, and
+    # chi(p) = chi(p^-1) makes their sum against chi d_chi.
+    images, values = _permutation_characters(chi)
+    gather = lambda rep, state, j: state * rep[..., images[:, j], j]
+    start = np.ones(len(values))
+    total = _arrangement_sum(gather, start, list(zip(reps, counts)), range(chi.size))
+    return total @ values / (math.factorial(chi.size) // math.prod(map(math.factorial, counts)))
 
 
 def _dk_immanant_raw(chi: Partition, a: np.ndarray, xs: list[np.ndarray]):
@@ -422,7 +413,7 @@ def _dk_immanant_raw(chi: Partition, a: np.ndarray, xs: list[np.ndarray]):
     factor = math.factorial(n) // math.factorial(n - k)
     mats = [a] * (n - k) + list(xs)
     with np.errstate(over="ignore", invalid="ignore"):
-        value = factor * _mixed_immanant_raw(chi, *_distinct_arrangements(mats))
+        value = factor * _mixed_immanant_raw(chi, *_distinct_factors(mats))
     return _require_finite(value, "immanant derivative")
 
 
@@ -432,6 +423,7 @@ def mixed_immanant(chi: Partition, xs) -> complex:
     Takes n = |chi| matrices; fully symmetric and multilinear, and equal
     to d_chi(A) when every argument is A.
     """
+    _check_partition(chi)
     n = chi.size
     if n > MAX_MIXED_SIZE:
         raise ResourceError(
@@ -441,7 +433,7 @@ def mixed_immanant(chi: Partition, xs) -> complex:
     if len(mats) != n:
         raise DomainError(f"chi={chi} needs {n} matrices, got {len(mats)}")
     with np.errstate(over="ignore", invalid="ignore"):
-        value = complex(_mixed_immanant_raw(chi, *_distinct_arrangements(mats)))
+        value = complex(_mixed_immanant_raw(chi, *_distinct_factors(mats)))
     return _require_finite(value, "mixed immanant")
 
 
@@ -452,6 +444,7 @@ def dk_immanant(chi: Partition, a, xs) -> complex:
     the directions in the rest; for k = n the value no longer depends on
     ``a``.  k = 0 returns d_chi(a).
     """
+    _check_partition(chi)
     n = chi.size
     mat = as_matrix(a, n=n)
     x_mats = [as_matrix(x, n=n) for x in xs]
@@ -479,14 +472,14 @@ def mixed_immanant_matrix(sc: SymmetryClass, a, xs) -> np.ndarray:
     k = len(x_mats)
     if k > sc.m:
         raise DomainError(f"derivative order {k} exceeds m={sc.m}")
-    reps, orders = _distinct_arrangements([mat] * (sc.m - k) + x_mats)
+    reps, counts = _distinct_factors([mat] * (sc.m - k) + x_mats)
     index = np.array([alpha.entries for alpha in sc.delta_hat]) - 1
     out = np.empty((sc.dim, sc.dim), dtype=np.complex128)
-    # One row gamma at a time, so memory stays at dim * m! * m entries.
+    # One row gamma at a time, so each state of the sum holds dim * m! entries.
     for i, gamma in enumerate(index):
         # A[gamma|delta] for every delta in delta_hat, as a (dim, m, m) stack
         at = (gamma[:, None], index[:, None, :])
-        out[i] = _mixed_immanant_raw(sc.chi, [rep[at] for rep in reps], orders)
+        out[i] = _mixed_immanant_raw(sc.chi, [rep[at] for rep in reps], counts)
     return out
 
 
@@ -515,6 +508,7 @@ def dk_immanant_via_power(chi: Partition, a, xs) -> complex:
     D^k d_chi(A)(Xs) = (n!/chi(id)) * c* D^k K_chi(A)(Xs) c with
     c the gamma column of the inverse change of basis.
     """
+    _check_partition(chi)
     n = chi.size
     mat = as_matrix(a, n=n)
     sc = build_symmetry_class(chi, n)
@@ -533,6 +527,7 @@ def dk_immanant_bound(chi: Partition, k: int, nu) -> float:
 
     Sharp for the determinant; can be strict otherwise.
     """
+    _check_partition(chi)
     n = chi.size
     vals = _check_nu(nu)
     if len(vals) != n:
@@ -568,9 +563,10 @@ def _immanant_sup(
     chi: Partition, a: np.ndarray, k: int, samples: int, rng: np.random.Generator
 ) -> float:
     # Sampled sup of |D^k d_chi(a)(X_1, ..., X_k)| over random unit tuples
-    # read in order from rng.
+    # read in order from rng.  A tuple takes 16 n! bytes for each live state
+    # of the sum, the product being formed and the entries it gathers.
     n = chi.size
-    tuple_bytes = 16 * math.factorial(n) * n
+    tuple_bytes = 16 * math.factorial(n) * (_live_states([n - k] + [1] * k) + 2)
     _check_samples(samples, tuple_bytes)
     chunk = _sample_chunk(tuple_bytes)
     return _sampled_max(
@@ -583,6 +579,7 @@ def immanant_bound_verify(
     chi: Partition, a, k: int, samples: int = 100, seed: int = 0
 ) -> ImmanantReport:
     """Sample |D^k d_chi(A)| over random unit tuples against the closed bound."""
+    _check_partition(chi)
     n = chi.size
     mat = as_matrix(a, n=n)
     if not 1 <= k <= n:
@@ -607,6 +604,7 @@ def perturbation_bounds(chi: Partition, nu, delta: float) -> float:
     both the operator difference ||K_chi(T) - K_chi(T+X)|| and, where the
     matrix size equals |chi|, the scalar |d_chi(A) - d_chi(A+Y)|.
     """
+    _check_partition(chi)
     delta = float(delta)
     if not np.isfinite(delta) or delta < 0.0:
         raise DomainError(f"perturbation norm must be finite and >= 0, got {delta}")

@@ -38,6 +38,8 @@ import numpy as np
 from .combinat import (
     MultiIndex,
     Partition,
+    _check_partition,
+    _positive_size,
     enumerate_maps,
     majorizes,
     multiplicity_partition,
@@ -109,9 +111,9 @@ class SymmetryClass:
 
 def build_symmetry_class(chi: Partition, n: int) -> SymmetryClass:
     """Assemble the symmetry class of C^n for the character labeled by chi."""
+    _check_partition(chi)
+    n = _positive_size(n)
     m = chi.size
-    if n < 1:
-        raise DomainError(f"n must be positive, got {n}")
     if m > MAX_TENSOR_FACTORS:
         raise ResourceError(
             f"tensor power capped at m <= {MAX_TENSOR_FACTORS}, got m={m}"
@@ -263,6 +265,7 @@ def _compress(sc: SymmetryClass, mats: list[np.ndarray]) -> np.ndarray:
     samples = max((len(rep) for rep, _ in stacked), default=1)
     placements = list(itertools.combinations(range(m), sum(c for _, c in stacked)))
     block = _column_block(sc, samples, len(placements), shared, stacked)
+    product = functools.partial(_axis_product, sc.n)
     out = np.empty((samples, sc.dim, sc.dim), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, sc.dim, block):
@@ -270,8 +273,8 @@ def _compress(sc: SymmetryClass, mats: list[np.ndarray]) -> np.ndarray:
             total = None
             for placed in placements:
                 rest = [axis for axis in range(m) if axis not in placed]
-                w = _arrangement_sum(sc.n, cols, shared, rest)
-                w = _arrangement_sum(sc.n, w, stacked, placed)
+                w = _arrangement_sum(product, cols, shared, rest)
+                w = _arrangement_sum(product, w, stacked, placed)
                 if total is None:
                     total = w
                 else:
@@ -284,22 +287,23 @@ def _compress(sc: SymmetryClass, mats: list[np.ndarray]) -> np.ndarray:
     return _require_finite(out, "compressed operator")
 
 
-def _arrangement_sum(n: int, w: np.ndarray, factors, axes) -> np.ndarray:
+def _arrangement_sum(apply, w: np.ndarray, factors, slots) -> np.ndarray:
     # The sum over the distinct arrangements of the multiset ``factors``
-    # ((matrix, multiplicity) pairs) on the tensor axes ``axes``, in order,
-    # applied to w.  After the first j of those axes the sum of the partial
-    # products depends only on the sub-multiset of factors used, so one
-    # state is kept per sub-multiset; each step applies every factor with
-    # copies left and adds the results that reach the same sub-multiset.
+    # ((matrix, multiplicity) pairs) on ``slots``, in order, applied to w,
+    # where ``apply(mat, state, slot)`` applies one factor at one slot (a
+    # tensor axis in _compress).  After the first j slots the sum of the
+    # partial products depends only on the sub-multiset of factors used, so
+    # one state is kept per sub-multiset; each step applies every factor
+    # with copies left and adds the results that reach the same sub-multiset.
     states = {(0,) * len(factors): w}
-    for axis in axes:
+    for slot in slots:
         step: dict[tuple[int, ...], np.ndarray] = {}
         for used in list(states):
             state = states.pop(used)
             for i, (mat, copies) in enumerate(factors):
                 if used[i] < copies:
                     key = used[:i] + (used[i] + 1,) + used[i + 1 :]
-                    term = _axis_product(n, mat, state, axis)
+                    term = apply(mat, state, slot)
                     if key in step:
                         step[key] += term
                     else:
@@ -324,18 +328,18 @@ def _column_block(sc: SymmetryClass, samples: int, placements: int, shared, stac
     # what summing the arrangements one at a time holds (the running total,
     # a product and its input), or within _BLOCK_BYTES if that is larger,
     # so calls that small run as one block.
-    column_states = _live_states(shared) + 1
-    column_states += samples * (_live_states(stacked) + 1 + (placements > 1))
+    column_states = _live_states([c for _, c in shared]) + 1
+    column_states += samples * (_live_states([c for _, c in stacked]) + 1 + (placements > 1))
     state_bytes = 16 * sc.n**sc.m * sc.dim
     blocks = -(-column_states * state_bytes // max(_BLOCK_BYTES, 3 * samples * state_bytes))
     return -(-sc.dim // blocks)
 
 
-def _live_states(factors) -> int:
+def _live_states(counts) -> int:
     # Most sub-multisets of two consecutive sizes: the states
-    # _arrangement_sum holds at once over ``factors``.
+    # _arrangement_sum holds at once over factors of multiplicities ``counts``.
     sizes = [1]
-    for _, copies in factors:
+    for copies in counts:
         sizes = [sum(sizes[max(0, j - copies) : j + 1]) for j in range(len(sizes) + copies)]
     return max(map(sum, zip(sizes, sizes[1:])), default=1)
 

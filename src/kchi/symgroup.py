@@ -24,6 +24,7 @@ from .combinat import (
     MultiIndex,
     Partition,
     Permutation,
+    _check_partition,
     multiplicity_partition,
     partitions_of,
 )
@@ -46,6 +47,7 @@ MAX_STABILIZER_DEGREE = 8
 
 def character(lam: Partition, rho: Partition) -> int:
     """The character value chi_lambda(sigma) for any sigma of cycle type rho."""
+    _check_partition(lam, rho)
     if lam.size != rho.size:
         raise DomainError(
             f"shape {lam} and cycle type {rho} partition different numbers"
@@ -81,11 +83,13 @@ def _mn_character(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
 
 def degree(lam: Partition) -> int:
     """chi_lambda(id), the dimension of the irreducible representation."""
+    _check_partition(lam)
     return character(lam, Partition((1,) * lam.size))
 
 
 def class_size(rho: Partition) -> int:
     """Number of permutations in S_m with cycle type rho."""
+    _check_partition(rho)
     m = rho.size
     centralizer = 1
     for part, count in _part_multiplicities(rho.parts):
@@ -181,6 +185,7 @@ def character_sum_over_stabilizer(lam: Partition, alpha: MultiIndex) -> int:
     by alpha survives (equivalently, when lambda majorizes that
     multiplicity partition).
     """
+    _check_partition(lam)
     m = alpha.m
     if lam.size != m:
         raise DomainError(

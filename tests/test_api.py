@@ -8,7 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import kchi
+from kchi import Partition
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -64,3 +68,39 @@ def test_the_package_imports_with_numpy_alone():
     loaded = json.loads(proc.stdout)
     assert "numpy" in loaded
     assert [name for name in loaded if name.split(".")[0] in NOT_DEPENDENCIES] == []
+
+
+EYE3 = np.eye(3)
+RNG = kchi.sample_rng(0, 0)
+
+# Each input is invalid at one public boundary.
+BAD_CALLS = {
+    "build_symmetry_class with a tuple": lambda: kchi.build_symmetry_class((2, 1), 3),
+    "build_symmetry_class with n = 2.5": lambda: kchi.build_symmetry_class(Partition((2, 1)), 2.5),
+    "dk_norm_formula with a tuple": lambda: kchi.dk_norm_formula((2, 1), 1, [1, 1, 1]),
+    "character with a tuple": lambda: kchi.character((2, 1), Partition((3,))),
+    "character of a tuple cycle type": lambda: kchi.character(Partition((2, 1)), (3,)),
+    "degree of a tuple": lambda: kchi.degree((2, 1)),
+    "immanant with a tuple": lambda: kchi.immanant((2, 1), EYE3),
+    "mixed_immanant with a tuple": lambda: kchi.mixed_immanant((2, 1), [EYE3] * 3),
+    "immanant_bound_verify with a tuple": lambda: kchi.immanant_bound_verify((2, 1), EYE3, 1),
+    "perturbation_bounds with a tuple": lambda: kchi.perturbation_bounds((2, 1), [1, 1, 1], 0.1),
+    "majorizes a tuple": lambda: kchi.majorizes(Partition((2, 1)), (3,)),
+    "spectral_norm of a string": lambda: kchi.spectral_norm("abc"),
+    "as_matrix of a dict": lambda: kchi.as_matrix({}),
+    "immanant of a string": lambda: kchi.immanant(Partition((1,)), [["x"]]),
+    "Partition of a string": lambda: Partition("ab"),
+    "Partition of a float part": lambda: Partition((2.5, 1)),
+    "Partition of an int": lambda: Partition(3),
+    "random_matrix of size -1": lambda: kchi.random_matrix(-1, RNG),
+    "random_unit_matrix of size 0": lambda: kchi.random_unit_matrix(0, RNG),
+    "random_unit_matrix of size -1": lambda: kchi.random_unit_matrix(-1, RNG),
+}
+
+
+@pytest.mark.parametrize("call", BAD_CALLS.values(), ids=BAD_CALLS.keys())
+def test_bad_input_raises_only_package_errors(call):
+    # random_unit_matrix(0) looped forever before it was checked, so the
+    # sizes are checked before any draw.
+    with pytest.raises(kchi.KchiError):
+        call()

@@ -1,16 +1,16 @@
 """The stacked sampling route against the one-sample-at-a-time reference.
 
-A sampled supremum reads its random unit tuples in order from one
+A sampled supremum reads its random unitary tuples in order from one
 generator, at most SAMPLE_CHUNK at a time, and evaluates each chunk through
-the batched compression kernel, or, for a derivative supremum over more
-tuples than the derivative has matrix-unit tuples, through one product with
-its k-linear tensor.  The reference route below is the per-sample loop they
-replaced: one ``random_unit_matrix`` call per direction on the same
-generator, one kernel call per tuple, with the factors applied to the
-tensor axes in order, one distinct arrangement at a time.  The kernel
-itself sums over sub-multisets of the factors; the tests below also
-compare it with that per-arrangement sum, count its axis products and
-bound its memory.
+the batched compression kernel or immanant sum, or, for a derivative
+supremum over more tuples than the derivative has matrix-unit tuples,
+through one product with its k-linear tensor.  The reference route below is
+the per-sample loop they replaced: one ``random_unit_matrix`` call per
+direction on the same generator, one kernel call per tuple, with the
+factors applied to the tensor axes (or immanant columns) in order, one
+distinct arrangement at a time.  The kernel and the mixed immanants sum
+over sub-multisets of the factors; the tests below also compare them with
+that per-arrangement sum, count their products and bound their memory.
 """
 
 import collections
@@ -28,11 +28,14 @@ from kchi import (
     DomainError,
     Partition,
     build_symmetry_class,
+    dk_immanant,
     dk_kchi,
     dk_norm_verify,
     immanant_bound_verify,
     k_chi_matrix,
     matrix_to_pairs,
+    mixed_immanant,
+    mixed_immanant_matrix,
     partitions_of,
     random_matrix,
     random_unit_matrix,
@@ -77,17 +80,24 @@ def reference_dk_kchi(sc, t, xs):
     return factor * reference_compress(sc, [t] * (sc.m - k) + list(xs))
 
 
-def reference_dk_immanant(chi, a, xs):
-    # D^k d_chi(a)(xs) by the permutation sum over every column assignment.
-    n, k = chi.size, len(xs)
+def reference_mixed_immanant(chi, mats):
+    # The mean over every distinct column assignment of the permutation sum,
+    # on (n, n) matrices or on (..., n, n) stacks of equal shape.
+    n = chi.size
     images, values = _permutation_characters(chi)
-    mats = [a] * (n - k) + list(xs)
     reps, orders = _distinct_arrangements(mats)
     total = 0.0
     for order in orders:
-        scratch = np.stack([reps[label][:, j] for j, label in enumerate(order)], axis=1)
-        total += values @ scratch[np.arange(n), images].prod(axis=1)
-    return math.factorial(n) // math.factorial(n - k) * total / len(orders)
+        scratch = np.stack([reps[label][..., :, j] for j, label in enumerate(order)], axis=-1)
+        total = total + scratch[..., np.arange(n), images].prod(axis=-1) @ values
+    return total / len(orders)
+
+
+def reference_dk_immanant(chi, a, xs):
+    # D^k d_chi(a)(xs) from the mixed immanant over every column assignment.
+    n, k = chi.size, len(xs)
+    factor = math.factorial(n) // math.factorial(n - k)
+    return factor * reference_mixed_immanant(chi, [a] * (n - k) + list(xs))
 
 
 def reference_draws(n, k, rng, count):
@@ -181,33 +191,32 @@ def test_sample_counts_outside_1_to_2_to_the_64_are_rejected(monkeypatch, sample
         immanant_bound_verify(Partition((2, 1)), np.eye(3), 1, samples=samples)
 
 
-class ZeroFirstDrawOfTupleTwo:
-    # A generator whose first bulk draw has tuple 2's first matrix zeroed;
-    # every later draw passes through unchanged.
-    def __init__(self, rng):
-        self.rng = rng
-        self.bulk = True
-
-    def standard_normal(self, size):
-        out = self.rng.standard_normal(size)
-        if self.bulk:
-            out[2, 0] = 0.0
-            self.bulk = False
-        return out
+HAAR_TOL = 1e-14
 
 
-def test_a_rejected_draw_is_redrawn_from_the_same_generator():
-    # Tuple 2 is rejected and redrawn after the chunk, as the next k
-    # random_unit_matrix draws of the same generator; the others stay.
-    n, k, seed = 3, 2, 9
-    unpatched = _unit_stack(n, k, sample_rng(seed, 0), 4)
-    got = _unit_stack(n, k, ZeroFirstDrawOfTupleTwo(sample_rng(seed, 0)), 4)
-    rng = sample_rng(seed, 0)
-    rng.standard_normal((4, k, 2, n, n))
-    assert np.array_equal(got[2], [random_unit_matrix(n, rng) for _ in range(k)])
-    assert np.allclose(np.linalg.norm(got[2], 2, axis=(1, 2)), 1.0)
-    assert not np.array_equal(got[2], unpatched[2])
-    assert np.array_equal(np.delete(got, 2, axis=0), np.delete(unpatched, 2, axis=0))
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("chunk", [1, 64])
+def test_draws_are_the_haar_factors_of_their_gaussians(n, k, chunk):
+    # Each draw U is unitary, and U* G is upper triangular with a real
+    # positive diagonal for the complex Gaussian G read from the same
+    # normals: U is the Q of G's QR decomposition with that normalisation,
+    # which makes it Haar distributed.
+    count = 65
+    rng = sample_rng(21, n * 10 + k)
+    units = np.concatenate(
+        [_unit_stack(n, k, rng, min(chunk, count - lo)) for lo in range(0, count, chunk)]
+    )
+    normals = sample_rng(21, n * 10 + k).standard_normal((count, k, 2, n, n))
+    gauss = normals[:, :, 0] + 1j * normals[:, :, 1]
+    adjoint = units.conj().swapaxes(-1, -2)
+    assert np.abs(adjoint @ units - np.eye(n)).max() <= HAAR_TOL
+    r = adjoint @ gauss
+    scale = np.abs(gauss).max(axis=(-1, -2), keepdims=True)
+    assert (np.abs(np.tril(r, -1)) <= HAAR_TOL * scale).all()
+    diagonal = np.diagonal(r, axis1=-2, axis2=-1)
+    assert (np.abs(diagonal.imag) <= HAAR_TOL * scale[..., 0]).all()
+    assert (diagonal.real > 0).all()
 
 
 def test_batched_kernel_matches_the_per_sample_loop():
@@ -266,6 +275,101 @@ def test_sub_multiset_kernel_matches_the_per_arrangement_sum(chi, n):
             for s in range(len(got)):
                 want = reference_dk_kchi(sc, t, [x[s] for x in xs])
                 assert close_to_reference(got[s], want)
+
+
+IMMANANT_CHIS = [chi for m in range(1, 6) for chi in partitions_of(m)]
+
+
+@pytest.mark.parametrize("chi", IMMANANT_CHIS, ids=str)
+def test_immanant_sums_match_the_per_arrangement_sum(chi):
+    # D^k d_chi for k = 0..n and the mixed immanant, on each kind of
+    # direction tuple and on directions equal to the base point, as (n, n)
+    # matrices and as (S, n, n) stacks, against the mean over every distinct
+    # column assignment.
+    n = chi.size
+    rng = sample_rng(18, n)
+    a = random_matrix(n, rng)
+    draw_stack = lambda: np.array([random_matrix(n, rng) for _ in range(2)])
+    for k in range(n + 1):
+        for xs in direction_kinds(k, lambda: random_matrix(n, rng)) + [[a] * k]:
+            assert close_to_reference(dk_immanant(chi, a, xs), reference_dk_immanant(chi, a, xs))
+            mats = [a] * (n - k) + xs
+            assert close_to_reference(mixed_immanant(chi, mats), reference_mixed_immanant(chi, mats))
+        for xs in direction_kinds(k, draw_stack):
+            got = kchi.norms._dk_immanant_raw(chi, a, xs)
+            for s, value in enumerate(np.broadcast_to(got, (2,))):
+                want = reference_dk_immanant(chi, a, [x[s] for x in xs])
+                assert close_to_reference(value, want)
+
+
+@pytest.mark.parametrize("chi, n", SMALL_CLASSES)
+def test_mixed_immanant_matrix_matches_the_per_arrangement_sum(chi, n):
+    # Every entry is the mixed immanant of the submatrices A[gamma|delta]
+    # and X_i[gamma|delta] over the multi-indices of delta_hat.
+    sc = build_symmetry_class(chi, n)
+    rng = sample_rng(19, 0)
+    a = random_matrix(n, rng)
+    index = np.array([alpha.entries for alpha in sc.delta_hat]) - 1
+    at = (index[:, None, :, None], index[None, :, None, :])
+    for k in range(sc.m + 1):
+        for xs in direction_kinds(k, lambda: random_matrix(n, rng)):
+            mats = [a] * (sc.m - k) + xs
+            want = reference_mixed_immanant(chi, [mat[at] for mat in mats])
+            assert close_to_reference(mixed_immanant_matrix(sc, a, xs), want)
+
+
+def count_column_gathers(monkeypatch):
+    # Records, per mixed-immanant sum, how often it gathered a column.
+    calls = []
+    arrangement_sum = kchi.norms._arrangement_sum
+
+    def counting(apply, w, factors, slots):
+        calls.append(0)
+
+        def counted(*args):
+            calls[-1] += 1
+            return apply(*args)
+
+        return arrangement_sum(counted, w, factors, slots)
+
+    monkeypatch.setattr(kchi.norms, "_arrangement_sum", counting)
+    return calls
+
+
+def test_column_gathers_follow_the_sub_multisets(monkeypatch):
+    # Four distinct arguments take 4 * 2^3 = 32 gathers, where summing
+    # their 4! arrangements one at a time took 4 * 24 = 96; d_chi itself,
+    # one argument in every column, takes n.  No sum gathers more than n
+    # per distinct arrangement.
+    calls = count_column_gathers(monkeypatch)
+    chi = Partition((2, 1, 1))
+    rng = sample_rng(22, 0)
+    a, *xs = [random_matrix(4, rng) for _ in range(5)]
+    for call, count, arrangements in [
+        (lambda: mixed_immanant(chi, xs), 32, 24),
+        (lambda: kchi.immanant(chi, a), 4, 1),
+        (lambda: dk_immanant(chi, a, xs[:1]), 10, 4),
+        (lambda: dk_immanant(chi, a, xs[:2]), 20, 12),
+        (lambda: dk_immanant(chi, a, [xs[0], xs[0]]), 12, 6),
+    ]:
+        calls.clear()
+        call()
+        assert calls == [count] and count <= 4 * arrangements
+
+
+def test_an_immanant_supremum_stays_within_its_chunk_budget():
+    # The sum's live states at (2,2,1,1), k = 6 are sized into the chunk,
+    # so its traced peak stays within SAMPLE_CHUNK_BYTES; summing the 720
+    # arrangements one at a time peaked at 5.2 MB.
+    chi = Partition((2, 2, 1, 1))
+    a = random_matrix(6, sample_rng(23, 0))
+    tracemalloc.start()
+    try:
+        immanant_bound_verify(chi, a, 6, samples=200, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= SAMPLE_CHUNK_BYTES
 
 
 @pytest.mark.parametrize("width", [1, 3, 7])
@@ -550,8 +654,9 @@ def test_chunk_keeps_the_kernel_stack_bounded(rows, dim):
 
 def test_verifiers_draw_chunks_sized_from_the_class(monkeypatch):
     # With the byte budget shrunk, (2,1)/3 (n^m * dim = 432) fits 5 tuples
-    # per chunk and the n = 3 immanant sum (3! * 3 entries) fits 7; the
-    # suprema still equal the reference loop's.
+    # per chunk and the n = 3 immanant sum at k = 1 (six arrays of 3!
+    # entries: four live states, a product and its gathered entries) fits
+    # 7; the suprema still equal the reference loop's.
     sizes = []
     stack = kchi.norms._unit_stack
 
@@ -571,7 +676,7 @@ def test_verifiers_draw_chunks_sized_from_the_class(monkeypatch):
     assert abs(report.sample_max - want) <= KERNEL_TOL * want
 
     sizes.clear()
-    monkeypatch.setattr(kchi.norms, "SAMPLE_CHUNK_BYTES", 16 * 18 * 7)
+    monkeypatch.setattr(kchi.norms, "SAMPLE_CHUNK_BYTES", 16 * 36 * 7)
     chi = Partition((2, 1))
     a = random_matrix(3, sample_rng(2, 10**6))
     report = immanant_bound_verify(chi, a, 1, samples=23, seed=6)
