@@ -46,10 +46,7 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        try:
-            parts = tuple(operator.index(p) for p in self.parts)
-        except TypeError:
-            raise DomainError(f"partition parts must be integers, got {self.parts!r}") from None
+        parts = _integers(self.parts, "partition parts")
         object.__setattr__(self, "parts", parts)
         if any(p <= 0 for p in parts):
             raise DomainError(f"partition parts must be positive, got {parts}")
@@ -79,19 +76,33 @@ class Partition:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
-def _check_partition(*partitions) -> None:
-    # The boundary check of every public function that takes partitions.
-    for chi in partitions:
-        if not isinstance(chi, Partition):
-            raise DomainError(f"expected a Partition, got {type(chi).__name__} {chi!r}")
+def _check_type(kind: type, *values) -> None:
+    # The boundary check of every public function that takes partitions,
+    # multi-indices or a symmetry class.
+    for value in values:
+        if not isinstance(value, kind):
+            raise DomainError(f"expected a {kind.__name__}, got {type(value).__name__} {value!r}")
+
+
+def _integer(value, what: str = "n") -> int:
+    # ``value`` as an int, when it is an integer (an int, a numpy integer, ...).
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _integers(values, what: str) -> tuple[int, ...]:
+    # ``values`` as a tuple of ints, when it is an iterable of integers.
+    try:
+        return tuple(operator.index(v) for v in values)
+    except TypeError:
+        raise DomainError(f"{what} must be integers, got {values!r}") from None
 
 
 def _positive_size(n) -> int:
     # ``n`` as an int, when it is an integer of at least 1.
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise DomainError(f"n must be an integer, got {n!r}") from None
+    n = _integer(n)
     if n < 1:
         raise DomainError(f"n must be positive, got {n}")
     return n
@@ -109,14 +120,16 @@ class MultiIndex:
     n: int
 
     def __post_init__(self) -> None:
-        entries = tuple(int(e) for e in self.entries)
+        n = _integer(self.n, "codomain size")
+        entries = _integers(self.entries, "multi-index entries")
         object.__setattr__(self, "entries", entries)
-        if self.n < 1:
-            raise DomainError(f"codomain size must be positive, got {self.n}")
+        object.__setattr__(self, "n", n)
+        if n < 1:
+            raise DomainError(f"codomain size must be positive, got {n}")
         if not entries:
             raise DomainError("multi-index must have at least one entry")
-        if any(e < 1 or e > self.n for e in entries):
-            raise DomainError(f"entries of {entries} fall outside 1..{self.n}")
+        if any(e < 1 or e > n for e in entries):
+            raise DomainError(f"entries of {entries} fall outside 1..{n}")
 
     @classmethod
     def _trusted(cls, entries: tuple[int, ...], n: int) -> "MultiIndex":
@@ -180,6 +193,7 @@ def partitions_of(m: int) -> tuple[Partition, ...]:
 
     Reverse lexicographic means ``(m)`` first and ``(1,...,1)`` last.
     """
+    m = _integer(m, "m")
     if m < 1:
         raise DomainError(f"m must be positive, got {m}")
     if m > MAX_PARTITION_SIZE:
@@ -203,7 +217,7 @@ def majorizes(lam: Partition, mu: Partition) -> bool:
 
     Both partitions must partition the same number.
     """
-    _check_partition(lam, mu)
+    _check_type(Partition, lam, mu)
     if lam.size != mu.size:
         raise DomainError(
             f"cannot compare partitions of different numbers: {lam} vs {mu}"
@@ -224,7 +238,7 @@ def omega_of(pi: Partition, n: int) -> MultiIndex:
     This is the lexicographically smallest multi-index whose multiplicity
     partition equals ``pi``; it needs ``n`` at least the number of parts.
     """
-    _check_partition(pi)
+    _check_type(Partition, pi)
     if pi.length > n:
         raise DomainError(
             f"partition {pi} has {pi.length} parts but the codomain only has {n} values"
@@ -237,6 +251,7 @@ def omega_of(pi: Partition, n: int) -> MultiIndex:
 
 def multiplicity_partition(alpha: MultiIndex) -> Partition:
     """Sizes of the preimages ``alpha^{-1}(i)``, sorted into a partition."""
+    _check_type(MultiIndex, alpha)
     counts = Counter(alpha.entries)
     return Partition(tuple(sorted(counts.values(), reverse=True)))
 
@@ -247,6 +262,7 @@ def enumerate_maps(mode: str, m: int, n: int) -> tuple[MultiIndex, ...]:
     ``mode`` selects the family: ``"gamma"`` (every map) or ``"increasing"``
     (weakly increasing).
     """
+    m, n = _integer(m, "m"), _integer(n)
     if m < 1 or n < 1:
         raise DomainError(f"m and n must be positive, got m={m}, n={n}")
     values = range(1, n + 1)
@@ -261,6 +277,7 @@ def enumerate_maps(mode: str, m: int, n: int) -> tuple[MultiIndex, ...]:
 
 def all_permutations(m: int) -> tuple[Permutation, ...]:
     """Every element of S_m, ordered lexicographically by image tuple."""
+    m = _integer(m, "m")
     if m < 1:
         raise DomainError(f"degree must be positive, got {m}")
     if m > MAX_ORBIT_DEGREE:

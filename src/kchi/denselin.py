@@ -249,10 +249,12 @@ def gram_schmidt(vectors) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormalize the columns of ``vectors`` in order.
 
     Returns ``(ortho, coeffs)`` where ``ortho`` has orthonormal columns,
-    ``coeffs`` is upper triangular with positive real diagonal, and
+    ``coeffs`` is exactly upper triangular with positive real diagonal, and
     ``ortho = vectors @ coeffs`` (so column j of ``coeffs`` expresses the
-    j-th orthonormal vector in terms of the input ones).  A pivot below
-    ``GRAM_SCHMIDT_PIVOT_TOL`` means the inputs are linearly dependent.
+    j-th orthonormal vector in terms of the input ones).  ``coeffs`` is
+    LAPACK's inverse of the QR factor ``r``, cut to its upper triangle.  A
+    pivot below ``GRAM_SCHMIDT_PIVOT_TOL`` means the inputs are linearly
+    dependent.
     """
     m = as_matrix(vectors)
     if m.shape[1] == 0:
@@ -273,22 +275,7 @@ def gram_schmidt(vectors) -> tuple[np.ndarray, np.ndarray]:
     phases = diag / np.abs(diag)
     q = q * phases.conj()
     r = phases.conj()[:, None] * r
-    return q, _invert_upper(r)
-
-
-def _invert_upper(r: np.ndarray) -> np.ndarray:
-    """Inverse of an upper triangular matrix by back substitution.
-
-    Stays exactly upper triangular, which a general-purpose solve would not
-    guarantee at the last bit.
-    """
-    d = r.shape[0]
-    inv = np.zeros_like(r)
-    for j in range(d):
-        inv[j, j] = 1.0 / r[j, j]
-        for i in range(j - 1, -1, -1):
-            inv[i, j] = -np.dot(r[i, i + 1 : j + 1], inv[i + 1 : j + 1, j]) / r[i, i]
-    return inv
+    return q, np.triu(np.linalg.inv(r))
 
 
 def matrix_to_pairs(a) -> list[list[list[float]]]:

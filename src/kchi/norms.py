@@ -20,11 +20,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .combinat import MultiIndex, Partition, _check_partition, _positive_size
+from .combinat import MultiIndex, Partition, _check_type, _integer, _positive_size
 from .denselin import _distinct_factors, _largest_spectral_norm, _require_finite
 from .denselin import as_matrix, polar, singular_values, spectral_norm
 from .errors import DomainError, NumericError, ResourceError
-from .symclass import SymmetryClass, _arrangement_sum, _dk_stack, _live_states
+from .symclass import SymmetryClass, _arrangement_sum, _dk_stack, _live_states, _operators
 from .symclass import build_symmetry_class, dk_kchi
 from .symgroup import _permutation_characters, degree
 
@@ -113,9 +113,17 @@ def _check_nu(nu) -> tuple[float, ...]:
     return vals
 
 
+def _check_order(k, low: int, top: int, name: str) -> int:
+    # The derivative order ``k`` as an int in [low, top], ``top`` being m or n.
+    k = _integer(k, "k")
+    if not low <= k <= top:
+        raise DomainError(f"need {low} <= k <= {name}={top}, got k={k}")
+    return k
+
+
 def nu_omega(chi: Partition, nu) -> tuple[float, ...]:
     """The selection (nu_1 repeated chi_1 times, nu_2 repeated chi_2 times, ...)."""
-    _check_partition(chi)
+    _check_type(Partition, chi)
     return _nu_omega(chi, _check_nu(nu))
 
 
@@ -135,13 +143,12 @@ def dk_norm_formula(chi: Partition, k: int, nu, n: int | None = None) -> float:
     1 <= k <= m <= len(nu) (the equality needs as many singular values as
     tensor factors).
     """
-    _check_partition(chi)
+    _check_type(Partition, chi)
     m = chi.size
     vals = _check_nu(nu)
     if n is not None and len(vals) != n:
         raise DomainError(f"expected {n} singular values, got {len(vals)}")
-    if not 1 <= k <= m:
-        raise DomainError(f"need 1 <= k <= m={m}, got k={k}")
+    k = _check_order(k, 1, m, "m")
     if m > len(vals):
         raise DomainError(
             f"m={m} exceeds the number of singular values {len(vals)}; "
@@ -157,16 +164,17 @@ def lambda_eigenvalue(alpha: MultiIndex, k: int, nu) -> float:
     ``nu_alpha`` picks entry alpha(i) of nu for each i; the value depends
     on alpha only through its orbit under slot permutations.
     """
+    _check_type(MultiIndex, alpha)
     m = alpha.m
     vals = _check_nu(nu)
-    if not 1 <= k <= m:
-        raise DomainError(f"need 1 <= k <= m={m}, got k={k}")
+    k = _check_order(k, 1, m, "m")
     if alpha.n > len(vals):
         raise DomainError(
             f"alpha takes values up to {alpha.n} but only {len(vals)} singular values given"
         )
     selection = [vals[e - 1] for e in alpha.entries]
-    return math.factorial(k) * elementary_symmetric(m - k, selection)
+    value = math.factorial(k) * elementary_symmetric(m - k, selection)
+    return _require_finite(value, "derivative eigenvalue")
 
 
 @dataclass(frozen=True)
@@ -216,7 +224,7 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
     128-bit key of a Philox counter-based generator: key word 0 is the
     seed, key word 1 the index, and the counter starts at 0.
     """
-    seed, index = int(seed), int(index)
+    seed, index = _integer(seed, "seed"), _integer(index, "sample index")
     if not (0 <= seed < 2**64 and 0 <= index < 2**64):
         raise DomainError(
             f"seed and sample index must lie in [0, 2**64), got seed {seed}, index {index}"
@@ -254,9 +262,11 @@ def _sample_chunk(tuple_bytes: int) -> int:
     return max(1, min(SAMPLE_CHUNK, SAMPLE_CHUNK_BYTES // tuple_bytes))
 
 
-def _check_samples(samples: int, tuple_bytes: int) -> None:
-    # Before any draw: a count outside [1, 2**64) is a domain error, and one
-    # past SAMPLE_BUDGET_BYTES at ``tuple_bytes`` per sample a resource error.
+def _check_samples(samples: int, tuple_bytes: int) -> int:
+    # ``samples`` as an int, before any draw: a count that is not an integer
+    # or lies outside [1, 2**64) is a domain error, and one past
+    # SAMPLE_BUDGET_BYTES at ``tuple_bytes`` per sample a resource error.
+    samples = _integer(samples, "samples")
     if not 1 <= samples < 2**64:
         raise DomainError(f"samples must lie in [1, 2**64), got {samples}")
     if samples * tuple_bytes > SAMPLE_BUDGET_BYTES:
@@ -264,6 +274,7 @@ def _check_samples(samples: int, tuple_bytes: int) -> None:
             f"sampling capped at {SAMPLE_BUDGET_BYTES} bytes of evaluated tuples; "
             f"{samples} samples of {tuple_bytes} bytes each exceed it"
         )
+    return samples
 
 
 def _sampled_max(
@@ -327,7 +338,7 @@ def _dk_norm_sup(
     # Either way only the chunk's samples that can beat the running
     # maximum reach LAPACK.
     tuple_bytes = 16 * sc.n**sc.m * sc.dim
-    _check_samples(samples, tuple_bytes)
+    samples = _check_samples(samples, tuple_bytes)
     chunk = _sample_chunk(tuple_bytes)
     if _tensor_route(sc.n, sc.dim, k, samples, chunk):
         tensor = _derivative_tensor(sc, t, k, chunk)
@@ -349,7 +360,7 @@ def dk_norm_verify(
     PSD factor, the value at the attaining unitary directions, and a
     sampled supremum over random unit tuples.
     """
-    t_mat = as_matrix(t, n=sc.n)
+    (t_mat,) = _operators(sc, [t])
     nu = singular_values(t_mat)
     formula = dk_norm_formula(sc.chi, k, nu, n=sc.n)
     sample_max = _dk_norm_sup(sc, t_mat, k, samples, sample_rng(seed, 0))
@@ -376,7 +387,7 @@ def immanant(chi: Partition, a) -> complex:
 
     chi = (1,...,1) gives the determinant and chi = (n) the permanent.
     """
-    _check_partition(chi)
+    _check_type(Partition, chi)
     n = chi.size
     if n > MAX_IMMANANT_SIZE:
         raise ResourceError(
@@ -423,7 +434,7 @@ def mixed_immanant(chi: Partition, xs) -> complex:
     Takes n = |chi| matrices; fully symmetric and multilinear, and equal
     to d_chi(A) when every argument is A.
     """
-    _check_partition(chi)
+    _check_type(Partition, chi)
     n = chi.size
     if n > MAX_MIXED_SIZE:
         raise ResourceError(
@@ -444,7 +455,7 @@ def dk_immanant(chi: Partition, a, xs) -> complex:
     the directions in the rest; for k = n the value no longer depends on
     ``a``.  k = 0 returns d_chi(a).
     """
-    _check_partition(chi)
+    _check_type(Partition, chi)
     n = chi.size
     mat = as_matrix(a, n=n)
     x_mats = [as_matrix(x, n=n) for x in xs]
@@ -467,8 +478,7 @@ def immanant_matrix(sc: SymmetryClass, a) -> np.ndarray:
 
 def mixed_immanant_matrix(sc: SymmetryClass, a, xs) -> np.ndarray:
     """Matrix of mixed immanants of submatrices, a in m-k slots per entry."""
-    mat = as_matrix(a, n=sc.n)
-    x_mats = [as_matrix(x, n=sc.n) for x in xs]
+    mat, *x_mats = _operators(sc, [a, *xs])
     k = len(x_mats)
     if k > sc.m:
         raise DomainError(f"derivative order {k} exceeds m={sc.m}")
@@ -490,14 +500,13 @@ def dk_kchi_via_immanants(sc: SymmetryClass, a, xs) -> np.ndarray:
     (chi(id)/(m-k)!) * B* M B with M the mixed-immanant matrix and B the
     triangular change of basis.
     """
-    mat = as_matrix(a, n=sc.n)
-    x_mats = [as_matrix(x, n=sc.n) for x in xs]
+    mat, *x_mats = _operators(sc, [a, *xs])
     k = len(x_mats)
     if k > sc.m:
         return np.zeros((sc.dim, sc.dim), dtype=np.complex128)
     mixed = mixed_immanant_matrix(sc, mat, x_mats)
     coeff = degree(sc.chi) / math.factorial(sc.m - k)
-    return coeff * (sc.basis_b.conj().T @ mixed @ sc.basis_b)
+    return coeff * (sc.basis_b.T @ mixed @ sc.basis_b)
 
 
 def dk_immanant_via_power(chi: Partition, a, xs) -> complex:
@@ -508,7 +517,7 @@ def dk_immanant_via_power(chi: Partition, a, xs) -> complex:
     D^k d_chi(A)(Xs) = (n!/chi(id)) * c* D^k K_chi(A)(Xs) c with
     c the gamma column of the inverse change of basis.
     """
-    _check_partition(chi)
+    _check_type(Partition, chi)
     n = chi.size
     mat = as_matrix(a, n=n)
     sc = build_symmetry_class(chi, n)
@@ -527,13 +536,12 @@ def dk_immanant_bound(chi: Partition, k: int, nu) -> float:
 
     Sharp for the determinant; can be strict otherwise.
     """
-    _check_partition(chi)
+    _check_type(Partition, chi)
     n = chi.size
     vals = _check_nu(nu)
     if len(vals) != n:
         raise DomainError(f"chi={chi} needs {n} singular values, got {len(vals)}")
-    if not 0 <= k <= n:
-        raise DomainError(f"need 0 <= k <= n={n}, got k={k}")
+    k = _check_order(k, 0, n, "n")
     value = math.factorial(k) * elementary_symmetric(n - k, _nu_omega(chi, vals))
     return _require_finite(value, "immanant derivative bound")
 
@@ -567,7 +575,7 @@ def _immanant_sup(
     # of the sum, the product being formed and the entries it gathers.
     n = chi.size
     tuple_bytes = 16 * math.factorial(n) * (_live_states([n - k] + [1] * k) + 2)
-    _check_samples(samples, tuple_bytes)
+    samples = _check_samples(samples, tuple_bytes)
     chunk = _sample_chunk(tuple_bytes)
     return _sampled_max(
         lambda xs, best: max(best, float(np.max(np.abs(_dk_immanant_raw(chi, a, xs))))),
@@ -579,11 +587,10 @@ def immanant_bound_verify(
     chi: Partition, a, k: int, samples: int = 100, seed: int = 0
 ) -> ImmanantReport:
     """Sample |D^k d_chi(A)| over random unit tuples against the closed bound."""
-    _check_partition(chi)
+    _check_type(Partition, chi)
     n = chi.size
     mat = as_matrix(a, n=n)
-    if not 1 <= k <= n:
-        raise DomainError(f"need 1 <= k <= n={n}, got k={k}")
+    k = _check_order(k, 1, n, "n")
     nu = singular_values(mat)
     bound = dk_immanant_bound(chi, k, nu)
     return ImmanantReport(
@@ -604,7 +611,7 @@ def perturbation_bounds(chi: Partition, nu, delta: float) -> float:
     both the operator difference ||K_chi(T) - K_chi(T+X)|| and, where the
     matrix size equals |chi|, the scalar |d_chi(A) - d_chi(A+Y)|.
     """
-    _check_partition(chi)
+    _check_type(Partition, chi)
     delta = float(delta)
     if not np.isfinite(delta) or delta < 0.0:
         raise DomainError(f"perturbation norm must be finite and >= 0, got {delta}")

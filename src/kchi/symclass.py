@@ -38,7 +38,7 @@ import numpy as np
 from .combinat import (
     MultiIndex,
     Partition,
-    _check_partition,
+    _check_type,
     _positive_size,
     enumerate_maps,
     majorizes,
@@ -48,7 +48,7 @@ from .denselin import DEFAULT_DIMENSION_CAP, _distinct_arrangements, _distinct_f
 from .denselin import _require_finite
 from .denselin import as_matrix, gram_schmidt, kron
 from .errors import DomainError, NumericError, ResourceError
-from .symgroup import _permutation_characters, character_sum_over_stabilizer, degree
+from .symgroup import _permutation_characters, _stabilizer_sum, degree
 
 __all__ = [
     "SymmetryClass",
@@ -71,9 +71,9 @@ class SymmetryClass:
     """The symmetry class of C^n associated with an irreducible character.
 
     ``inclusion`` holds the orthonormal basis of the class as real columns
-    in product-basis coordinates; ``basis_b`` is the upper triangular change
-    of basis expressing those orthonormal vectors through the e*-basis
-    indexed by ``delta_hat``.
+    in product-basis coordinates; ``basis_b`` is the real upper triangular
+    change of basis expressing those orthonormal vectors through the
+    e*-basis indexed by ``delta_hat``.  Both are float64.
     """
 
     chi: Partition
@@ -93,25 +93,10 @@ class SymmetryClass:
         """Dimension of the symmetry class."""
         return len(self.delta_hat)
 
-    def index_of(self, alpha: MultiIndex) -> int:
-        """Position of ``alpha`` in the lexicographic listing of all n^m multi-indices."""
-        if not isinstance(alpha, MultiIndex) or (alpha.m, alpha.n) != (self.m, self.n):
-            raise DomainError(
-                f"{alpha} is not a multi-index of this class (m={self.m}, n={self.n})"
-            )
-        return int(_encode(np.array(alpha.entries), self.n))
-
-    def estar_coords(self, alpha: MultiIndex) -> np.ndarray:
-        """Coordinates of e*_alpha in the product basis (a symmetrizer column)."""
-        self.index_of(alpha)
-        rows = np.arange(self.n**self.m)
-        column = _estar_columns(self.chi, self.n, [alpha.entries], rows)[:, 0]
-        return column.astype(np.complex128)
-
 
 def build_symmetry_class(chi: Partition, n: int) -> SymmetryClass:
     """Assemble the symmetry class of C^n for the character labeled by chi."""
-    _check_partition(chi)
+    _check_type(Partition, chi)
     n = _positive_size(n)
     m = chi.size
     if m > MAX_TENSOR_FACTORS:
@@ -128,12 +113,16 @@ def build_symmetry_class(chi: Partition, n: int) -> SymmetryClass:
         )
 
     # Membership of alpha in omega depends only on its multiplicity
-    # partition, so it is decided once per orbit, at the weakly increasing
-    # representative; the survivors are delta_bar.
+    # partition mu, so it is decided once per orbit, at the weakly increasing
+    # representative; the survivors are delta_bar.  The orbit's rank is
+    # chi(1) times the character sum over the stabilizer S_mu, over |S_mu|.
+    chi_one = degree(chi)
+    scale = chi_one / math.factorial(m)
     delta_bar, orbits = [], []
     for a in enumerate_maps("increasing", m, n):
-        total = character_sum_over_stabilizer(chi, a)
-        by_majorization = majorizes(chi, multiplicity_partition(a))
+        mu = multiplicity_partition(a)
+        total = _stabilizer_sum(chi.parts, mu.parts)
+        by_majorization = majorizes(chi, mu)
         if (total != 0) != by_majorization:
             raise NumericError(
                 f"membership routes disagree at alpha={a}: "
@@ -141,7 +130,8 @@ def build_symmetry_class(chi: Partition, n: int) -> SymmetryClass:
             )
         if by_majorization:
             delta_bar.append(a)
-            orbits.append(_orbit_basis(chi, a, total))
+            stabilizer = math.prod(math.factorial(c) for c in mu.parts)
+            orbits.append(_orbit_basis(chi, a, chi_one * total // stabilizer, scale))
     if not orbits:
         raise NumericError("no surviving symmetrized tensors despite l(chi) <= n")
 
@@ -152,16 +142,16 @@ def build_symmetry_class(chi: Partition, n: int) -> SymmetryClass:
 
     # Distinct orbits are orthogonal, so Gram-Schmidt over delta_hat in
     # lexicographic order is the per-orbit Gram-Schmidt, scattered.  The
-    # e*-columns are real and Gram-Schmidt keeps them real, so V is stored
-    # real and V* is V.T.
+    # e*-columns are real and Gram-Schmidt keeps them real, so V and B are
+    # stored real and V* is V.T.
     inclusion = np.zeros((n**m, len(kept)))
-    basis_b = np.zeros((len(kept), len(kept)), dtype=np.complex128)
+    basis_b = np.zeros((len(kept), len(kept)))
     for rows, cols, ortho, coeffs in orbits:
-        if np.any(ortho.imag):
+        if np.any(ortho.imag) or np.any(coeffs.imag):
             raise NumericError("the orthonormal basis of the class is not real")
         at = np.searchsorted(kept, rows[cols])
         inclusion[np.ix_(rows, at)] = ortho.real
-        basis_b[np.ix_(at, at)] = coeffs
+        basis_b[np.ix_(at, at)] = coeffs.real
 
     return SymmetryClass(
         chi=chi,
@@ -186,30 +176,28 @@ def _decode(codes: np.ndarray, m: int, n: int) -> tuple[MultiIndex, ...]:
     return tuple(MultiIndex._trusted(tuple(row), n) for row in entries.tolist())
 
 
-def _estar_columns(chi: Partition, n: int, alphas, rows: np.ndarray) -> np.ndarray:
+def _estar_columns(chi: Partition, n: int, alphas, rows: np.ndarray, scale: float) -> np.ndarray:
     # e*_alpha for each alpha in ``alphas``, restricted to the sorted
-    # product-basis positions ``rows``, which must cover their orbits.
-    # The symmetrizer sums chi(sigma) e_{alpha o sigma^-1} over S_m; reindexed
-    # by sigma^-1 it reads the rows themselves, as chi(sigma) = chi(sigma^-1).
+    # product-basis positions ``rows``, which must cover their orbits;
+    # ``scale`` is chi(1)/m!.  The symmetrizer sums chi(sigma)
+    # e_{alpha o sigma^-1} over S_m; reindexed by sigma^-1 it reads the rows
+    # themselves, as chi(sigma) = chi(sigma^-1).
     images, values = _permutation_characters(chi)
     images, values = images[values != 0], values[values != 0]
     codes = _encode(np.array(alphas)[:, images], n)
     out = np.zeros((len(rows), len(alphas)))
     np.add.at(out, (np.searchsorted(rows, codes), np.arange(len(alphas))[:, None]), values)
-    return out * (degree(chi) / math.factorial(chi.size))
+    return out * scale
 
 
-def _orbit_basis(chi: Partition, a: MultiIndex, total: int):
-    # Greedy lexicographic sweep over the e*-columns of the orbit of ``a``,
-    # up to the orbit's rank from characters (``total`` is the character sum
-    # over the stabilizer of ``a``), and Gram-Schmidt of the kept ones.
-    # Returns the orbit's product-basis positions, the kept columns and
-    # gram_schmidt's (ortho, coeffs).
+def _orbit_basis(chi: Partition, a: MultiIndex, rank: int, scale: float):
+    # Greedy lexicographic sweep over the e*-columns of the orbit of ``a``
+    # (scaled by ``scale`` = chi(1)/m!) up to the orbit's ``rank``, and
+    # Gram-Schmidt of the kept ones.  Returns the orbit's product-basis
+    # positions, the kept columns and gram_schmidt's (ortho, coeffs).
     orbit = sorted(set(itertools.permutations(a.entries)))
     rows = _encode(np.array(orbit), a.n)
-    block = _estar_columns(chi, a.n, orbit, rows)
-    stabilizer_size = math.prod(math.factorial(c) for c in multiplicity_partition(a).parts)
-    rank = degree(chi) * total // stabilizer_size
+    block = _estar_columns(chi, a.n, orbit, rows, scale)
     basis = np.zeros((len(orbit), 0))
     cols = []
     for j, v in enumerate(block.T):
@@ -354,6 +342,13 @@ def _dk_stack(sc: SymmetryClass, t: np.ndarray, xs: list[np.ndarray]) -> np.ndar
     return _require_finite(value, "derivative")
 
 
+def _operators(sc: SymmetryClass, ops) -> list[np.ndarray]:
+    # The boundary check of every public function that takes a class and
+    # operators on its C^n: the class, then each operator as an (n, n) matrix.
+    _check_type(SymmetryClass, sc)
+    return [as_matrix(op, n=sc.n) for op in ops]
+
+
 def sym_op_product(sc: SymmetryClass, ops) -> np.ndarray:
     """The compression of the symmetrized tensor product to the class.
 
@@ -361,7 +356,7 @@ def sym_op_product(sc: SymmetryClass, ops) -> np.ndarray:
     matrix of X^1 * ... * X^m in the orthonormal basis; the result is
     invariant under permuting the operators.
     """
-    mats = [as_matrix(op, n=sc.n) for op in ops]
+    mats = _operators(sc, ops)
     if len(mats) != sc.m:
         raise DomainError(f"expected {sc.m} operators, got {len(mats)}")
     return _compress(sc, mats)[0]
@@ -374,7 +369,7 @@ def k_chi_matrix(sc: SymmetryClass, a) -> np.ndarray:
     the compression of that power is exactly the induced operator; the
     map is multiplicative in ``a``.
     """
-    return _compress(sc, [as_matrix(a, n=sc.n)] * sc.m)[0]
+    return _compress(sc, _operators(sc, [a]) * sc.m)[0]
 
 
 def dk_kchi(sc: SymmetryClass, t, xs) -> np.ndarray:
@@ -386,7 +381,7 @@ def dk_kchi(sc: SymmetryClass, t, xs) -> np.ndarray:
     and for k = m it does not depend on ``t``.  k = 0 returns the induced
     operator itself.
     """
-    t_mat, *x_mats = [as_matrix(op, n=sc.n) for op in [t, *xs]]
+    t_mat, *x_mats = _operators(sc, [t, *xs])
     if len(x_mats) > sc.m:
         return np.zeros((sc.dim, sc.dim), dtype=np.complex128)
     return _dk_stack(sc, t_mat, x_mats)[0]

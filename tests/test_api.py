@@ -95,6 +95,29 @@ BAD_CALLS = {
     "random_matrix of size -1": lambda: kchi.random_matrix(-1, RNG),
     "random_unit_matrix of size 0": lambda: kchi.random_unit_matrix(0, RNG),
     "random_unit_matrix of size -1": lambda: kchi.random_unit_matrix(-1, RNG),
+    "k_chi_matrix with a tuple class": lambda: kchi.k_chi_matrix((2, 1), EYE3),
+    "dk_kchi with a tuple class": lambda: kchi.dk_kchi((2, 1), EYE3, [EYE3]),
+    "sym_op_product with a tuple class": lambda: kchi.sym_op_product((2, 1), [EYE3] * 3),
+    "dk_norm_verify with a tuple class": lambda: kchi.dk_norm_verify((2, 1), EYE3, 1),
+    "immanant_matrix with a tuple class": lambda: kchi.immanant_matrix((2, 1), EYE3),
+    "dk_kchi_via_immanants with a tuple class": lambda: kchi.dk_kchi_via_immanants((2, 1), EYE3, []),
+    "lambda_eigenvalue with a tuple": lambda: kchi.lambda_eigenvalue((1, 2), 1, [1, 1]),
+    "character_sum_over_stabilizer with a tuple": lambda: kchi.character_sum_over_stabilizer(
+        Partition((2,)), (1, 2)
+    ),
+    "partitions_of 2.5": lambda: kchi.partitions_of(2.5),
+    "enumerate_maps with n = 2.5": lambda: kchi.enumerate_maps("increasing", 2, 2.5),
+    "immanant_bound_verify with samples = 2.5": lambda: kchi.immanant_bound_verify(
+        Partition((2, 1)), EYE3, 1, samples=2.5
+    ),
+    "dk_norm_verify with samples = 2.5": lambda: kchi.dk_norm_verify(
+        kchi.build_symmetry_class(Partition((2, 1)), 3), EYE3, 1, samples=2.5
+    ),
+    "MultiIndex with n = 1.5": lambda: kchi.MultiIndex((1,), 1.5),
+    "MultiIndex with an entry 1.5": lambda: kchi.MultiIndex((1.5,), 2),
+    "multiplicity_partition of a tuple": lambda: kchi.multiplicity_partition((1, 2)),
+    "dk_norm_formula with k = 1.5": lambda: kchi.dk_norm_formula(Partition((2, 1)), 1.5, [1, 1, 1]),
+    "sample_rng with seed 1.5": lambda: kchi.sample_rng(1.5, 0),
 }
 
 

@@ -288,6 +288,16 @@ def test_gram_schmidt_properties():
         assert spectral_norm(residual) < 1e-9
 
 
+def test_gram_schmidt_coeffs_invert_the_triangular_factor():
+    # coeffs is the inverse of r = ortho* vectors, exactly upper triangular.
+    rng = np.random.default_rng(31)
+    for m in [random_complex(rng, 7, 5), rng.standard_normal((6, 6))]:
+        q, b = gram_schmidt(m)
+        assert np.array_equal(b, np.triu(b))
+        r = q.conj().T @ m
+        assert np.abs(r @ b - np.eye(len(b))).max() <= 1e-12
+
+
 def test_gram_schmidt_rejects_dependent_columns():
     m = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
     with pytest.raises(DomainError):

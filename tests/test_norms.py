@@ -129,6 +129,8 @@ def test_closed_forms_raise_instead_of_overflowing():
         dk_norm_formula(Partition((2, 1)), 1, [1e200] * 3, n=3)
     with pytest.raises(NumericError):
         dk_immanant_bound(Partition((2, 1)), 1, [1e200] * 3)
+    with pytest.raises(NumericError):
+        lambda_eigenvalue(MultiIndex((1, 1, 1), 1), 1, [1e200])
 
 
 def test_lambda_eigenvalue_example():
