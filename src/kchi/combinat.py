@@ -78,7 +78,7 @@ class Partition:
 
 def _check_type(kind: type, *values) -> None:
     # The boundary check of every public function that takes partitions,
-    # multi-indices or a symmetry class.
+    # multi-indices, a symmetry class or a random generator.
     for value in values:
         if not isinstance(value, kind):
             raise DomainError(f"expected a {kind.__name__}, got {type(value).__name__} {value!r}")
@@ -98,6 +98,22 @@ def _integers(values, what: str) -> tuple[int, ...]:
         return tuple(operator.index(v) for v in values)
     except TypeError:
         raise DomainError(f"{what} must be integers, got {values!r}") from None
+
+
+def _real(value, what: str) -> float:
+    # ``value`` as a float, when it is a real number.
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} must be a real number, got {value!r}") from None
+
+
+def _reals(values, what: str) -> tuple[float, ...]:
+    # ``values`` as a tuple of floats, when it is an iterable of real numbers.
+    try:
+        return tuple(float(v) for v in values)
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} must be real numbers, got {values!r}") from None
 
 
 def _positive_size(n) -> int:

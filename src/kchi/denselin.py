@@ -65,6 +65,15 @@ def as_matrix(obj, *, square: bool = False, n: int | None = None) -> np.ndarray:
     return a
 
 
+def _matrices(objs, *, square: bool = False, n: int | None = None) -> list[np.ndarray]:
+    # Each item of the sequence ``objs`` through as_matrix.
+    try:
+        items = list(objs)
+    except TypeError:
+        raise DomainError(f"expected a sequence of matrices, got {type(objs).__name__}") from None
+    return [as_matrix(obj, square=square, n=n) for obj in items]
+
+
 def _square_svd(a, compute_uv: bool):
     """LAPACK's SVD of a square matrix of dimension at most ``MAX_SVD_DIM``."""
     a = as_matrix(a, square=True)

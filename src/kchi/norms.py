@@ -20,9 +20,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .combinat import MultiIndex, Partition, _check_type, _integer, _positive_size
+from .combinat import MultiIndex, Partition, _check_type, _integer, _positive_size, _real, _reals
 from .denselin import _distinct_factors, _largest_spectral_norm, _require_finite
-from .denselin import as_matrix, polar, singular_values, spectral_norm
+from .denselin import _matrices, as_matrix, polar, singular_values, spectral_norm
 from .errors import DomainError, NumericError, ResourceError
 from .symclass import SymmetryClass, _arrangement_sum, _dk_stack, _live_states, _operators
 from .symclass import build_symmetry_class, dk_kchi
@@ -89,9 +89,10 @@ def elementary_symmetric(t: int, values) -> float:
 
     p_0 = 1 and p_t = 0 when t exceeds the number of values.
     """
+    t = _integer(t, "elementary symmetric degree")
     if t < 0:
         raise DomainError(f"elementary symmetric degree must be >= 0, got {t}")
-    vals = [float(v) for v in values]
+    vals = _reals(values, "elementary symmetric arguments")
     if t > len(vals):
         return 0.0
     coeffs = [1.0] + [0.0] * t
@@ -102,7 +103,7 @@ def elementary_symmetric(t: int, values) -> float:
 
 
 def _check_nu(nu) -> tuple[float, ...]:
-    vals = tuple(float(v) for v in nu)
+    vals = _reals(nu, "singular values")
     if not vals:
         raise DomainError("need at least one singular value")
     for i, v in enumerate(vals):
@@ -235,6 +236,7 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
 def random_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
     """Square matrix with independent standard complex Gaussian entries."""
     n = _positive_size(n)
+    _check_type(np.random.Generator, rng)
     real = rng.standard_normal((n, n))
     imag = rng.standard_normal((n, n))
     return (real + 1j * imag) / math.sqrt(2.0)
@@ -242,7 +244,9 @@ def random_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_unit_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed random unitary n x n matrix, of spectral norm one."""
-    return _unit_stack(_positive_size(n), 1, rng, 1)[0, 0]
+    n = _positive_size(n)
+    _check_type(np.random.Generator, rng)
+    return _unit_stack(n, 1, rng, 1)[0, 0]
 
 
 def _unit_stack(n: int, k: int, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -440,7 +444,7 @@ def mixed_immanant(chi: Partition, xs) -> complex:
         raise ResourceError(
             f"mixed immanants capped at n <= {MAX_MIXED_SIZE}, got n={n}"
         )
-    mats = [as_matrix(x, n=n) for x in xs]
+    mats = _matrices(xs, n=n)
     if len(mats) != n:
         raise DomainError(f"chi={chi} needs {n} matrices, got {len(mats)}")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -458,7 +462,7 @@ def dk_immanant(chi: Partition, a, xs) -> complex:
     _check_type(Partition, chi)
     n = chi.size
     mat = as_matrix(a, n=n)
-    x_mats = [as_matrix(x, n=n) for x in xs]
+    x_mats = _matrices(xs, n=n)
     k = len(x_mats)
     if k > n:
         raise DomainError(f"derivative order {k} exceeds n={n}")
@@ -478,7 +482,7 @@ def immanant_matrix(sc: SymmetryClass, a) -> np.ndarray:
 
 def mixed_immanant_matrix(sc: SymmetryClass, a, xs) -> np.ndarray:
     """Matrix of mixed immanants of submatrices, a in m-k slots per entry."""
-    mat, *x_mats = _operators(sc, [a, *xs])
+    mat, *x_mats = _operators(sc, [a], xs)
     k = len(x_mats)
     if k > sc.m:
         raise DomainError(f"derivative order {k} exceeds m={sc.m}")
@@ -500,7 +504,7 @@ def dk_kchi_via_immanants(sc: SymmetryClass, a, xs) -> np.ndarray:
     (chi(id)/(m-k)!) * B* M B with M the mixed-immanant matrix and B the
     triangular change of basis.
     """
-    mat, *x_mats = _operators(sc, [a, *xs])
+    mat, *x_mats = _operators(sc, [a], xs)
     k = len(x_mats)
     if k > sc.m:
         return np.zeros((sc.dim, sc.dim), dtype=np.complex128)
@@ -612,7 +616,7 @@ def perturbation_bounds(chi: Partition, nu, delta: float) -> float:
     matrix size equals |chi|, the scalar |d_chi(A) - d_chi(A+Y)|.
     """
     _check_type(Partition, chi)
-    delta = float(delta)
+    delta = _real(delta, "perturbation norm")
     if not np.isfinite(delta) or delta < 0.0:
         raise DomainError(f"perturbation norm must be finite and >= 0, got {delta}")
     m = chi.size

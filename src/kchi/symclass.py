@@ -9,8 +9,11 @@ class V_chi, where P(sigma) permutes Kronecker factors,
 ``P(sigma)(v_1 (x) ... (x) v_m) = v_{sigma^{-1}(1)} (x) ... (x) v_{sigma^{-1}(m)}``.
 Its columns are the decomposable symmetrized tensors e*_alpha in
 product-basis coordinates.  P(sigma) maps each S_m-orbit of multi-indices
-to itself, so K_chi is block diagonal over the orbits: the class is built
-one orbit block at a time and the n^m x n^m symmetrizer is never formed.
+to itself, so K_chi is block diagonal over the orbits, and an orbit's block
+depends only on the composition of its weakly increasing representative
+(the run lengths of its equal entries).  The class is built from one
+template block per composition, relabelled onto every orbit that shares
+it; the n^m x n^m symmetrizer is never formed.
 
 The class carries three distinguished index sets:
 
@@ -40,13 +43,11 @@ from .combinat import (
     Partition,
     _check_type,
     _positive_size,
-    enumerate_maps,
     majorizes,
-    multiplicity_partition,
 )
 from .denselin import DEFAULT_DIMENSION_CAP, _distinct_arrangements, _distinct_factors
 from .denselin import _require_finite
-from .denselin import as_matrix, gram_schmidt, kron
+from .denselin import _matrices, gram_schmidt, kron
 from .errors import DomainError, NumericError, ResourceError
 from .symgroup import _permutation_characters, _stabilizer_sum, degree
 
@@ -112,53 +113,68 @@ def build_symmetry_class(chi: Partition, n: int) -> SymmetryClass:
             f"symmetry class is zero: chi={chi} has {chi.length} parts but n={n}"
         )
 
-    # Membership of alpha in omega depends only on its multiplicity
-    # partition mu, so it is decided once per orbit, at the weakly increasing
-    # representative; the survivors are delta_bar.  The orbit's rank is
-    # chi(1) times the character sum over the stabilizer S_mu, over |S_mu|.
+    # An orbit's block depends only on its representative's composition,
+    # the run lengths of its equal entries in value order: an
+    # order-preserving relabelling of the values maps one orbit's
+    # lexicographic order onto the other's.  So membership, the rank, the
+    # sweep and Gram-Schmidt run once per composition c with r <= n parts,
+    # on the template 1^c_1 ... r^c_r over the letters 1..r, and the orbits
+    # of all r-sets of values are placed at once.  Membership depends only
+    # on mu, the sorted composition; the orbit's rank is chi(1) times the
+    # character sum over the stabilizer S_mu, over |S_mu|.
     chi_one = degree(chi)
     scale = chi_one / math.factorial(m)
-    delta_bar, orbits = [], []
-    for a in enumerate_maps("increasing", m, n):
-        mu = multiplicity_partition(a)
-        total = _stabilizer_sum(chi.parts, mu.parts)
-        by_majorization = majorizes(chi, mu)
-        if (total != 0) != by_majorization:
-            raise NumericError(
-                f"membership routes disagree at alpha={a}: "
-                f"character sum says {total != 0}, majorization says {by_majorization}"
+    blocks = []
+    for r in range(1, min(m, n) + 1):
+        values = np.array(list(itertools.combinations(range(1, n + 1), r)))
+        for cuts in itertools.combinations(range(1, m), r - 1):
+            c = [b - a for a, b in zip((0, *cuts), (*cuts, m))]
+            mu = Partition(tuple(sorted(c, reverse=True)))
+            total = _stabilizer_sum(chi.parts, mu.parts)
+            by_majorization = majorizes(chi, mu)
+            if (total != 0) != by_majorization:
+                raise NumericError(
+                    f"membership routes disagree at composition {tuple(c)}: "
+                    f"character sum says {total != 0}, majorization says {by_majorization}"
+                )
+            if not by_majorization:
+                continue
+            template = tuple(i for i, k in enumerate(c, 1) for _ in range(k))
+            rank = chi_one * total // math.prod(math.factorial(k) for k in c)
+            local, cols, ortho, coeffs = _orbit_basis(
+                chi, MultiIndex._trusted(template, r), rank, scale
             )
-        if by_majorization:
-            delta_bar.append(a)
-            stabilizer = math.prod(math.factorial(c) for c in mu.parts)
-            orbits.append(_orbit_basis(chi, a, chi_one * total // stabilizer, scale))
-    if not orbits:
+            # Row 0 of an orbit is its weakly increasing representative.
+            if 0 not in cols:
+                raise NumericError("basis sweep dropped an orbit representative")
+            # The e*-columns are real and Gram-Schmidt keeps them real, so V
+            # and B are stored real and V* is V.T.
+            if np.any(ortho.imag) or np.any(coeffs.imag):
+                raise NumericError("the orthonormal basis of the class is not real")
+            # The template orbit in 0-based letters, read through each
+            # r-set of values: one (G, orbit size) array of positions.
+            words = np.stack(np.unravel_index(local, (r,) * m), axis=-1)
+            rows = _encode(values[:, words], n)
+            blocks.append((rows, rows[:, cols], ortho.real, coeffs.real))
+    if not blocks:
         raise NumericError("no surviving symmetrized tensors despite l(chi) <= n")
 
-    kept = np.sort(np.concatenate([rows[cols] for rows, cols, _, _ in orbits]))
-    delta_hat = _decode(kept, m, n)
-    if not set(delta_bar) <= set(delta_hat):
-        raise NumericError("basis sweep dropped an orbit representative")
-
     # Distinct orbits are orthogonal, so Gram-Schmidt over delta_hat in
-    # lexicographic order is the per-orbit Gram-Schmidt, scattered.  The
-    # e*-columns are real and Gram-Schmidt keeps them real, so V and B are
-    # stored real and V* is V.T.
+    # lexicographic order is the per-orbit Gram-Schmidt, scattered.
+    kept = np.sort(np.concatenate([kept_rows.ravel() for _, kept_rows, _, _ in blocks]))
     inclusion = np.zeros((n**m, len(kept)))
     basis_b = np.zeros((len(kept), len(kept)))
-    for rows, cols, ortho, coeffs in orbits:
-        if np.any(ortho.imag) or np.any(coeffs.imag):
-            raise NumericError("the orthonormal basis of the class is not real")
-        at = np.searchsorted(kept, rows[cols])
-        inclusion[np.ix_(rows, at)] = ortho.real
-        basis_b[np.ix_(at, at)] = coeffs.real
+    for rows, kept_rows, ortho, coeffs in blocks:
+        at = np.searchsorted(kept, kept_rows)
+        inclusion[rows[:, :, None], at[:, None, :]] = ortho
+        basis_b[at[:, :, None], at[:, None, :]] = coeffs
 
     return SymmetryClass(
         chi=chi,
         n=n,
-        omega=_decode(np.sort(np.concatenate([rows for rows, *_ in orbits])), m, n),
-        delta_bar=tuple(delta_bar),
-        delta_hat=delta_hat,
+        omega=_decode(np.sort(np.concatenate([rows.ravel() for rows, *_ in blocks])), m, n),
+        delta_bar=_decode(np.sort(np.concatenate([rows[:, 0] for rows, *_ in blocks])), m, n),
+        delta_hat=_decode(kept, m, n),
         basis_b=basis_b,
         inclusion=inclusion,
     )
@@ -224,7 +240,7 @@ def symmetrized_kron(ops) -> np.ndarray:
     (see ``_distinct_arrangements``).  The class kernels below compute its
     compression without forming this n^m x n^m matrix.
     """
-    mats = [as_matrix(op, square=True) for op in ops]
+    mats = _matrices(ops, square=True)
     if not mats:
         raise DomainError("symmetrized product needs at least one factor")
     reps, orders = _distinct_arrangements(mats)
@@ -342,11 +358,12 @@ def _dk_stack(sc: SymmetryClass, t: np.ndarray, xs: list[np.ndarray]) -> np.ndar
     return _require_finite(value, "derivative")
 
 
-def _operators(sc: SymmetryClass, ops) -> list[np.ndarray]:
+def _operators(sc: SymmetryClass, *groups) -> list[np.ndarray]:
     # The boundary check of every public function that takes a class and
-    # operators on its C^n: the class, then each operator as an (n, n) matrix.
+    # sequences of operators on its C^n: the class, then each operator of
+    # each sequence, in order, as an (n, n) matrix.
     _check_type(SymmetryClass, sc)
-    return [as_matrix(op, n=sc.n) for op in ops]
+    return [mat for ops in groups for mat in _matrices(ops, n=sc.n)]
 
 
 def sym_op_product(sc: SymmetryClass, ops) -> np.ndarray:
@@ -381,7 +398,7 @@ def dk_kchi(sc: SymmetryClass, t, xs) -> np.ndarray:
     and for k = m it does not depend on ``t``.  k = 0 returns the induced
     operator itself.
     """
-    t_mat, *x_mats = _operators(sc, [t, *xs])
+    t_mat, *x_mats = _operators(sc, [t], xs)
     if len(x_mats) > sc.m:
         return np.zeros((sc.dim, sc.dim), dtype=np.complex128)
     return _dk_stack(sc, t_mat, x_mats)[0]

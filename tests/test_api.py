@@ -118,12 +118,27 @@ BAD_CALLS = {
     "multiplicity_partition of a tuple": lambda: kchi.multiplicity_partition((1, 2)),
     "dk_norm_formula with k = 1.5": lambda: kchi.dk_norm_formula(Partition((2, 1)), 1.5, [1, 1, 1]),
     "sample_rng with seed 1.5": lambda: kchi.sample_rng(1.5, 0),
+    "lambda_eigenvalue with nu = 'ab'": lambda: kchi.lambda_eigenvalue(
+        kchi.MultiIndex((1, 2), 2), 1, "ab"
+    ),
+    "perturbation_bounds with delta = 'x'": lambda: kchi.perturbation_bounds(
+        Partition((2, 1)), [1, 1, 1], "x"
+    ),
+    "perturbation_bounds with nu = 5": lambda: kchi.perturbation_bounds(Partition((2, 1)), 5, 0.1),
+    "elementary_symmetric of degree 1.5": lambda: kchi.elementary_symmetric(1.5, [1, 2]),
+    "dk_kchi with directions 5": lambda: kchi.dk_kchi(
+        kchi.build_symmetry_class(Partition((2, 1)), 3), EYE3, 5
+    ),
+    "mixed_immanant of 5": lambda: kchi.mixed_immanant(Partition((2, 1)), 5),
+    "random_matrix with rng None": lambda: kchi.random_matrix(2, None),
+    "random_unit_matrix with rng None": lambda: kchi.random_unit_matrix(2, None),
 }
 
 
 @pytest.mark.parametrize("call", BAD_CALLS.values(), ids=BAD_CALLS.keys())
 def test_bad_input_raises_only_package_errors(call):
     # random_unit_matrix(0) looped forever before it was checked, so the
-    # sizes are checked before any draw.
-    with pytest.raises(kchi.KchiError):
+    # sizes are checked before any draw.  Each is a bad argument, so each
+    # is a DomainError.
+    with pytest.raises(kchi.DomainError):
         call()

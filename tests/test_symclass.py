@@ -210,10 +210,12 @@ def test_a_complex_orbit_basis_is_a_numeric_error(monkeypatch):
 
 
 def test_the_build_computes_each_orbit_quantity_once(monkeypatch):
-    # (2,1,1) on C^8 has C(11, 4) = 330 weakly increasing representatives.
-    # Each gets one multiplicity partition, which feeds both membership
-    # routes, the stabilizer size and the orbit's rank; chi(1) is taken
-    # once per build, and the validating stabilizer sum never.
+    # (2,1,1) on C^8 has 330 weakly increasing representatives, 238 of them
+    # in the class, but only the 8 compositions of 4.  Membership is decided
+    # once per composition, and the orbit basis is computed once for each
+    # of the 4 member compositions (1,1,1,1), (2,1,1), (1,2,1), (1,1,2);
+    # chi(1) is taken once per build, and the validating stabilizer sum
+    # and multiplicity partition never.
     calls = collections.Counter()
 
     def count(module, name):
@@ -225,12 +227,85 @@ def test_the_build_computes_each_orbit_quantity_once(monkeypatch):
 
         monkeypatch.setattr(module, name, counted, raising=False)
 
-    for name in ("multiplicity_partition", "majorizes", "degree", "character_sum_over_stabilizer"):
+    names = ("multiplicity_partition", "majorizes", "degree", "character_sum_over_stabilizer")
+    for name in (*names, "_orbit_basis"):
         count(kchi.symclass, name)
     count(kchi.symgroup, "character_sum_over_stabilizer")
     sc = build_symmetry_class(Partition((2, 1, 1)), 8)
     assert len(sc.delta_bar) == 238
-    assert calls == {"multiplicity_partition": 330, "majorizes": 330, "degree": 1}
+    assert calls == {"majorizes": 8, "_orbit_basis": 4, "degree": 1}
+
+
+def reference_class(chi, n):
+    """The class arrays built one weakly increasing representative at a time.
+
+    The orbit of each member representative, its e*-columns, the greedy
+    rank sweep and Gram-Schmidt of the kept columns, scattered into the
+    n^m x dim inclusion and the dim x dim change of basis; returns
+    (omega, delta_bar, delta_hat, inclusion, basis_b).
+    """
+    m = chi.size
+    scale = degree(chi) / math.factorial(m)
+    delta_bar, orbits = [], []
+    for a in enumerate_maps("increasing", m, n):
+        stabilizer = math.prod(math.factorial(c) for c in multiplicity_partition(a).parts)
+        rank = degree(chi) * character_sum_over_stabilizer(chi, a) // stabilizer
+        if rank == 0:
+            continue
+        delta_bar.append(a)
+        orbit = sorted(set(itertools.permutations(a.entries)))
+        rows = kchi.symclass._encode(np.array(orbit), n)
+        block = kchi.symclass._estar_columns(chi, n, orbit, rows, scale)
+        basis = np.zeros((len(orbit), 0))
+        cols = []
+        for j, v in enumerate(block.T):
+            if len(cols) == rank:
+                break
+            w = v - basis @ (basis.T @ v)
+            w = w - basis @ (basis.T @ w)
+            norm = float(np.linalg.norm(w))
+            if norm > kchi.symclass.RANK_EXTENSION_TOL * float(np.linalg.norm(v)):
+                cols.append(j)
+                basis = np.hstack([basis, (w / norm)[:, None]])
+        assert len(cols) == rank
+        orbits.append((rows, rows[cols], *kchi.gram_schmidt(block[:, cols])))
+    kept = np.sort(np.concatenate([at for _, at, _, _ in orbits]))
+    inclusion = np.zeros((n**m, len(kept)))
+    basis_b = np.zeros((len(kept), len(kept)))
+    for rows, at, ortho, coeffs in orbits:
+        at = np.searchsorted(kept, at)
+        inclusion[np.ix_(rows, at)] = ortho.real
+        basis_b[np.ix_(at, at)] = coeffs.real
+    omega = np.sort(np.concatenate([rows for rows, *_ in orbits]))
+    decode = kchi.symclass._decode
+    return decode(omega, m, n), tuple(delta_bar), decode(kept, m, n), inclusion, basis_b
+
+
+@pytest.mark.parametrize(
+    "chi,n",
+    [
+        (Partition((1, 1)), 5),
+        (Partition((2,)), 4),
+        (Partition((2, 1)), 5),
+        (Partition((1, 1, 1)), 4),
+        (Partition((3, 1)), 6),
+        (Partition((2, 2)), 4),
+        (Partition((2, 1, 1)), 5),
+        (Partition((2, 2, 1)), 4),
+        (Partition((4, 1)), 3),
+        (Partition((3, 2, 1)), 4),
+        (Partition((2, 2, 2)), 3),
+    ],
+)
+def test_the_template_build_matches_the_per_orbit_reference_bit_for_bit(chi, n):
+    # Each orbit's block is computed once per composition and relabelled;
+    # the relabelling moves no floating-point operation, so every array
+    # has the bits of the per-representative reference.
+    sc = build_symmetry_class(chi, n)
+    omega, delta_bar, delta_hat, inclusion, basis_b = reference_class(chi, n)
+    assert (sc.omega, sc.delta_bar, sc.delta_hat) == (omega, delta_bar, delta_hat)
+    assert np.array_equal(sc.inclusion, inclusion)
+    assert np.array_equal(sc.basis_b, basis_b)
 
 
 @pytest.mark.parametrize("chi,n", SMALL_CLASSES)
@@ -336,6 +411,14 @@ def test_omega_is_exactly_the_support():
             if np.linalg.norm(estar_coords(sc, alpha)) > 1e-12
         }
         assert set(sc.omega) == support
+
+
+def test_a_missed_rank_is_a_numeric_error(monkeypatch):
+    # A sweep that keeps fewer columns than the character formula's rank
+    # is refused rather than returned as a smaller class.
+    monkeypatch.setattr(kchi.symclass, "RANK_EXTENSION_TOL", 2.0)
+    with pytest.raises(NumericError, match="rank sweep found 0"):
+        build_symmetry_class(Partition((2, 1)), 3)
 
 
 def test_membership_routes_are_cross_checked(monkeypatch):
