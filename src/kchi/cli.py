@@ -13,14 +13,17 @@ unreadable input), 3 resource or numeric error, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
 import sys
 
+import numpy as np
+
 from . import verify as verify_mod
 from .combinat import Partition
-from .denselin import as_matrix, matrix_from_pairs, matrix_to_pairs, singular_values
+from .denselin import as_matrix, matrix_from_pairs, singular_values
 from .errors import DomainError, NumericError, ResourceError
 from .norms import (
     dk_norm_verify,
@@ -190,13 +193,14 @@ def _cmd_chartable(cfg: argparse.Namespace) -> dict:
 
 
 def _class_matrix(sc, mat) -> dict:
-    # An operator on the symmetry class, in the basis indexed by delta_hat.
+    # An operator on the symmetry class, in the basis indexed by delta_hat;
+    # the matrix stays an ndarray, which _emit writes as matrix_to_pairs.
     return {
         "chi": list(sc.chi.parts),
         "n": sc.n,
         "dim": sc.dim,
         "delta_hat": [list(alpha.entries) for alpha in sc.delta_hat],
-        "matrix": matrix_to_pairs(mat),
+        "matrix": mat,
     }
 
 
@@ -263,16 +267,49 @@ def _dispatch(cfg: argparse.Namespace) -> tuple[dict, int]:
     return report, 4 if report.get("all_passed") is False else 0
 
 
+# Where json.dumps(report, sort_keys=True, indent=2) puts the "matrix" key
+# of a report whose matrix is None: a top-level key is the only one indented
+# by two spaces.
+_MATRIX_SLOT = '\n  "matrix": '
+
+
+def _matrix_text(mat: np.ndarray):
+    # json.dumps(matrix_to_pairs(mat), indent=2) at the depth of a top-level
+    # key, one row at a time: json.dumps with indent encodes in pure Python,
+    # and every entry is a float, which it writes with float.__repr__.
+    entries = np.stack([mat.real, mat.imag], axis=-1).reshape(len(mat), -1)
+    for i, row in enumerate(entries):
+        text = map(float.__repr__, row.tolist())
+        pairs = "\n      ],\n      [\n        ".join(map(",\n        ".join, zip(text, text)))
+        yield f"{',' if i else '['}\n    [\n      [\n        {pairs}\n      ]\n    ]"
+    yield "\n  ]"
+
+
 def _emit(report: dict, output: str | None) -> None:
+    # Writes json.dumps(report, sort_keys=True, indent=2) + "\n", with a
+    # class matrix given as an ndarray and written as matrix_to_pairs.  The
+    # whole report is checked finite before anything is written.
+    matrix = report.get("matrix")
+    if matrix is not None:
+        report = {**report, "matrix": None}
     try:
         text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        if matrix is not None and not np.isfinite(matrix).all():
+            raise ValueError("the matrix holds inf or nan")
     except ValueError as exc:
         raise NumericError(f"report holds a non-finite number: {exc}") from exc
     if output is None:
-        sys.stdout.write(text)
+        opened = contextlib.nullcontext(sys.stdout)
     else:
-        with open(output, "w", encoding="utf-8") as fh:
+        opened = open(output, "w", encoding="utf-8")
+    with opened as fh:
+        if matrix is None:
             fh.write(text)
+        else:
+            head, _, tail = text.partition(_MATRIX_SLOT + "null")
+            fh.write(head + _MATRIX_SLOT)
+            fh.writelines(_matrix_text(matrix))
+            fh.write(tail)
 
 
 def main(argv=None) -> int:

@@ -100,18 +100,31 @@ def _integers(values, what: str) -> tuple[int, ...]:
         raise DomainError(f"{what} must be integers, got {values!r}") from None
 
 
+_TEXT = (str, bytes, bytearray)
+
+
+def _float(value) -> float:
+    # float() also parses text, which is not a real number.
+    if isinstance(value, _TEXT):
+        raise TypeError(f"text {value!r} is not a number")
+    return float(value)
+
+
 def _real(value, what: str) -> float:
     # ``value`` as a float, when it is a real number.
     try:
-        return float(value)
+        return _float(value)
     except (TypeError, ValueError):
         raise DomainError(f"{what} must be a real number, got {value!r}") from None
 
 
 def _reals(values, what: str) -> tuple[float, ...]:
-    # ``values`` as a tuple of floats, when it is an iterable of real numbers.
+    # ``values`` as a tuple of floats, when it is an iterable of real
+    # numbers; text is refused whole, as bytes iterate as their codes.
     try:
-        return tuple(float(v) for v in values)
+        if isinstance(values, _TEXT):
+            raise TypeError(f"text {values!r} is not a sequence of numbers")
+        return tuple(_float(v) for v in values)
     except (TypeError, ValueError):
         raise DomainError(f"{what} must be real numbers, got {values!r}") from None
 

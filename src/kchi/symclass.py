@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,6 +75,13 @@ class SymmetryClass:
     in product-basis coordinates; ``basis_b`` is the real upper triangular
     change of basis expressing those orthonormal vectors through the
     e*-basis indexed by ``delta_hat``.  Both are float64.
+
+    ``orbit_blocks`` holds the nonzero blocks of ``inclusion``, one
+    ``(rows, at, ortho_t)`` triple per composition of the orbit
+    representatives: ``rows[:, g]`` are the product-basis positions of the
+    composition's g-th orbit, ``at[:, g]`` the basis columns it carries,
+    and ``ortho_t`` the shared ``(rank, orbit size)`` block, so
+    ``inclusion[rows[i, g], at[j, g]] == ortho_t[j, i]``.
     """
 
     chi: Partition
@@ -84,6 +91,9 @@ class SymmetryClass:
     delta_hat: tuple[MultiIndex, ...]
     basis_b: np.ndarray
     inclusion: np.ndarray
+    orbit_blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] = field(
+        repr=False, compare=False
+    )
 
     @property
     def m(self) -> int:
@@ -164,10 +174,13 @@ def build_symmetry_class(chi: Partition, n: int) -> SymmetryClass:
     kept = np.sort(np.concatenate([kept_rows.ravel() for _, kept_rows, _, _ in blocks]))
     inclusion = np.zeros((n**m, len(kept)))
     basis_b = np.zeros((len(kept), len(kept)))
+    orbit_blocks = []
     for rows, kept_rows, ortho, coeffs in blocks:
         at = np.searchsorted(kept, kept_rows)
         inclusion[rows[:, :, None], at[:, None, :]] = ortho
         basis_b[at[:, :, None], at[:, None, :]] = coeffs
+        # Stored in the layout _orbit_product reads: the orbit axis first.
+        orbit_blocks.append((rows.T.copy(), at.T.copy(), ortho.T.copy()))
 
     return SymmetryClass(
         chi=chi,
@@ -177,6 +190,7 @@ def build_symmetry_class(chi: Partition, n: int) -> SymmetryClass:
         delta_hat=_decode(kept, m, n),
         basis_b=basis_b,
         inclusion=inclusion,
+        orbit_blocks=tuple(orbit_blocks),
     )
 
 
@@ -283,12 +297,25 @@ def _compress(sc: SymmetryClass, mats: list[np.ndarray]) -> np.ndarray:
                     total = w
                 else:
                     total += w
-            # V is real: V* times the complex sums is one real GEMM on
-            # their interleaved (re, im) entries.
-            block_out = out[..., lo : lo + block].view(np.float64)
-            np.matmul(v.T, total.view(np.float64), out=block_out)
+            _orbit_product(sc, total, out[..., lo : lo + block])
+            # Freed before the next block's sums, which would otherwise
+            # hold one more state.
+            del total, w
         out /= math.factorial(m) // math.prod(math.factorial(c) for c in counts)
     return _require_finite(out, "compressed operator")
+
+
+def _orbit_product(sc: SymmetryClass, w: np.ndarray, out: np.ndarray) -> None:
+    # out = V* w for an (S, n^m, cols) w, one orbit block at a time: row j
+    # of V* is nonzero only on its orbit's <= m! rows, and rows outside
+    # omega are never read.  V is real, so each composition's block is one
+    # real GEMM on the interleaved (re, im) entries of its orbits' rows,
+    # with the orbits, samples and columns side by side.
+    flat = w.view(np.float64).swapaxes(0, 1)
+    out = out.view(np.float64).swapaxes(0, 1)
+    for rows, at, ortho_t in sc.orbit_blocks:
+        part = ortho_t @ flat[rows].reshape(len(rows), -1)
+        out[at] = part.reshape(at.shape + flat.shape[1:])
 
 
 def _arrangement_sum(apply, w: np.ndarray, factors, slots) -> np.ndarray:
@@ -331,7 +358,9 @@ def _column_block(sc: SymmetryClass, samples: int, placements: int, shared, stac
     # over placements.  Blocks keep that within three (S, n^m, dim) arrays,
     # what summing the arrangements one at a time holds (the running total,
     # a product and its input), or within _BLOCK_BYTES if that is larger,
-    # so calls that small run as one block.
+    # so calls that small run as one block.  The orbit product that ends a
+    # block holds the total, one composition's gathered rows and their
+    # product, at most three of the same arrays.
     column_states = _live_states([c for _, c in shared]) + 1
     column_states += samples * (_live_states([c for _, c in stacked]) + 1 + (placements > 1))
     state_bytes = 16 * sc.n**sc.m * sc.dim

@@ -159,10 +159,18 @@ def _permutation_characters(chi: Partition) -> tuple[np.ndarray, np.ndarray]:
 @cache
 def _permutation_classes(m: int) -> tuple[np.ndarray, np.ndarray]:
     # The rows of S_m and, for each row, the column of its cycle type in
-    # char_table(m).  A point's cycle length is the first power of the row
-    # that fixes it; the key counts the points on l-cycles in digit l-1 of
-    # base m+1, so equal keys mean equal cycle types.
-    images = np.array(list(itertools.permutations(range(m))), dtype=np.intp)
+    # char_table(m).  The rows of S_k in lexicographic order are, for each
+    # first image f, f followed by the rows of S_(k-1) read through the
+    # other k-1 points in increasing order.  A point's cycle length is the
+    # first power of the row that fixes it; the key counts the points on
+    # l-cycles in digit l-1 of base m+1, so equal keys mean equal cycle types.
+    images = np.zeros((1, 0), dtype=np.intp)
+    for k in range(1, m + 1):
+        rest = np.arange(k - 1) + (np.arange(k - 1) >= np.arange(k)[:, None])
+        grown = np.empty((k, len(images), k), dtype=np.intp)
+        grown[:, :, 0] = np.arange(k)[:, None]
+        grown[:, :, 1:] = rest[:, images]
+        images = grown.reshape(-1, k)
     lengths = np.zeros_like(images)
     power = images
     for step in range(1, m + 1):

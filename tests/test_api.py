@@ -125,6 +125,15 @@ BAD_CALLS = {
         Partition((2, 1)), [1, 1, 1], "x"
     ),
     "perturbation_bounds with nu = 5": lambda: kchi.perturbation_bounds(Partition((2, 1)), 5, 0.1),
+    "lambda_eigenvalue with nu = '21'": lambda: kchi.lambda_eigenvalue(
+        kchi.MultiIndex((1, 2), 2), 1, "21"
+    ),
+    "perturbation_bounds with text nu and delta": lambda: kchi.perturbation_bounds(
+        Partition((2, 1)), "321", "0.1"
+    ),
+    "perturbation_bounds with nu = b'321'": lambda: kchi.perturbation_bounds(
+        Partition((2, 1)), b"321", 0.1
+    ),
     "elementary_symmetric of degree 1.5": lambda: kchi.elementary_symmetric(1.5, [1, 2]),
     "dk_kchi with directions 5": lambda: kchi.dk_kchi(
         kchi.build_symmetry_class(Partition((2, 1)), 3), EYE3, 5

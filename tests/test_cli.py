@@ -451,6 +451,55 @@ def test_non_finite_report_is_a_numeric_error(capsys, monkeypatch):
     assert out == ""
 
 
+def test_non_finite_matrix_is_a_numeric_error_before_any_output(capsys, monkeypatch):
+    report = {"chi": [1], "n": 1, "dim": 1, "matrix": np.array([[complex(1.0, np.nan)]])}
+    monkeypatch.setattr(kchi.cli, "_dispatch", lambda cfg: (report, 0))
+    code, out, err = run_cli(capsys, ["chartable", "--m", "2"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("kchi: report holds a non-finite number")
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (4, 3)])
+def test_a_streamed_matrix_has_the_bytes_of_json_dumps(capsys, monkeypatch, tmp_path, shape):
+    # _emit writes a class matrix row by row; the text is json.dumps's own
+    # for the pairs, at any magnitude and for a signed zero.
+    rng = np.random.default_rng(sum(shape))
+    mat = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300, shape)
+    mat = mat + 1j * rng.standard_normal(shape)
+    mat.flat[0] = complex(-0.0, 5e-324)
+    report = {"chi": [2, 1], "n": 3, "dim": shape[0], "k": 1, "matrix": mat}
+    monkeypatch.setattr(kchi.cli, "_dispatch", lambda cfg: (report, 0))
+    stamped = {**report, "matrix": matrix_to_pairs(mat)}
+    want = json.dumps(stamped, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    code, out, _ = run_cli(capsys, ["chartable", "--m", "2"])
+    assert code == 0
+    assert out == want
+    out_path = tmp_path / "report.json"
+    assert main(["chartable", "--m", "2", "--output", str(out_path)]) == 0
+    assert out_path.read_text() == want
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["power", "--chi", "2,1", "--n", "3", "--input", "t.json"],
+        ["deriv", "--chi", "2,1", "--k", "1", "--input", "t.json", "--x", "x.json"],
+    ],
+)
+def test_class_matrix_reports_are_canonical_json(capsys, tmp_path, argv):
+    # What power and deriv print is the sorted, indented json.dumps text of
+    # the report they print.
+    rng = np.random.default_rng(7)
+    for name in ("t", "x"):
+        mat = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        write_matrix(tmp_path / f"{name}.json", mat)
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
 def test_output_flag_writes_the_same_bytes(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, stdout, _ = run_cli(capsys, ["chartable", "--m", "2"])

@@ -281,22 +281,22 @@ def reference_class(chi, n):
     return decode(omega, m, n), tuple(delta_bar), decode(kept, m, n), inclusion, basis_b
 
 
-@pytest.mark.parametrize(
-    "chi,n",
-    [
-        (Partition((1, 1)), 5),
-        (Partition((2,)), 4),
-        (Partition((2, 1)), 5),
-        (Partition((1, 1, 1)), 4),
-        (Partition((3, 1)), 6),
-        (Partition((2, 2)), 4),
-        (Partition((2, 1, 1)), 5),
-        (Partition((2, 2, 1)), 4),
-        (Partition((4, 1)), 3),
-        (Partition((3, 2, 1)), 4),
-        (Partition((2, 2, 2)), 3),
-    ],
-)
+TEMPLATE_CLASSES = [
+    (Partition((1, 1)), 5),
+    (Partition((2,)), 4),
+    (Partition((2, 1)), 5),
+    (Partition((1, 1, 1)), 4),
+    (Partition((3, 1)), 6),
+    (Partition((2, 2)), 4),
+    (Partition((2, 1, 1)), 5),
+    (Partition((2, 2, 1)), 4),
+    (Partition((4, 1)), 3),
+    (Partition((3, 2, 1)), 4),
+    (Partition((2, 2, 2)), 3),
+]
+
+
+@pytest.mark.parametrize("chi,n", TEMPLATE_CLASSES)
 def test_the_template_build_matches_the_per_orbit_reference_bit_for_bit(chi, n):
     # Each orbit's block is computed once per composition and relabelled;
     # the relabelling moves no floating-point operation, so every array
@@ -306,6 +306,24 @@ def test_the_template_build_matches_the_per_orbit_reference_bit_for_bit(chi, n):
     assert (sc.omega, sc.delta_bar, sc.delta_hat) == (omega, delta_bar, delta_hat)
     assert np.array_equal(sc.inclusion, inclusion)
     assert np.array_equal(sc.basis_b, basis_b)
+
+
+@pytest.mark.parametrize("chi,n", TEMPLATE_CLASSES)
+def test_the_orbit_blocks_scatter_to_the_inclusion(chi, n):
+    # The blocks the kernel reads hold all of V: scattered, they give its
+    # bits; their rows cover omega once and their columns delta_hat once.
+    sc = build_symmetry_class(chi, n)
+    inclusion = np.zeros_like(sc.inclusion)
+    rows_seen, columns_seen = [], []
+    for rows, at, ortho_t in sc.orbit_blocks:
+        assert rows.shape[1] == at.shape[1]
+        assert ortho_t.shape == (len(at), len(rows))
+        inclusion[rows[:, None, :], at[None, :, :]] = ortho_t.T[:, :, None]
+        rows_seen += rows.ravel().tolist()
+        columns_seen += at.ravel().tolist()
+    assert np.array_equal(inclusion, sc.inclusion)
+    assert sorted(rows_seen) == [index_of(sc, alpha) for alpha in sc.omega]
+    assert sorted(columns_seen) == list(range(sc.dim))
 
 
 @pytest.mark.parametrize("chi,n", SMALL_CLASSES)

@@ -22,7 +22,7 @@ from kchi import (
     multiplicity_partition,
     partitions_of,
 )
-from kchi.symgroup import _permutation_characters
+from kchi.symgroup import _permutation_characters, _permutation_classes
 
 TRACE_TOL = 1e-8
 
@@ -302,6 +302,17 @@ def test_permutation_table_matches_combinat():
             np.testing.assert_array_equal(images, rows)
             assert values.tolist() == [character(lam, t) for t in types]
             assert not images.flags.writeable and not values.flags.writeable
+
+
+def test_permutation_rows_are_the_itertools_rows():
+    # The rows of S_m, built by numpy from those of S_(m-1), are
+    # itertools.permutations' rows in its lexicographic order, up to the
+    # cap on immanant size.
+    for m in range(1, 9):
+        images, columns = _permutation_classes(m)
+        want = np.array(list(itertools.permutations(range(m))), dtype=np.intp)
+        np.testing.assert_array_equal(images, want)
+        assert images.dtype == np.intp and columns.shape == (len(want),)
 
 
 # ---------------------------------------------------------------------------
