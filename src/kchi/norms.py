@@ -309,14 +309,21 @@ def _derivative_tensor(sc: SymmetryClass, t: np.ndarray, k: int, chunk: int) -> 
     # D^k K_chi(t) on every k-tuple of matrix units, as the (n^{2k}, dim^2)
     # tensor L: row r holds the value on (E_1, ..., E_k) where E_i is unit
     # d_i, the i-th most significant base-n^2 digit of r, and unit a n + b is
-    # E_ab.  The tuples go through the kernel ``chunk`` at a time.
+    # E_ab.  The derivative is symmetric in its directions, so only the
+    # C(n^2 + k - 1, k) tuples with non-decreasing digits go through the
+    # kernel, ``chunk`` at a time, and every row is read from its sorted tuple.
     units = np.eye(sc.n**2, dtype=np.complex128).reshape(-1, sc.n, sc.n)
     digits = np.indices((sc.n**2,) * k).reshape(k, -1)
+    ordered = np.sort(digits, axis=0)
+    sorted_rows = np.flatnonzero((digits == ordered).all(axis=0))
+    reps = digits[:, sorted_rows]
     blocks = [
-        _dk_stack(sc, t, [units[d[lo : lo + chunk]] for d in digits])
-        for lo in range(0, digits.shape[1], chunk)
+        _dk_stack(sc, t, [units[d[lo : lo + chunk]] for d in reps])
+        for lo in range(0, reps.shape[1], chunk)
     ]
-    return np.concatenate(blocks).reshape(digits.shape[1], -1)
+    values = np.concatenate(blocks).reshape(reps.shape[1], -1)
+    codes = np.ravel_multi_index(tuple(ordered), (sc.n**2,) * k)
+    return values[np.searchsorted(sorted_rows, codes)]
 
 
 def _contract(tensor: np.ndarray, xs: list[np.ndarray], dim: int) -> np.ndarray:

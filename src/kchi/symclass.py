@@ -13,7 +13,9 @@ to itself, so K_chi is block diagonal over the orbits, and an orbit's block
 depends only on the composition of its weakly increasing representative
 (the run lengths of its equal entries).  The class is built from one
 template block per composition, relabelled onto every orbit that shares
-it; the n^m x n^m symmetrizer is never formed.
+it; the n^m x n^m symmetrizer is never formed.  The operator kernels sum
+on one of the chi(1) Schur-module copies in the class and read the rest
+of the operator from the copy's translates under S_m (see _compress).
 
 The class carries three distinguished index sets:
 
@@ -77,11 +79,17 @@ class SymmetryClass:
     e*-basis indexed by ``delta_hat``.  Both are float64.
 
     ``orbit_blocks`` holds the nonzero blocks of ``inclusion``, one
-    ``(rows, at, ortho_t)`` triple per composition of the orbit
-    representatives: ``rows[:, g]`` are the product-basis positions of the
-    composition's g-th orbit, ``at[:, g]`` the basis columns it carries,
-    and ``ortho_t`` the shared ``(rank, orbit size)`` block, so
-    ``inclusion[rows[i, g], at[j, g]] == ortho_t[j, i]``.
+    ``(rows, at, ortho_t, copy, ycols, binv)`` tuple per composition of the
+    orbit representatives: ``rows[:, g, 0]`` are the product-basis
+    positions of the composition's g-th orbit, ``at[:, g]`` the basis
+    columns it carries, and ``ortho_t`` the shared ``(rank, orbit size)``
+    block, so ``inclusion[rows[i, g, 0], at[j, g]] == ortho_t[j, i]``.  The
+    rest serve the kernel's one Schur-module copy (see ``_compress``):
+    ``rows[:, g, t]`` reads the orbit through the t-th standard tableau's
+    permutation, ``copy`` is the orbit's ``(orbit size, rank / f^chi)``
+    block of the copy columns V Z, ``ycols[:, g]`` are the orbit's
+    columns of the translates [Y_1 ... Y_f], and ``binv`` is the
+    ``(rank, rank)`` inverse of the translates' coordinates B.
     """
 
     chi: Partition
@@ -134,6 +142,7 @@ def build_symmetry_class(chi: Partition, n: int) -> SymmetryClass:
     # character sum over the stabilizer S_mu, over |S_mu|.
     chi_one = degree(chi)
     scale = chi_one / math.factorial(m)
+    symmetrizer, tableaux = _young_symmetrizer(chi)
     blocks = []
     for r in range(1, min(m, n) + 1):
         values = np.array(list(itertools.combinations(range(1, n + 1), r)))
@@ -165,22 +174,43 @@ def build_symmetry_class(chi: Partition, n: int) -> SymmetryClass:
             # r-set of values: one (G, orbit size) array of positions.
             words = np.stack(np.unravel_index(local, (r,) * m), axis=-1)
             rows = _encode(values[:, words], n)
-            blocks.append((rows, rows[:, cols], ortho.real, coeffs.real))
+            copy, translates, binv = _copy_basis(
+                words, local, ortho.real, symmetrizer, tableaux, rank // chi_one
+            )
+            blocks.append((rows, rows[:, cols], ortho.real, coeffs.real, copy, translates, binv))
     if not blocks:
         raise NumericError("no surviving symmetrized tensors despite l(chi) <= n")
 
     # Distinct orbits are orthogonal, so Gram-Schmidt over delta_hat in
-    # lexicographic order is the per-orbit Gram-Schmidt, scattered.
-    kept = np.sort(np.concatenate([kept_rows.ravel() for _, kept_rows, _, _ in blocks]))
+    # lexicographic order is the per-orbit Gram-Schmidt, scattered.  The
+    # copy columns are numbered in the order of each orbit's first
+    # rank / f^chi basis columns, so with f^chi = 1 they are the basis.
+    kept = np.sort(np.concatenate([block[1].ravel() for block in blocks]))
+    leads = [kept_rows[:, : copy.shape[1]] for _, kept_rows, _, _, copy, _, _ in blocks]
+    leads = np.sort(np.concatenate([lead.ravel() for lead in leads]))
     inclusion = np.zeros((n**m, len(kept)))
     basis_b = np.zeros((len(kept), len(kept)))
     orbit_blocks = []
-    for rows, kept_rows, ortho, coeffs in blocks:
+    for rows, kept_rows, ortho, coeffs, copy, translates, binv in blocks:
         at = np.searchsorted(kept, kept_rows)
         inclusion[rows[:, :, None], at[:, None, :]] = ortho
         basis_b[at[:, :, None], at[:, None, :]] = coeffs
-        # Stored in the layout _orbit_product reads: the orbit axis first.
-        orbit_blocks.append((rows.T.copy(), at.T.copy(), ortho.T.copy()))
+        # The columns of [Y_1 ... Y_f] in the order of B's columns: copy
+        # column z of translate t is column t * dim / f^chi + z.
+        z = np.searchsorted(leads, kept_rows[:, : copy.shape[1]])
+        ycols = np.arange(len(translates))[:, None] * len(leads) + z[:, None]
+        # Stored in the layouts _compress reads: the orbit axis first, and
+        # each orbit's positions read through every translate side by side.
+        orbit_blocks.append(
+            (
+                rows[:, translates].transpose(2, 0, 1).copy(),
+                at.T.copy(),
+                ortho.T.copy(),
+                copy,
+                ycols.reshape(len(rows), -1).T.copy(),
+                binv,
+            )
+        )
 
     return SymmetryClass(
         chi=chi,
@@ -223,28 +253,108 @@ def _estar_columns(chi: Partition, n: int, alphas, rows: np.ndarray, scale: floa
 def _orbit_basis(chi: Partition, a: MultiIndex, rank: int, scale: float):
     # Greedy lexicographic sweep over the e*-columns of the orbit of ``a``
     # (scaled by ``scale`` = chi(1)/m!) up to the orbit's ``rank``, and
-    # Gram-Schmidt of the kept ones.  Returns the orbit's product-basis
-    # positions, the kept columns and gram_schmidt's (ortho, coeffs).
+    # Gram-Schmidt of the kept ones.  Column j is kept when its part
+    # orthogonal to the columns before it, |R_jj| of one Householder QR,
+    # exceeds RANK_EXTENSION_TOL times its norm: the dropped columns lie in
+    # the span of the kept ones, so that part is the sweep's residual.
+    # Returns the orbit's product-basis positions, the kept columns and
+    # gram_schmidt's (ortho, coeffs).
     orbit = sorted(set(itertools.permutations(a.entries)))
     rows = _encode(np.array(orbit), a.n)
     block = _estar_columns(chi, a.n, orbit, rows, scale)
-    basis = np.zeros((len(orbit), 0))
-    cols = []
-    for j, v in enumerate(block.T):
-        if len(cols) == rank:
-            break
-        w = v - basis @ (basis.T @ v)
-        w = w - basis @ (basis.T @ w)
-        norm = float(np.linalg.norm(w))
-        if norm > RANK_EXTENSION_TOL * float(np.linalg.norm(v)):
-            cols.append(j)
-            basis = np.hstack([basis, (w / norm)[:, None]])
-    if len(cols) != rank:
+    residuals = np.abs(np.diagonal(np.linalg.qr(block, mode="r")))
+    cols = np.flatnonzero(residuals > RANK_EXTENSION_TOL * np.linalg.norm(block, axis=0))
+    if len(cols) < rank:
         raise NumericError(
             f"rank sweep found {len(cols)} basis tensors in the orbit of {a}, "
             f"the character formula gives {rank}"
         )
+    cols = cols[:rank]
     return (rows, cols, *gram_schmidt(block[:, cols]))
+
+
+def _young_symmetrizer(chi: Partition):
+    # The Young symmetrizer c_T0 = a_T0 b_T0 of the row-reading tableau T0
+    # (positions 0..m-1 filled row by row) as the factors it applies in
+    # turn, b_T0's signed column sums and then a_T0's row sums: one
+    # ((P, m) permutations of the positions, (P,) signs) pair per column or
+    # row of more than one box.  Also the standard tableaux T as the
+    # (f^chi, m) rows sigma_T with sigma_T T0 = T, i.e. their row reading
+    # words, in lexicographic order, so T0 (the identity) comes first.
+    m, parts = chi.size, chi.parts
+    starts = itertools.accumulate((0, *parts[:-1]))
+    rows = [list(range(start, start + part)) for start, part in zip(starts, parts)]
+    columns = [[row[j] for row in rows if len(row) > j] for j in range(parts[0])]
+    # The sign is the character of (1^k), and the trivial one that of (k).
+    factors = []
+    for boxes_list, shape in ((columns, lambda k: (1,) * k), (rows, lambda k: (k,))):
+        for boxes in boxes_list:
+            if len(boxes) > 1:
+                images, signs = _permutation_characters(Partition(shape(len(boxes))))
+                perms = np.tile(np.arange(m), (len(images), 1))
+                perms[:, boxes] = np.array(boxes)[images]
+                factors.append((perms, signs))
+
+    words = []
+
+    def fill(filled: list[list[int]], k: int) -> None:
+        if k == m:
+            words.append([entry for row in filled for entry in row])
+            return
+        for i, row in enumerate(filled):
+            if len(row) < parts[i] and (i == 0 or len(filled[i - 1]) > len(row)):
+                row.append(k)
+                fill(filled, k + 1)
+                row.pop()
+
+    fill([[] for _ in parts], 0)
+    return factors, np.array(sorted(words))
+
+
+def _relabel(words: np.ndarray, codes: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    # Row gathers of P(sigma) on one template orbit, for each row sigma of
+    # ``perms``: (P(sigma) x)[p] = x[out[i, p]], as P(sigma) e_beta is
+    # e_{beta o sigma^-1}.  ``words`` are the orbit's 0-based words and
+    # ``codes`` their sorted base-r positions, most significant letter first.
+    digits = (int(words.max()) + 1) ** np.arange(words.shape[1] - 1, -1, -1)
+    return np.searchsorted(codes, words[:, perms] @ digits).T
+
+
+def _copy_basis(words, codes, ortho, symmetrizer, tableaux, width: int):
+    # One orbit's share of one Schur-module copy of the class (see
+    # _compress), from its (orbit size, rank) basis block ``ortho``.  The
+    # Young symmetrizer maps V_chi onto one copy, so its image on the
+    # orbit, in the orbit's basis coordinates, must have rank ``width`` =
+    # rank / f^chi; Z is an orthonormal basis of it.  The translates
+    # Q_sigma_T Z, Q_sigma = V* P(sigma) V, one per standard tableau, must
+    # span the orbit's basis.  Returns V Z on the orbit, the translates'
+    # row gathers and the inverse of B = [Q_sigma_1 Z ... Q_sigma_f Z].
+    image = ortho
+    for perms, signs in symmetrizer:
+        image = signs @ image[_relabel(words, codes, perms)].swapaxes(0, 1)
+    u, sv, _ = np.linalg.svd(ortho.T @ image)
+    found = int(np.sum(sv > RANK_EXTENSION_TOL * sv[0]))
+    if found != width:
+        raise NumericError(
+            f"a Young symmetrizer's image has rank {found} on an orbit of rank "
+            f"{len(sv)}, the character formula gives {width}"
+        )
+    # Each column's largest entry is made positive, so Z does not depend on
+    # LAPACK's signs, and Z = [[1.0]] on an orbit of rank 1 when f^chi = 1.
+    z = u[:, :width]
+    z = z * np.sign(z[np.abs(z).argmax(axis=0), np.arange(width)])
+    copy = ortho @ z
+    translates = _relabel(words, codes, tableaux)
+    # sigma_1 is the identity, and Q_id Z is Z itself.
+    b = np.hstack([z] + [ortho.T @ copy[gather] for gather in translates[1:]])
+    sv = np.linalg.svd(b, compute_uv=False)
+    found = int(np.sum(sv > RANK_EXTENSION_TOL * sv[0]))
+    if found != len(b):
+        raise NumericError(
+            f"the {len(translates)} translates of a Young symmetrizer's image "
+            f"span {found} of an orbit's {len(b)} basis vectors"
+        )
+    return copy, translates, np.linalg.inv(b)
 
 
 def symmetrized_kron(ops) -> np.ndarray:
@@ -266,28 +376,35 @@ def symmetrized_kron(ops) -> np.ndarray:
 
 
 def _compress(sc: SymmetryClass, mats: list[np.ndarray]) -> np.ndarray:
-    # V* (mean over distinct arrangements of A_1 (x) ... (x) A_m) V for S
-    # samples at once, with each factor applied to its own tensor axis of
-    # the inclusion V.  A factor is one (n, n) matrix that every sample
-    # shares or an (S, n, n) stack.  For each placement of the stacked
-    # factors on the axes, the shared factors are summed over their
-    # arrangements on the other axes first, without the sample axis, and
-    # the stacked ones then on the placed axes.  Column j of the result
-    # depends only on column j of V, so the sums run over blocks of columns
-    # sized by _column_block.  Returns the (S, dim, dim) stack; S = 1
-    # without stacks.
-    m, v = sc.m, sc.inclusion
+    # M = V* S V, S the mean over distinct arrangements of A_1 (x) ... (x)
+    # A_m, for S samples at once, with each factor applied to its own tensor
+    # axis.  A factor is one (n, n) matrix that every sample shares or an
+    # (S, n, n) stack.  S commutes with every P(sigma), so
+    # M Q_sigma = V* P(sigma) S V for Q_sigma = V* P(sigma) V, and M is read
+    # from one Schur-module copy of the class: with the copy columns Z and
+    # the translates B = [Q_sigma_1 Z ... Q_sigma_f Z] of each orbit block
+    # (_copy_basis), M = [Y_1 ... Y_f] B^-1 with Y_i = V* P(sigma_i) S V Z.
+    # So the axis products run on the dim / f^chi columns V Z only.  For
+    # each placement of the stacked factors on the axes, the shared factors
+    # are summed over their arrangements on the other axes first, without
+    # the sample axis, and the stacked ones then on the placed axes.
+    # Column j of S V Z depends only on column j of V Z, so the sums run
+    # over blocks of columns sized by _column_block.  Returns the
+    # (S, dim, dim) stack; S = 1 without stacks.
+    m = sc.m
     reps, counts = _distinct_factors(mats)
     shared = [(rep, c) for rep, c in zip(reps, counts) if rep.ndim == 2]
     stacked = [(rep, c) for rep, c in zip(reps, counts) if rep.ndim == 3]
     samples = max((len(rep) for rep, _ in stacked), default=1)
     placements = list(itertools.combinations(range(m), sum(c for _, c in stacked)))
-    block = _column_block(sc, samples, len(placements), shared, stacked)
+    copy = _copy_columns(sc)
+    width = copy.shape[1]
+    block = _column_block(sc, width, samples, len(placements), shared, stacked)
     product = functools.partial(_axis_product, sc.n)
-    out = np.empty((samples, sc.dim, sc.dim), dtype=np.complex128)
+    ys = np.empty((samples, sc.dim, sc.dim // width, width), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, sc.dim, block):
-            cols = v[None, :, lo : lo + block]
+        for lo in range(0, width, block):
+            cols = copy[None, :, lo : lo + block]
             total = None
             for placed in placements:
                 rest = [axis for axis in range(m) if axis not in placed]
@@ -297,25 +414,54 @@ def _compress(sc: SymmetryClass, mats: list[np.ndarray]) -> np.ndarray:
                     total = w
                 else:
                     total += w
-            _orbit_product(sc, total, out[..., lo : lo + block])
+            _orbit_product(sc, total, ys[..., lo : lo + block])
             # Freed before the next block's sums, which would otherwise
             # hold one more state.
             del total, w
+        out = _undo_translates(sc, ys)
         out /= math.factorial(m) // math.prod(math.factorial(c) for c in counts)
     return _require_finite(out, "compressed operator")
 
 
-def _orbit_product(sc: SymmetryClass, w: np.ndarray, out: np.ndarray) -> None:
-    # out = V* w for an (S, n^m, cols) w, one orbit block at a time: row j
-    # of V* is nonzero only on its orbit's <= m! rows, and rows outside
-    # omega are never read.  V is real, so each composition's block is one
-    # real GEMM on the interleaved (re, im) entries of its orbits' rows,
-    # with the orbits, samples and columns side by side.
+def _copy_columns(sc: SymmetryClass) -> np.ndarray:
+    # V Z, the (n^m, dim / f^chi) real columns of one copy, scattered from
+    # each composition's orbit block of V Z.
+    width = sum(rows.shape[1] * copy.shape[1] for rows, _, _, copy, _, _ in sc.orbit_blocks)
+    out = np.zeros((sc.n**sc.m, width))
+    for rows, _, _, copy, ycols, _ in sc.orbit_blocks:
+        out[rows[:, :, :1], ycols[: copy.shape[1]].T] = copy[:, None, :]
+    return out
+
+
+def _orbit_product(sc: SymmetryClass, w: np.ndarray, ys: np.ndarray) -> None:
+    # ys[:, :, i] = V* P(sigma_i) w for an (S, n^m, cols) w, one orbit block
+    # at a time: row j of V* is nonzero only on its orbit's <= m! rows, and
+    # rows outside omega are never read.  V is real, so each composition's
+    # block is one gather of its orbits' rows read through every sigma_i,
+    # then one real GEMM on their interleaved (re, im) entries, with the
+    # orbits, translates, samples and columns side by side.
     flat = w.view(np.float64).swapaxes(0, 1)
-    out = out.view(np.float64).swapaxes(0, 1)
-    for rows, at, ortho_t in sc.orbit_blocks:
+    ys = ys.view(np.float64).transpose(1, 2, 0, 3)
+    for rows, at, ortho_t, *_ in sc.orbit_blocks:
         part = ortho_t @ flat[rows].reshape(len(rows), -1)
-        out[at] = part.reshape(at.shape + flat.shape[1:])
+        ys[at] = part.reshape(at.shape + ys.shape[1:])
+
+
+def _undo_translates(sc: SymmetryClass, ys: np.ndarray) -> np.ndarray:
+    # M = [Y_1 ... Y_f] B^-1 from the (S, dim, f, dim / f) stack ys: each
+    # orbit's columns of M are its f * rank / f columns of the Y_i times its
+    # composition's B^-1.  On the transpose, M.T = B^-T [Y_1 ... Y_f].T, the
+    # rows of each composition are one gather and one real GEMM on the
+    # interleaved (re, im) entries, with the orbits, samples and rows of M
+    # side by side.  ys is not read again once yt holds its transpose, so
+    # M.T is written over it.
+    yt = np.ascontiguousarray(ys.reshape(-1, ys.shape[2] * ys.shape[3]).T)
+    out_t = ys.reshape(sc.dim, -1)
+    for _, at, _, _, ycols, binv in sc.orbit_blocks:
+        part = binv.T @ yt[ycols].view(np.float64).reshape(len(ycols), -1)
+        out_t[at] = part.view(np.complex128).reshape(at.shape + (-1,))
+    del yt
+    return np.ascontiguousarray(out_t.T).reshape(len(ys), sc.dim, sc.dim)
 
 
 def _arrangement_sum(apply, w: np.ndarray, factors, slots) -> np.ndarray:
@@ -351,21 +497,25 @@ def _axis_product(n: int, mat: np.ndarray, w: np.ndarray, axis: int) -> np.ndarr
     return out.reshape(len(out), w.shape[1], -1)
 
 
-def _column_block(sc: SymmetryClass, samples: int, placements: int, shared, stacked) -> int:
-    # Columns of V per block.  Per column the sums hold at most two levels
-    # of sub-multiset states and one new product for each multiset (see
-    # _live_states), the stacked ones with a sample axis, and the total
-    # over placements.  Blocks keep that within three (S, n^m, dim) arrays,
-    # what summing the arrangements one at a time holds (the running total,
-    # a product and its input), or within _BLOCK_BYTES if that is larger,
-    # so calls that small run as one block.  The orbit product that ends a
-    # block holds the total, one composition's gathered rows and their
-    # product, at most three of the same arrays.
+def _column_block(
+    sc: SymmetryClass, width: int, samples: int, placements: int, shared, stacked
+) -> int:
+    # Columns of the ``width`` copy columns V Z per block.  Per column the
+    # sums hold at most two levels of sub-multiset states and one new
+    # product for each multiset (see _live_states), the stacked ones with a
+    # sample axis, and the total over placements.  Blocks keep that within
+    # three (S, n^m, width) arrays, what summing the arrangements one at a
+    # time holds (the running total, a product and its input), or within
+    # _BLOCK_BYTES if that is larger, so calls that small run as one block.
+    # The orbit product that ends a block holds the total, one
+    # composition's rows read through the f^chi translates and their
+    # product; beside the blocks, _compress holds the (S, dim, dim)
+    # translates Y and _undo_translates one more array of that size.
     column_states = _live_states([c for _, c in shared]) + 1
     column_states += samples * (_live_states([c for _, c in stacked]) + 1 + (placements > 1))
-    state_bytes = 16 * sc.n**sc.m * sc.dim
+    state_bytes = 16 * sc.n**sc.m * width
     blocks = -(-column_states * state_bytes // max(_BLOCK_BYTES, 3 * samples * state_bytes))
-    return -(-sc.dim // blocks)
+    return -(-width // blocks)
 
 
 def _live_states(counts) -> int:

@@ -310,10 +310,26 @@ ORBIT_BLOCK_TOL = 1e-14
 
 def dense_product_class(sc):
     # The class with one block over all n^m rows and every column, so the
-    # kernel ends in the dense V.T @ W of its own sums.
-    rows = np.arange(sc.n**sc.m)[:, None]
-    at = np.arange(sc.dim)[:, None]
-    return dataclasses.replace(sc, orbit_blocks=((rows, at, sc.inclusion.T.copy()),))
+    # kernel ends in the dense V.T @ P(sigma_i) W of its own sums and in
+    # [Y_1 ... Y_f] times the block-diagonal B^-1 of all orbits.
+    positions = np.arange(sc.n**sc.m)
+    translates = np.tile(positions[:, None], sc.orbit_blocks[0][0].shape[2])
+    width = sum(rows.shape[1] * copy.shape[1] for rows, _, _, copy, _, _ in sc.orbit_blocks)
+    copy = np.zeros((sc.n**sc.m, width))
+    binv = np.zeros((sc.dim, sc.dim))
+    for rows, at, _, block_copy, ycols, block_binv in sc.orbit_blocks:
+        translates[rows[:, :, 0]] = rows
+        copy[rows[:, :, :1], ycols[: block_copy.shape[1]].T] = block_copy[:, None, :]
+        binv[ycols[:, None, :], at[None, :, :]] = block_binv[:, :, None]
+    block = (
+        translates[:, None, :],
+        np.arange(sc.dim)[:, None],
+        sc.inclusion.T.copy(),
+        copy,
+        np.arange(sc.dim)[:, None],
+        binv,
+    )
+    return dataclasses.replace(sc, orbit_blocks=(block,))
 
 
 @pytest.mark.parametrize("chi, n", ORBIT_BLOCK_CLASSES)
@@ -343,6 +359,89 @@ def test_the_orbit_block_product_matches_the_dense_product(chi, n):
     check(got, _dk_stack(dense, t, xs))
     for s in range(3):
         check(got[s], reference_dk_kchi(sc, t, [x[s] for x in xs]))
+
+
+COPY_CLASSES = [
+    (Partition((2, 1)), 3),
+    (Partition((3, 1)), 3),
+    (Partition((2, 2)), 3),
+    (Partition((2, 1, 1)), 3),
+    (Partition((2, 2, 1)), 3),
+    (Partition((3, 2)), 2),
+    (Partition((4, 1)), 2),
+]
+
+
+@pytest.mark.parametrize("chi, n", COPY_CLASSES)
+def test_the_copy_route_matches_the_per_arrangement_sum(chi, n):
+    # The kernel sums on one Schur-module copy (dim / f^chi columns) and
+    # reads the rest from the translates; k_chi_matrix, sym_op_product and
+    # _dk_stack for k = 0..m, on shared and on stacked directions, match the
+    # per-arrangement sum on all of V within 1e-14 of the largest entry.
+    sc = build_symmetry_class(chi, n)
+    m = sc.m
+    rng = sample_rng(20, 0)
+    t = random_matrix(n, rng)
+
+    def check(got, want):
+        assert np.abs(got - want).max() <= ORBIT_BLOCK_TOL * np.abs(want).max()
+
+    check(k_chi_matrix(sc, t), reference_compress(sc, [t] * m))
+    ops = [random_matrix(n, rng) for _ in range(m)]
+    check(sym_op_product(sc, ops), reference_compress(sc, ops))
+    for k in range(m + 1):
+        xs = [random_matrix(n, rng) for _ in range(k)]
+        check(_dk_stack(sc, t, xs)[0], reference_dk_kchi(sc, t, xs))
+        stacks = [np.array([random_matrix(n, rng) for _ in range(2)]) for _ in range(k)]
+        got = _dk_stack(sc, t, stacks)
+        for s in range(len(got)):
+            check(got[s], reference_dk_kchi(sc, t, [x[s] for x in stacks]))
+
+
+@pytest.mark.parametrize(
+    "chi, n",
+    [
+        (Partition((2,)), 4),
+        (Partition((1, 1)), 5),
+        (Partition((3,)), 3),
+        (Partition((1, 1, 1)), 4),
+        (Partition((4,)), 3),
+        (Partition((1, 1, 1, 1)), 4),
+        (Partition((6,)), 2),
+    ],
+)
+def test_one_dimensional_characters_run_on_v_itself(chi, n):
+    # f^chi = 1 for (m) and (1^m): the one copy is the whole class, so the
+    # kernel's sums start from V itself, with the identity as the only
+    # translate, and B^-1 = [[1.0]] leaves the orbit products' bits as they
+    # are.  So these classes keep the bits of the kernel without copies.
+    sc = build_symmetry_class(chi, n)
+    assert np.array_equal(kchi.symclass._copy_columns(sc), sc.inclusion)
+    for rows, _, _, _, _, binv in sc.orbit_blocks:
+        assert rows.shape[2] == 1
+        assert np.array_equal(binv, np.ones((1, 1)))
+    rng = sample_rng(21, 0)
+    ys = rng.standard_normal((2, sc.dim, 1, sc.dim, 2)).view(np.complex128)[..., 0]
+    assert np.array_equal(kchi.symclass._undo_translates(sc, ys.copy()), ys[:, :, 0])
+
+
+def test_the_tensor_evaluates_only_sorted_unit_tuples(monkeypatch):
+    # D^k K_chi is symmetric in its directions: (2,1)/3 at k = 2 sends the
+    # C(9 + 1, 2) = 45 sorted of its 81 matrix-unit tuples through the
+    # kernel, and each of the other rows equals its sorted tuple's.
+    evaluated = []
+    dk_stack = kchi.norms._dk_stack
+
+    def counting(sc, t, xs):
+        evaluated.append(len(xs[0]))
+        return dk_stack(sc, t, xs)
+
+    monkeypatch.setattr(kchi.norms, "_dk_stack", counting)
+    sc = build_symmetry_class(Partition((2, 1)), 3)
+    t = random_matrix(3, sample_rng(22, 0))
+    tensor = _derivative_tensor(sc, t, 2, 16)
+    assert sum(evaluated) == math.comb(10, 2)
+    assert np.array_equal(tensor.reshape(9, 9, -1), tensor.reshape(9, 9, -1).swapaxes(0, 1))
 
 
 IMMANANT_CHIS = [chi for m in range(1, 6) for chi in partitions_of(m)]

@@ -315,7 +315,8 @@ def test_the_orbit_blocks_scatter_to_the_inclusion(chi, n):
     sc = build_symmetry_class(chi, n)
     inclusion = np.zeros_like(sc.inclusion)
     rows_seen, columns_seen = [], []
-    for rows, at, ortho_t in sc.orbit_blocks:
+    for rows, at, ortho_t, *_ in sc.orbit_blocks:
+        rows = rows[:, :, 0]
         assert rows.shape[1] == at.shape[1]
         assert ortho_t.shape == (len(at), len(rows))
         inclusion[rows[:, None, :], at[None, :, :]] = ortho_t.T[:, :, None]
@@ -324,6 +325,117 @@ def test_the_orbit_blocks_scatter_to_the_inclusion(chi, n):
     assert np.array_equal(inclusion, sc.inclusion)
     assert sorted(rows_seen) == [index_of(sc, alpha) for alpha in sc.omega]
     assert sorted(columns_seen) == list(range(sc.dim))
+
+
+def standard_reading_words(chi):
+    # Every filling of the shape by 0..m-1, in row reading order, whose
+    # rows and columns increase.
+    parts = chi.parts
+    starts = [sum(parts[:i]) for i in range(len(parts))]
+    words = []
+    for word in itertools.permutations(range(chi.size)):
+        rows = all(
+            word[s + j] < word[s + j + 1] for s, p in zip(starts, parts) for j in range(p - 1)
+        )
+        columns = all(
+            word[starts[i] + j] < word[starts[i + 1] + j]
+            for i in range(len(parts) - 1)
+            for j in range(parts[i + 1])
+        )
+        if rows and columns:
+            words.append(word)
+    return words
+
+
+def position_permutations(positions, n, m, sigmas):
+    # P(sigma) on the span of the product-basis vectors at ``positions``
+    # (an orbit) as dense matrices: P(sigma) e_beta = e_{beta o sigma^-1}.
+    words = np.stack(np.unravel_index(positions, (n,) * m), axis=-1)
+    index = {int(p): i for i, p in enumerate(positions)}
+    mats = []
+    for sigma in sigmas:
+        mat = np.zeros((len(positions), len(positions)))
+        for i, word in enumerate(words):
+            mat[i, index[int(np.ravel_multi_index(tuple(word[list(sigma)]), (n,) * m))]] = 1.0
+        mats.append(mat)
+    return mats
+
+
+def group_sum(chi, n, m, positions, boxes_of, signed):
+    # The sum of P(sigma), signed for the columns, over the permutations
+    # that keep each row (or column) of the row-reading tableau.
+    parts = chi.parts
+    starts = [sum(parts[:i]) for i in range(len(parts))]
+    blocks = boxes_of(parts, starts)
+    total = 0
+    for choice in itertools.product(*[itertools.permutations(b) for b in blocks]):
+        sigma = list(range(m))
+        sign = 1
+        for block, image in zip(blocks, choice):
+            for box, target in zip(block, image):
+                sigma[box] = target
+            sign *= permutation_sign(block, image)
+        (mat,) = position_permutations(positions, n, m, [sigma])
+        total = total + (sign if signed else 1) * mat
+    return total
+
+
+def permutation_sign(block, image):
+    order = [block.index(x) for x in image]
+    return (-1) ** sum(a > b for i, a in enumerate(order) for b in order[i + 1 :])
+
+
+def row_boxes(parts, starts):
+    return [list(range(s, s + p)) for s, p in zip(starts, parts)]
+
+
+def column_boxes(parts, starts):
+    return [[starts[i] + j for i in range(len(parts)) if parts[i] > j] for j in range(parts[0])]
+
+
+@pytest.mark.parametrize("chi,n", TEMPLATE_CLASSES)
+def test_each_copy_is_a_young_symmetrizer_image_whose_translates_span(chi, n):
+    # On the first orbit of each composition, by dense permutation
+    # matrices: c_T0 = a_T0 b_T0 maps the orbit's part of V_chi onto a space
+    # of rank exactly rank / f^chi, the stored copy columns span it, and
+    # their translates P(sigma_T) V Z over the standard tableaux span the
+    # orbit's basis.
+    sc = build_symmetry_class(chi, n)
+    m, f = chi.size, degree(chi)
+    sigmas = standard_reading_words(chi)
+    assert len(sigmas) == f
+    for rows, at, _, copy, _, _ in sc.orbit_blocks:
+        positions = rows[:, 0, 0]
+        basis = sc.inclusion[positions][:, at[:, 0]]
+        rank = basis.shape[1]
+        a = group_sum(chi, n, m, positions, row_boxes, signed=False)
+        b = group_sum(chi, n, m, positions, column_boxes, signed=True)
+        image = a @ b @ basis
+        assert np.linalg.matrix_rank(image) == rank // f
+        assert copy.shape[1] == rank // f
+        assert np.linalg.matrix_rank(np.hstack([image, copy])) == rank // f
+        translates = np.hstack([p @ copy for p in position_permutations(positions, n, m, sigmas)])
+        assert np.linalg.matrix_rank(translates) == rank
+        assert np.linalg.matrix_rank(np.hstack([basis, translates])) == rank
+
+
+@pytest.mark.parametrize("chi,n", [(Partition((2, 1)), 3), (Partition((2, 2, 1)), 3)])
+def test_too_few_translates_or_a_wrong_image_is_a_numeric_error(monkeypatch, chi, n):
+    # Dropping any one standard tableau leaves translates that cannot span
+    # an orbit; a symmetrizer that does nothing leaves an image of the
+    # orbit's full rank rather than rank / f^chi.  The build refuses both.
+    young = kchi.symclass._young_symmetrizer
+    for dropped in range(degree(chi)):
+        monkeypatch.setattr(
+            kchi.symclass,
+            "_young_symmetrizer",
+            lambda chi: (young(chi)[0], np.delete(young(chi)[1], dropped, axis=0)),
+        )
+        with pytest.raises(NumericError, match="translates"):
+            build_symmetry_class(chi, n)
+    monkeypatch.setattr(kchi.symclass, "_young_symmetrizer", lambda chi: ([], young(chi)[1]))
+    with pytest.raises(NumericError, match="Young symmetrizer's image has rank"):
+        build_symmetry_class(chi, n)
 
 
 @pytest.mark.parametrize("chi,n", SMALL_CLASSES)
