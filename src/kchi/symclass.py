@@ -33,6 +33,7 @@ spectral norms of coordinate matrices.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -51,7 +52,7 @@ from .denselin import DEFAULT_DIMENSION_CAP, _distinct_arrangements, _distinct_f
 from .denselin import _require_finite
 from .denselin import _matrices, gram_schmidt, kron
 from .errors import DomainError, NumericError, ResourceError
-from .symgroup import _permutation_characters, _stabilizer_sum, degree
+from .symgroup import _permutation_characters, _permutation_classes, _stabilizer_sum, degree
 
 __all__ = [
     "SymmetryClass",
@@ -69,48 +70,74 @@ RANK_EXTENSION_TOL = 1e-9
 _BLOCK_BYTES = 1 << 20
 
 
+# One composition's orbits; see SymmetryClass.
+_OrbitBlock = collections.namedtuple("_OrbitBlock", "rows cols at ortho_t coeffs copy ycols binv")
+
+
 @dataclass(frozen=True)
 class SymmetryClass:
     """The symmetry class of C^n associated with an irreducible character.
 
-    ``inclusion`` holds the orthonormal basis of the class as real columns
-    in product-basis coordinates; ``basis_b`` is the real upper triangular
-    change of basis expressing those orthonormal vectors through the
-    e*-basis indexed by ``delta_hat``.  Both are float64.
+    The class stores only its orbit blocks, one per composition of the
+    orbit representatives, and is equal to another class of the same
+    ``chi`` and ``n``.  ``rows[:, g, 0]`` are the product-basis positions
+    of the composition's g-th orbit, ``cols`` the orbit rows whose
+    e*-vectors it keeps, ``at[:, g]`` the basis columns they carry, and
+    ``ortho_t`` the shared ``(rank, orbit size)`` block of the orthonormal
+    basis, with ``coeffs`` the ``(rank, rank)`` block of its change of
+    basis.  The rest serve the kernel's one Schur-module copy (see
+    ``_compress``): ``rows[:, g, t]`` reads the orbit through the t-th
+    standard tableau's permutation, ``copy`` is the orbit's
+    ``(orbit size, rank / f^chi)`` block of the copy columns V Z,
+    ``ycols[:, g]`` are the orbit's columns of the translates
+    [Y_1 ... Y_f], and ``binv`` is the ``(rank, rank)`` inverse of the
+    translates' coordinates B.
 
-    ``orbit_blocks`` holds the nonzero blocks of ``inclusion``, one
-    ``(rows, at, ortho_t, copy, ycols, binv)`` tuple per composition of the
-    orbit representatives: ``rows[:, g, 0]`` are the product-basis
-    positions of the composition's g-th orbit, ``at[:, g]`` the basis
-    columns it carries, and ``ortho_t`` the shared ``(rank, orbit size)``
-    block, so ``inclusion[rows[i, g, 0], at[j, g]] == ortho_t[j, i]``.  The
-    rest serve the kernel's one Schur-module copy (see ``_compress``):
-    ``rows[:, g, t]`` reads the orbit through the t-th standard tableau's
-    permutation, ``copy`` is the orbit's ``(orbit size, rank / f^chi)``
-    block of the copy columns V Z, ``ycols[:, g]`` are the orbit's
-    columns of the translates [Y_1 ... Y_f], and ``binv`` is the
-    ``(rank, rank)`` inverse of the translates' coordinates B.
+    The index sets, ``inclusion`` (the orthonormal basis as real columns
+    in product-basis coordinates) and ``basis_b`` (the real upper
+    triangular change of basis expressing those columns through the
+    e*-basis indexed by ``delta_hat``) are decoded or scattered from the
+    blocks on first access; both arrays are float64.
     """
 
     chi: Partition
     n: int
-    omega: tuple[MultiIndex, ...]
-    delta_bar: tuple[MultiIndex, ...]
-    delta_hat: tuple[MultiIndex, ...]
-    basis_b: np.ndarray
-    inclusion: np.ndarray
-    orbit_blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] = field(
-        repr=False, compare=False
-    )
+    orbit_blocks: tuple[_OrbitBlock, ...] = field(repr=False, compare=False)
 
     @property
     def m(self) -> int:
         return self.chi.size
 
-    @property
+    @functools.cached_property
     def dim(self) -> int:
         """Dimension of the symmetry class."""
-        return len(self.delta_hat)
+        return sum(block.at.size for block in self.orbit_blocks)
+
+    @functools.cached_property
+    def omega(self) -> tuple[MultiIndex, ...]:
+        return _decode([b.rows[:, :, 0] for b in self.orbit_blocks], self.m, self.n)
+
+    @functools.cached_property
+    def delta_bar(self) -> tuple[MultiIndex, ...]:
+        return _decode([b.rows[0, :, 0] for b in self.orbit_blocks], self.m, self.n)
+
+    @functools.cached_property
+    def delta_hat(self) -> tuple[MultiIndex, ...]:
+        return _decode([b.rows[b.cols, :, 0] for b in self.orbit_blocks], self.m, self.n)
+
+    @functools.cached_property
+    def inclusion(self) -> np.ndarray:
+        out = np.zeros((self.n**self.m, self.dim))
+        for block in self.orbit_blocks:
+            out[block.rows[:, None, :, 0], block.at] = block.ortho_t.T[:, :, None]
+        return out
+
+    @functools.cached_property
+    def basis_b(self) -> np.ndarray:
+        out = np.zeros((self.dim, self.dim))
+        for block in self.orbit_blocks:
+            out[block.at[:, None], block.at] = block.coeffs[:, :, None]
+        return out
 
 
 def build_symmetry_class(chi: Partition, n: int) -> SymmetryClass:
@@ -158,11 +185,12 @@ def build_symmetry_class(chi: Partition, n: int) -> SymmetryClass:
                 )
             if not by_majorization:
                 continue
-            template = tuple(i for i, k in enumerate(c, 1) for _ in range(k))
+            # The template orbit as its 0-based words in lexicographic order;
+            # with no index asked for, np.unique imports numpy.ma (9 ms, 1.2 MB).
+            orbit = np.repeat(np.arange(r), c)[_permutation_classes(m)[0]]
+            words = np.unique(orbit, axis=0, return_index=True)[0]
             rank = chi_one * total // math.prod(math.factorial(k) for k in c)
-            local, cols, ortho, coeffs = _orbit_basis(
-                chi, MultiIndex._trusted(template, r), rank, scale
-            )
+            cols, ortho, coeffs = _orbit_basis(chi, words, rank, scale)
             # Row 0 of an orbit is its weakly increasing representative.
             if 0 not in cols:
                 raise NumericError("basis sweep dropped an orbit representative")
@@ -170,14 +198,13 @@ def build_symmetry_class(chi: Partition, n: int) -> SymmetryClass:
             # and B are stored real and V* is V.T.
             if np.any(ortho.imag) or np.any(coeffs.imag):
                 raise NumericError("the orthonormal basis of the class is not real")
-            # The template orbit in 0-based letters, read through each
-            # r-set of values: one (G, orbit size) array of positions.
-            words = np.stack(np.unravel_index(local, (r,) * m), axis=-1)
+            # The template orbit read through each r-set of values: one
+            # (G, orbit size) array of positions.
             rows = _encode(values[:, words], n)
             copy, translates, binv = _copy_basis(
-                words, local, ortho.real, symmetrizer, tableaux, rank // chi_one
+                words, ortho.real, symmetrizer, tableaux, rank // chi_one
             )
-            blocks.append((rows, rows[:, cols], ortho.real, coeffs.real, copy, translates, binv))
+            blocks.append((rows, cols, ortho.real, coeffs.real, copy, translates, binv))
     if not blocks:
         raise NumericError("no surviving symmetrized tensors despite l(chi) <= n")
 
@@ -185,43 +212,30 @@ def build_symmetry_class(chi: Partition, n: int) -> SymmetryClass:
     # lexicographic order is the per-orbit Gram-Schmidt, scattered.  The
     # copy columns are numbered in the order of each orbit's first
     # rank / f^chi basis columns, so with f^chi = 1 they are the basis.
-    kept = np.sort(np.concatenate([block[1].ravel() for block in blocks]))
-    leads = [kept_rows[:, : copy.shape[1]] for _, kept_rows, _, _, copy, _, _ in blocks]
-    leads = np.sort(np.concatenate([lead.ravel() for lead in leads]))
-    inclusion = np.zeros((n**m, len(kept)))
-    basis_b = np.zeros((len(kept), len(kept)))
+    kept = np.sort(np.concatenate([rows[:, cols] for rows, cols, *_ in blocks], axis=None))
+    leads = [rows[:, cols[: copy.shape[1]]] for rows, cols, _, _, copy, _, _ in blocks]
+    leads = np.sort(np.concatenate(leads, axis=None))
     orbit_blocks = []
-    for rows, kept_rows, ortho, coeffs, copy, translates, binv in blocks:
-        at = np.searchsorted(kept, kept_rows)
-        inclusion[rows[:, :, None], at[:, None, :]] = ortho
-        basis_b[at[:, :, None], at[:, None, :]] = coeffs
+    for rows, cols, ortho, coeffs, copy, translates, binv in blocks:
         # The columns of [Y_1 ... Y_f] in the order of B's columns: copy
         # column z of translate t is column t * dim / f^chi + z.
-        z = np.searchsorted(leads, kept_rows[:, : copy.shape[1]])
-        ycols = np.arange(len(translates))[:, None] * len(leads) + z[:, None]
+        z = np.searchsorted(leads, rows[:, cols[: copy.shape[1]]].T)
+        ycols = np.arange(len(translates))[:, None, None] * len(leads) + z
         # Stored in the layouts _compress reads: the orbit axis first, and
         # each orbit's positions read through every translate side by side.
         orbit_blocks.append(
-            (
-                rows[:, translates].transpose(2, 0, 1).copy(),
-                at.T.copy(),
-                ortho.T.copy(),
-                copy,
-                ycols.reshape(len(rows), -1).T.copy(),
-                binv,
+            _OrbitBlock(
+                rows=rows[:, translates].transpose(2, 0, 1).copy(),
+                cols=cols,
+                at=np.searchsorted(kept, rows[:, cols].T),
+                ortho_t=ortho.T.copy(),
+                coeffs=coeffs,
+                copy=copy,
+                ycols=ycols.reshape(-1, len(rows)),
+                binv=binv,
             )
         )
-
-    return SymmetryClass(
-        chi=chi,
-        n=n,
-        omega=_decode(np.sort(np.concatenate([rows.ravel() for rows, *_ in blocks])), m, n),
-        delta_bar=_decode(np.sort(np.concatenate([rows[:, 0] for rows, *_ in blocks])), m, n),
-        delta_hat=_decode(kept, m, n),
-        basis_b=basis_b,
-        inclusion=inclusion,
-        orbit_blocks=tuple(orbit_blocks),
-    )
+    return SymmetryClass(chi=chi, n=n, orbit_blocks=tuple(orbit_blocks))
 
 
 def _encode(entries: np.ndarray, n: int) -> np.ndarray:
@@ -231,46 +245,38 @@ def _encode(entries: np.ndarray, n: int) -> np.ndarray:
     return np.ravel_multi_index(tuple(np.moveaxis(entries - 1, -1, 0)), dims)
 
 
-def _decode(codes: np.ndarray, m: int, n: int) -> tuple[MultiIndex, ...]:
+def _decode(positions, m: int, n: int) -> tuple[MultiIndex, ...]:
+    # The multi-indices at the product-basis positions of the arrays in
+    # ``positions``, in lexicographic order.
+    codes = np.sort(np.concatenate(positions, axis=None))
     entries = np.stack(np.unravel_index(codes, (n,) * m), axis=-1) + 1
     return tuple(MultiIndex._trusted(tuple(row), n) for row in entries.tolist())
 
 
-def _estar_columns(chi: Partition, n: int, alphas, rows: np.ndarray, scale: float) -> np.ndarray:
-    # e*_alpha for each alpha in ``alphas``, restricted to the sorted
-    # product-basis positions ``rows``, which must cover their orbits;
-    # ``scale`` is chi(1)/m!.  The symmetrizer sums chi(sigma)
-    # e_{alpha o sigma^-1} over S_m; reindexed by sigma^-1 it reads the rows
-    # themselves, as chi(sigma) = chi(sigma^-1).
-    images, values = _permutation_characters(chi)
-    images, values = images[values != 0], values[values != 0]
-    codes = _encode(np.array(alphas)[:, images], n)
-    out = np.zeros((len(rows), len(alphas)))
-    np.add.at(out, (np.searchsorted(rows, codes), np.arange(len(alphas))[:, None]), values)
-    return out * scale
-
-
-def _orbit_basis(chi: Partition, a: MultiIndex, rank: int, scale: float):
-    # Greedy lexicographic sweep over the e*-columns of the orbit of ``a``
-    # (scaled by ``scale`` = chi(1)/m!) up to the orbit's ``rank``, and
-    # Gram-Schmidt of the kept ones.  Column j is kept when its part
+def _orbit_basis(chi: Partition, words: np.ndarray, rank: int, scale: float):
+    # Greedy lexicographic sweep over the e*-columns of the template orbit
+    # ``words`` up to the orbit's ``rank``, and Gram-Schmidt of the kept
+    # ones.  The e*-column of beta sums chi(sigma) e_{beta o sigma} over
+    # S_m, as chi(sigma) = chi(sigma^-1), scaled by ``scale`` = chi(1)/m!;
+    # the sums are of integers, so exact.  Column j is kept when its part
     # orthogonal to the columns before it, |R_jj| of one Householder QR,
     # exceeds RANK_EXTENSION_TOL times its norm: the dropped columns lie in
     # the span of the kept ones, so that part is the sweep's residual.
-    # Returns the orbit's product-basis positions, the kept columns and
-    # gram_schmidt's (ortho, coeffs).
-    orbit = sorted(set(itertools.permutations(a.entries)))
-    rows = _encode(np.array(orbit), a.n)
-    block = _estar_columns(chi, a.n, orbit, rows, scale)
+    # Returns the kept columns and gram_schmidt's (ortho, coeffs).
+    images, values = _permutation_characters(chi)
+    images, values = images[values != 0], values[values != 0]
+    block = np.zeros((len(words), len(words)))
+    np.add.at(block, (_relabel(words, images), np.arange(len(words))), values[:, None])
+    block *= scale
     residuals = np.abs(np.diagonal(np.linalg.qr(block, mode="r")))
     cols = np.flatnonzero(residuals > RANK_EXTENSION_TOL * np.linalg.norm(block, axis=0))
     if len(cols) < rank:
         raise NumericError(
-            f"rank sweep found {len(cols)} basis tensors in the orbit of {a}, "
-            f"the character formula gives {rank}"
+            f"rank sweep found {len(cols)} basis tensors in the orbit of "
+            f"{tuple(words[0] + 1)}, the character formula gives {rank}"
         )
     cols = cols[:rank]
-    return (rows, cols, *gram_schmidt(block[:, cols]))
+    return (cols, *gram_schmidt(block[:, cols]))
 
 
 def _young_symmetrizer(chi: Partition):
@@ -294,33 +300,24 @@ def _young_symmetrizer(chi: Partition):
                 perms = np.tile(np.arange(m), (len(images), 1))
                 perms[:, boxes] = np.array(boxes)[images]
                 factors.append((perms, signs))
-
-    words = []
-
-    def fill(filled: list[list[int]], k: int) -> None:
-        if k == m:
-            words.append([entry for row in filled for entry in row])
-            return
-        for i, row in enumerate(filled):
-            if len(row) < parts[i] and (i == 0 or len(filled[i - 1]) > len(row)):
-                row.append(k)
-                fill(filled, k + 1)
-                row.pop()
-
-    fill([[] for _ in parts], 0)
-    return factors, np.array(sorted(words))
+    # A word is standard when it increases along every row and column.
+    words = _permutation_classes(m)[0]
+    for boxes in (*rows, *columns):
+        words = words[np.all(np.diff(words[:, boxes], axis=1) > 0, axis=1)]
+    return factors, words
 
 
-def _relabel(words: np.ndarray, codes: np.ndarray, perms: np.ndarray) -> np.ndarray:
+def _relabel(words: np.ndarray, perms: np.ndarray) -> np.ndarray:
     # Row gathers of P(sigma) on one template orbit, for each row sigma of
     # ``perms``: (P(sigma) x)[p] = x[out[i, p]], as P(sigma) e_beta is
-    # e_{beta o sigma^-1}.  ``words`` are the orbit's 0-based words and
-    # ``codes`` their sorted base-r positions, most significant letter first.
+    # e_{beta o sigma^-1}.  ``words`` are the orbit's 0-based words in
+    # lexicographic order, so their base-r codes, most significant letter
+    # first, are sorted.
     digits = (int(words.max()) + 1) ** np.arange(words.shape[1] - 1, -1, -1)
-    return np.searchsorted(codes, words[:, perms] @ digits).T
+    return np.searchsorted(words @ digits, words[:, perms] @ digits).T
 
 
-def _copy_basis(words, codes, ortho, symmetrizer, tableaux, width: int):
+def _copy_basis(words, ortho, symmetrizer, tableaux, width: int):
     # One orbit's share of one Schur-module copy of the class (see
     # _compress), from its (orbit size, rank) basis block ``ortho``.  The
     # Young symmetrizer maps V_chi onto one copy, so its image on the
@@ -331,7 +328,7 @@ def _copy_basis(words, codes, ortho, symmetrizer, tableaux, width: int):
     # row gathers and the inverse of B = [Q_sigma_1 Z ... Q_sigma_f Z].
     image = ortho
     for perms, signs in symmetrizer:
-        image = signs @ image[_relabel(words, codes, perms)].swapaxes(0, 1)
+        image = signs @ image[_relabel(words, perms)].swapaxes(0, 1)
     u, sv, _ = np.linalg.svd(ortho.T @ image)
     found = int(np.sum(sv > RANK_EXTENSION_TOL * sv[0]))
     if found != width:
@@ -344,7 +341,7 @@ def _copy_basis(words, codes, ortho, symmetrizer, tableaux, width: int):
     z = u[:, :width]
     z = z * np.sign(z[np.abs(z).argmax(axis=0), np.arange(width)])
     copy = ortho @ z
-    translates = _relabel(words, codes, tableaux)
+    translates = _relabel(words, tableaux)
     # sigma_1 is the identity, and Q_id Z is Z itself.
     b = np.hstack([z] + [ortho.T @ copy[gather] for gather in translates[1:]])
     sv = np.linalg.svd(b, compute_uv=False)
@@ -426,10 +423,10 @@ def _compress(sc: SymmetryClass, mats: list[np.ndarray]) -> np.ndarray:
 def _copy_columns(sc: SymmetryClass) -> np.ndarray:
     # V Z, the (n^m, dim / f^chi) real columns of one copy, scattered from
     # each composition's orbit block of V Z.
-    width = sum(rows.shape[1] * copy.shape[1] for rows, _, _, copy, _, _ in sc.orbit_blocks)
-    out = np.zeros((sc.n**sc.m, width))
-    for rows, _, _, copy, ycols, _ in sc.orbit_blocks:
-        out[rows[:, :, :1], ycols[: copy.shape[1]].T] = copy[:, None, :]
+    blocks = sc.orbit_blocks
+    out = np.zeros((sc.n**sc.m, sum(b.rows.shape[1] * b.copy.shape[1] for b in blocks)))
+    for b in blocks:
+        out[b.rows[:, :, :1], b.ycols[: b.copy.shape[1]].T] = b.copy[:, None, :]
     return out
 
 
@@ -442,9 +439,9 @@ def _orbit_product(sc: SymmetryClass, w: np.ndarray, ys: np.ndarray) -> None:
     # orbits, translates, samples and columns side by side.
     flat = w.view(np.float64).swapaxes(0, 1)
     ys = ys.view(np.float64).transpose(1, 2, 0, 3)
-    for rows, at, ortho_t, *_ in sc.orbit_blocks:
-        part = ortho_t @ flat[rows].reshape(len(rows), -1)
-        ys[at] = part.reshape(at.shape + ys.shape[1:])
+    for b in sc.orbit_blocks:
+        part = b.ortho_t @ flat[b.rows].reshape(len(b.rows), -1)
+        ys[b.at] = part.reshape(b.at.shape + ys.shape[1:])
 
 
 def _undo_translates(sc: SymmetryClass, ys: np.ndarray) -> np.ndarray:
@@ -457,9 +454,9 @@ def _undo_translates(sc: SymmetryClass, ys: np.ndarray) -> np.ndarray:
     # M.T is written over it.
     yt = np.ascontiguousarray(ys.reshape(-1, ys.shape[2] * ys.shape[3]).T)
     out_t = ys.reshape(sc.dim, -1)
-    for _, at, _, _, ycols, binv in sc.orbit_blocks:
-        part = binv.T @ yt[ycols].view(np.float64).reshape(len(ycols), -1)
-        out_t[at] = part.view(np.complex128).reshape(at.shape + (-1,))
+    for b in sc.orbit_blocks:
+        part = b.binv.T @ yt[b.ycols].view(np.float64).reshape(len(b.ycols), -1)
+        out_t[b.at] = part.view(np.complex128).reshape(b.at.shape + (-1,))
     del yt
     return np.ascontiguousarray(out_t.T).reshape(len(ys), sc.dim, sc.dim)
 

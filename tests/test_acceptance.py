@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from kchi import verify
+from kchi import DomainError, verify
 
 
 def run_criterion(number, label, results):
@@ -78,6 +78,12 @@ def test_full_report_round_trip():
     report = verify.run_verify(max_n=2, seed=0)
     assert report["all_passed"] is True
     assert [c["name"] for c in report["criteria"]] == [label for label, _ in verify.CRITERIA]
+
+
+@pytest.mark.parametrize("kwargs", [{"max_n": 2.5}, {"max_n": "3"}, {"seed": "a"}])
+def test_run_verify_refuses_arguments_that_are_not_integers(kwargs):
+    with pytest.raises(DomainError, match="must be an integer"):
+        verify.run_verify(**kwargs)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

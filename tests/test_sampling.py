@@ -312,22 +312,24 @@ def dense_product_class(sc):
     # The class with one block over all n^m rows and every column, so the
     # kernel ends in the dense V.T @ P(sigma_i) W of its own sums and in
     # [Y_1 ... Y_f] times the block-diagonal B^-1 of all orbits.
+    blocks = sc.orbit_blocks
     positions = np.arange(sc.n**sc.m)
-    translates = np.tile(positions[:, None], sc.orbit_blocks[0][0].shape[2])
-    width = sum(rows.shape[1] * copy.shape[1] for rows, _, _, copy, _, _ in sc.orbit_blocks)
-    copy = np.zeros((sc.n**sc.m, width))
+    translates = np.tile(positions[:, None], blocks[0].rows.shape[2])
+    copy = np.zeros((sc.n**sc.m, sum(b.rows.shape[1] * b.copy.shape[1] for b in blocks)))
     binv = np.zeros((sc.dim, sc.dim))
-    for rows, at, _, block_copy, ycols, block_binv in sc.orbit_blocks:
-        translates[rows[:, :, 0]] = rows
-        copy[rows[:, :, :1], ycols[: block_copy.shape[1]].T] = block_copy[:, None, :]
-        binv[ycols[:, None, :], at[None, :, :]] = block_binv[:, :, None]
-    block = (
-        translates[:, None, :],
-        np.arange(sc.dim)[:, None],
-        sc.inclusion.T.copy(),
-        copy,
-        np.arange(sc.dim)[:, None],
-        binv,
+    for b in blocks:
+        translates[b.rows[:, :, 0]] = b.rows
+        copy[b.rows[:, :, :1], b.ycols[: b.copy.shape[1]].T] = b.copy[:, None, :]
+        binv[b.ycols[:, None, :], b.at[None, :, :]] = b.binv[:, :, None]
+    block = kchi.symclass._OrbitBlock(
+        rows=translates[:, None, :],
+        cols=np.sort(np.concatenate([b.rows[b.cols, :, 0] for b in blocks], axis=None)),
+        at=np.arange(sc.dim)[:, None],
+        ortho_t=sc.inclusion.T.copy(),
+        coeffs=sc.basis_b,
+        copy=copy,
+        ycols=np.arange(sc.dim)[:, None],
+        binv=binv,
     )
     return dataclasses.replace(sc, orbit_blocks=(block,))
 
@@ -417,9 +419,9 @@ def test_one_dimensional_characters_run_on_v_itself(chi, n):
     # are.  So these classes keep the bits of the kernel without copies.
     sc = build_symmetry_class(chi, n)
     assert np.array_equal(kchi.symclass._copy_columns(sc), sc.inclusion)
-    for rows, _, _, _, _, binv in sc.orbit_blocks:
-        assert rows.shape[2] == 1
-        assert np.array_equal(binv, np.ones((1, 1)))
+    for block in sc.orbit_blocks:
+        assert block.rows.shape[2] == 1
+        assert np.array_equal(block.binv, np.ones((1, 1)))
     rng = sample_rng(21, 0)
     ys = rng.standard_normal((2, sc.dim, 1, sc.dim, 2)).view(np.complex128)[..., 0]
     assert np.array_equal(kchi.symclass._undo_translates(sc, ys.copy()), ys[:, :, 0])

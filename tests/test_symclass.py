@@ -1,6 +1,7 @@
 """Tests for symmetry class construction and the induced operators."""
 
 import collections
+import functools
 import itertools
 import math
 
@@ -63,11 +64,29 @@ def index_of(sc, alpha):
     return int(kchi.symclass._encode(np.array(alpha.entries), sc.n))
 
 
+@functools.cache
+def permutation_characters(chi):
+    """Every sigma of S_m as 0-based image rows, and chi(sigma) on each."""
+    sigmas = list(all_permutations(chi.size))
+    images = np.array([sigma.images for sigma in sigmas]) - 1
+    return images, np.array([float(character(chi, sigma.cycle_type())) for sigma in sigmas])
+
+
+def estar_columns(chi, n, alphas):
+    """Product-basis coordinates of e*_alpha for each alpha of ``alphas``, one
+    column each: (chi(1)/m!) sum_sigma chi(sigma) e_{alpha o sigma}, which is
+    the symmetrizer's column as chi(sigma) = chi(sigma^-1)."""
+    images, values = permutation_characters(chi)
+    m = chi.size
+    positions = (np.asarray(alphas)[:, images] - 1) @ n ** np.arange(m - 1, -1, -1)
+    out = np.zeros((n**m, len(alphas)))
+    np.add.at(out, (positions, np.arange(len(alphas))[:, None]), values)
+    return out * (degree(chi) / math.factorial(m))
+
+
 def estar_coords(sc, alpha):
-    """Coordinates of e*_alpha in the product basis, from the class's own scatter."""
-    rows = np.arange(sc.n**sc.m)
-    scale = degree(sc.chi) / math.factorial(sc.m)
-    return kchi.symclass._estar_columns(sc.chi, sc.n, [alpha.entries], rows, scale)[:, 0]
+    """Coordinates of e*_alpha in the product basis."""
+    return estar_columns(sc.chi, sc.n, [alpha.entries])[:, 0]
 
 
 def vec_index(entries, n):
@@ -236,6 +255,26 @@ def test_the_build_computes_each_orbit_quantity_once(monkeypatch):
     assert calls == {"majorizes": 8, "_orbit_basis": 4, "degree": 1}
 
 
+def test_classes_compare_and_hash_by_character_and_size():
+    # A class is its chi and n; the arrays it holds are derived from them.
+    sc = build_symmetry_class(Partition((2, 1)), 3)
+    same = build_symmetry_class(Partition((2, 1)), 3)
+    assert sc == same and hash(sc) == hash(same)
+    assert len({sc, same}) == 1
+    assert sc != build_symmetry_class(Partition((2, 1)), 4)
+    assert sc != build_symmetry_class(Partition((1, 1, 1)), 3)
+
+
+def test_the_class_stores_only_its_orbit_blocks():
+    # The kernel reads the orbit blocks alone: building the class and
+    # applying K_chi decodes no index set and scatters neither V nor B.
+    sc = build_symmetry_class(Partition((2, 1, 1)), 6)
+    k_chi_matrix(sc, np.eye(6))
+    derived = ("inclusion", "basis_b", "omega", "delta_bar", "delta_hat")
+    assert not set(derived) & set(vars(sc))
+    assert sc.inclusion is sc.inclusion and "inclusion" in vars(sc)
+
+
 def reference_class(chi, n):
     """The class arrays built one weakly increasing representative at a time.
 
@@ -245,7 +284,6 @@ def reference_class(chi, n):
     (omega, delta_bar, delta_hat, inclusion, basis_b).
     """
     m = chi.size
-    scale = degree(chi) / math.factorial(m)
     delta_bar, orbits = [], []
     for a in enumerate_maps("increasing", m, n):
         stabilizer = math.prod(math.factorial(c) for c in multiplicity_partition(a).parts)
@@ -255,7 +293,7 @@ def reference_class(chi, n):
         delta_bar.append(a)
         orbit = sorted(set(itertools.permutations(a.entries)))
         rows = kchi.symclass._encode(np.array(orbit), n)
-        block = kchi.symclass._estar_columns(chi, n, orbit, rows, scale)
+        block = estar_columns(chi, n, orbit)[rows]
         basis = np.zeros((len(orbit), 0))
         cols = []
         for j, v in enumerate(block.T):
@@ -314,16 +352,22 @@ def test_the_orbit_blocks_scatter_to_the_inclusion(chi, n):
     # bits; their rows cover omega once and their columns delta_hat once.
     sc = build_symmetry_class(chi, n)
     inclusion = np.zeros_like(sc.inclusion)
-    rows_seen, columns_seen = [], []
-    for rows, at, ortho_t, *_ in sc.orbit_blocks:
-        rows = rows[:, :, 0]
+    basis_b = np.zeros_like(sc.basis_b)
+    rows_seen, kept_seen, columns_seen = [], [], []
+    for block in sc.orbit_blocks:
+        rows, at = block.rows[:, :, 0], block.at
         assert rows.shape[1] == at.shape[1]
-        assert ortho_t.shape == (len(at), len(rows))
-        inclusion[rows[:, None, :], at[None, :, :]] = ortho_t.T[:, :, None]
+        assert block.ortho_t.shape == (len(at), len(rows))
+        assert block.coeffs.shape == (len(at), len(at))
+        inclusion[rows[:, None, :], at[None, :, :]] = block.ortho_t.T[:, :, None]
+        basis_b[at[:, None, :], at[None, :, :]] = block.coeffs[:, :, None]
         rows_seen += rows.ravel().tolist()
+        kept_seen += rows[block.cols].ravel().tolist()
         columns_seen += at.ravel().tolist()
     assert np.array_equal(inclusion, sc.inclusion)
+    assert np.array_equal(basis_b, sc.basis_b)
     assert sorted(rows_seen) == [index_of(sc, alpha) for alpha in sc.omega]
+    assert sorted(kept_seen) == [index_of(sc, alpha) for alpha in sc.delta_hat]
     assert sorted(columns_seen) == list(range(sc.dim))
 
 
@@ -404,9 +448,9 @@ def test_each_copy_is_a_young_symmetrizer_image_whose_translates_span(chi, n):
     m, f = chi.size, degree(chi)
     sigmas = standard_reading_words(chi)
     assert len(sigmas) == f
-    for rows, at, _, copy, _, _ in sc.orbit_blocks:
-        positions = rows[:, 0, 0]
-        basis = sc.inclusion[positions][:, at[:, 0]]
+    for block in sc.orbit_blocks:
+        positions, copy = block.rows[:, 0, 0], block.copy
+        basis = sc.inclusion[positions][:, block.at[:, 0]]
         rank = basis.shape[1]
         a = group_sum(chi, n, m, positions, row_boxes, signed=False)
         b = group_sum(chi, n, m, positions, column_boxes, signed=True)
@@ -445,7 +489,7 @@ def test_decoded_indices_equal_validated_ones(chi, n):
     # and back through _encode.
     sc = build_symmetry_class(chi, n)
     codes = np.arange(n**sc.m)
-    decoded = kchi.symclass._decode(codes, sc.m, n)
+    decoded = kchi.symclass._decode([codes], sc.m, n)
     for alphas in (decoded, sc.omega, sc.delta_hat):
         assert alphas == tuple(MultiIndex(alpha.entries, alpha.n) for alpha in alphas)
         assert all(type(e) is int for alpha in alphas for e in alpha.entries)
