@@ -9,6 +9,10 @@ conventions the rest of the package relies on:
   the singular values of ``t``.
 * ``gram_schmidt`` orthonormalizes columns and reports the upper
   triangular coefficient matrix ``b`` with ``ortho = vectors @ b``.
+* ``spectral_norm(a)`` is ``sqrt(lambda_max(G))`` for the Gram matrix ``G``
+  of ``a`` on its smaller side, with ``a`` first scaled by the power of two
+  of its largest entry; LAPACK computes the eigenvalues of ``G`` only, not
+  an SVD.
 
 Matrices are numpy arrays of complex128.  The Kronecker product is capped
 at ``DEFAULT_DIMENSION_CAP`` rows and columns so accidental blowups fail
@@ -187,57 +191,102 @@ def _distinct_arrangements(mats) -> tuple[list[np.ndarray], list[tuple[int, ...]
 
 def _spectral_norms(stack: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix in a stack ``(..., r, c)``."""
+    exponent = _peak_exponents(stack)
+    return _top_singular_values(
+        _gram(stack * np.ldexp(1.0, -exponent)[..., None, None]), exponent
+    )
+
+
+def _peak_exponents(stack: np.ndarray) -> np.ndarray:
+    # The binary exponent e of each matrix's largest real or imaginary part,
+    # so that the matrix times 2**-e peaks in [1/2, 1) and its Gram matrix
+    # neither overflows nor underflows.  A subnormal peak keeps e = -1021,
+    # whose finite scale 2**1021 still lifts it to at least 2**-53.
+    flat = np.ascontiguousarray(stack).reshape(stack.shape[:-2] + (-1,)).view(np.float64)
+    peak = np.maximum(flat.max(axis=-1), -flat.min(axis=-1))
+    return np.maximum(np.frexp(peak)[1], -1021)
+
+
+# Bytes of conjugated columns that _gram copies at a time.
+_GRAM_BLOCK_BYTES = 1 << 20
+
+
+def _gram(stack: np.ndarray) -> np.ndarray:
+    # G = X* X of each X in a stack (..., r, c), or for r < c the conjugate
+    # of X X*, which has the same eigenvalues: the Gram matrix on the smaller
+    # side.  It is built a block of rows at a time, so only that block of
+    # X*, not all of it, is copied beside X and G.
+    if stack.shape[-2] < stack.shape[-1]:
+        stack = stack.swapaxes(-1, -2)
+    cols = stack.shape[-1]
+    gram = np.empty(stack.shape[:-2] + (cols, cols), dtype=np.complex128)
+    step = max(1, _GRAM_BLOCK_BYTES // stack[..., :1].nbytes)
+    for lo in range(0, cols, step):
+        rows = slice(lo, lo + step)
+        np.matmul(stack[..., rows].conj().swapaxes(-1, -2), stack, out=gram[..., rows, :])
+    return gram
+
+
+def _top_singular_values(gram: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    # 2**exponent * sqrt(lambda_max(G)) for each Gram matrix G of a stack of
+    # matrices scaled by _peak_exponents: their top singular values, from
+    # LAPACK's eigenvalues of G alone.
     try:
-        return np.linalg.svd(stack, compute_uv=False)[..., 0]
+        top = np.linalg.eigvalsh(gram)[..., -1]
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"spectral norm did not converge: {exc}") from exc
+    # A norm past the largest double is inf, as LAPACK's SVD gives it.
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.sqrt(top), exponent)
 
 
 # Relative slack on both Gram bounds of _largest_spectral_norm.  Their
-# rounding errors, and LAPACK's on a top singular value, are a few hundred
-# ulps at every dimension the package reaches, far inside it.
+# rounding errors, and the eigensolver's on a top singular value, are a few
+# hundred ulps at every dimension the package reaches, far inside it.
 _GRAM_MARGIN = 1e-8
 
 
 def _largest_spectral_norm(stack: np.ndarray, floor: float) -> float:
     """``max(floor, float(np.max(_spectral_norms(stack))))``, bit for bit.
 
-    LAPACK runs only on the samples of the stack ``(S, d, d)`` that can
-    reach that value.  With ``G = X* X``, each sample's top singular value
-    s_1 lies between ``(||G^2||_F / ||G||_F)^{1/2}`` and ``||G^2||_F^{1/4}``.
-    A sample whose upper bound, widened by _GRAM_MARGIN, stays below the
-    floor or below another sample's narrowed lower bound cannot hold the
-    maximum.  The bounds are taken on each sample scaled by the power of
-    two of its largest entry, so they neither overflow nor underflow.
+    The eigensolver runs only on the samples of the stack ``(S, d, d)`` that
+    can reach that value.  With ``G = X* X``, each sample's top singular
+    value s_1 lies between ``(||G^2||_F / ||G||_F)^{1/2}`` and
+    ``||G^2||_F^{1/4}``.  A sample whose upper bound, widened by
+    _GRAM_MARGIN, stays below the floor or below another sample's narrowed
+    lower bound cannot hold the maximum.  Bounds and values are taken on
+    the samples scaled as in _spectral_norms.
     """
-    flat = stack.reshape(len(stack), -1).view(np.float64)
-    peak = np.maximum(flat.max(axis=1), -flat.min(axis=1))
-    # A subnormal peak keeps the finite scale 2**1021, which still lifts it
-    # to at least 2**-53, so the bounds stay normal.
-    exponent = np.maximum(np.frexp(peak)[1], -1021)
+    exponent = _peak_exponents(stack)
     scale = np.ldexp(1.0, -exponent)[:, None, None]
     gram_sq = np.empty(len(stack))
     square_sq = np.empty(len(stack))
     # A third of the samples at a time: the block's scaled samples, their
     # conjugates and Gram matrices together take about as much as the stack.
     step = -(-len(stack) // 3)
-    for lo in range(0, len(stack), step):
-        block = slice(lo, lo + step)
+    blocks = [slice(lo, lo + step) for lo in range(0, len(stack), step)]
+    for block in blocks:
         gram_sq[block], square_sq[block] = _gram_squares(stack[block] * scale[block])
     ratio = np.divide(square_sq, gram_sq, out=np.zeros_like(gram_sq), where=gram_sq > 0)
     upper = np.ldexp(square_sq**0.125 * (1.0 + _GRAM_MARGIN), exponent)
     lower = np.ldexp(ratio**0.25 * (1.0 - _GRAM_MARGIN), exponent)
-    # "Not below" rather than "at least", so a NaN sample reaches LAPACK.
+    # "Not below" rather than "at least", so a NaN sample is not dropped.
     keep = ~(upper < max(floor, float(np.max(lower))))
-    if not keep.any():
-        return floor
-    return max(floor, float(np.max(_spectral_norms(stack[keep]))))
+    best = floor
+    for block in blocks:
+        rows = keep[block]
+        if rows.any():
+            tops = _top_singular_values(
+                _gram(stack[block][rows] * scale[block][rows]), exponent[block][rows]
+            )
+            best = max(best, float(np.max(tops)))
+    return best
 
 
 def _gram_squares(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # ||G||_F^2 and ||G^2||_F^2 for G = X* X of each X in a stack (S, d, d);
     # G^2 overwrites the stack, and G is freed before the next block's.
-    gram = np.matmul(stack.conj().swapaxes(-1, -2), stack)
+    gram = _gram(stack)
     return _squared_frobenius(gram), _squared_frobenius(np.matmul(gram, gram, out=stack))
 
 

@@ -372,7 +372,7 @@ def symmetrized_kron(ops) -> np.ndarray:
     return total / len(orders)
 
 
-def _compress(sc: SymmetryClass, mats: list[np.ndarray]) -> np.ndarray:
+def _compress(sc: SymmetryClass, mats: list[np.ndarray], factor: int = 1) -> np.ndarray:
     # M = V* S V, S the mean over distinct arrangements of A_1 (x) ... (x)
     # A_m, for S samples at once, with each factor applied to its own tensor
     # axis.  A factor is one (n, n) matrix that every sample shares or an
@@ -386,8 +386,8 @@ def _compress(sc: SymmetryClass, mats: list[np.ndarray]) -> np.ndarray:
     # are summed over their arrangements on the other axes first, without
     # the sample axis, and the stacked ones then on the placed axes.
     # Column j of S V Z depends only on column j of V Z, so the sums run
-    # over blocks of columns sized by _column_block.  Returns the
-    # (S, dim, dim) stack; S = 1 without stacks.
+    # over blocks of columns sized by _column_block.  Returns ``factor``
+    # times the (S, dim, dim) stack; S = 1 without stacks.
     m = sc.m
     reps, counts = _distinct_factors(mats)
     shared = [(rep, c) for rep, c in zip(reps, counts) if rep.ndim == 2]
@@ -417,6 +417,8 @@ def _compress(sc: SymmetryClass, mats: list[np.ndarray]) -> np.ndarray:
             del total, w
         out = _undo_translates(sc, ys)
         out /= math.factorial(m) // math.prod(math.factorial(c) for c in counts)
+        if factor != 1:
+            out *= factor
     return _require_finite(out, "compressed operator")
 
 
@@ -529,9 +531,7 @@ def _dk_stack(sc: SymmetryClass, t: np.ndarray, xs: list[np.ndarray]) -> np.ndar
     # an (S, n, n) stack of per-sample directions; returns (S, dim, dim).
     k = len(xs)
     factor = math.factorial(sc.m) // math.factorial(sc.m - k)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = factor * _compress(sc, [t] * (sc.m - k) + list(xs))
-    return _require_finite(value, "derivative")
+    return _compress(sc, [t] * (sc.m - k) + list(xs), factor)
 
 
 def _operators(sc: SymmetryClass, *groups) -> list[np.ndarray]:

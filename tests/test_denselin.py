@@ -134,6 +134,11 @@ def test_spectral_norm_examples():
     assert np.isclose(spectral_norm(np.array([[3.0], [4.0]])), 5.0)
 
 
+def test_spectral_norm_past_the_largest_double_is_inf():
+    # 2e308 overflows; warnings are errors under pytest, so none is raised.
+    assert spectral_norm(np.full((2, 2), 1e308)) == np.inf
+
+
 def power_iteration_norm(a, steps=500):
     """Largest singular value by plain power iteration on a* a."""
     gram = a.conj().T @ a
@@ -158,6 +163,62 @@ def test_spectral_norm_inequalities():
         b = random_complex(rng, 4)
         assert spectral_norm(a @ b) <= spectral_norm(a) * spectral_norm(b) + 1e-12
         assert spectral_norm(a + b) <= spectral_norm(a) + spectral_norm(b) + 1e-12
+
+
+NORM_SHAPES = [(1, 1), (1, 9), (9, 1), (1, 150), (150, 1), (2, 3), (3, 2), (7, 7), (17, 40)]
+NORM_SHAPES += [(40, 17), (90, 150), (150, 150)]
+
+
+@pytest.mark.parametrize("exponent", [0, -1074, -600, 600, 1000])
+def test_spectral_norm_matches_the_svd(exponent):
+    # The top eigenvalue of the Gram matrix gives the top singular value to
+    # a few ulps per dimension.  Without the power-of-two rescaling the Gram
+    # matrix underflows to zero at 2**-600 and overflows at 2**1000.
+    rng = np.random.default_rng(29)
+    eps = np.finfo(np.float64).eps
+    for rows, cols in NORM_SHAPES:
+        for x in (
+            random_complex(rng, rows, cols),
+            random_complex(rng, rows, 1) @ random_complex(rng, 1, cols),
+        ):
+            a = x * 2.0**exponent
+            want = np.linalg.svd(a, compute_uv=False)[0]
+            got = spectral_norm(a)
+            assert abs(got - want) <= 64 * max(rows, cols) * eps * want, (rows, cols, got, want)
+        assert spectral_norm(np.zeros((rows, cols))) == 0.0
+
+
+@pytest.mark.parametrize("exponent", [0, -1074, -600, 600, 1000])
+def test_spectral_norm_is_the_stacked_route(exponent):
+    rng = np.random.default_rng(31)
+    for dim in (1, 2, 5, 16, 45):
+        x = random_complex(rng, dim) * 2.0**exponent
+        assert spectral_norm(x) == _largest_spectral_norm(x[None], 0.0)
+
+
+def test_spectral_norm_copies_the_adjoint_a_block_at_a_time():
+    # The scaled matrix and its Gram matrix take one copy each; the adjoint
+    # whole would take a third.
+    a = random_complex(np.random.default_rng(41), 600)
+    tracemalloc.start()
+    try:
+        spectral_norm(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * a.nbytes, peak
+
+
+def test_eigensolver_failure_is_a_numeric_error(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    x = random_complex(np.random.default_rng(37), 4)
+    with pytest.raises(NumericError):
+        spectral_norm(x)
+    with pytest.raises(NumericError):
+        _largest_spectral_norm(np.stack([x, 2 * x]), 0.0)
 
 
 SAMPLE_KINDS = ("gaussian", "rank one", "zero", "copy")
