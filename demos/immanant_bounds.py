@@ -7,6 +7,7 @@ import numpy as np
 
 from kchi import (
     Partition,
+    degree,
     dk_immanant,
     dk_immanant_bound,
     immanant,
@@ -61,14 +62,17 @@ def strictness():
 
 
 def perturbations():
-    print("\nLipschitz-type perturbation bounds from the Taylor tail:")
+    print("\nLipschitz-type perturbation bounds, chi(1) times the Taylor tail:")
     rng = sample_rng(5, 0)
     a = random_matrix(3, rng)
     nu = singular_values(a)
     chi = Partition((2, 1))
     for delta in (0.01, 0.1, 1.0):
-        bound = perturbation_bounds(chi, nu, delta)
+        bound = degree(chi) * perturbation_bounds(chi, nu, delta)
         print(f"  delta={delta:5.2f}: |d(A) - d(A+X)| <= {bound:.6f}")
+    change = abs(immanant(chi, 2 * np.eye(3)) - immanant(chi, np.eye(3)))
+    bound = degree(chi) * perturbation_bounds(chi, (1.0,) * 3, 1.0)
+    print(f"  equality at A = I, X = I: |d(2I) - d(I)| = {change:.6f} = bound {bound:.6f}")
 
 
 if __name__ == "__main__":

@@ -6,11 +6,13 @@ polar decomposition into a PSD factor P and a unitary,
     || D^k K_chi(T) || = k! * p_{m-k}(nu_{omega(chi)})
 
 where p_t is the elementary symmetric polynomial and nu_{omega(chi)}
-repeats nu_i exactly chi_i times.  The immanant d_chi inherits the bound
-|| D^k d_chi(A) || <= k! * p_{n-k}(nu_{omega(chi)}), sharp for the
-determinant.  This module evaluates the closed forms, the sampling
-verifiers that compare them against the operators from ``symclass``, and
-the immanant routes that factor K_chi(A) through submatrix immanants.
+repeats nu_i exactly chi_i times.  As d_chi(A) = chi(1) <K_chi(A) u, u> for
+the unit vector u along e*_(1..n), || D^k d_chi(A) || <= chi(1) * k! *
+p_{n-k}(nu_{omega(chi)}), attained at A = X_i = I for every chi and at the
+unitary polar directions for the determinant.  This module evaluates the
+closed forms, the sampling verifiers that compare them against the
+operators from ``symclass``, and the immanant routes that factor K_chi(A)
+through submatrix immanants.
 """
 
 from __future__ import annotations
@@ -61,10 +63,11 @@ REPORT_TOL = 1e-7
 # Random unit tuples are drawn and evaluated at most SAMPLE_CHUNK at a
 # time, so the sampling verifiers' memory does not grow with the sample
 # count, and only as many as keep the largest per-chunk array within
-# SAMPLE_CHUNK_BYTES, so it does not grow with the class either.  That array
-# is one (S, n^m, dim) complex state of the compression kernel, which holds
-# at most three such arrays' worth at once, or 1 MiB if that is more
-# (symclass._column_block splits the columns of V to keep it so).  The
+# SAMPLE_CHUNK_BYTES, so it does not grow with the class either.  In the
+# compression kernel that is 16 n^m dim bytes per tuple, which bounds its
+# (S, dim, dim) translates and output (dim <= n^m) and each of its states,
+# (S, n^m, dim / f^chi) complex, of which it holds at most three, or 1 MiB if
+# more (symclass._column_block splits the copy columns V Z to keep it so).  The
 # immanant sum keeps all it holds at once within SAMPLE_CHUNK_BYTES: its
 # live (S, n!) complex states, a product and its gathered entries (see
 # _immanant_sup).  A class too large for two tuples is evaluated one tuple
@@ -93,13 +96,24 @@ def elementary_symmetric(t: int, values) -> float:
     if t < 0:
         raise DomainError(f"elementary symmetric degree must be >= 0, got {t}")
     vals = _reals(values, "elementary symmetric arguments")
-    if t > len(vals):
-        return 0.0
-    coeffs = [1.0] + [0.0] * t
-    for used, v in enumerate(vals, start=1):
-        for j in range(min(t, used), 0, -1):
+    return _coefficients(vals)[t] if t <= len(vals) else 0.0
+
+
+def _coefficients(values) -> list[float]:
+    # p_0, ..., p_len(values) of validated reals, one value at a time; p_j
+    # never reads a higher one, so its bits do not depend on how many are taken.
+    coeffs = [1.0] + [0.0] * len(values)
+    for used, v in enumerate(values, start=1):
+        for j in range(used, 0, -1):
             coeffs[j] += v * coeffs[j - 1]
-    return coeffs[t]
+    return coeffs
+
+
+def _closed_form(selection, k: int, what: str, scale: int = 1) -> float:
+    # scale * k! * p_{m-k}(selection), m = len(selection): the norm of D^k K_chi
+    # at the selection nu_omega(chi), and the immanant bound at scale chi(1).
+    value = scale * math.factorial(k) * _coefficients(selection)[len(selection) - k]
+    return _require_finite(value, what)
 
 
 def _check_nu(nu) -> tuple[float, ...]:
@@ -128,13 +142,26 @@ def nu_omega(chi: Partition, nu) -> tuple[float, ...]:
     return _nu_omega(chi, _check_nu(nu))
 
 
-def _nu_omega(chi: Partition, vals: tuple[float, ...]) -> tuple[float, ...]:
-    # nu_omega on singular values that _check_nu has already validated
+def _nu_omega(chi: Partition, vals) -> tuple[float, ...]:
+    # nu_omega on singular values that are already validated
     if chi.length > len(vals):
         raise DomainError(
             f"chi={chi} has {chi.length} parts but only {len(vals)} singular values given"
         )
     return tuple(vals[i] for i, part in enumerate(chi.parts) for _ in range(part))
+
+
+def _selection(chi: Partition, vals, n: int | None = None) -> tuple[float, ...]:
+    # nu_omega(chi) for the closed forms, on validated singular values: there
+    # must be n of them when n is given, and at least m = |chi|.
+    if n is not None and len(vals) != n:
+        raise DomainError(f"expected {n} singular values, got {len(vals)}")
+    if chi.size > len(vals):
+        raise DomainError(
+            f"m={chi.size} exceeds the number of singular values {len(vals)}; "
+            "the closed forms need m <= n"
+        )
+    return _nu_omega(chi, vals)
 
 
 def dk_norm_formula(chi: Partition, k: int, nu, n: int | None = None) -> float:
@@ -145,18 +172,9 @@ def dk_norm_formula(chi: Partition, k: int, nu, n: int | None = None) -> float:
     tensor factors).
     """
     _check_type(Partition, chi)
-    m = chi.size
-    vals = _check_nu(nu)
-    if n is not None and len(vals) != n:
-        raise DomainError(f"expected {n} singular values, got {len(vals)}")
-    k = _check_order(k, 1, m, "m")
-    if m > len(vals):
-        raise DomainError(
-            f"m={m} exceeds the number of singular values {len(vals)}; "
-            "the norm identity requires m <= n"
-        )
-    value = math.factorial(k) * elementary_symmetric(m - k, _nu_omega(chi, vals))
-    return _require_finite(value, "derivative norm formula")
+    selection = _selection(chi, _check_nu(nu), n)
+    k = _check_order(k, 1, chi.size, "m")
+    return _closed_form(selection, k, "derivative norm formula")
 
 
 def lambda_eigenvalue(alpha: MultiIndex, k: int, nu) -> float:
@@ -166,20 +184,24 @@ def lambda_eigenvalue(alpha: MultiIndex, k: int, nu) -> float:
     on alpha only through its orbit under slot permutations.
     """
     _check_type(MultiIndex, alpha)
-    m = alpha.m
     vals = _check_nu(nu)
-    k = _check_order(k, 1, m, "m")
+    k = _check_order(k, 1, alpha.m, "m")
     if alpha.n > len(vals):
         raise DomainError(
             f"alpha takes values up to {alpha.n} but only {len(vals)} singular values given"
         )
-    selection = [vals[e - 1] for e in alpha.entries]
-    value = math.factorial(k) * elementary_symmetric(m - k, selection)
-    return _require_finite(value, "derivative eigenvalue")
+    return _closed_form([vals[e - 1] for e in alpha.entries], k, "derivative eigenvalue")
+
+
+class _Report:
+    # The JSON form of a sampled report, with the tolerance its ``ok`` applies.
+    def to_json_obj(self) -> dict:
+        fields = {**asdict(self), "chi": list(self.chi.parts)}
+        return {**fields, "tolerance": REPORT_TOL, "ok": self.ok}
 
 
 @dataclass(frozen=True)
-class DerivReport:
+class DerivReport(_Report):
     """Comparison of the derivative-norm formula against direct evaluation.
 
     ``identity_value`` is the spectral norm at the PSD polar factor with
@@ -198,18 +220,14 @@ class DerivReport:
     sample_max: float
     samples: int
     seed: int
-    tolerance: float = REPORT_TOL
 
     @property
     def ok(self) -> bool:
         return (
-            self.sample_max <= self.formula_value + self.tolerance
-            and _relative_error(self.identity_value, self.formula_value) <= self.tolerance
-            and _relative_error(self.attained_value, self.formula_value) <= self.tolerance
+            self.sample_max <= self.formula_value + REPORT_TOL
+            and _relative_error(self.identity_value, self.formula_value) <= REPORT_TOL
+            and _relative_error(self.attained_value, self.formula_value) <= REPORT_TOL
         )
-
-    def to_json_obj(self) -> dict:
-        return {**asdict(self), "chi": list(self.chi.parts), "ok": self.ok}
 
 
 def _relative_error(observed, expected) -> float:
@@ -372,8 +390,9 @@ def dk_norm_verify(
     sampled supremum over random unit tuples.
     """
     (t_mat,) = _operators(sc, [t])
-    nu = singular_values(t_mat)
-    formula = dk_norm_formula(sc.chi, k, nu, n=sc.n)
+    k = _check_order(k, 1, sc.m, "m")
+    selection = _selection(sc.chi, singular_values(t_mat).tolist())
+    formula = _closed_form(selection, k, "derivative norm formula")
     sample_max = _dk_norm_sup(sc, t_mat, k, samples, sample_rng(seed, 0))
     p, w = polar(t_mat)
     eye = np.eye(sc.n, dtype=np.complex128)
@@ -543,22 +562,19 @@ def dk_immanant_via_power(chi: Partition, a, xs) -> complex:
 
 
 def dk_immanant_bound(chi: Partition, k: int, nu) -> float:
-    """The bound k! * p_{n-k}(nu_{omega(chi)}) on the immanant derivative norm.
+    """The bound chi(1) * k! * p_{n-k}(nu_{omega(chi)}) on the immanant derivative norm.
 
-    Sharp for the determinant; can be strict otherwise.
+    Attained at A = X_i = I for every chi and at the unitary polar
+    directions for the determinant; can be strict otherwise.
     """
     _check_type(Partition, chi)
-    n = chi.size
-    vals = _check_nu(nu)
-    if len(vals) != n:
-        raise DomainError(f"chi={chi} needs {n} singular values, got {len(vals)}")
-    k = _check_order(k, 0, n, "n")
-    value = math.factorial(k) * elementary_symmetric(n - k, _nu_omega(chi, vals))
-    return _require_finite(value, "immanant derivative bound")
+    selection = _selection(chi, _check_nu(nu), chi.size)
+    k = _check_order(k, 0, chi.size, "n")
+    return _closed_form(selection, k, "immanant derivative bound", degree(chi))
 
 
 @dataclass(frozen=True)
-class ImmanantReport:
+class ImmanantReport(_Report):
     """Sampled check of the immanant derivative bound for one matrix."""
 
     chi: Partition
@@ -568,14 +584,10 @@ class ImmanantReport:
     sample_sup: float
     samples: int
     seed: int
-    tolerance: float = REPORT_TOL
 
     @property
     def ok(self) -> bool:
-        return self.sample_sup <= self.bound_value + self.tolerance
-
-    def to_json_obj(self) -> dict:
-        return {**asdict(self), "chi": list(self.chi.parts), "ok": self.ok}
+        return self.sample_sup <= self.bound_value + REPORT_TOL
 
 
 def _immanant_sup(
@@ -602,8 +614,8 @@ def immanant_bound_verify(
     n = chi.size
     mat = as_matrix(a, n=n)
     k = _check_order(k, 1, n, "n")
-    nu = singular_values(mat)
-    bound = dk_immanant_bound(chi, k, nu)
+    selection = _nu_omega(chi, singular_values(mat).tolist())
+    bound = _closed_form(selection, k, "immanant derivative bound", degree(chi))
     return ImmanantReport(
         chi=chi,
         n=n,
@@ -616,28 +628,22 @@ def immanant_bound_verify(
 
 
 def perturbation_bounds(chi: Partition, nu, delta: float) -> float:
-    """Lipschitz-type bound on K_chi and d_chi under a perturbation of norm delta.
+    """Lipschitz-type bound on K_chi under a perturbation of norm delta.
 
     The Taylor tail Sum_{k=1}^{m} p_{m-k}(nu_{omega(chi)}) * delta^k bounds
-    both the operator difference ||K_chi(T) - K_chi(T+X)|| and, where the
-    matrix size equals |chi|, the scalar |d_chi(A) - d_chi(A+Y)|.
+    ||K_chi(T) - K_chi(T+X)||, and chi(1) times it |d_chi(A) - d_chi(A+Y)|
+    where the matrix size is |chi|; both are equalities at I and delta * I.
     """
     _check_type(Partition, chi)
     delta = _real(delta, "perturbation norm")
     if not np.isfinite(delta) or delta < 0.0:
         raise DomainError(f"perturbation norm must be finite and >= 0, got {delta}")
     m = chi.size
-    vals = _check_nu(nu)
-    if m > len(vals):
-        raise DomainError(
-            f"m={m} exceeds the number of singular values {len(vals)}; "
-            "the Taylor terms are derivative norms, which need m <= n"
-        )
-    selection = _nu_omega(chi, vals)
+    coeffs = _coefficients(_selection(chi, _check_nu(nu)))
     total = 0.0
     try:
         for k in range(1, m + 1):
-            total += elementary_symmetric(m - k, selection) * delta**k
+            total += coeffs[m - k] * delta**k
     except OverflowError as exc:
         raise NumericError(f"perturbation bound overflowed: {exc}") from exc
     return _require_finite(total, "perturbation bound")

@@ -23,7 +23,6 @@ import numpy as np
 from .combinat import (
     MultiIndex,
     Partition,
-    Permutation,
     _check_type,
     multiplicity_partition,
     partitions_of,
@@ -163,7 +162,8 @@ def _permutation_classes(m: int) -> tuple[np.ndarray, np.ndarray]:
     # first image f, f followed by the rows of S_(k-1) read through the
     # other k-1 points in increasing order.  A point's cycle length is the
     # first power of the row that fixes it; the key counts the points on
-    # l-cycles in digit l-1 of base m+1, so equal keys mean equal cycle types.
+    # l-cycles in digit l-1 of base m+1, so cycle type rho has the one key
+    # sum(l (m+1)^(l-1) for l in rho), looked up among the table's types.
     images = np.zeros((1, 0), dtype=np.intp)
     for k in range(1, m + 1):
         rest = np.arange(k - 1) + (np.arange(k - 1) >= np.arange(k)[:, None])
@@ -177,11 +177,11 @@ def _permutation_classes(m: int) -> tuple[np.ndarray, np.ndarray]:
         lengths[(power == np.arange(m)) & (lengths == 0)] = step
         power = np.take_along_axis(images, power, axis=1)
     keys = ((m + 1) ** (lengths - 1)).sum(axis=1)
-    _, first, classes = np.unique(keys, return_index=True, return_inverse=True)
-    types = [Permutation(tuple(images[i] + 1)).cycle_type() for i in first]
-    columns = np.array([char_table(m).partitions.index(t) for t in types])
+    types = char_table(m).partitions
+    type_keys = np.array([sum(l * (m + 1) ** (l - 1) for l in rho.parts) for rho in types])
+    order = np.argsort(type_keys)
     images.setflags(write=False)
-    return images, columns[classes.reshape(-1)]
+    return images, order[np.searchsorted(type_keys[order], keys)]
 
 
 def character_sum_over_stabilizer(lam: Partition, alpha: MultiIndex) -> int:

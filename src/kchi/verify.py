@@ -439,8 +439,8 @@ def check_immanant_bound(seed: int = 0, max_n: int = 4) -> list[CheckResult]:
     """Immanant derivative bound: never exceeded, strictly slack for one case.
 
     IMMANANT_TUPLES random unit tuples per (chi, k) stay below
-    k! p_{n-k}(nu_{omega(chi)}), each continuing the generator of its base
-    point; the permanent of diag(1, 0) at k = 1 stays clearly below it over
+    chi(1) k! p_{n-k}(nu_{omega(chi)}), each continuing the generator of its
+    base point; the permanent of diag(1, 0) at k = 1 stays clearly below it over
     SLACK_SAMPLES tuples from the next generator.
     """
     top = min(MAX_N, max_n)
@@ -482,9 +482,9 @@ def check_immanant_bound(seed: int = 0, max_n: int = 4) -> list[CheckResult]:
 def check_taylor_perturbation(seed: int = 0, max_n: int = 4) -> list[CheckResult]:
     """Exact Taylor reconstruction and the Lipschitz-type difference bounds.
 
-    Both polynomial maps must rebuild exactly from their derivatives, and
-    the closed-form perturbation bounds must dominate actual differences
-    over PERTURBATIONS draws at perturbation norms 0.01, 0.1, and 1.
+    Both polynomial maps must rebuild exactly from their derivatives, and the
+    perturbation bound, times chi(1) for the immanant, must dominate actual
+    differences over PERTURBATIONS draws at perturbation norms 0.01, 0.1, 1.
     """
     size = min(3, max_n)
     results = []
@@ -536,7 +536,7 @@ def check_taylor_perturbation(seed: int = 0, max_n: int = 4) -> list[CheckResult
         worst_op_violation = max(worst_op_violation, actual_op - bound)
         a = random_matrix(size, rng)
         y = delta * random_unit_matrix(size, rng)
-        bound_imm = perturbation_bounds(chi, singular_values(a), delta)
+        bound_imm = degree(chi) * perturbation_bounds(chi, singular_values(a), delta)
         actual_imm = abs(immanant(chi, a + y) - immanant(chi, a))
         worst_imm_violation = max(worst_imm_violation, actual_imm - bound_imm)
     params = {"n": size, "perturbations": PERTURBATIONS, "deltas": list(deltas)}

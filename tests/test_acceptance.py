@@ -64,6 +64,13 @@ def test_criterion_08_immanant_derivative_bound():
     run_criterion(8, "immanant derivative bound", verify.check_immanant_bound(seed=0))
 
 
+def test_immanant_bound_holds_where_it_lacked_chi_1():
+    # At seed 9808 a sampled |D^3 d_chi| at (2,1)/3 reaches 6.067, above
+    # 3! e_0 = 6 but below chi(1) 3! e_0 = 12.
+    results = verify.check_immanant_bound(seed=9808, max_n=3)
+    assert results and all(r.passed for r in results), [r for r in results if not r.passed]
+
+
 def test_criterion_09_taylor_and_perturbation():
     run_criterion(
         9, "Taylor and perturbation bounds", verify.check_taylor_perturbation(seed=0)

@@ -88,9 +88,9 @@ def test_parse_args_rejects_unknown_input():
 @pytest.mark.parametrize(
     "argv",
     [
-        ["norm", "--chi", "2,1", "--n", "3", "--k", "1", "--tolerance", "inf"],
-        ["norm", "--chi", "2,1", "--n", "3", "--k", "1", "--tolerance", "1e400"],
-        ["bound", "--chi", "2,1", "--k", "1", "--input", "a.json", "--tolerance", "nan"],
+        ["perturb", "--chi", "2,1", "--delta", "-1", "--input", "a.json"],
+        ["perturb", "--chi", "2,1", "--delta", "1e400", "--input", "a.json"],
+        ["bound", "--chi", "2,1", "--k", "1", "--input", "a.json", "--samples", "0"],
         ["perturb", "--chi", "2,1", "--delta", "inf", "--input", "a.json"],
         ["perturb", "--chi", "2,1", "--delta", "nan", "--input", "a.json"],
         ["norm", "--chi", "2,1", "--n", "3", "--k", "1", "--samples", "0"],
@@ -171,17 +171,6 @@ def test_norm_command_random_draw_is_deterministic(capsys):
     assert json.loads(out1)["ok"] is True
 
 
-def test_norm_command_tolerance_override(capsys, tmp_path):
-    path = write_matrix(tmp_path / "t.json", np.eye(2))
-    code, out, _ = run_cli(
-        capsys,
-        ["norm", "--chi", "2", "--n", "2", "--k", "1", "--input", path,
-         "--samples", "5", "--tolerance", "0.5"],
-    )
-    assert code == 0
-    assert json.loads(out)["tolerance"] == 0.5
-
-
 def test_immanant_command(capsys, tmp_path):
     path = write_matrix(tmp_path / "a.json", np.eye(3))
     code, out, _ = run_cli(capsys, ["immanant", "--chi", "2,1", "--input", path])
@@ -201,6 +190,27 @@ def test_bound_command(capsys, tmp_path):
     assert np.isclose(report["bound_value"], 2.0)
     assert report["ok"] is True
     assert report["sample_sup"] <= 2.0
+
+
+def test_norm_and_bound_reports_keep_their_keys(capsys, tmp_path):
+    # both reports state the tolerance their "ok" applies, which no flag sets
+    path = write_matrix(tmp_path / "a.json", np.eye(2))
+    _, norm, _ = run_cli(
+        capsys, ["norm", "--chi", "2", "--n", "2", "--k", "1", "--input", path, "--samples", "5"]
+    )
+    _, bound, _ = run_cli(
+        capsys, ["bound", "--chi", "2", "--k", "1", "--input", path, "--samples", "5"]
+    )
+    common = {"chi", "k", "n", "samples", "seed", "tolerance", "ok", "schema", "command"}
+    norm, bound = json.loads(norm), json.loads(bound)
+    assert set(norm) == common | {
+        "m", "formula_value", "identity_value", "attained_value", "sample_max"
+    }
+    assert set(bound) == common | {"bound_value", "sample_sup"}
+    assert norm["tolerance"] == bound["tolerance"] == 1e-07
+    with pytest.raises(SystemExit) as exc:
+        parse_args(["norm", "--chi", "2", "--n", "2", "--k", "1", "--tolerance", "0.5"])
+    assert exc.value.code == 1
 
 
 def test_perturb_command(capsys, tmp_path):

@@ -43,6 +43,7 @@ from kchi import (
     spectral_norm,
     sym_op_product,
 )
+from kchi.norms import REPORT_TOL
 
 FORMULA_TOL = 1e-9
 ROUTE_TOL = 1e-9
@@ -188,7 +189,7 @@ def test_norm_report_at_identity():
     assert np.isclose(report.formula_value, 2.0)
     assert np.isclose(report.identity_value, 2.0)
     assert np.isclose(report.attained_value, 2.0)
-    assert report.sample_max <= 2.0 + report.tolerance
+    assert report.sample_max <= 2.0 + REPORT_TOL
     assert report.ok
 
 
@@ -496,6 +497,14 @@ def test_immanant_derivative_respects_bound():
                 sr = sample_rng(71, i)
                 xs = [random_unit_matrix(3, sr) for _ in range(k)]
                 assert abs(dk_immanant(chi, a, xs)) <= bound + 1e-7
+    # at A = X_i = I, D^k d_chi = n!/(n-k)! chi(1) = chi(1) k! e_{n-k}(1, ..., 1)
+    for n in range(1, 5):
+        eye = np.eye(n)
+        for chi in partitions_of(n):
+            for k in range(0, n + 1):
+                bound = dk_immanant_bound(chi, k, (1.0,) * n)
+                value = abs(dk_immanant(chi, eye, [eye] * k))
+                assert np.isclose(value, bound, rtol=1e-12), (chi.parts, k)
 
 
 def test_determinant_bound_is_attained():
@@ -519,7 +528,7 @@ def test_immanant_bound_report():
         for k in (1, 2, 3):
             report = immanant_bound_verify(chi, a, k, samples=100, seed=11)
             assert report.ok
-            assert report.sample_sup <= report.bound_value + report.tolerance
+            assert report.sample_sup <= report.bound_value + REPORT_TOL
     obj = immanant_bound_verify(Partition((2, 1)), a, 1, samples=5, seed=0).to_json_obj()
     assert obj["chi"] == [2, 1]
     assert {"bound_value", "sample_sup", "samples", "seed", "ok"} <= set(obj)
@@ -572,17 +581,26 @@ def test_perturbation_bound_dominates_power_map_changes():
 
 
 def test_perturbation_bound_dominates_immanant_changes():
+    # chi(1) times the operator bound bounds |d_chi(A) - d_chi(A + X)|
     rng = np.random.default_rng(79)
     chi = Partition((2, 1))
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     nu = singular_values(a)
     for delta in (0.01, 0.1, 1.0):
-        bound = perturbation_bounds(chi, nu, delta)
+        bound = degree(chi) * perturbation_bounds(chi, nu, delta)
         for i in range(20):
             sr = sample_rng(31, i)
             x = delta * random_unit_matrix(3, sr)
             change = abs(immanant(chi, a + x) - immanant(chi, a))
             assert change <= bound + 1e-8
+    # at A = I and X = delta I the change is chi(1) ((1 + delta)^n - 1): equality
+    for n in range(1, 5):
+        eye = np.eye(n)
+        for chi in partitions_of(n):
+            for delta in (0.01, 0.1, 1.0):
+                bound = degree(chi) * perturbation_bounds(chi, (1.0,) * n, delta)
+                change = abs(immanant(chi, (1 + delta) * eye) - immanant(chi, eye))
+                assert np.isclose(change, bound, rtol=1e-12), (chi.parts, delta)
 
 
 def test_perturbation_bounds_validation():
