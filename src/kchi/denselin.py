@@ -12,7 +12,9 @@ conventions the rest of the package relies on:
 * ``spectral_norm(a)`` is ``sqrt(lambda_max(G))`` for the Gram matrix ``G``
   of ``a`` on its smaller side, with ``a`` first scaled by the power of two
   of its largest entry; LAPACK computes the eigenvalues of ``G`` only, not
-  an SVD.
+  an SVD.  It is the one-matrix case of ``_largest_spectral_norm``, which
+  gives the largest over a stack and sends to LAPACK only the samples whose
+  bound can beat the running best.
 
 Matrices are numpy arrays of complex128.  The Kronecker product is capped
 at ``DEFAULT_DIMENSION_CAP`` rows and columns so accidental blowups fail
@@ -126,20 +128,33 @@ def spectral_norm(a) -> float:
     a = as_matrix(a)
     if a.size == 0:
         return 0.0
-    return float(_spectral_norms(a))
+    return _largest_spectral_norm(a[None], 0.0)
 
 
 def hermitian_eigenvalues(a) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, sorted descending."""
+    """Eigenvalues of a Hermitian matrix, sorted descending.
+
+    The skew test and LAPACK see ``a`` scaled exactly by the power of two
+    of its largest entry, so a matrix near the largest double neither
+    overflows in ``a + a*`` nor hides its skew part behind an infinite norm.
+    """
     a = as_matrix(a, square=True)
+    exponent = _peak_exponents(a[None])[0] if a.size else 0
+    a = a * np.ldexp(1.0, -exponent)
     skew = spectral_norm(a - a.conj().T)
-    scale = max(1.0, spectral_norm(a))
+    # The skew part may reach 1e-9 * max(1, ||a||) at the unscaled size.
+    scale = max(np.ldexp(1.0, -exponent), spectral_norm(a))
     if skew > 1e-9 * scale:
         raise DomainError(
-            f"matrix is not Hermitian (skew part {skew:.3e} at scale {scale:.3e})"
+            f"matrix is not Hermitian (skew part {skew / scale:.3e} of its scale)"
         )
-    vals = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
-    return vals[::-1]
+    try:
+        vals = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigenvalues did not converge: {exc}") from exc
+    with np.errstate(over="ignore"):
+        vals = np.ldexp(vals[::-1], exponent)
+    return _require_finite(vals, "eigenvalue")
 
 
 def kron(a, b) -> np.ndarray:
@@ -189,14 +204,6 @@ def _distinct_arrangements(mats) -> tuple[list[np.ndarray], list[tuple[int, ...]
     return reps, sorted(set(itertools.permutations(labels)))
 
 
-def _spectral_norms(stack: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix in a stack ``(..., r, c)``."""
-    exponent = _peak_exponents(stack)
-    return _top_singular_values(
-        _gram(stack * np.ldexp(1.0, -exponent)[..., None, None]), exponent
-    )
-
-
 def _peak_exponents(stack: np.ndarray) -> np.ndarray:
     # The binary exponent e of each matrix's largest real or imaginary part,
     # so that the matrix times 2**-e peaks in [1/2, 1) and its Gram matrix
@@ -240,60 +247,49 @@ def _top_singular_values(gram: np.ndarray, exponent: np.ndarray) -> np.ndarray:
         return np.ldexp(np.sqrt(top), exponent)
 
 
-# Relative slack on both Gram bounds of _largest_spectral_norm.  Their
-# rounding errors, and the eigensolver's on a top singular value, are a few
-# hundred ulps at every dimension the package reaches, far inside it.
+# Relative slack on the Gram bound of _largest_spectral_norm.  Its rounding
+# error, and the eigensolver's on a top singular value, are a few hundred
+# ulps at every dimension the package reaches, far inside it.
 _GRAM_MARGIN = 1e-8
 
 
 def _largest_spectral_norm(stack: np.ndarray, floor: float) -> float:
-    """``max(floor, float(np.max(_spectral_norms(stack))))``, bit for bit.
+    """The larger of ``floor`` and each top singular value in ``(S, r, c)``.
 
-    The eigensolver runs only on the samples of the stack ``(S, d, d)`` that
-    can reach that value.  With ``G = X* X``, each sample's top singular
-    value s_1 lies between ``(||G^2||_F / ||G||_F)^{1/2}`` and
-    ``||G^2||_F^{1/4}``.  A sample whose upper bound, widened by
-    _GRAM_MARGIN, stays below the floor or below another sample's narrowed
-    lower bound cannot hold the maximum.  Bounds and values are taken on
-    the samples scaled as in _spectral_norms.
+    The value has the bits of ``max(floor, spectral_norm(x) for x in
+    stack)``.  A third of the samples at a time is scaled by
+    _peak_exponents and its Gram matrices ``G = X* X`` built once.  Once the
+    running best is positive, a sample whose upper bound
+    ``||G^2||_F^{1/4}`` on its top singular value, widened by _GRAM_MARGIN,
+    stays below it cannot raise it; the others reach the eigensolver.
     """
     exponent = _peak_exponents(stack)
     scale = np.ldexp(1.0, -exponent)[:, None, None]
-    gram_sq = np.empty(len(stack))
-    square_sq = np.empty(len(stack))
-    # A third of the samples at a time: the block's scaled samples, their
-    # conjugates and Gram matrices together take about as much as the stack.
-    step = -(-len(stack) // 3)
-    blocks = [slice(lo, lo + step) for lo in range(0, len(stack), step)]
-    for block in blocks:
-        gram_sq[block], square_sq[block] = _gram_squares(stack[block] * scale[block])
-    ratio = np.divide(square_sq, gram_sq, out=np.zeros_like(gram_sq), where=gram_sq > 0)
-    upper = np.ldexp(square_sq**0.125 * (1.0 + _GRAM_MARGIN), exponent)
-    lower = np.ldexp(ratio**0.25 * (1.0 - _GRAM_MARGIN), exponent)
-    # "Not below" rather than "at least", so a NaN sample is not dropped.
-    keep = ~(upper < max(floor, float(np.max(lower))))
     best = floor
-    for block in blocks:
-        rows = keep[block]
-        if rows.any():
-            tops = _top_singular_values(
-                _gram(stack[block][rows] * scale[block][rows]), exponent[block][rows]
-            )
-            best = max(best, float(np.max(tops)))
+    step = -(-len(stack) // 3)
+    for lo in range(0, len(stack), step):
+        block = slice(lo, lo + step)
+        gram, powers = _gram(stack[block] * scale[block]), exponent[block]
+        if best > 0:
+            # "Not below" rather than "at least", so a NaN sample is kept.
+            keep = ~(_upper_bounds(gram, powers) < best)
+            gram, powers = gram[keep], powers[keep]
+        if len(gram):
+            best = max(best, float(np.max(_top_singular_values(gram, powers))))
+        # Freed before the next third's are built, so the scaled block, its
+        # Gram matrices and those sent to LAPACK take about one stack.
+        del gram
     return best
 
 
-def _gram_squares(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # ||G||_F^2 and ||G^2||_F^2 for G = X* X of each X in a stack (S, d, d);
-    # G^2 overwrites the stack, and G is freed before the next block's.
-    gram = _gram(stack)
-    return _squared_frobenius(gram), _squared_frobenius(np.matmul(gram, gram, out=stack))
-
-
-def _squared_frobenius(stack: np.ndarray) -> np.ndarray:
-    # Sum of |entry|^2 over each matrix of a complex stack.
-    flat = stack.reshape(len(stack), -1).view(np.float64)
-    return np.einsum("ij,ij->i", flat, flat)
+def _upper_bounds(gram: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    # ||G^2||_F^{1/4}, widened by _GRAM_MARGIN and scaled back by 2**exponent,
+    # for each Gram matrix G of a scaled stack: s_1^8 <= sum s_i^8 = ||G^2||_F^2.
+    flat = np.matmul(gram, gram).reshape(len(gram), -1).view(np.float64)
+    square_sq = np.einsum("ij,ij->i", flat, flat)
+    # A bound past the largest double is inf, which keeps its sample.
+    with np.errstate(over="ignore"):
+        return np.ldexp(square_sq**0.125 * (1.0 + _GRAM_MARGIN), exponent)
 
 
 def _require_finite(value, what: str):

@@ -39,7 +39,6 @@ from .norms import (
     dk_immanant_bound,
     dk_kchi_via_immanants,
     dk_norm_formula,
-    elementary_symmetric,
     immanant,
     lambda_eigenvalue,
     nu_omega,
@@ -204,7 +203,8 @@ def check_special_reductions(seed: int = 0, max_n: int = 4) -> list[CheckResult]
     """Closed-form reductions of the norm formula on random spectra.
 
     chi = (m) must give (m!/(m-k)!) nu_1^{m-k}, chi = (1,...,1) must give
-    k! p_{m-k}(nu_1..nu_m), and for k = 1 every chi must match the double
+    k! p_{m-k}(nu_1..nu_m), summed here over the (m-k)-subsets of
+    nu_1..nu_m, and for k = 1 every chi must match the double
     sum over products of all-but-one selected values.
     """
     top = min(MAX_N, max_n)
@@ -224,8 +224,8 @@ def check_special_reductions(seed: int = 0, max_n: int = 4) -> list[CheckResult]
                     )
                     sym_worst = max(sym_worst, _relative_error(sym_val, sym_ref))
                     wedge_val = dk_norm_formula(Partition((1,) * m), k, nu, n=n)
-                    wedge_ref = math.factorial(k) * elementary_symmetric(
-                        m - k, nu[:m]
+                    wedge_ref = math.factorial(k) * sum(
+                        math.prod(c) for c in itertools.combinations(nu[:m], m - k)
                     )
                     wedge_worst = max(wedge_worst, _relative_error(wedge_val, wedge_ref))
                 for chi in _characters(m, n):

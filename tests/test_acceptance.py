@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from kchi import DomainError, verify
+from kchi import DomainError, norms, verify
 
 
 def run_criterion(number, label, results):
@@ -38,6 +38,20 @@ def test_criterion_01_derivative_norm_identity():
 
 def test_criterion_02_special_reductions():
     run_criterion(2, "special reductions", verify.check_special_reductions(seed=0))
+
+
+def test_antisymmetric_reduction_fails_on_a_wrong_closed_form(monkeypatch):
+    # The row's reference sums the products over the (m-k)-subsets itself,
+    # so a closed form read off perturbed coefficients fails at every (m, n).
+    coefficients = norms._coefficients
+    monkeypatch.setattr(
+        norms, "_coefficients", lambda values: [c * (1 + 1e-6) for c in coefficients(values)]
+    )
+    rows = [
+        r for r in verify.check_special_reductions(seed=0)
+        if r.name == "antisymmetric reduction"
+    ]
+    assert len(rows) == 6 and not any(r.passed for r in rows), rows
 
 
 def test_criterion_03_supremum_and_attainment():

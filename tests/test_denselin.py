@@ -22,7 +22,8 @@ from kchi import (
     spectral_norm,
     svd,
 )
-from kchi.denselin import _largest_spectral_norm, _spectral_norms
+import kchi.denselin
+from kchi.denselin import _largest_spectral_norm
 
 RECON_TOL = 1e-10
 ORACLE_TOL = 1e-9
@@ -246,7 +247,7 @@ def floored_stacks(draw):
             else:
                 x = random_complex(rng, dim)
             stack[i] = x * 2.0 ** int(rng.integers(low, high + 1))
-    values = _spectral_norms(stack)
+    values = np.array([spectral_norm(x) for x in stack])
     floor = {
         "zero": 0.0,
         "below": np.nextafter(values.min(), -np.inf),
@@ -262,8 +263,53 @@ def floored_stacks(draw):
 def test_largest_spectral_norm_equals_the_full_svd_maximum(case):
     stack, floor = case
     assert _largest_spectral_norm(stack, floor) == max(
-        floor, float(np.max(_spectral_norms(stack)))
+        floor, *(spectral_norm(x) for x in stack)
     )
+
+
+def spy(monkeypatch, name):
+    # Replace denselin's function `name` by one that records the number of
+    # samples in each call's first argument.
+    calls = []
+    real = getattr(kchi.denselin, name)
+
+    def recorded(stack, *args):
+        calls.append(len(stack))
+        return real(stack, *args)
+
+    monkeypatch.setattr(kchi.denselin, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("floor_kind", ["zero", "median"])
+def test_largest_spectral_norm_builds_each_gram_matrix_once(monkeypatch, floor_kind):
+    # Each third of the samples has its Gram matrices built once; the
+    # samples that pass the bound reach LAPACK through those same matrices.
+    rng = np.random.default_rng(43)
+    stack = random_complex(rng, 30 * 6, 6).reshape(30, 6, 6)
+    values = [spectral_norm(x) for x in stack]
+    floor = {"zero": 0.0, "median": float(np.median(values))}[floor_kind]
+    built = spy(monkeypatch, "_gram")
+    decomposed = spy(monkeypatch, "_top_singular_values")
+    assert _largest_spectral_norm(stack, floor) == max(floor, *values)
+    assert built == [10, 10, 10]
+    assert 0 < sum(decomposed) < 30
+
+
+def test_largest_spectral_norm_past_the_largest_double_is_inf():
+    # Each sample's bound overflows to inf, which keeps it, with no warning.
+    stack = np.full((3, 4, 4), 1.7e308, dtype=np.complex128)
+    assert _largest_spectral_norm(stack, 1.0) == spectral_norm(stack[0]) == np.inf
+
+
+def test_spectral_norm_computes_no_bound(monkeypatch):
+    # Nothing can be pruned against the floor 0 of a single matrix.
+    bounded = spy(monkeypatch, "_upper_bounds")
+    x = random_complex(np.random.default_rng(47), 5)
+    spectral_norm(x)
+    assert bounded == []
+    _largest_spectral_norm(np.stack([x, 2 * x, 3 * x]), 0.0)
+    assert bounded == [1, 1]
 
 
 def test_largest_spectral_norm_holds_about_one_more_stack():
@@ -288,6 +334,14 @@ def test_hermitian_eigenvalues():
     )
     with pytest.raises(DomainError):
         hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # Near the largest double: a + a* would overflow, and the norm of the
+    # non-Hermitian matrix is past it, so both are taken at an exact scale.
+    big = np.array([[1e308, 5e307], [5e307, -1e308]])
+    assert np.array_equal(hermitian_eigenvalues(big), np.linalg.eigvalsh(big)[::-1])
+    with pytest.raises(DomainError):
+        hermitian_eigenvalues(np.array([[1.7e308, 6e307], [-6e307, 1.7e308]]))
+    with pytest.raises(NumericError):
+        hermitian_eigenvalues(np.full((2, 2), 1.7e308))
 
 
 def test_kron_hand_example():

@@ -41,10 +41,11 @@ from kchi import (
     random_matrix,
     random_unit_matrix,
     sample_rng,
+    spectral_norm,
     sym_op_product,
 )
 from kchi.cli import main
-from kchi.denselin import _distinct_arrangements, _spectral_norms
+from kchi.denselin import _distinct_arrangements
 from kchi.norms import (
     SAMPLE_CHUNK,
     SAMPLE_CHUNK_BYTES,
@@ -116,8 +117,8 @@ def reference_draws(n, k, rng, count):
 
 def full_svd_reducer(stack, floor):
     # The chunk reduction without pruning: every evaluated sample's top
-    # singular value.
-    return max(floor, float(np.max(_spectral_norms(stack))))
+    # singular value, one matrix at a time.
+    return max(floor, *(spectral_norm(x) for x in stack))
 
 
 def reference_sup(evaluate, n, k, samples, seed):
@@ -658,16 +659,20 @@ def test_sup_rows_equal_the_full_svd_rows_from_few_svds(monkeypatch, seed):
     # 10 base points of 5 classes.  Its rows are the same bytes when every
     # evaluated sample's top singular value is taken, and at most a tenth of
     # the tuples reach the eigensolver.
-    evaluated, decomposed = [], []
+    evaluated, decomposed, reducing = [], [], []
     reducer = kchi.norms._largest_spectral_norm
     top_singular_values = kchi.denselin._top_singular_values
 
     def counting_reducer(stack, floor):
         evaluated.append(len(stack))
-        return reducer(stack, floor)
+        reducing.append(True)
+        try:
+            return reducer(stack, floor)
+        finally:
+            reducing.pop()
 
     def counting_tops(gram, exponent):
-        if gram.ndim == 3:
+        if reducing:
             decomposed.append(len(gram))
         return top_singular_values(gram, exponent)
 
