@@ -18,7 +18,8 @@ conventions the rest of the package relies on:
 
 Matrices are numpy arrays of complex128.  The Kronecker product is capped
 at ``DEFAULT_DIMENSION_CAP`` rows and columns so accidental blowups fail
-fast.
+fast.  Every result is finite or raises ``NumericError`` (``_checked``), so
+``spectral_norm`` past the largest double raises, as ``svd`` does, not inf.
 """
 
 from __future__ import annotations
@@ -87,12 +88,7 @@ def _square_svd(a, compute_uv: bool):
         raise ResourceError(
             f"svd capped at dimension {MAX_SVD_DIM}, got {a.shape[0]}"
         )
-    try:
-        result = np.linalg.svd(a, compute_uv=compute_uv)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"svd did not converge: {exc}") from exc
-    _require_finite(result[1] if compute_uv else result, "svd")
-    return result
+    return _checked("svd", np.linalg.svd, a, compute_uv=compute_uv)
 
 
 def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -118,8 +114,10 @@ def polar(t) -> tuple[np.ndarray, np.ndarray]:
     """
     u, s, v = svd(t)
     w = v @ u.conj().T
-    p = (u * s) @ u.conj().T
-    p = (p + p.conj().T) / 2.0
+    # Halved before the sum, which is exact, so a singular value near the
+    # largest double does not overflow in p + p*.
+    p = (u * (s / 2.0)) @ u.conj().T
+    p = p + p.conj().T
     return p, w
 
 
@@ -148,13 +146,8 @@ def hermitian_eigenvalues(a) -> np.ndarray:
         raise DomainError(
             f"matrix is not Hermitian (skew part {skew / scale:.3e} of its scale)"
         )
-    try:
-        vals = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigenvalues did not converge: {exc}") from exc
-    with np.errstate(over="ignore"):
-        vals = np.ldexp(vals[::-1], exponent)
-    return _require_finite(vals, "eigenvalue")
+    vals = lambda: np.ldexp(np.linalg.eigvalsh((a + a.conj().T) / 2.0)[::-1], exponent)
+    return _checked("eigenvalue", vals)
 
 
 def kron(a, b) -> np.ndarray:
@@ -167,7 +160,7 @@ def kron(a, b) -> np.ndarray:
         raise ResourceError(
             f"kron result would be {rows}x{cols}, above the cap {DEFAULT_DIMENSION_CAP}"
         )
-    return np.kron(a, b)
+    return _checked("kron", np.kron, a, b)
 
 
 def _distinct_factors(mats) -> tuple[list[np.ndarray], list[int]]:
@@ -238,13 +231,8 @@ def _top_singular_values(gram: np.ndarray, exponent: np.ndarray) -> np.ndarray:
     # 2**exponent * sqrt(lambda_max(G)) for each Gram matrix G of a stack of
     # matrices scaled by _peak_exponents: their top singular values, from
     # LAPACK's eigenvalues of G alone.
-    try:
-        top = np.linalg.eigvalsh(gram)[..., -1]
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"spectral norm did not converge: {exc}") from exc
-    # A norm past the largest double is inf, as LAPACK's SVD gives it.
-    with np.errstate(over="ignore"):
-        return np.ldexp(np.sqrt(top), exponent)
+    tops = lambda: np.ldexp(np.sqrt(np.linalg.eigvalsh(gram)[..., -1]), exponent)
+    return _checked("spectral norm", tops)
 
 
 # Relative slack on the Gram bound of _largest_spectral_norm.  Its rounding
@@ -290,6 +278,24 @@ def _upper_bounds(gram: np.ndarray, exponent: np.ndarray) -> np.ndarray:
     # A bound past the largest double is inf, which keeps its sample.
     with np.errstate(over="ignore"):
         return np.ldexp(square_sq**0.125 * (1.0 + _GRAM_MARGIN), exponent)
+
+
+def _checked(what: str, compute, *args, **kwargs):
+    """``compute(*args, **kwargs)``, finite, or a NumericError.
+
+    The package's one numeric-failure rule.  numpy's overflow and invalid
+    warnings are silenced for the call, a ``LinAlgError`` becomes "<what>
+    did not converge", and a result holding inf or NaN, in any array of a
+    tuple too, becomes "<what> is not finite".
+    """
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = compute(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"{what} did not converge: {exc}") from exc
+    for value in result if isinstance(result, tuple) else (result,):
+        _require_finite(value, what)
+    return result
 
 
 def _require_finite(value, what: str):
@@ -363,7 +369,4 @@ def matrix_from_pairs(obj) -> np.ndarray:
                 raise DomainError(f"matrix entry {pair!r} is not an [re, im] pair")
             entries.append(complex(pair[0], pair[1]))
         rows.append(entries)
-    out = np.array(rows, dtype=np.complex128)
-    if not np.all(np.isfinite(out.view(np.float64))):
-        raise DomainError("matrix entries must be finite")
-    return out
+    return as_matrix(rows)

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .combinat import MultiIndex, Partition, _check_type, _integer, _positive_size, _real, _reals
-from .denselin import _distinct_factors, _largest_spectral_norm, _require_finite
+from .denselin import _checked, _distinct_factors, _largest_spectral_norm, _require_finite
 from .denselin import _matrices, as_matrix, polar, singular_values, spectral_norm
 from .errors import DomainError, NumericError, ResourceError
 from .symclass import SymmetryClass, _arrangement_sum, _dk_stack, _live_states, _operators
@@ -351,9 +351,7 @@ def _contract(tensor: np.ndarray, xs: list[np.ndarray], dim: int) -> np.ndarray:
     outer = xs[0].reshape(len(xs[0]), -1)
     for x in xs[1:]:
         outer = (outer[:, :, None] * x.reshape(len(x), 1, -1)).reshape(len(x), -1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = (outer @ tensor).reshape(-1, dim, dim)
-    return _require_finite(value, "derivative")
+    return _checked("derivative", np.matmul, outer, tensor).reshape(-1, dim, dim)
 
 
 def _dk_norm_sup(
@@ -407,8 +405,8 @@ def dk_norm_verify(
         identity_value=float(identity_value),
         attained_value=float(attained_value),
         sample_max=float(sample_max),
-        samples=samples,
-        seed=seed,
+        samples=_integer(samples, "samples"),
+        seed=_integer(seed, "seed"),
     )
 
 
@@ -424,9 +422,7 @@ def immanant(chi: Partition, a) -> complex:
             f"immanants capped at n <= {MAX_IMMANANT_SIZE}, got n={n}"
         )
     mat = as_matrix(a, n=n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = complex(_mixed_immanant_raw(chi, [mat], [n]))
-    return _require_finite(value, "immanant")
+    return complex(_checked("immanant", _mixed_immanant_raw, chi, [mat], [n]))
 
 
 def _mixed_immanant_raw(chi: Partition, reps, counts):
@@ -453,9 +449,8 @@ def _dk_immanant_raw(chi: Partition, a: np.ndarray, xs: list[np.ndarray]):
         )
     factor = math.factorial(n) // math.factorial(n - k)
     mats = [a] * (n - k) + list(xs)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = factor * _mixed_immanant_raw(chi, *_distinct_factors(mats))
-    return _require_finite(value, "immanant derivative")
+    value = lambda: factor * _mixed_immanant_raw(chi, *_distinct_factors(mats))
+    return _checked("immanant derivative", value)
 
 
 def mixed_immanant(chi: Partition, xs) -> complex:
@@ -473,9 +468,7 @@ def mixed_immanant(chi: Partition, xs) -> complex:
     mats = _matrices(xs, n=n)
     if len(mats) != n:
         raise DomainError(f"chi={chi} needs {n} matrices, got {len(mats)}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = complex(_mixed_immanant_raw(chi, *_distinct_factors(mats)))
-    return _require_finite(value, "mixed immanant")
+    return complex(_checked("mixed immanant", _mixed_immanant_raw, chi, *_distinct_factors(mats)))
 
 
 def dk_immanant(chi: Partition, a, xs) -> complex:
@@ -514,13 +507,11 @@ def mixed_immanant_matrix(sc: SymmetryClass, a, xs) -> np.ndarray:
         raise DomainError(f"derivative order {k} exceeds m={sc.m}")
     reps, counts = _distinct_factors([mat] * (sc.m - k) + x_mats)
     index = np.array([alpha.entries for alpha in sc.delta_hat]) - 1
-    out = np.empty((sc.dim, sc.dim), dtype=np.complex128)
-    # One row gamma at a time, so each state of the sum holds dim * m! entries.
-    for i, gamma in enumerate(index):
-        # A[gamma|delta] for every delta in delta_hat, as a (dim, m, m) stack
-        at = (gamma[:, None], index[:, None, :])
-        out[i] = _mixed_immanant_raw(sc.chi, [rep[at] for rep in reps], counts)
-    return out
+    # One row gamma at a time, so each state of the sum holds dim * m! entries;
+    # a row's arguments are A[gamma|delta] for every delta in delta_hat, (dim, m, m).
+    row = lambda gamma: [rep[gamma[:, None], index[:, None, :]] for rep in reps]
+    rows = lambda: np.stack([_mixed_immanant_raw(sc.chi, row(g), counts) for g in index])
+    return _checked("mixed immanant matrix", rows)
 
 
 def dk_kchi_via_immanants(sc: SymmetryClass, a, xs) -> np.ndarray:
@@ -536,7 +527,7 @@ def dk_kchi_via_immanants(sc: SymmetryClass, a, xs) -> np.ndarray:
         return np.zeros((sc.dim, sc.dim), dtype=np.complex128)
     mixed = mixed_immanant_matrix(sc, mat, x_mats)
     coeff = degree(sc.chi) / math.factorial(sc.m - k)
-    return coeff * (sc.basis_b.T @ mixed @ sc.basis_b)
+    return _checked("immanant route", lambda: coeff * (sc.basis_b.T @ mixed @ sc.basis_b))
 
 
 def dk_immanant_via_power(chi: Partition, a, xs) -> complex:
@@ -622,8 +613,8 @@ def immanant_bound_verify(
         k=k,
         bound_value=float(bound),
         sample_sup=_immanant_sup(chi, mat, k, samples, sample_rng(seed, 0)),
-        samples=samples,
-        seed=seed,
+        samples=_integer(samples, "samples"),
+        seed=_integer(seed, "seed"),
     )
 
 

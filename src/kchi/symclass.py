@@ -49,8 +49,7 @@ from .combinat import (
     majorizes,
 )
 from .denselin import DEFAULT_DIMENSION_CAP, _distinct_arrangements, _distinct_factors
-from .denselin import _require_finite
-from .denselin import _matrices, gram_schmidt, kron
+from .denselin import _checked, _matrices, gram_schmidt, kron
 from .errors import DomainError, NumericError, ResourceError
 from .symgroup import _permutation_characters, _permutation_classes, _stabilizer_sum, degree
 
@@ -388,6 +387,11 @@ def _compress(sc: SymmetryClass, mats: list[np.ndarray], factor: int = 1) -> np.
     # Column j of S V Z depends only on column j of V Z, so the sums run
     # over blocks of columns sized by _column_block.  Returns ``factor``
     # times the (S, dim, dim) stack; S = 1 without stacks.
+    return _checked("compressed operator", _compress_sum, sc, mats, factor)
+
+
+def _compress_sum(sc: SymmetryClass, mats: list[np.ndarray], factor: int) -> np.ndarray:
+    # _compress before its finiteness check.
     m = sc.m
     reps, counts = _distinct_factors(mats)
     shared = [(rep, c) for rep, c in zip(reps, counts) if rep.ndim == 2]
@@ -399,27 +403,26 @@ def _compress(sc: SymmetryClass, mats: list[np.ndarray], factor: int = 1) -> np.
     block = _column_block(sc, width, samples, len(placements), shared, stacked)
     product = functools.partial(_axis_product, sc.n)
     ys = np.empty((samples, sc.dim, sc.dim // width, width), dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, width, block):
-            cols = copy[None, :, lo : lo + block]
-            total = None
-            for placed in placements:
-                rest = [axis for axis in range(m) if axis not in placed]
-                w = _arrangement_sum(product, cols, shared, rest)
-                w = _arrangement_sum(product, w, stacked, placed)
-                if total is None:
-                    total = w
-                else:
-                    total += w
-            _orbit_product(sc, total, ys[..., lo : lo + block])
-            # Freed before the next block's sums, which would otherwise
-            # hold one more state.
-            del total, w
-        out = _undo_translates(sc, ys)
-        out /= math.factorial(m) // math.prod(math.factorial(c) for c in counts)
-        if factor != 1:
-            out *= factor
-    return _require_finite(out, "compressed operator")
+    for lo in range(0, width, block):
+        cols = copy[None, :, lo : lo + block]
+        total = None
+        for placed in placements:
+            rest = [axis for axis in range(m) if axis not in placed]
+            w = _arrangement_sum(product, cols, shared, rest)
+            w = _arrangement_sum(product, w, stacked, placed)
+            if total is None:
+                total = w
+            else:
+                total += w
+        _orbit_product(sc, total, ys[..., lo : lo + block])
+        # Freed before the next block's sums, which would otherwise
+        # hold one more state.
+        del total, w
+    out = _undo_translates(sc, ys)
+    out /= math.factorial(m) // math.prod(math.factorial(c) for c in counts)
+    if factor != 1:
+        out *= factor
+    return out
 
 
 def _copy_columns(sc: SymmetryClass) -> np.ndarray:

@@ -128,6 +128,20 @@ def test_polar_eigenvalues_are_singular_values():
     )
 
 
+def test_polar_near_the_largest_double_is_finite_and_halves_exactly():
+    # p + p* would overflow at 1.7e308, so each half is summed instead.
+    p, w = polar(np.diag([1.7e308, 1.0]))
+    assert np.array_equal(p, np.diag([1.7e308, 1.0])) and np.array_equal(w, np.eye(2))
+    # Halving is exact, so at normal magnitudes p has the bits of the
+    # halved sum ((u s) u* + its adjoint) / 2.
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 5, 9):
+        t = random_complex(rng, n)
+        u, s, _ = svd(t)
+        full = (u * s) @ u.conj().T
+        assert np.array_equal(polar(t)[0], (full + full.conj().T) / 2.0)
+
+
 def test_spectral_norm_examples():
     assert np.isclose(spectral_norm(np.diag([1.0, -5.0])), 5.0)
     assert np.isclose(spectral_norm(np.array([[0.0, 1.0], [0.0, 0.0]])), 1.0)
@@ -135,9 +149,11 @@ def test_spectral_norm_examples():
     assert np.isclose(spectral_norm(np.array([[3.0], [4.0]])), 5.0)
 
 
-def test_spectral_norm_past_the_largest_double_is_inf():
-    # 2e308 overflows; warnings are errors under pytest, so none is raised.
-    assert spectral_norm(np.full((2, 2), 1e308)) == np.inf
+def test_spectral_norm_past_the_largest_double_is_a_numeric_error():
+    # 2e308 overflows, as in svd; warnings are errors under pytest, so none
+    # is raised.
+    with pytest.raises(NumericError, match="spectral norm is not finite"):
+        spectral_norm(np.full((2, 2), 1e308))
 
 
 def power_iteration_norm(a, steps=500):
@@ -296,10 +312,13 @@ def test_largest_spectral_norm_builds_each_gram_matrix_once(monkeypatch, floor_k
     assert 0 < sum(decomposed) < 30
 
 
-def test_largest_spectral_norm_past_the_largest_double_is_inf():
-    # Each sample's bound overflows to inf, which keeps it, with no warning.
+def test_largest_spectral_norm_past_the_largest_double_is_a_numeric_error():
+    # Each sample's bound overflows to inf, which keeps it, with no warning;
+    # its norm then overflows too.
     stack = np.full((3, 4, 4), 1.7e308, dtype=np.complex128)
-    assert _largest_spectral_norm(stack, 1.0) == spectral_norm(stack[0]) == np.inf
+    for floor in (0.0, 1.0):
+        with pytest.raises(NumericError, match="spectral norm is not finite"):
+            _largest_spectral_norm(stack, floor)
 
 
 def test_spectral_norm_computes_no_bound(monkeypatch):
@@ -371,6 +390,12 @@ def test_kron_respects_cap():
     with pytest.raises(ResourceError):
         kron(np.eye(65), np.eye(64))
     assert kron(np.ones((1, 64)), np.ones((1, 64))).shape == (1, 4096)  # exactly at the cap
+
+
+def test_kron_past_the_largest_double_is_a_numeric_error():
+    big = 1e200 * np.eye(2)
+    with pytest.raises(NumericError, match="kron is not finite"):
+        kron(big, big)
 
 
 def test_gram_schmidt_of_orthonormal_input():

@@ -1,7 +1,9 @@
 """Tests for derivative norm formulas, immanants, and their bounds."""
 
 import itertools
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -233,6 +235,21 @@ def test_norm_report_json_fields():
     }
 
 
+def test_reports_serialize_numpy_integer_counts():
+    # The reports store the ints they validated, which json can write.
+    sc = build_symmetry_class(Partition((2,)), 2)
+    reports = [
+        dk_norm_verify(sc, np.eye(2), 1, samples=np.int64(5), seed=np.uint64(3)),
+        immanant_bound_verify(
+            Partition((2, 1)), np.eye(3), 1, samples=np.int64(5), seed=np.int32(3)
+        ),
+    ]
+    for report in reports:
+        assert type(report.samples) is int and type(report.seed) is int
+        obj = json.loads(json.dumps(report.to_json_obj()))
+        assert (obj["samples"], obj["seed"]) == (5, 3)
+
+
 def test_spectrum_of_derivative_at_psd_point():
     # eigenvalue multiset of the derivative with identity directions
     nu = (2.0, 1.5, 0.5)
@@ -432,6 +449,25 @@ def test_power_derivative_routes_agree():
             routed = dk_kchi_via_immanants(sc, a, xs)
             scale = max(1.0, float(np.abs(direct).max()))
             assert np.abs(direct - routed).max() <= ROUTE_TOL * scale
+
+
+def test_immanant_routes_past_the_largest_double_are_numeric_errors():
+    # The immanants of 1e200 * I are 1e600: each route refuses them without
+    # a warning rather than returning inf.
+    sc = build_symmetry_class(Partition((2, 1)), 3)
+    big = 1e200 * np.eye(3)
+    routes = [
+        lambda: mixed_immanant_matrix(sc, big, []),
+        lambda: immanant_matrix(sc, big),
+        lambda: dk_kchi_via_immanants(sc, big, []),
+        lambda: dk_kchi_via_immanants(sc, big, [np.eye(3)]),
+    ]
+    for route in routes:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericError, match="is not finite"):
+                route()
+        assert caught == []
 
 
 def test_power_map_factorization():
