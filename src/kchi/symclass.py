@@ -13,9 +13,12 @@ to itself, so K_chi is block diagonal over the orbits, and an orbit's block
 depends only on the composition of its weakly increasing representative
 (the run lengths of its equal entries).  The class is built from one
 template block per composition, relabelled onto every orbit that shares
-it; the n^m x n^m symmetrizer is never formed.  The operator kernels sum
-on one of the chi(1) Schur-module copies in the class and read the rest
-of the operator from the copy's translates under S_m (see _compress).
+it; the n^m x n^m symmetrizer is never formed.  A template depends on chi
+and its composition alone, so it is computed once per process and shared,
+read-only, by every class of that chi (see _template).  The operator
+kernels sum on one of the chi(1) Schur-module copies in the class and read
+the rest of the operator from the copy's translates under S_m (see
+_compress).
 
 The class carries three distinguished index sets:
 
@@ -71,6 +74,9 @@ _BLOCK_BYTES = 1 << 20
 
 # One composition's orbits; see SymmetryClass.
 _OrbitBlock = collections.namedtuple("_OrbitBlock", "rows cols at ortho_t coeffs copy ycols binv")
+# One composition's n-independent part, shared by every class of its chi;
+# see _template.
+_Template = collections.namedtuple("_Template", "words cols ortho_t coeffs copy translates binv")
 
 
 @dataclass(frozen=True)
@@ -90,7 +96,10 @@ class SymmetryClass:
     ``(orbit size, rank / f^chi)`` block of the copy columns V Z,
     ``ycols[:, g]`` are the orbit's columns of the translates
     [Y_1 ... Y_f], and ``binv`` is the ``(rank, rank)`` inverse of the
-    translates' coordinates B.
+    translates' coordinates B.  ``cols``, ``ortho_t``, ``coeffs``,
+    ``copy`` and ``binv`` do not depend on ``n``: they are the
+    composition's template arrays, computed once per process and shared,
+    read-only, by every class of the same ``chi``.
 
     The index sets, ``inclusion`` (the orthonormal basis as real columns
     in product-basis coordinates) and ``basis_b`` (the real upper
@@ -158,52 +167,18 @@ def build_symmetry_class(chi: Partition, n: int) -> SymmetryClass:
         )
 
     # An orbit's block depends only on its representative's composition,
-    # the run lengths of its equal entries in value order: an
-    # order-preserving relabelling of the values maps one orbit's
-    # lexicographic order onto the other's.  So membership, the rank, the
-    # sweep and Gram-Schmidt run once per composition c with r <= n parts,
-    # on the template 1^c_1 ... r^c_r over the letters 1..r, and the orbits
-    # of all r-sets of values are placed at once.  Membership depends only
-    # on mu, the sorted composition; the orbit's rank is chi(1) times the
-    # character sum over the stabilizer S_mu, over |S_mu|.
-    chi_one = degree(chi)
-    scale = chi_one / math.factorial(m)
-    symmetrizer, tableaux = _young_symmetrizer(chi)
+    # the run lengths of its equal entries in value order (see _template),
+    # so each composition c with r <= n parts is placed on the orbits of
+    # all r-sets of values at once.
     blocks = []
     for r in range(1, min(m, n) + 1):
         values = np.array(list(itertools.combinations(range(1, n + 1), r)))
         for cuts in itertools.combinations(range(1, m), r - 1):
-            c = [b - a for a, b in zip((0, *cuts), (*cuts, m))]
-            mu = Partition(tuple(sorted(c, reverse=True)))
-            total = _stabilizer_sum(chi.parts, mu.parts)
-            by_majorization = majorizes(chi, mu)
-            if (total != 0) != by_majorization:
-                raise NumericError(
-                    f"membership routes disagree at composition {tuple(c)}: "
-                    f"character sum says {total != 0}, majorization says {by_majorization}"
-                )
-            if not by_majorization:
-                continue
-            # The template orbit as its 0-based words in lexicographic order;
-            # with no index asked for, np.unique imports numpy.ma (9 ms, 1.2 MB).
-            orbit = np.repeat(np.arange(r), c)[_permutation_classes(m)[0]]
-            words = np.unique(orbit, axis=0, return_index=True)[0]
-            rank = chi_one * total // math.prod(math.factorial(k) for k in c)
-            cols, ortho, coeffs = _orbit_basis(chi, words, rank, scale)
-            # Row 0 of an orbit is its weakly increasing representative.
-            if 0 not in cols:
-                raise NumericError("basis sweep dropped an orbit representative")
-            # The e*-columns are real and Gram-Schmidt keeps them real, so V
-            # and B are stored real and V* is V.T.
-            if np.any(ortho.imag) or np.any(coeffs.imag):
-                raise NumericError("the orthonormal basis of the class is not real")
-            # The template orbit read through each r-set of values: one
-            # (G, orbit size) array of positions.
-            rows = _encode(values[:, words], n)
-            copy, translates, binv = _copy_basis(
-                words, ortho.real, symmetrizer, tableaux, rank // chi_one
-            )
-            blocks.append((rows, cols, ortho.real, coeffs.real, copy, translates, binv))
+            template = _template(chi, tuple(b - a for a, b in zip((0, *cuts), (*cuts, m))))
+            if template is not None:
+                # The template orbit read through each r-set of values: one
+                # (G, orbit size) array of positions.
+                blocks.append((_encode(values[:, template.words], n), template))
     if not blocks:
         raise NumericError("no surviving symmetrized tensors despite l(chi) <= n")
 
@@ -211,30 +186,84 @@ def build_symmetry_class(chi: Partition, n: int) -> SymmetryClass:
     # lexicographic order is the per-orbit Gram-Schmidt, scattered.  The
     # copy columns are numbered in the order of each orbit's first
     # rank / f^chi basis columns, so with f^chi = 1 they are the basis.
-    kept = np.sort(np.concatenate([rows[:, cols] for rows, cols, *_ in blocks], axis=None))
-    leads = [rows[:, cols[: copy.shape[1]]] for rows, cols, _, _, copy, _, _ in blocks]
+    kept = np.sort(np.concatenate([rows[:, tp.cols] for rows, tp in blocks], axis=None))
+    leads = [rows[:, tp.cols[: tp.copy.shape[1]]] for rows, tp in blocks]
     leads = np.sort(np.concatenate(leads, axis=None))
     orbit_blocks = []
-    for rows, cols, ortho, coeffs, copy, translates, binv in blocks:
+    for rows, tp in blocks:
         # The columns of [Y_1 ... Y_f] in the order of B's columns: copy
         # column z of translate t is column t * dim / f^chi + z.
-        z = np.searchsorted(leads, rows[:, cols[: copy.shape[1]]].T)
-        ycols = np.arange(len(translates))[:, None, None] * len(leads) + z
+        z = np.searchsorted(leads, rows[:, tp.cols[: tp.copy.shape[1]]].T)
+        ycols = np.arange(len(tp.translates))[:, None, None] * len(leads) + z
         # Stored in the layouts _compress reads: the orbit axis first, and
         # each orbit's positions read through every translate side by side.
         orbit_blocks.append(
             _OrbitBlock(
-                rows=rows[:, translates].transpose(2, 0, 1).copy(),
-                cols=cols,
-                at=np.searchsorted(kept, rows[:, cols].T),
-                ortho_t=ortho.T.copy(),
-                coeffs=coeffs,
-                copy=copy,
+                rows=rows[:, tp.translates].transpose(2, 0, 1).copy(),
+                cols=tp.cols,
+                at=np.searchsorted(kept, rows[:, tp.cols].T),
+                ortho_t=tp.ortho_t,
+                coeffs=tp.coeffs,
+                copy=tp.copy,
                 ycols=ycols.reshape(-1, len(rows)),
-                binv=binv,
+                binv=tp.binv,
             )
         )
     return SymmetryClass(chi=chi, n=n, orbit_blocks=tuple(orbit_blocks))
+
+
+@functools.cache
+def _template(chi: Partition, c: tuple[int, ...]):
+    # The n-independent part of the orbit block of composition c, or None
+    # when its orbits are not in the class.  An order-preserving
+    # relabelling of the values maps one orbit's lexicographic order onto
+    # another's with the same composition, so membership, the rank, the
+    # sweep, Gram-Schmidt and the copy run once per (chi, c) per process,
+    # on the template 1^c_1 ... r^c_r over the letters 1..r, and every class
+    # of chi shares the result; its arrays are read-only.  Membership
+    # depends only on mu, the sorted composition; the orbit's rank is
+    # chi(1) times the character sum over the stabilizer S_mu, over |S_mu|.
+    # A template that raises is not cached.
+    m, r = chi.size, len(c)
+    mu = Partition(tuple(sorted(c, reverse=True)))
+    total = _stabilizer_sum(chi.parts, mu.parts)
+    by_majorization = majorizes(chi, mu)
+    if (total != 0) != by_majorization:
+        raise NumericError(
+            f"membership routes disagree at composition {c}: "
+            f"character sum says {total != 0}, majorization says {by_majorization}"
+        )
+    if not by_majorization:
+        return None
+    chi_one, scale = _scale(chi)
+    # The template orbit as its 0-based words in lexicographic order; with
+    # no index asked for, np.unique imports numpy.ma (9 ms, 1.2 MB).
+    orbit = np.repeat(np.arange(r), c)[_permutation_classes(m)[0]]
+    words = np.unique(orbit, axis=0, return_index=True)[0]
+    rank = chi_one * total // math.prod(math.factorial(k) for k in c)
+    cols, ortho, coeffs = _orbit_basis(chi, words, rank, scale)
+    # Row 0 of an orbit is its weakly increasing representative.
+    if 0 not in cols:
+        raise NumericError("basis sweep dropped an orbit representative")
+    # The e*-columns are real and Gram-Schmidt keeps them real, so V and B
+    # are stored real and V* is V.T.
+    if np.any(ortho.imag) or np.any(coeffs.imag):
+        raise NumericError("the orthonormal basis of the class is not real")
+    symmetrizer, tableaux = _young_symmetrizer(chi)
+    copy, translates, binv = _copy_basis(words, ortho.real, symmetrizer, tableaux, rank // chi_one)
+    template = _Template(
+        words, cols, ortho.real.T.copy(), coeffs.real.copy(), copy, translates, binv
+    )
+    for array in template:
+        array.setflags(write=False)
+    return template
+
+
+@functools.cache
+def _scale(chi: Partition) -> tuple[int, float]:
+    # chi(1) and the e*-columns' scale chi(1)/m!.
+    chi_one = degree(chi)
+    return chi_one, chi_one / math.factorial(chi.size)
 
 
 def _encode(entries: np.ndarray, n: int) -> np.ndarray:
@@ -278,6 +307,7 @@ def _orbit_basis(chi: Partition, words: np.ndarray, rank: int, scale: float):
     return (cols, *gram_schmidt(block[:, cols]))
 
 
+@functools.cache
 def _young_symmetrizer(chi: Partition):
     # The Young symmetrizer c_T0 = a_T0 b_T0 of the row-reading tableau T0
     # (positions 0..m-1 filled row by row) as the factors it applies in
@@ -286,6 +316,8 @@ def _young_symmetrizer(chi: Partition):
     # row of more than one box.  Also the standard tableaux T as the
     # (f^chi, m) rows sigma_T with sigma_T T0 = T, i.e. their row reading
     # words, in lexicographic order, so T0 (the identity) comes first.
+    # Computed once per chi; the arrays are read-only, as the cache shares
+    # them.
     m, parts = chi.size, chi.parts
     starts = itertools.accumulate((0, *parts[:-1]))
     rows = [list(range(start, start + part)) for start, part in zip(starts, parts)]
@@ -298,12 +330,14 @@ def _young_symmetrizer(chi: Partition):
                 images, signs = _permutation_characters(Partition(shape(len(boxes))))
                 perms = np.tile(np.arange(m), (len(images), 1))
                 perms[:, boxes] = np.array(boxes)[images]
+                perms.setflags(write=False)
                 factors.append((perms, signs))
     # A word is standard when it increases along every row and column.
     words = _permutation_classes(m)[0]
     for boxes in (*rows, *columns):
         words = words[np.all(np.diff(words[:, boxes], axis=1) > 0, axis=1)]
-    return factors, words
+    words.setflags(write=False)
+    return tuple(factors), words
 
 
 def _relabel(words: np.ndarray, perms: np.ndarray) -> np.ndarray:
@@ -419,7 +453,9 @@ def _compress_sum(sc: SymmetryClass, mats: list[np.ndarray], factor: int) -> np.
         # hold one more state.
         del total, w
     out = _undo_translates(sc, ys)
-    out /= math.factorial(m) // math.prod(math.factorial(c) for c in counts)
+    arrangements = math.factorial(m) // math.prod(math.factorial(c) for c in counts)
+    if arrangements != 1:
+        out /= arrangements
     if factor != 1:
         out *= factor
     return out

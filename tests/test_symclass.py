@@ -121,6 +121,23 @@ def brute_force_projector(chi, n):
     return deg / math.factorial(m) * total
 
 
+@pytest.fixture
+def cold_templates():
+    """Empty the per-process template caches before and after the test.
+
+    A build reads each composition's template from a cache (see
+    ``symclass._template``), so a test that patches or counts the template
+    steps must make them run, and no template made under a patch may
+    outlive the test.
+    """
+    caches = (kchi.symclass._template, kchi.symclass._young_symmetrizer, kchi.symclass._scale)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
 # ---------------------------------------------------------------------------
 # Construction.
 # ---------------------------------------------------------------------------
@@ -212,7 +229,7 @@ def test_inclusion_is_real(chi, n):
     assert sc.basis_b.dtype == np.float64
 
 
-def test_a_complex_orbit_basis_is_a_numeric_error(monkeypatch):
+def test_a_complex_orbit_basis_is_a_numeric_error(monkeypatch, cold_templates):
     # A phase on the orthonormal vectors, or on their coefficients alone,
     # is refused rather than dropped.
     gram_schmidt = kchi.symclass.gram_schmidt
@@ -228,13 +245,14 @@ def test_a_complex_orbit_basis_is_a_numeric_error(monkeypatch):
             build_symmetry_class(Partition((2, 1)), 3)
 
 
-def test_the_build_computes_each_orbit_quantity_once(monkeypatch):
+def test_the_build_computes_each_orbit_quantity_once(monkeypatch, cold_templates):
     # (2,1,1) on C^8 has 330 weakly increasing representatives, 238 of them
     # in the class, but only the 8 compositions of 4.  Membership is decided
-    # once per composition, and the orbit basis is computed once for each
-    # of the 4 member compositions (1,1,1,1), (2,1,1), (1,2,1), (1,1,2);
-    # chi(1) is taken once per build, and the validating stabilizer sum
-    # and multiplicity partition never.
+    # once per composition, and the orbit basis and copy are computed once
+    # for each of the 4 member compositions (1,1,1,1), (2,1,1), (1,2,1),
+    # (1,1,2); chi(1) is taken once per chi, and the validating stabilizer
+    # sum and multiplicity partition never.  A second build reads every
+    # template from the cache and computes none of them again.
     calls = collections.Counter()
 
     def count(module, name):
@@ -247,12 +265,116 @@ def test_the_build_computes_each_orbit_quantity_once(monkeypatch):
         monkeypatch.setattr(module, name, counted, raising=False)
 
     names = ("multiplicity_partition", "majorizes", "degree", "character_sum_over_stabilizer")
-    for name in (*names, "_orbit_basis"):
+    for name in (*names, "_orbit_basis", "_copy_basis"):
         count(kchi.symclass, name)
     count(kchi.symgroup, "character_sum_over_stabilizer")
     sc = build_symmetry_class(Partition((2, 1, 1)), 8)
     assert len(sc.delta_bar) == 238
-    assert calls == {"majorizes": 8, "_orbit_basis": 4, "degree": 1}
+    assert calls == {"majorizes": 8, "_orbit_basis": 4, "_copy_basis": 4, "degree": 1}
+    calls.clear()
+    assert len(build_symmetry_class(Partition((2, 1, 1)), 8).delta_bar) == 238
+    assert calls == {}
+
+
+def class_arrays(sc):
+    """Every array a class holds or derives, and K_chi and D^1 K_chi of it at
+    fixed inputs, in a fixed order."""
+    rng = np.random.default_rng(sc.n)
+    a, x = random_complex(rng, sc.n), random_complex(rng, sc.n)
+    blocks = [array for block in sc.orbit_blocks for array in block]
+    return [*blocks, sc.inclusion, sc.basis_b, k_chi_matrix(sc, a), dk_kchi(sc, a, [x])]
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def cold_arrays(chi, n):
+    kchi.symclass._template.cache_clear()
+    return class_arrays(build_symmetry_class(chi, n))
+
+
+# The five class_ladder rungs and the two cap classes.
+CACHED_CLASSES = [
+    (Partition((2, 1)), 5),
+    (Partition((3, 1)), 5),
+    (Partition((2, 2, 1)), 4),
+    (Partition((2, 1, 1)), 6),
+    (Partition((3, 1)), 6),
+    (Partition((2, 1, 1)), 8),
+    (Partition((3, 2, 1)), 4),
+]
+
+
+@pytest.mark.parametrize("chi,n", CACHED_CLASSES)
+def test_a_warm_build_has_the_cold_bits(cold_templates, chi, n):
+    # A template is the same numbers for every class of its chi, so a
+    # class built from cached templates equals one that computed them.
+    cold = cold_arrays(chi, n)
+    assert_same_bits(class_arrays(build_symmetry_class(chi, n)), cold)
+
+
+@pytest.mark.parametrize("first,second", [(5, 6), (6, 5)])
+def test_templates_cached_at_one_size_serve_another(cold_templates, first, second):
+    # Every template of (3,1) has at most 4 letters, so the class on C^5
+    # and on C^6 read the same ones, whichever is built first.
+    chi = Partition((3, 1))
+    cold = cold_arrays(chi, second)
+    kchi.symclass._template.cache_clear()
+    build_symmetry_class(chi, first)
+    misses = kchi.symclass._template.cache_info().misses
+    assert_same_bits(class_arrays(build_symmetry_class(chi, second)), cold)
+    assert kchi.symclass._template.cache_info().misses == misses
+
+
+def compositions(m):
+    for r in range(1, m + 1):
+        for cuts in itertools.combinations(range(1, m), r - 1):
+            yield tuple(b - a for a, b in zip((0, *cuts), (*cuts, m)))
+
+
+@pytest.mark.parametrize("chi", [Partition((2, 1)), Partition((2, 2, 1)), Partition((3, 2, 1))])
+def test_the_shared_template_arrays_are_read_only(chi):
+    # Templates and the Young symmetrizer are shared by every class of
+    # their chi, and so are the blocks' template arrays: none may be
+    # written through a class.
+    shared = [array for factor in kchi.symclass._young_symmetrizer(chi)[0] for array in factor]
+    shared.append(kchi.symclass._young_symmetrizer(chi)[1])
+    for c in compositions(chi.size):
+        template = kchi.symclass._template(chi, c)
+        shared.extend(template or ())
+    for block in build_symmetry_class(chi, chi.length).orbit_blocks:
+        shared.extend((block.cols, block.ortho_t, block.coeffs, block.copy, block.binv))
+    assert len(shared) > 7
+    for array in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 0
+
+
+def test_a_template_that_raised_is_not_cached(monkeypatch, cold_templates):
+    # The copy of the second member composition fails; the first one's
+    # template is kept, and once the fault is gone the next build computes
+    # the second and has the cold bits.
+    chi, n = Partition((2, 1, 1)), 5
+    cold = cold_arrays(chi, n)
+    kchi.symclass._template.cache_clear()
+    copy_basis = kchi.symclass._copy_basis
+    calls = []
+
+    def faulty(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise NumericError("injected fault")
+        return copy_basis(*args)
+
+    monkeypatch.setattr(kchi.symclass, "_copy_basis", faulty)
+    with pytest.raises(NumericError, match="injected fault"):
+        build_symmetry_class(chi, n)
+    monkeypatch.undo()
+    assert kchi.symclass._template.cache_info().currsize >= 1
+    assert_same_bits(class_arrays(build_symmetry_class(chi, n)), cold)
 
 
 def test_classes_compare_and_hash_by_character_and_size():
@@ -464,7 +586,9 @@ def test_each_copy_is_a_young_symmetrizer_image_whose_translates_span(chi, n):
 
 
 @pytest.mark.parametrize("chi,n", [(Partition((2, 1)), 3), (Partition((2, 2, 1)), 3)])
-def test_too_few_translates_or_a_wrong_image_is_a_numeric_error(monkeypatch, chi, n):
+def test_too_few_translates_or_a_wrong_image_is_a_numeric_error(
+    monkeypatch, cold_templates, chi, n
+):
     # Dropping any one standard tableau leaves translates that cannot span
     # an orbit; a symmetrizer that does nothing leaves an image of the
     # orbit's full rank rather than rank / f^chi.  The build refuses both.
@@ -587,7 +711,7 @@ def test_omega_is_exactly_the_support():
         assert set(sc.omega) == support
 
 
-def test_a_missed_rank_is_a_numeric_error(monkeypatch):
+def test_a_missed_rank_is_a_numeric_error(monkeypatch, cold_templates):
     # A sweep that keeps fewer columns than the character formula's rank
     # is refused rather than returned as a smaller class.
     monkeypatch.setattr(kchi.symclass, "RANK_EXTENSION_TOL", 2.0)
@@ -595,7 +719,7 @@ def test_a_missed_rank_is_a_numeric_error(monkeypatch):
         build_symmetry_class(Partition((2, 1)), 3)
 
 
-def test_membership_routes_are_cross_checked(monkeypatch):
+def test_membership_routes_are_cross_checked(monkeypatch, cold_templates):
     # one route flipped: the build must refuse rather than pick one
     majorizes = kchi.symclass.majorizes
     monkeypatch.setattr(kchi.symclass, "majorizes", lambda lam, mu: not majorizes(lam, mu))
