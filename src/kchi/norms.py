@@ -26,7 +26,7 @@ from .combinat import MultiIndex, Partition, _check_type, _integer, _positive_si
 from .denselin import _checked, _distinct_factors, _largest_spectral_norm, _require_finite
 from .denselin import _matrices, as_matrix, polar, singular_values, spectral_norm
 from .errors import DomainError, NumericError, ResourceError
-from .symclass import SymmetryClass, _arrangement_sum, _dk_stack, _live_states, _operators
+from .symclass import SymmetryClass, _dk_stack, _operators
 from .symclass import build_symmetry_class, dk_kchi
 from .symgroup import _permutation_characters, degree
 
@@ -66,8 +66,8 @@ REPORT_TOL = 1e-7
 # SAMPLE_CHUNK_BYTES, so it does not grow with the class either.  In the
 # compression kernel that is 16 n^m dim bytes per tuple, which bounds its
 # (S, dim, dim) translates and output (dim <= n^m) and each of its states,
-# (S, n^m, dim / f^chi) complex, of which it holds at most three, or 1 MiB if
-# more (symclass._column_block splits the copy columns V Z to keep it so).  The
+# (S, n^m, dim / f^chi) complex, of which it holds at most three: the copy
+# columns V Z, a tableau chain's state and its next axis product.  The
 # immanant sum keeps all it holds at once within SAMPLE_CHUNK_BYTES: its
 # live (S, n!) complex states, a product and its gathered entries (see
 # _immanant_sup).  A class too large for two tuples is evaluated one tuple
@@ -428,15 +428,50 @@ def immanant(chi: Partition, a) -> complex:
 def _mixed_immanant_raw(chi: Partition, reps, counts):
     # Mean of d_chi over the distinct assignments of its columns to the
     # arguments, reps[i] filling counts[i] of them (from _distinct_factors);
-    # arguments are (n, n) matrices or (..., n, n) stacks.  The kernel's
-    # sub-multiset sum runs over the columns: a state holds, for each
-    # permutation p, the products of the entries (p(j), j) so far, and
-    # chi(p) = chi(p^-1) makes their sum against chi d_chi.
+    # arguments are (n, n) matrices or (..., n, n) stacks.  The
+    # sub-multiset sum (_arrangement_sum) runs over the columns: a state
+    # holds, for each permutation p, the products of the entries (p(j), j)
+    # so far, and chi(p) = chi(p^-1) makes their sum against chi d_chi.
     images, values = _permutation_characters(chi)
     gather = lambda rep, state, j: state * rep[..., images[:, j], j]
     start = np.ones(len(values))
     total = _arrangement_sum(gather, start, list(zip(reps, counts)), range(chi.size))
     return total @ values / (math.factorial(chi.size) // math.prod(map(math.factorial, counts)))
+
+
+def _arrangement_sum(apply, w: np.ndarray, factors, slots) -> np.ndarray:
+    # The sum over the distinct arrangements of the multiset ``factors``
+    # ((matrix, multiplicity) pairs) on ``slots``, in order, applied to w,
+    # where ``apply(mat, state, slot)`` applies one factor at one slot (a
+    # column in _mixed_immanant_raw).  After the first j slots the sum of
+    # the partial products depends only on the sub-multiset of factors used,
+    # so one state is kept per sub-multiset; each step applies every factor
+    # with copies left and adds the results that reach the same sub-multiset.
+    states = {(0,) * len(factors): w}
+    for slot in slots:
+        step: dict[tuple[int, ...], np.ndarray] = {}
+        for used in list(states):
+            state = states.pop(used)
+            for i, (mat, copies) in enumerate(factors):
+                if used[i] < copies:
+                    key = used[:i] + (used[i] + 1,) + used[i + 1 :]
+                    term = apply(mat, state, slot)
+                    if key in step:
+                        step[key] += term
+                    else:
+                        step[key] = term
+        states = step
+    (w,) = states.values()
+    return w
+
+
+def _live_states(counts) -> int:
+    # Most sub-multisets of two consecutive sizes: the states
+    # _arrangement_sum holds at once over factors of multiplicities ``counts``.
+    sizes = [1]
+    for copies in counts:
+        sizes = [sum(sizes[max(0, j - copies) : j + 1]) for j in range(len(sizes) + copies)]
+    return max(map(sum, zip(sizes, sizes[1:])), default=1)
 
 
 def _dk_immanant_raw(chi: Partition, a: np.ndarray, xs: list[np.ndarray]):

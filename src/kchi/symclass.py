@@ -16,9 +16,11 @@ template block per composition, relabelled onto every orbit that shares
 it; the n^m x n^m symmetrizer is never formed.  A template depends on chi
 and its composition alone, so it is computed once per process and shared,
 read-only, by every class of that chi (see _template).  The operator
-kernels sum on one of the chi(1) Schur-module copies in the class and read
-the rest of the operator from the copy's translates under S_m (see
-_compress).
+kernels take the S_m-average of a Kronecker product as 1/chi(1) times its
+partial trace over the Specht factor of the class: one plain product per
+standard tableau on one of the chi(1) Schur-module copies in the class,
+with the rest of the operator read from the copy's translates under S_m
+(see _compress).
 
 The class carries three distinguished index sets:
 
@@ -69,14 +71,15 @@ __all__ = [
 
 MAX_TENSOR_FACTORS = 6
 RANK_EXTENSION_TOL = 1e-9
-_BLOCK_BYTES = 1 << 20
 
 
+# The template arrays that every orbit block of a composition shares.
+_SHARED = ("cols", "ortho_t", "coeffs", "copy", "binv", "dual", "frame")
 # One composition's orbits; see SymmetryClass.
-_OrbitBlock = collections.namedtuple("_OrbitBlock", "rows cols at ortho_t coeffs copy ycols binv")
+_OrbitBlock = collections.namedtuple("_OrbitBlock", ("rows", "at", "ycols") + _SHARED)
 # One composition's n-independent part, shared by every class of its chi;
 # see _template.
-_Template = collections.namedtuple("_Template", "words cols ortho_t coeffs copy translates binv")
+_Template = collections.namedtuple("_Template", _SHARED + ("translates", "words"))
 
 
 @dataclass(frozen=True)
@@ -95,11 +98,15 @@ class SymmetryClass:
     standard tableau's permutation, ``copy`` is the orbit's
     ``(orbit size, rank / f^chi)`` block of the copy columns V Z,
     ``ycols[:, g]`` are the orbit's columns of the translates
-    [Y_1 ... Y_f], and ``binv`` is the ``(rank, rank)`` inverse of the
-    translates' coordinates B.  ``cols``, ``ortho_t``, ``coeffs``,
-    ``copy`` and ``binv`` do not depend on ``n``: they are the
-    composition's template arrays, computed once per process and shared,
-    read-only, by every class of the same ``chi``.
+    [Y_1 ... Y_f] (the first rank / f^chi of them its copy columns),
+    ``binv`` is the ``(rank, rank)`` inverse of the translates'
+    coordinates B, ``dual[t]`` the ``(rank / f^chi, orbit size)`` product
+    of B^-1's t-th block of rows with the basis block, and ``frame[t]``
+    the ``(rank, rank / f^chi)`` t-th block of B's columns.  ``cols``,
+    ``ortho_t``, ``coeffs``, ``copy``, ``binv``, ``dual`` and ``frame``
+    do not depend on ``n``: they are the composition's template arrays,
+    computed once per process and shared, read-only, by every class of
+    the same ``chi``.
 
     The index sets, ``inclusion`` (the orthonormal basis as real columns
     in product-basis coordinates) and ``basis_b`` (the real upper
@@ -199,14 +206,10 @@ def build_symmetry_class(chi: Partition, n: int) -> SymmetryClass:
         # each orbit's positions read through every translate side by side.
         orbit_blocks.append(
             _OrbitBlock(
-                rows=rows[:, tp.translates].transpose(2, 0, 1).copy(),
-                cols=tp.cols,
-                at=np.searchsorted(kept, rows[:, tp.cols].T),
-                ortho_t=tp.ortho_t,
-                coeffs=tp.coeffs,
-                copy=tp.copy,
-                ycols=ycols.reshape(-1, len(rows)),
-                binv=tp.binv,
+                rows[:, tp.translates].transpose(2, 0, 1).copy(),
+                np.searchsorted(kept, rows[:, tp.cols].T),
+                ycols.reshape(-1, len(rows)),
+                *tp[: len(_SHARED)],
             )
         )
     return SymmetryClass(chi=chi, n=n, orbit_blocks=tuple(orbit_blocks))
@@ -250,10 +253,8 @@ def _template(chi: Partition, c: tuple[int, ...]):
     if np.any(ortho.imag) or np.any(coeffs.imag):
         raise NumericError("the orthonormal basis of the class is not real")
     symmetrizer, tableaux = _young_symmetrizer(chi)
-    copy, translates, binv = _copy_basis(words, ortho.real, symmetrizer, tableaux, rank // chi_one)
-    template = _Template(
-        words, cols, ortho.real.T.copy(), coeffs.real.copy(), copy, translates, binv
-    )
+    basis = _copy_basis(words, ortho.real, symmetrizer, tableaux, rank // chi_one)
+    template = _Template(cols, ortho.real.T.copy(), coeffs.real.copy(), *basis, words)
     for array in template:
         array.setflags(write=False)
     return template
@@ -357,8 +358,10 @@ def _copy_basis(words, ortho, symmetrizer, tableaux, width: int):
     # orbit, in the orbit's basis coordinates, must have rank ``width`` =
     # rank / f^chi; Z is an orthonormal basis of it.  The translates
     # Q_sigma_T Z, Q_sigma = V* P(sigma) V, one per standard tableau, must
-    # span the orbit's basis.  Returns V Z on the orbit, the translates'
-    # row gathers and the inverse of B = [Q_sigma_1 Z ... Q_sigma_f Z].
+    # span the orbit's basis.  Returns V Z on the orbit, the inverse of
+    # B = [Q_sigma_1 Z ... Q_sigma_f Z], the (f, width, orbit size) products
+    # D_t V* of its row blocks with the basis block, the (f, rank, width)
+    # column blocks B_t of B and the translates' row gathers.
     image = ortho
     for perms, signs in symmetrizer:
         image = signs @ image[_relabel(words, perms)].swapaxes(0, 1)
@@ -384,7 +387,10 @@ def _copy_basis(words, ortho, symmetrizer, tableaux, width: int):
             f"the {len(translates)} translates of a Young symmetrizer's image "
             f"span {found} of an orbit's {len(b)} basis vectors"
         )
-    return copy, translates, np.linalg.inv(b)
+    binv = np.linalg.inv(b)
+    dual = binv.reshape(len(translates), width, -1) @ ortho.T
+    frame = b.reshape(len(b), len(translates), width).transpose(1, 0, 2).copy()
+    return copy, binv, dual, frame, translates
 
 
 def symmetrized_kron(ops) -> np.ndarray:
@@ -406,59 +412,49 @@ def symmetrized_kron(ops) -> np.ndarray:
 
 
 def _compress(sc: SymmetryClass, mats: list[np.ndarray], factor: int = 1) -> np.ndarray:
-    # M = V* S V, S the mean over distinct arrangements of A_1 (x) ... (x)
-    # A_m, for S samples at once, with each factor applied to its own tensor
-    # axis.  A factor is one (n, n) matrix that every sample shares or an
-    # (S, n, n) stack.  S commutes with every P(sigma), so
-    # M Q_sigma = V* P(sigma) S V for Q_sigma = V* P(sigma) V, and M is read
-    # from one Schur-module copy of the class: with the copy columns Z and
-    # the translates B = [Q_sigma_1 Z ... Q_sigma_f Z] of each orbit block
-    # (_copy_basis), M = [Y_1 ... Y_f] B^-1 with Y_i = V* P(sigma_i) S V Z.
-    # So the axis products run on the dim / f^chi columns V Z only.  For
-    # each placement of the stacked factors on the axes, the shared factors
-    # are summed over their arrangements on the other axes first, without
-    # the sample axis, and the stacked ones then on the placed axes.
-    # Column j of S V Z depends only on column j of V Z, so the sums run
-    # over blocks of columns sized by _column_block.  Returns ``factor``
-    # times the (S, dim, dim) stack; S = 1 without stacks.
+    # M = V* S V, S the mean over S_m of the conjugates P(s) A P(s)^-1 of
+    # A = A_1 (x) ... (x) A_m, for S samples at once, with each factor
+    # applied to its own tensor axis.  A factor is one (n, n) matrix that
+    # every sample shares or an (S, n, n) stack.  As a module of GL(n) x S_m
+    # the class is W (x) S^chi (Schur-Weyl duality), and the translates
+    # B = [Q_sigma_1 Z ... Q_sigma_f Z] of each orbit block (_copy_basis)
+    # are I (x) F for a basis F of S^chi.  S commutes with every
+    # Q_sigma = V* P(sigma) V, so M = B (I (x) M_W) B^-1, and averaging over
+    # S_m is 1/f^chi times the partial trace over S^chi: with D_t the t-th
+    # row block of B^-1, M_W = (1/f^chi) sum_t D_t V* A P(sigma_t) V Z.  As
+    # V B_t = P(sigma_t) V Z and A P(sigma) = P(sigma) A_sigma, A_sigma the
+    # product with factor sigma(a) on axis a, each standard tableau takes
+    # one plain chain of m axis products on the dim / f^chi copy columns
+    # V Z, and tableaux whose chains name the same factors share one.
+    # Returns ``factor`` times the (S, dim, dim) stack; S = 1 without stacks.
     return _checked("compressed operator", _compress_sum, sc, mats, factor)
 
 
 def _compress_sum(sc: SymmetryClass, mats: list[np.ndarray], factor: int) -> np.ndarray:
     # _compress before its finiteness check.
-    m = sc.m
-    reps, counts = _distinct_factors(mats)
-    shared = [(rep, c) for rep, c in zip(reps, counts) if rep.ndim == 2]
-    stacked = [(rep, c) for rep, c in zip(reps, counts) if rep.ndim == 3]
-    samples = max((len(rep) for rep, _ in stacked), default=1)
-    placements = list(itertools.combinations(range(m), sum(c for _, c in stacked)))
+    reps, _ = _distinct_factors(mats)
+    labels = np.array([next(i for i, r in enumerate(reps) if np.array_equal(r, a)) for a in mats])
+    samples = max((len(rep) for rep in reps if rep.ndim == 3), default=1)
+    tableaux = _young_symmetrizer(sc.chi)[1]
+    chains: dict[tuple[int, ...], list[int]] = {}
+    for t, sigma in enumerate(tableaux):
+        chains.setdefault(tuple(labels[sigma]), []).append(t)
     copy = _copy_columns(sc)
     width = copy.shape[1]
-    block = _column_block(sc, width, samples, len(placements), shared, stacked)
-    product = functools.partial(_axis_product, sc.n)
-    ys = np.empty((samples, sc.dim, sc.dim // width, width), dtype=np.complex128)
-    for lo in range(0, width, block):
-        cols = copy[None, :, lo : lo + block]
-        total = None
-        for placed in placements:
-            rest = [axis for axis in range(m) if axis not in placed]
-            w = _arrangement_sum(product, cols, shared, rest)
-            w = _arrangement_sum(product, w, stacked, placed)
-            if total is None:
-                total = w
-            else:
-                total += w
-        _orbit_product(sc, total, ys[..., lo : lo + block])
-        # Freed before the next block's sums, which would otherwise
-        # hold one more state.
-        del total, w
-    out = _undo_translates(sc, ys)
-    arrangements = math.factorial(m) // math.prod(math.factorial(c) for c in counts)
-    if arrangements != 1:
-        out /= arrangements
-    if factor != 1:
-        out *= factor
-    return out
+    # M_W as rows, samples and interleaved (re, im) columns.
+    m_w = np.zeros((width, samples, 2 * width))
+    for order, ts in chains.items():
+        # Shared factors first, so only the stacked ones carry the sample axis.
+        w = copy[None]
+        for axis in sorted(range(sc.m), key=lambda a: reps[order[a]].ndim):
+            w = _axis_product(sc.n, reps[order[axis]], w, axis)
+        _dual_product(sc, w, ts, m_w)
+    # Freed before the lift, which holds three (S, dim, dim) arrays.
+    del copy, w
+    m_w *= factor / len(tableaux)
+    ys = _translate(sc, m_w)
+    del m_w
+    return _undo_translates(sc, ys)
 
 
 def _copy_columns(sc: SymmetryClass) -> np.ndarray:
@@ -471,18 +467,35 @@ def _copy_columns(sc: SymmetryClass) -> np.ndarray:
     return out
 
 
-def _orbit_product(sc: SymmetryClass, w: np.ndarray, ys: np.ndarray) -> None:
-    # ys[:, :, i] = V* P(sigma_i) w for an (S, n^m, cols) w, one orbit block
-    # at a time: row j of V* is nonzero only on its orbit's <= m! rows, and
-    # rows outside omega are never read.  V is real, so each composition's
-    # block is one gather of its orbits' rows read through every sigma_i,
-    # then one real GEMM on their interleaved (re, im) entries, with the
-    # orbits, translates, samples and columns side by side.
+def _dual_product(sc: SymmetryClass, w: np.ndarray, ts: list[int], m_w: np.ndarray) -> None:
+    # m_w += D_t V* P(sigma_t) w for each tableau t in ts and an
+    # (S, n^m, dim / f^chi) w, one orbit block at a time: row j of V* is
+    # nonzero only on its orbit's <= m! rows, and rows outside omega are
+    # never read.  Each composition's D_t V* is its template's (width, orbit
+    # size) ``dual[t]``, so each term is one gather of its orbits' rows read
+    # through sigma_t, then one real GEMM on their interleaved (re, im)
+    # entries, with the orbits, samples and columns side by side.
     flat = w.view(np.float64).swapaxes(0, 1)
-    ys = ys.view(np.float64).transpose(1, 2, 0, 3)
     for b in sc.orbit_blocks:
-        part = b.ortho_t @ flat[b.rows].reshape(len(b.rows), -1)
-        ys[b.at] = part.reshape(b.at.shape + ys.shape[1:])
+        z = b.ycols[: b.copy.shape[1]]
+        for t in ts:
+            part = b.dual[t] @ flat[b.rows[:, :, t]].reshape(len(b.rows), -1)
+            m_w[z] += part.reshape(z.shape + m_w.shape[1:])
+
+
+def _translate(sc: SymmetryClass, m_w: np.ndarray) -> np.ndarray:
+    # The (S, dim, f, dim / f) stack of Y_t = B_t M_W from m_w as
+    # _dual_product leaves it, one orbit block and translate at a time, each
+    # a real GEMM of the template's (rank, width) ``frame[t]`` written
+    # straight into its rows of Y_t.
+    f, width = len(sc.orbit_blocks[0].frame), len(m_w)
+    ys = np.empty((m_w.shape[1], sc.dim, f, width), dtype=np.complex128)
+    out = ys.view(np.float64).transpose(1, 2, 0, 3)
+    for b in sc.orbit_blocks:
+        m_rows = m_w[b.ycols[: b.copy.shape[1]]].reshape(b.copy.shape[1], -1)
+        for t, frame in enumerate(b.frame):
+            out[b.at, t] = (frame @ m_rows).reshape(b.at.shape + m_w.shape[1:])
+    return ys
 
 
 def _undo_translates(sc: SymmetryClass, ys: np.ndarray) -> np.ndarray:
@@ -502,67 +515,11 @@ def _undo_translates(sc: SymmetryClass, ys: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(out_t.T).reshape(len(ys), sc.dim, sc.dim)
 
 
-def _arrangement_sum(apply, w: np.ndarray, factors, slots) -> np.ndarray:
-    # The sum over the distinct arrangements of the multiset ``factors``
-    # ((matrix, multiplicity) pairs) on ``slots``, in order, applied to w,
-    # where ``apply(mat, state, slot)`` applies one factor at one slot (a
-    # tensor axis in _compress).  After the first j slots the sum of the
-    # partial products depends only on the sub-multiset of factors used, so
-    # one state is kept per sub-multiset; each step applies every factor
-    # with copies left and adds the results that reach the same sub-multiset.
-    states = {(0,) * len(factors): w}
-    for slot in slots:
-        step: dict[tuple[int, ...], np.ndarray] = {}
-        for used in list(states):
-            state = states.pop(used)
-            for i, (mat, copies) in enumerate(factors):
-                if used[i] < copies:
-                    key = used[:i] + (used[i] + 1,) + used[i + 1 :]
-                    term = apply(mat, state, slot)
-                    if key in step:
-                        step[key] += term
-                    else:
-                        step[key] = term
-        states = step
-    (w,) = states.values()
-    return w
-
-
 def _axis_product(n: int, mat: np.ndarray, w: np.ndarray, axis: int) -> np.ndarray:
     # ``mat``, an (n, n) matrix or an (S, n, n) stack, applied to tensor
     # axis ``axis`` of each (n^m, cols) slice of w, of shape (1 or S, n^m, cols).
     out = mat[..., None, :, :] @ w.reshape(len(w), n**axis, n, -1)
     return out.reshape(len(out), w.shape[1], -1)
-
-
-def _column_block(
-    sc: SymmetryClass, width: int, samples: int, placements: int, shared, stacked
-) -> int:
-    # Columns of the ``width`` copy columns V Z per block.  Per column the
-    # sums hold at most two levels of sub-multiset states and one new
-    # product for each multiset (see _live_states), the stacked ones with a
-    # sample axis, and the total over placements.  Blocks keep that within
-    # three (S, n^m, width) arrays, what summing the arrangements one at a
-    # time holds (the running total, a product and its input), or within
-    # _BLOCK_BYTES if that is larger, so calls that small run as one block.
-    # The orbit product that ends a block holds the total, one
-    # composition's rows read through the f^chi translates and their
-    # product; beside the blocks, _compress holds the (S, dim, dim)
-    # translates Y and _undo_translates one more array of that size.
-    column_states = _live_states([c for _, c in shared]) + 1
-    column_states += samples * (_live_states([c for _, c in stacked]) + 1 + (placements > 1))
-    state_bytes = 16 * sc.n**sc.m * width
-    blocks = -(-column_states * state_bytes // max(_BLOCK_BYTES, 3 * samples * state_bytes))
-    return -(-width // blocks)
-
-
-def _live_states(counts) -> int:
-    # Most sub-multisets of two consecutive sizes: the states
-    # _arrangement_sum holds at once over factors of multiplicities ``counts``.
-    sizes = [1]
-    for copies in counts:
-        sizes = [sum(sizes[max(0, j - copies) : j + 1]) for j in range(len(sizes) + copies)]
-    return max(map(sum, zip(sizes, sizes[1:])), default=1)
 
 
 def _dk_stack(sc: SymmetryClass, t: np.ndarray, xs: list[np.ndarray]) -> np.ndarray:

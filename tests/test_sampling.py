@@ -8,9 +8,10 @@ through one product with its k-linear tensor.  The reference route below is
 the per-sample loop they replaced: one ``random_unit_matrix`` call per
 direction on the same generator, one kernel call per tuple, with the
 factors applied to the tensor axes (or immanant columns) in order, one
-distinct arrangement at a time.  The kernel and the mixed immanants sum
-over sub-multisets of the factors; the tests below also compare them with
-that per-arrangement sum, count their products and bound their memory.
+distinct arrangement at a time.  The kernel sums one plain product per
+standard tableau, and the mixed immanants sum over sub-multisets of the
+factors; the tests below also compare them with that per-arrangement sum,
+count their products and bound their memory.
 """
 
 import collections
@@ -312,8 +313,10 @@ ORBIT_BLOCK_TOL = 1e-14
 
 def dense_product_class(sc):
     # The class with one block over all n^m rows and every column, so the
-    # kernel ends in the dense V.T @ P(sigma_i) W of its own sums and in
-    # [Y_1 ... Y_f] times the block-diagonal B^-1 of all orbits.
+    # kernel's partial trace is the dense D_t V.T @ P(sigma_t) W of its own
+    # chains, and it ends in Y_t = B_t M_W and [Y_1 ... Y_f] times the
+    # block-diagonal B^-1 of all orbits, with D_t and B_t the row and column
+    # blocks of that B^-1 and of its inverse.
     blocks = sc.orbit_blocks
     positions = np.arange(sc.n**sc.m)
     translates = np.tile(positions[:, None], blocks[0].rows.shape[2])
@@ -323,6 +326,7 @@ def dense_product_class(sc):
         translates[b.rows[:, :, 0]] = b.rows
         copy[b.rows[:, :, :1], b.ycols[: b.copy.shape[1]].T] = b.copy[:, None, :]
         binv[b.ycols[:, None, :], b.at[None, :, :]] = b.binv[:, :, None]
+    f, width = blocks[0].rows.shape[2], copy.shape[1]
     block = kchi.symclass._OrbitBlock(
         rows=translates[:, None, :],
         cols=np.sort(np.concatenate([b.rows[b.cols, :, 0] for b in blocks], axis=None)),
@@ -332,16 +336,18 @@ def dense_product_class(sc):
         copy=copy,
         ycols=np.arange(sc.dim)[:, None],
         binv=binv,
+        dual=binv.reshape(f, width, sc.dim) @ sc.inclusion.T,
+        frame=np.linalg.inv(binv).reshape(sc.dim, f, width).transpose(1, 0, 2),
     )
     return dataclasses.replace(sc, orbit_blocks=(block,))
 
 
 @pytest.mark.parametrize("chi, n", ORBIT_BLOCK_CLASSES)
 def test_the_orbit_block_product_matches_the_dense_product(chi, n):
-    # k_chi_matrix, dk_kchi for k = 0..m and a stacked _dk_stack end in one
-    # product per composition; against the dense V.T @ W of the same sums
-    # and against the per-arrangement reference, relative to the largest
-    # entry.
+    # k_chi_matrix, dk_kchi for k = 0..m and a stacked _dk_stack take one
+    # product per composition and tableau; against the dense partial trace
+    # of the same chains and against the per-arrangement reference,
+    # relative to the largest entry.
     sc = build_symmetry_class(chi, n)
     dense = dense_product_class(sc)
     rng = sample_rng(19, 0)
@@ -416,14 +422,15 @@ def test_the_copy_route_matches_the_per_arrangement_sum(chi, n):
 )
 def test_one_dimensional_characters_run_on_v_itself(chi, n):
     # f^chi = 1 for (m) and (1^m): the one copy is the whole class, so the
-    # kernel's sums start from V itself, with the identity as the only
-    # translate, and B^-1 = [[1.0]] leaves the orbit products' bits as they
-    # are.  So these classes keep the bits of the kernel without copies.
+    # kernel's one chain starts from V itself, with the identity as the
+    # only tableau, and B = B^-1 = [[1.0]] leave the bits of V.T A V as
+    # they are.
     sc = build_symmetry_class(chi, n)
     assert np.array_equal(kchi.symclass._copy_columns(sc), sc.inclusion)
     for block in sc.orbit_blocks:
         assert block.rows.shape[2] == 1
         assert np.array_equal(block.binv, np.ones((1, 1)))
+        assert np.array_equal(block.frame, np.ones((1, 1, 1)))
     rng = sample_rng(21, 0)
     ys = rng.standard_normal((2, sc.dim, 1, sc.dim, 2)).view(np.complex128)[..., 0]
     assert np.array_equal(kchi.symclass._undo_translates(sc, ys.copy()), ys[:, :, 0])
@@ -543,23 +550,6 @@ def test_an_immanant_supremum_stays_within_its_chunk_budget():
     assert peak <= SAMPLE_CHUNK_BYTES
 
 
-@pytest.mark.parametrize("width", [1, 3, 7])
-def test_column_blocks_match_one_block(monkeypatch, width):
-    sc = build_symmetry_class(Partition((2, 1)), 3)
-    rng = sample_rng(14, 0)
-    t = random_matrix(3, rng)
-    cases = [
-        [],
-        [random_matrix(3, rng)],
-        [np.array([random_matrix(3, rng) for _ in range(4)]) for _ in range(2)],
-        [np.array([random_matrix(3, rng) for _ in range(4)])] * 3,
-    ]
-    whole = [_dk_stack(sc, t, xs) for xs in cases]
-    monkeypatch.setattr(kchi.symclass, "_column_block", lambda *args: width)
-    for xs, want in zip(cases, whole):
-        assert close_to_reference(_dk_stack(sc, t, xs), want)
-
-
 def count_axis_products(monkeypatch):
     # Records, per call of the axis-product helper, whether it ran on the
     # sample axis.
@@ -574,24 +564,62 @@ def count_axis_products(monkeypatch):
     return calls
 
 
-def test_axis_products_follow_the_sub_multisets(monkeypatch):
-    # m = 5 distinct factors take 5 * 2^4 = 80 products, not 5 * 5! = 600;
-    # {T, X1, X2, X3} takes 32, {T, T, T, X} 10 and K_chi m.
+def test_axis_products_follow_the_tableau_chains(monkeypatch):
+    # One chain of m axis products per distinct order that the standard
+    # tableaux give the factors: five distinct factors at (3,2)/2 take all
+    # 5 chains, 25 products, where their sub-multiset sums took 80;
+    # {T, X1, X2, X3} at (3,1)/2 takes 3 * 4 = 12 (was 32), {T, T, T, X}
+    # two chains (X on either corner box), 8 (was 10), and K_chi m.  At
+    # (3,2,1)/3, {T^5, X} takes 3 chains, 18 products (was 16), and six
+    # distinct factors 16 chains, 96 (was 192).
     calls = count_axis_products(monkeypatch)
     rng = sample_rng(15, 0)
     sc5 = build_symmetry_class(Partition((3, 2)), 2)
     sc4 = build_symmetry_class(Partition((3, 1)), 2)
+    sc6 = build_symmetry_class(Partition((3, 2, 1)), 3)
     xs = [random_matrix(2, rng) for _ in range(5)]
+    ys = [random_matrix(3, rng) for _ in range(6)]
     for call, count in [
-        (lambda: sym_op_product(sc5, xs), 80),
+        (lambda: sym_op_product(sc5, xs), 25),
         (lambda: k_chi_matrix(sc5, xs[0]), 5),
-        (lambda: dk_kchi(sc4, xs[0], xs[1:4]), 32),
-        (lambda: dk_kchi(sc4, xs[0], xs[1:2]), 10),
+        (lambda: dk_kchi(sc4, xs[0], xs[1:4]), 12),
+        (lambda: dk_kchi(sc4, xs[0], xs[1:2]), 8),
         (lambda: k_chi_matrix(sc4, xs[0]), 4),
+        (lambda: dk_kchi(sc6, ys[0], ys[1:2]), 18),
+        (lambda: dk_kchi(sc6, ys[0], ys), 96),
     ]:
         calls.clear()
         call()
         assert len(calls) == count and not any(calls)
+
+
+@pytest.mark.parametrize("chi, n", [(Partition((3, 1)), 4), (Partition((2, 2, 1)), 3)])
+def test_chains_are_shared_by_the_factors_values(monkeypatch, chi, n):
+    # Factors are labelled by value: a direction and its copy name the same
+    # factor, so they share chains and give the same bits.
+    calls = count_axis_products(monkeypatch)
+    sc = build_symmetry_class(chi, n)
+    rng = sample_rng(24, 0)
+    t, x, y = (random_matrix(n, rng) for _ in range(3))
+    results = []
+    for xs in ([x, x, y], [x, x.copy(), y]):
+        calls.clear()
+        results.append(dk_kchi(sc, t, xs))
+        results.append(len(calls))
+    assert np.array_equal(results[0], results[2]) and results[1] == results[3]
+
+
+def test_the_symmetrized_product_does_not_depend_on_the_order():
+    # Each order of five distinct operators at (3,2)/2 names other factors
+    # on each tableau's chain; the results agree within 1e-14 of the
+    # largest entry.
+    sc = build_symmetry_class(Partition((3, 2)), 2)
+    rng = sample_rng(25, 0)
+    ops = [random_matrix(2, rng) for _ in range(5)]
+    want = sym_op_product(sc, ops)
+    for order in [(4, 3, 2, 1, 0), (1, 0, 2, 3, 4), (2, 4, 0, 3, 1)]:
+        got = sym_op_product(sc, [ops[i] for i in order])
+        assert np.abs(got - want).max() <= ORBIT_BLOCK_TOL * np.abs(want).max()
 
 
 @pytest.mark.parametrize(

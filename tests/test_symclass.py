@@ -346,7 +346,7 @@ def test_the_shared_template_arrays_are_read_only(chi):
         template = kchi.symclass._template(chi, c)
         shared.extend(template or ())
     for block in build_symmetry_class(chi, chi.length).orbit_blocks:
-        shared.extend((block.cols, block.ortho_t, block.coeffs, block.copy, block.binv))
+        shared.extend(getattr(block, name) for name in kchi.symclass._SHARED)
     assert len(shared) > 7
     for array in shared:
         with pytest.raises(ValueError, match="read-only"):
