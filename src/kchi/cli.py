@@ -166,12 +166,14 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 def _load_square(path: str, n: int | None = None):
     # A square matrix from a JSON file, of shape (n, n) when n is given.
+    # json.load also raises ValueError on bytes that are not UTF-8 or an
+    # integer past Python's digit limit, and RecursionError on deep nesting.
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
     except OSError as exc:
         raise DomainError(f"cannot read matrix file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DomainError(f"{path} is not valid JSON: {exc}") from exc
     try:
         return as_matrix(matrix_from_pairs(payload), square=True, n=n)
@@ -215,12 +217,13 @@ def _cmd_deriv(cfg: argparse.Namespace) -> dict:
 
 
 def _cmd_norm(cfg: argparse.Namespace) -> dict:
+    # The class first: its caps bound n before an n x n operator is drawn.
+    sc = build_symmetry_class(cfg.chi, cfg.n)
     if cfg.input_path is not None:
         t = _load_square(cfg.input_path, cfg.n)
     else:
         # Seeded draw from stream 1; the sampled tuples read stream 0.
         t = random_matrix(cfg.n, sample_rng(cfg.seed, 1))
-    sc = build_symmetry_class(cfg.chi, cfg.n)
     return dk_norm_verify(sc, t, cfg.k, samples=cfg.samples, seed=cfg.seed).to_json_obj()
 
 

@@ -114,7 +114,7 @@ def _real(value, what: str) -> float:
     # ``value`` as a float, when it is a real number.
     try:
         return _float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DomainError(f"{what} must be a real number, got {value!r}") from None
 
 
@@ -125,7 +125,7 @@ def _reals(values, what: str) -> tuple[float, ...]:
         if isinstance(values, _TEXT):
             raise TypeError(f"text {values!r} is not a sequence of numbers")
         return tuple(_float(v) for v in values)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DomainError(f"{what} must be real numbers, got {values!r}") from None
 
 

@@ -59,7 +59,7 @@ def as_matrix(obj, *, square: bool = False, n: int | None = None) -> np.ndarray:
     """
     try:
         a = np.asarray(obj, dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"cannot read a complex matrix: {exc}") from None
     if a.ndim != 2:
         raise DomainError(f"expected a matrix, got array of shape {a.shape}")
@@ -164,24 +164,22 @@ def kron(a, b) -> np.ndarray:
 
 
 def _distinct_factors(mats) -> tuple[list[np.ndarray], list[int]]:
-    """The distinct factors of a multiset of matrices and their multiplicities.
+    """The distinct factors of a sequence of matrices and each factor's label.
 
-    Returns ``(reps, counts)``: equal factors share one entry of ``reps``,
-    listed in order of first appearance, and ``counts[i]`` is how often
+    Returns ``(reps, labels)``: equal factors share one entry of ``reps``,
+    listed in order of first appearance, and ``labels[j]`` is the index in
+    ``reps`` of the j-th factor, so ``labels.count(i)`` is how often
     ``reps[i]`` occurs.  Factors may be stacks of matrices; stacks of
     another shape never match.
     """
     reps: list[np.ndarray] = []
-    counts: list[int] = []
+    labels: list[int] = []
     for mat in mats:
-        for i, rep in enumerate(reps):
-            if np.array_equal(mat, rep):
-                counts[i] += 1
-                break
-        else:
+        label = next((i for i, rep in enumerate(reps) if np.array_equal(mat, rep)), len(reps))
+        if label == len(reps):
             reps.append(mat)
-            counts.append(1)
-    return reps, counts
+        labels.append(label)
+    return reps, labels
 
 
 def _distinct_arrangements(mats) -> tuple[list[np.ndarray], list[tuple[int, ...]]]:
@@ -192,8 +190,7 @@ def _distinct_arrangements(mats) -> tuple[list[np.ndarray], list[tuple[int, ...]
     multilinear expression over the orders equals averaging it over all
     m! permutations; they come in sorted order, so sums are bit-stable.
     """
-    reps, counts = _distinct_factors(mats)
-    labels = [i for i, count in enumerate(counts) for _ in range(count)]
+    reps, labels = _distinct_factors(mats)
     return reps, sorted(set(itertools.permutations(labels)))
 
 
@@ -367,6 +364,9 @@ def matrix_from_pairs(obj) -> np.ndarray:
                 or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
             ):
                 raise DomainError(f"matrix entry {pair!r} is not an [re, im] pair")
-            entries.append(complex(pair[0], pair[1]))
+            try:
+                entries.append(complex(pair[0], pair[1]))
+            except OverflowError:
+                raise DomainError(f"matrix entry {pair!r} is past the double range") from None
         rows.append(entries)
     return as_matrix(rows)

@@ -422,16 +422,18 @@ def immanant(chi: Partition, a) -> complex:
             f"immanants capped at n <= {MAX_IMMANANT_SIZE}, got n={n}"
         )
     mat = as_matrix(a, n=n)
-    return complex(_checked("immanant", _mixed_immanant_raw, chi, [mat], [n]))
+    return complex(_checked("immanant", _mixed_immanant_raw, chi, [mat], [0] * n))
 
 
-def _mixed_immanant_raw(chi: Partition, reps, counts):
+def _mixed_immanant_raw(chi: Partition, reps, labels):
     # Mean of d_chi over the distinct assignments of its columns to the
-    # arguments, reps[i] filling counts[i] of them (from _distinct_factors);
-    # arguments are (n, n) matrices or (..., n, n) stacks.  The
-    # sub-multiset sum (_arrangement_sum) runs over the columns: a state
-    # holds, for each permutation p, the products of the entries (p(j), j)
-    # so far, and chi(p) = chi(p^-1) makes their sum against chi d_chi.
+    # arguments, reps[i] filling as many of them as ``labels`` holds i (from
+    # _distinct_factors); arguments are (n, n) matrices or (..., n, n)
+    # stacks.  The sub-multiset sum (_arrangement_sum) runs over the
+    # columns: a state holds, for each permutation p, the products of the
+    # entries (p(j), j) so far, and chi(p) = chi(p^-1) makes their sum
+    # against chi d_chi.
+    counts = [labels.count(i) for i in range(len(reps))]
     images, values = _permutation_characters(chi)
     gather = lambda rep, state, j: state * rep[..., images[:, j], j]
     start = np.ones(len(values))
@@ -540,12 +542,12 @@ def mixed_immanant_matrix(sc: SymmetryClass, a, xs) -> np.ndarray:
     k = len(x_mats)
     if k > sc.m:
         raise DomainError(f"derivative order {k} exceeds m={sc.m}")
-    reps, counts = _distinct_factors([mat] * (sc.m - k) + x_mats)
+    reps, labels = _distinct_factors([mat] * (sc.m - k) + x_mats)
     index = np.array([alpha.entries for alpha in sc.delta_hat]) - 1
     # One row gamma at a time, so each state of the sum holds dim * m! entries;
     # a row's arguments are A[gamma|delta] for every delta in delta_hat, (dim, m, m).
     row = lambda gamma: [rep[gamma[:, None], index[:, None, :]] for rep in reps]
-    rows = lambda: np.stack([_mixed_immanant_raw(sc.chi, row(g), counts) for g in index])
+    rows = lambda: np.stack([_mixed_immanant_raw(sc.chi, row(g), labels) for g in index])
     return _checked("mixed immanant matrix", rows)
 
 

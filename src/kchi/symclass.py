@@ -79,7 +79,7 @@ _SHARED = ("cols", "ortho_t", "coeffs", "copy", "binv", "dual", "frame")
 _OrbitBlock = collections.namedtuple("_OrbitBlock", ("rows", "at", "ycols") + _SHARED)
 # One composition's n-independent part, shared by every class of its chi;
 # see _template.
-_Template = collections.namedtuple("_Template", _SHARED + ("translates", "words"))
+_Template = collections.namedtuple("_Template", _SHARED + ("words",))
 
 
 @dataclass(frozen=True)
@@ -88,21 +88,21 @@ class SymmetryClass:
 
     The class stores only its orbit blocks, one per composition of the
     orbit representatives, and is equal to another class of the same
-    ``chi`` and ``n``.  ``rows[:, g, 0]`` are the product-basis positions
+    ``chi`` and ``n``.  ``rows[:, g]`` are the product-basis positions
     of the composition's g-th orbit, ``cols`` the orbit rows whose
     e*-vectors it keeps, ``at[:, g]`` the basis columns they carry, and
     ``ortho_t`` the shared ``(rank, orbit size)`` block of the orthonormal
     basis, with ``coeffs`` the ``(rank, rank)`` block of its change of
     basis.  The rest serve the kernel's one Schur-module copy (see
-    ``_compress``): ``rows[:, g, t]`` reads the orbit through the t-th
-    standard tableau's permutation, ``copy`` is the orbit's
-    ``(orbit size, rank / f^chi)`` block of the copy columns V Z,
-    ``ycols[:, g]`` are the orbit's columns of the translates
-    [Y_1 ... Y_f] (the first rank / f^chi of them its copy columns),
-    ``binv`` is the ``(rank, rank)`` inverse of the translates'
-    coordinates B, ``dual[t]`` the ``(rank / f^chi, orbit size)`` product
-    of B^-1's t-th block of rows with the basis block, and ``frame[t]``
-    the ``(rank, rank / f^chi)`` t-th block of B's columns.  ``cols``,
+    ``_compress``): ``copy`` is the orbit's ``(orbit size, rank / f^chi)``
+    block of the copy columns V Z, ``ycols[:, g]`` are the orbit's
+    columns of the translates [Y_1 ... Y_f] (the first rank / f^chi of
+    them its copy columns), ``binv`` is the ``(rank, rank)`` inverse of
+    the translates' coordinates B, ``dual[t]`` the
+    ``(rank / f^chi, orbit size)`` product D_t V* P(sigma_t) of B^-1's
+    t-th block of rows with the basis block read through the t-th
+    standard tableau's permutation, and ``frame[t]`` the
+    ``(rank, rank / f^chi)`` t-th block of B's columns.  ``cols``,
     ``ortho_t``, ``coeffs``, ``copy``, ``binv``, ``dual`` and ``frame``
     do not depend on ``n``: they are the composition's template arrays,
     computed once per process and shared, read-only, by every class of
@@ -130,21 +130,21 @@ class SymmetryClass:
 
     @functools.cached_property
     def omega(self) -> tuple[MultiIndex, ...]:
-        return _decode([b.rows[:, :, 0] for b in self.orbit_blocks], self.m, self.n)
+        return _decode([b.rows for b in self.orbit_blocks], self.m, self.n)
 
     @functools.cached_property
     def delta_bar(self) -> tuple[MultiIndex, ...]:
-        return _decode([b.rows[0, :, 0] for b in self.orbit_blocks], self.m, self.n)
+        return _decode([b.rows[0] for b in self.orbit_blocks], self.m, self.n)
 
     @functools.cached_property
     def delta_hat(self) -> tuple[MultiIndex, ...]:
-        return _decode([b.rows[b.cols, :, 0] for b in self.orbit_blocks], self.m, self.n)
+        return _decode([b.rows[b.cols] for b in self.orbit_blocks], self.m, self.n)
 
     @functools.cached_property
     def inclusion(self) -> np.ndarray:
         out = np.zeros((self.n**self.m, self.dim))
         for block in self.orbit_blocks:
-            out[block.rows[:, None, :, 0], block.at] = block.ortho_t.T[:, :, None]
+            out[block.rows[:, None, :], block.at] = block.ortho_t.T[:, :, None]
         return out
 
     @functools.cached_property
@@ -201,12 +201,11 @@ def build_symmetry_class(chi: Partition, n: int) -> SymmetryClass:
         # The columns of [Y_1 ... Y_f] in the order of B's columns: copy
         # column z of translate t is column t * dim / f^chi + z.
         z = np.searchsorted(leads, rows[:, tp.cols[: tp.copy.shape[1]]].T)
-        ycols = np.arange(len(tp.translates))[:, None, None] * len(leads) + z
-        # Stored in the layouts _compress reads: the orbit axis first, and
-        # each orbit's positions read through every translate side by side.
+        ycols = np.arange(len(tp.frame))[:, None, None] * len(leads) + z
+        # Stored with the orbit axis first, the layout _compress reads.
         orbit_blocks.append(
             _OrbitBlock(
-                rows[:, tp.translates].transpose(2, 0, 1).copy(),
+                rows.T.copy(),
                 np.searchsorted(kept, rows[:, tp.cols].T),
                 ycols.reshape(-1, len(rows)),
                 *tp[: len(_SHARED)],
@@ -360,8 +359,7 @@ def _copy_basis(words, ortho, symmetrizer, tableaux, width: int):
     # Q_sigma_T Z, Q_sigma = V* P(sigma) V, one per standard tableau, must
     # span the orbit's basis.  Returns V Z on the orbit, the inverse of
     # B = [Q_sigma_1 Z ... Q_sigma_f Z], the (f, width, orbit size) products
-    # D_t V* of its row blocks with the basis block, the (f, rank, width)
-    # column blocks B_t of B and the translates' row gathers.
+    # D_t V* P(sigma_t) with its row blocks D_t, and its column blocks B_t.
     image = ortho
     for perms, signs in symmetrizer:
         image = signs @ image[_relabel(words, perms)].swapaxes(0, 1)
@@ -388,9 +386,10 @@ def _copy_basis(words, ortho, symmetrizer, tableaux, width: int):
             f"span {found} of an orbit's {len(b)} basis vectors"
         )
     binv = np.linalg.inv(b)
-    dual = binv.reshape(len(translates), width, -1) @ ortho.T
+    # (P(sigma_t) x)[p] = x[translates[t, p]]: V* P(sigma_t) inverts the gather.
+    dual = binv.reshape(len(translates), width, -1) @ ortho[np.argsort(translates)].swapaxes(1, 2)
     frame = b.reshape(len(b), len(translates), width).transpose(1, 0, 2).copy()
-    return copy, binv, dual, frame, translates
+    return copy, binv, dual, frame
 
 
 def symmetrized_kron(ops) -> np.ndarray:
@@ -425,20 +424,20 @@ def _compress(sc: SymmetryClass, mats: list[np.ndarray], factor: int = 1) -> np.
     # V B_t = P(sigma_t) V Z and A P(sigma) = P(sigma) A_sigma, A_sigma the
     # product with factor sigma(a) on axis a, each standard tableau takes
     # one plain chain of m axis products on the dim / f^chi copy columns
-    # V Z, and tableaux whose chains name the same factors share one.
+    # V Z, and tableaux whose chains name the same factors share one, with
+    # one gather of its result per composition (see _dual_product).
     # Returns ``factor`` times the (S, dim, dim) stack; S = 1 without stacks.
     return _checked("compressed operator", _compress_sum, sc, mats, factor)
 
 
 def _compress_sum(sc: SymmetryClass, mats: list[np.ndarray], factor: int) -> np.ndarray:
     # _compress before its finiteness check.
-    reps, _ = _distinct_factors(mats)
-    labels = np.array([next(i for i, r in enumerate(reps) if np.array_equal(r, a)) for a in mats])
+    reps, labels = _distinct_factors(mats)
     samples = max((len(rep) for rep in reps if rep.ndim == 3), default=1)
     tableaux = _young_symmetrizer(sc.chi)[1]
     chains: dict[tuple[int, ...], list[int]] = {}
-    for t, sigma in enumerate(tableaux):
-        chains.setdefault(tuple(labels[sigma]), []).append(t)
+    for t, order in enumerate(np.array(labels)[tableaux].tolist()):
+        chains.setdefault(tuple(order), []).append(t)
     copy = _copy_columns(sc)
     width = copy.shape[1]
     # M_W as rows, samples and interleaved (re, im) columns.
@@ -463,24 +462,23 @@ def _copy_columns(sc: SymmetryClass) -> np.ndarray:
     blocks = sc.orbit_blocks
     out = np.zeros((sc.n**sc.m, sum(b.rows.shape[1] * b.copy.shape[1] for b in blocks)))
     for b in blocks:
-        out[b.rows[:, :, :1], b.ycols[: b.copy.shape[1]].T] = b.copy[:, None, :]
+        out[b.rows[:, :, None], b.ycols[: b.copy.shape[1]].T] = b.copy[:, None, :]
     return out
 
 
 def _dual_product(sc: SymmetryClass, w: np.ndarray, ts: list[int], m_w: np.ndarray) -> None:
-    # m_w += D_t V* P(sigma_t) w for each tableau t in ts and an
+    # m_w += sum_t D_t V* P(sigma_t) w over the tableaux t in ts, for an
     # (S, n^m, dim / f^chi) w, one orbit block at a time: row j of V* is
     # nonzero only on its orbit's <= m! rows, and rows outside omega are
-    # never read.  Each composition's D_t V* is its template's (width, orbit
-    # size) ``dual[t]``, so each term is one gather of its orbits' rows read
-    # through sigma_t, then one real GEMM on their interleaved (re, im)
-    # entries, with the orbits, samples and columns side by side.
+    # never read.  Each composition's D_t V* P(sigma_t) is its template's
+    # (width, orbit size) ``dual[t]``, so the sum is one gather of its
+    # orbits' rows and one real GEMM with the summed duals, on interleaved
+    # (re, im) entries, with the orbits, samples and columns side by side.
     flat = w.view(np.float64).swapaxes(0, 1)
     for b in sc.orbit_blocks:
         z = b.ycols[: b.copy.shape[1]]
-        for t in ts:
-            part = b.dual[t] @ flat[b.rows[:, :, t]].reshape(len(b.rows), -1)
-            m_w[z] += part.reshape(z.shape + m_w.shape[1:])
+        part = b.dual[ts].sum(axis=0) @ flat[b.rows].reshape(len(b.rows), -1)
+        m_w[z] += part.reshape(z.shape + m_w.shape[1:])
 
 
 def _translate(sc: SymmetryClass, m_w: np.ndarray) -> np.ndarray:

@@ -135,6 +135,22 @@ BAD_CALLS = {
         Partition((2, 1)), b"321", 0.1
     ),
     "elementary_symmetric of degree 1.5": lambda: kchi.elementary_symmetric(1.5, [1, 2]),
+    "as_matrix of an integer past the double range": lambda: kchi.as_matrix([[10**400]]),
+    "matrix_from_pairs of an integer past the double range": lambda: kchi.matrix_from_pairs(
+        [[[10**400, 0]]]
+    ),
+    "nu_omega of an integer past the double range": lambda: kchi.nu_omega(
+        Partition((1,)), [10**400]
+    ),
+    "dk_norm_formula of an integer past the double range": lambda: kchi.dk_norm_formula(
+        Partition((1,)), 1, [10**400]
+    ),
+    "elementary_symmetric of an integer past the double range": lambda: kchi.elementary_symmetric(
+        1, [10**400]
+    ),
+    "perturbation_bounds with delta past the double range": lambda: kchi.perturbation_bounds(
+        Partition((1,)), [1], delta=10**400
+    ),
     "dk_kchi with directions 5": lambda: kchi.dk_kchi(
         kchi.build_symmetry_class(Partition((2, 1)), 3), EYE3, 5
     ),

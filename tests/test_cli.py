@@ -337,6 +337,53 @@ def test_missing_matrix_file(capsys, tmp_path):
     assert "absent.json" in err
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        b"\xff\xfe",
+        b"[" * 100000 + b"]" * 100000,
+        b"[[[" + b"9" * 5000 + b", 0]]]",
+        b"[[[" + b"9" * 400 + b", 0]]]",
+        b"[[[0, -" + b"9" * 400 + b"]]]",
+    ],
+    ids=["not-utf8", "nested-100000-deep", "5000-digit-integer", "400-digit-real", "400-digit-imag"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["immanant", "--chi", "1", "--input"],
+        ["perturb", "--chi", "1", "--delta", "0.5", "--input"],
+        ["deriv", "--chi", "1", "--k", "1", "--input", "EYE", "--x"],
+    ],
+    ids=["immanant", "perturb", "deriv-x"],
+)
+def test_malformed_matrix_files_are_one_line_domain_errors(capsys, tmp_path, argv, payload):
+    # Bytes that are not UTF-8, nesting past the recursion limit and
+    # integers past Python's digit limit or the double range exit 2 with
+    # one line naming the file, not a traceback.
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(payload)
+    eye = write_matrix(tmp_path / "eye.json", np.eye(1))
+    argv = [eye if arg == "EYE" else arg for arg in argv]
+    code, out, err = run_cli(capsys, [*argv, str(bad)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"kchi: domain error: {bad}") and err.count("\n") == 1
+
+
+def test_an_oversized_n_exits_three_before_the_operator_is_drawn(capsys, monkeypatch):
+    # norm without --input builds the class, whose caps bound n, before it
+    # draws its n x n operator: 17^3 = 4913 is above the 4096 cap.
+    def no_draw(*args):
+        raise AssertionError("the operator was drawn")
+
+    monkeypatch.setattr(kchi.cli, "random_matrix", no_draw)
+    code, out, err = run_cli(capsys, ["norm", "--chi", "2,1", "--n", "17", "--k", "1"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("kchi: ") and err.count("\n") == 1
+
+
 def test_wrong_shape_matrix_is_a_domain_error(capsys, tmp_path):
     path = write_matrix(tmp_path / "a.json", np.eye(3))
     code, _, _ = run_cli(

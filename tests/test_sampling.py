@@ -314,29 +314,32 @@ ORBIT_BLOCK_TOL = 1e-14
 def dense_product_class(sc):
     # The class with one block over all n^m rows and every column, so the
     # kernel's partial trace is the dense D_t V.T @ P(sigma_t) W of its own
-    # chains, and it ends in Y_t = B_t M_W and [Y_1 ... Y_f] times the
+    # chains, with each P(sigma_t) a dense permutation matrix folded into
+    # the dual, and it ends in Y_t = B_t M_W and [Y_1 ... Y_f] times the
     # block-diagonal B^-1 of all orbits, with D_t and B_t the row and column
     # blocks of that B^-1 and of its inverse.
     blocks = sc.orbit_blocks
     positions = np.arange(sc.n**sc.m)
-    translates = np.tile(positions[:, None], blocks[0].rows.shape[2])
     copy = np.zeros((sc.n**sc.m, sum(b.rows.shape[1] * b.copy.shape[1] for b in blocks)))
     binv = np.zeros((sc.dim, sc.dim))
     for b in blocks:
-        translates[b.rows[:, :, 0]] = b.rows
-        copy[b.rows[:, :, :1], b.ycols[: b.copy.shape[1]].T] = b.copy[:, None, :]
+        copy[b.rows[:, :, None], b.ycols[: b.copy.shape[1]].T] = b.copy[:, None, :]
         binv[b.ycols[:, None, :], b.at[None, :, :]] = b.binv[:, :, None]
-    f, width = blocks[0].rows.shape[2], copy.shape[1]
+    # (P(sigma) x)[beta] = x[beta o sigma], on every multi-index beta.
+    words = np.stack(np.unravel_index(positions, (sc.n,) * sc.m), axis=-1)
+    tableaux = kchi.symclass._young_symmetrizer(sc.chi)[1]
+    perms = np.eye(len(positions))[kchi.symclass._encode(words[:, tableaux] + 1, sc.n).T]
+    f, width = len(tableaux), copy.shape[1]
     block = kchi.symclass._OrbitBlock(
-        rows=translates[:, None, :],
-        cols=np.sort(np.concatenate([b.rows[b.cols, :, 0] for b in blocks], axis=None)),
+        rows=positions[:, None],
+        cols=np.sort(np.concatenate([b.rows[b.cols] for b in blocks], axis=None)),
         at=np.arange(sc.dim)[:, None],
         ortho_t=sc.inclusion.T.copy(),
         coeffs=sc.basis_b,
         copy=copy,
         ycols=np.arange(sc.dim)[:, None],
         binv=binv,
-        dual=binv.reshape(f, width, sc.dim) @ sc.inclusion.T,
+        dual=binv.reshape(f, width, sc.dim) @ sc.inclusion.T @ perms,
         frame=np.linalg.inv(binv).reshape(sc.dim, f, width).transpose(1, 0, 2),
     )
     return dataclasses.replace(sc, orbit_blocks=(block,))
@@ -428,7 +431,7 @@ def test_one_dimensional_characters_run_on_v_itself(chi, n):
     sc = build_symmetry_class(chi, n)
     assert np.array_equal(kchi.symclass._copy_columns(sc), sc.inclusion)
     for block in sc.orbit_blocks:
-        assert block.rows.shape[2] == 1
+        assert len(block.frame) == 1
         assert np.array_equal(block.binv, np.ones((1, 1)))
         assert np.array_equal(block.frame, np.ones((1, 1, 1)))
     rng = sample_rng(21, 0)

@@ -477,7 +477,7 @@ def test_the_orbit_blocks_scatter_to_the_inclusion(chi, n):
     basis_b = np.zeros_like(sc.basis_b)
     rows_seen, kept_seen, columns_seen = [], [], []
     for block in sc.orbit_blocks:
-        rows, at = block.rows[:, :, 0], block.at
+        rows, at = block.rows, block.at
         assert rows.shape[1] == at.shape[1]
         assert block.ortho_t.shape == (len(at), len(rows))
         assert block.coeffs.shape == (len(at), len(at))
@@ -571,7 +571,7 @@ def test_each_copy_is_a_young_symmetrizer_image_whose_translates_span(chi, n):
     sigmas = standard_reading_words(chi)
     assert len(sigmas) == f
     for block in sc.orbit_blocks:
-        positions, copy = block.rows[:, 0, 0], block.copy
+        positions, copy = block.rows[:, 0], block.copy
         basis = sc.inclusion[positions][:, block.at[:, 0]]
         rank = basis.shape[1]
         a = group_sum(chi, n, m, positions, row_boxes, signed=False)
@@ -583,6 +583,33 @@ def test_each_copy_is_a_young_symmetrizer_image_whose_translates_span(chi, n):
         translates = np.hstack([p @ copy for p in position_permutations(positions, n, m, sigmas)])
         assert np.linalg.matrix_rank(translates) == rank
         assert np.linalg.matrix_rank(np.hstack([basis, translates])) == rank
+
+
+@pytest.mark.parametrize(
+    "chi,n",
+    [
+        (Partition((2, 1)), 3),
+        (Partition((3, 1)), 4),
+        (Partition((2, 2, 1)), 3),
+        (Partition((3, 2, 1)), 3),
+    ],
+)
+def test_each_dual_reads_the_orbit_through_its_tableau(chi, n):
+    # On the first orbit of each composition, which its template's words
+    # label in the same order, by dense permutation matrices: dual[t] is
+    # D_t V.T P(sigma_t), with D_t the t-th block of rows of B^-1 and V the
+    # orbit's basis block, relative to its largest entry.
+    sc = build_symmetry_class(chi, n)
+    m, f = chi.size, degree(chi)
+    sigmas = standard_reading_words(chi)
+    for block in sc.orbit_blocks:
+        positions = block.rows[:, 0]
+        rank = len(block.binv)
+        d = block.binv.reshape(f, rank // f, rank)
+        for t, p in enumerate(position_permutations(positions, n, m, sigmas)):
+            want = d[t] @ block.ortho_t @ p
+            assert block.dual[t].shape == want.shape
+            assert np.abs(block.dual[t] - want).max() <= 1e-14 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("chi,n", [(Partition((2, 1)), 3), (Partition((2, 2, 1)), 3)])
