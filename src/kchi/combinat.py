@@ -14,6 +14,7 @@ explicit enumerations at desk scale.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -49,9 +50,9 @@ class Partition:
         parts = _integers(self.parts, "partition parts")
         object.__setattr__(self, "parts", parts)
         if any(p <= 0 for p in parts):
-            raise DomainError(f"partition parts must be positive, got {parts}")
+            raise DomainError(f"partition parts must be positive, got {_shown(parts)}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise DomainError(f"partition parts must be weakly decreasing, got {parts}")
+            raise DomainError(f"partition parts must be weakly decreasing, got {_shown(parts)}")
 
     @property
     def size(self) -> int:
@@ -73,7 +74,19 @@ class Partition:
         return self.parts[i]
 
     def __str__(self) -> str:
-        return "(" + ",".join(str(p) for p in self.parts) + ")"
+        return "(" + ",".join(map(_shown, self.parts)) + ")"
+
+
+def _shown(value) -> str:
+    # repr(value) for an error message.  An int past Python's digit limit
+    # for str, alone or in a sequence, is named by its size instead.
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            digits = int(value.bit_length() * math.log10(2)) + 1
+            return f"{'-' * (value < 0)}<an integer of about {digits} digits>"
+        return "(" + ", ".join(map(_shown, value)) + ")"
 
 
 def _check_type(kind: type, *values) -> None:
@@ -81,7 +94,8 @@ def _check_type(kind: type, *values) -> None:
     # multi-indices, a symmetry class or a random generator.
     for value in values:
         if not isinstance(value, kind):
-            raise DomainError(f"expected a {kind.__name__}, got {type(value).__name__} {value!r}")
+            got = f"{type(value).__name__} {_shown(value)}"
+            raise DomainError(f"expected a {kind.__name__}, got {got}")
 
 
 def _integer(value, what: str = "n") -> int:
@@ -89,7 +103,7 @@ def _integer(value, what: str = "n") -> int:
     try:
         return operator.index(value)
     except TypeError:
-        raise DomainError(f"{what} must be an integer, got {value!r}") from None
+        raise DomainError(f"{what} must be an integer, got {_shown(value)}") from None
 
 
 def _integers(values, what: str) -> tuple[int, ...]:
@@ -97,7 +111,7 @@ def _integers(values, what: str) -> tuple[int, ...]:
     try:
         return tuple(operator.index(v) for v in values)
     except TypeError:
-        raise DomainError(f"{what} must be integers, got {values!r}") from None
+        raise DomainError(f"{what} must be integers, got {_shown(values)}") from None
 
 
 _TEXT = (str, bytes, bytearray)
@@ -115,7 +129,7 @@ def _real(value, what: str) -> float:
     try:
         return _float(value)
     except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"{what} must be a real number, got {value!r}") from None
+        raise DomainError(f"{what} must be a real number, got {_shown(value)}") from None
 
 
 def _reals(values, what: str) -> tuple[float, ...]:
@@ -126,14 +140,14 @@ def _reals(values, what: str) -> tuple[float, ...]:
             raise TypeError(f"text {values!r} is not a sequence of numbers")
         return tuple(_float(v) for v in values)
     except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"{what} must be real numbers, got {values!r}") from None
+        raise DomainError(f"{what} must be real numbers, got {_shown(values)}") from None
 
 
 def _positive_size(n) -> int:
     # ``n`` as an int, when it is an integer of at least 1.
     n = _integer(n)
     if n < 1:
-        raise DomainError(f"n must be positive, got {n}")
+        raise DomainError(f"n must be positive, got {_shown(n)}")
     return n
 
 
@@ -154,11 +168,11 @@ class MultiIndex:
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "n", n)
         if n < 1:
-            raise DomainError(f"codomain size must be positive, got {n}")
+            raise DomainError(f"codomain size must be positive, got {_shown(n)}")
         if not entries:
             raise DomainError("multi-index must have at least one entry")
         if any(e < 1 or e > n for e in entries):
-            raise DomainError(f"entries of {entries} fall outside 1..{n}")
+            raise DomainError(f"entries of {_shown(entries)} fall outside 1..{_shown(n)}")
 
     @classmethod
     def _trusted(cls, entries: tuple[int, ...], n: int) -> "MultiIndex":
@@ -178,7 +192,7 @@ class MultiIndex:
         return (self.entries, self.n) < (other.entries, other.n)
 
     def __str__(self) -> str:
-        return "(" + ",".join(str(e) for e in self.entries) + ")"
+        return "(" + ",".join(map(_shown, self.entries)) + ")"
 
 
 @dataclass(frozen=True)
@@ -188,10 +202,10 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        images = tuple(int(i) for i in self.images)
+        images = _integers(self.images, "permutation images")
         object.__setattr__(self, "images", images)
         if sorted(images) != list(range(1, len(images) + 1)):
-            raise DomainError(f"{images} is not a rearrangement of 1..{len(images)}")
+            raise DomainError(f"{_shown(images)} is not a rearrangement of 1..{len(images)}")
 
     @property
     def degree(self) -> int:
@@ -224,10 +238,10 @@ def partitions_of(m: int) -> tuple[Partition, ...]:
     """
     m = _integer(m, "m")
     if m < 1:
-        raise DomainError(f"m must be positive, got {m}")
+        raise DomainError(f"m must be positive, got {_shown(m)}")
     if m > MAX_PARTITION_SIZE:
         raise ResourceError(
-            f"partition enumeration capped at m <= {MAX_PARTITION_SIZE}, got {m}"
+            f"partition enumeration capped at m <= {MAX_PARTITION_SIZE}, got {_shown(m)}"
         )
     return tuple(Partition(p) for p in _partition_tuples(m, m))
 
@@ -268,9 +282,10 @@ def omega_of(pi: Partition, n: int) -> MultiIndex:
     partition equals ``pi``; it needs ``n`` at least the number of parts.
     """
     _check_type(Partition, pi)
+    n = _integer(n)
     if pi.length > n:
         raise DomainError(
-            f"partition {pi} has {pi.length} parts but the codomain only has {n} values"
+            f"partition {pi} has {pi.length} parts but the codomain only has {_shown(n)} values"
         )
     entries = tuple(
         value for value, count in enumerate(pi.parts, start=1) for _ in range(count)
@@ -293,7 +308,7 @@ def enumerate_maps(mode: str, m: int, n: int) -> tuple[MultiIndex, ...]:
     """
     m, n = _integer(m, "m"), _integer(n)
     if m < 1 or n < 1:
-        raise DomainError(f"m and n must be positive, got m={m}, n={n}")
+        raise DomainError(f"m and n must be positive, got m={_shown(m)}, n={_shown(n)}")
     values = range(1, n + 1)
     if mode == "gamma":
         tuples = itertools.product(values, repeat=m)
@@ -308,8 +323,8 @@ def all_permutations(m: int) -> tuple[Permutation, ...]:
     """Every element of S_m, ordered lexicographically by image tuple."""
     m = _integer(m, "m")
     if m < 1:
-        raise DomainError(f"degree must be positive, got {m}")
+        raise DomainError(f"degree must be positive, got {_shown(m)}")
     if m > MAX_ORBIT_DEGREE:
-        raise ResourceError(f"refusing to enumerate S_{m} (cap is {MAX_ORBIT_DEGREE})")
+        raise ResourceError(f"refusing to enumerate S_{_shown(m)} (cap is {MAX_ORBIT_DEGREE})")
     return tuple(Permutation(p) for p in itertools.permutations(range(1, m + 1)))
 

@@ -28,6 +28,7 @@ import itertools
 
 import numpy as np
 
+from .combinat import _shown
 from .errors import DomainError, NumericError, ResourceError
 
 __all__ = [
@@ -68,7 +69,7 @@ def as_matrix(obj, *, square: bool = False, n: int | None = None) -> np.ndarray:
     if square and a.shape[0] != a.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {a.shape}")
     if n is not None and a.shape != (n, n):
-        raise DomainError(f"matrix of shape {a.shape} does not act on C^{n}")
+        raise DomainError(f"matrix of shape {a.shape} does not act on C^{_shown(n)}")
     return a
 
 

@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .combinat import MultiIndex, Partition, _check_type, _integer, _positive_size, _real, _reals
+from .combinat import _shown
 from .denselin import _checked, _distinct_factors, _largest_spectral_norm, _require_finite
 from .denselin import _matrices, as_matrix, polar, singular_values, spectral_norm
 from .errors import DomainError, NumericError, ResourceError
@@ -94,7 +95,7 @@ def elementary_symmetric(t: int, values) -> float:
     """
     t = _integer(t, "elementary symmetric degree")
     if t < 0:
-        raise DomainError(f"elementary symmetric degree must be >= 0, got {t}")
+        raise DomainError(f"elementary symmetric degree must be >= 0, got {_shown(t)}")
     vals = _reals(values, "elementary symmetric arguments")
     return _coefficients(vals)[t] if t <= len(vals) else 0.0
 
@@ -132,7 +133,7 @@ def _check_order(k, low: int, top: int, name: str) -> int:
     # The derivative order ``k`` as an int in [low, top], ``top`` being m or n.
     k = _integer(k, "k")
     if not low <= k <= top:
-        raise DomainError(f"need {low} <= k <= {name}={top}, got k={k}")
+        raise DomainError(f"need {low} <= k <= {name}={top}, got k={_shown(k)}")
     return k
 
 
@@ -158,7 +159,7 @@ def _selection(chi: Partition, vals, n: int | None = None) -> tuple[float, ...]:
         raise DomainError(f"expected {n} singular values, got {len(vals)}")
     if chi.size > len(vals):
         raise DomainError(
-            f"m={chi.size} exceeds the number of singular values {len(vals)}; "
+            f"m={_shown(chi.size)} exceeds the number of singular values {len(vals)}; "
             "the closed forms need m <= n"
         )
     return _nu_omega(chi, vals)
@@ -188,7 +189,7 @@ def lambda_eigenvalue(alpha: MultiIndex, k: int, nu) -> float:
     k = _check_order(k, 1, alpha.m, "m")
     if alpha.n > len(vals):
         raise DomainError(
-            f"alpha takes values up to {alpha.n} but only {len(vals)} singular values given"
+            f"alpha takes values up to {_shown(alpha.n)} but only {len(vals)} singular values given"
         )
     return _closed_form([vals[e - 1] for e in alpha.entries], k, "derivative eigenvalue")
 
@@ -245,9 +246,8 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
     """
     seed, index = _integer(seed, "seed"), _integer(index, "sample index")
     if not (0 <= seed < 2**64 and 0 <= index < 2**64):
-        raise DomainError(
-            f"seed and sample index must lie in [0, 2**64), got seed {seed}, index {index}"
-        )
+        got = f"seed {_shown(seed)}, index {_shown(index)}"
+        raise DomainError(f"seed and sample index must lie in [0, 2**64), got {got}")
     return np.random.Generator(np.random.Philox(key=seed + (index << 64)))
 
 
@@ -290,7 +290,7 @@ def _check_samples(samples: int, tuple_bytes: int) -> int:
     # SAMPLE_BUDGET_BYTES at ``tuple_bytes`` per sample a resource error.
     samples = _integer(samples, "samples")
     if not 1 <= samples < 2**64:
-        raise DomainError(f"samples must lie in [1, 2**64), got {samples}")
+        raise DomainError(f"samples must lie in [1, 2**64), got {_shown(samples)}")
     if samples * tuple_bytes > SAMPLE_BUDGET_BYTES:
         raise ResourceError(
             f"sampling capped at {SAMPLE_BUDGET_BYTES} bytes of evaluated tuples; "
@@ -419,7 +419,7 @@ def immanant(chi: Partition, a) -> complex:
     n = chi.size
     if n > MAX_IMMANANT_SIZE:
         raise ResourceError(
-            f"immanants capped at n <= {MAX_IMMANANT_SIZE}, got n={n}"
+            f"immanants capped at n <= {MAX_IMMANANT_SIZE}, got n={_shown(n)}"
         )
     mat = as_matrix(a, n=n)
     return complex(_checked("immanant", _mixed_immanant_raw, chi, [mat], [0] * n))
@@ -500,7 +500,7 @@ def mixed_immanant(chi: Partition, xs) -> complex:
     n = chi.size
     if n > MAX_MIXED_SIZE:
         raise ResourceError(
-            f"mixed immanants capped at n <= {MAX_MIXED_SIZE}, got n={n}"
+            f"mixed immanants capped at n <= {MAX_MIXED_SIZE}, got n={_shown(n)}"
         )
     mats = _matrices(xs, n=n)
     if len(mats) != n:

@@ -46,13 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .combinat import (
-    MultiIndex,
-    Partition,
-    _check_type,
-    _positive_size,
-    majorizes,
-)
+from .combinat import MultiIndex, Partition, _check_type, _positive_size, _shown, majorizes
 from .denselin import DEFAULT_DIMENSION_CAP, _distinct_arrangements, _distinct_factors
 from .denselin import _checked, _matrices, gram_schmidt, kron
 from .errors import DomainError, NumericError, ResourceError
@@ -76,7 +70,7 @@ RANK_EXTENSION_TOL = 1e-9
 # The template arrays that every orbit block of a composition shares.
 _SHARED = ("cols", "ortho_t", "coeffs", "copy", "binv", "dual", "frame")
 # One composition's orbits; see SymmetryClass.
-_OrbitBlock = collections.namedtuple("_OrbitBlock", ("rows", "at", "ycols") + _SHARED)
+_OrbitBlock = collections.namedtuple("_OrbitBlock", ("rows", "at", "z") + _SHARED)
 # One composition's n-independent part, shared by every class of its chi;
 # see _template.
 _Template = collections.namedtuple("_Template", _SHARED + ("words",))
@@ -95,9 +89,9 @@ class SymmetryClass:
     basis, with ``coeffs`` the ``(rank, rank)`` block of its change of
     basis.  The rest serve the kernel's one Schur-module copy (see
     ``_compress``): ``copy`` is the orbit's ``(orbit size, rank / f^chi)``
-    block of the copy columns V Z, ``ycols[:, g]`` are the orbit's
-    columns of the translates [Y_1 ... Y_f] (the first rank / f^chi of
-    them its copy columns), ``binv`` is the ``(rank, rank)`` inverse of
+    block of the copy columns V Z, ``z[:, g]`` are the g-th orbit's
+    ``rank / f^chi`` copy columns among all dim / f^chi (its columns of
+    each translate Y_t too), ``binv`` is the ``(rank, rank)`` inverse of
     the translates' coordinates B, ``dual[t]`` the
     ``(rank / f^chi, orbit size)`` product D_t V* P(sigma_t) of B^-1's
     t-th block of rows with the basis block read through the t-th
@@ -162,11 +156,11 @@ def build_symmetry_class(chi: Partition, n: int) -> SymmetryClass:
     m = chi.size
     if m > MAX_TENSOR_FACTORS:
         raise ResourceError(
-            f"tensor power capped at m <= {MAX_TENSOR_FACTORS}, got m={m}"
+            f"tensor power capped at m <= {MAX_TENSOR_FACTORS}, got m={_shown(m)}"
         )
     if n**m > DEFAULT_DIMENSION_CAP:
         raise ResourceError(
-            f"n^m = {n**m} exceeds the dimension cap {DEFAULT_DIMENSION_CAP}"
+            f"n^m = {_shown(n**m)} exceeds the dimension cap {DEFAULT_DIMENSION_CAP}"
         )
     if chi.length > n:
         raise DomainError(
@@ -196,22 +190,17 @@ def build_symmetry_class(chi: Partition, n: int) -> SymmetryClass:
     kept = np.sort(np.concatenate([rows[:, tp.cols] for rows, tp in blocks], axis=None))
     leads = [rows[:, tp.cols[: tp.copy.shape[1]]] for rows, tp in blocks]
     leads = np.sort(np.concatenate(leads, axis=None))
-    orbit_blocks = []
-    for rows, tp in blocks:
-        # The columns of [Y_1 ... Y_f] in the order of B's columns: copy
-        # column z of translate t is column t * dim / f^chi + z.
-        z = np.searchsorted(leads, rows[:, tp.cols[: tp.copy.shape[1]]].T)
-        ycols = np.arange(len(tp.frame))[:, None, None] * len(leads) + z
-        # Stored with the orbit axis first, the layout _compress reads.
-        orbit_blocks.append(
-            _OrbitBlock(
-                rows.T.copy(),
-                np.searchsorted(kept, rows[:, tp.cols].T),
-                ycols.reshape(-1, len(rows)),
-                *tp[: len(_SHARED)],
-            )
+    # Stored with the orbit axis first, the layout _compress reads.
+    orbit_blocks = tuple(
+        _OrbitBlock(
+            rows.T.copy(),
+            np.searchsorted(kept, rows[:, tp.cols].T),
+            np.searchsorted(leads, rows[:, tp.cols[: tp.copy.shape[1]]].T),
+            *tp[: len(_SHARED)],
         )
-    return SymmetryClass(chi=chi, n=n, orbit_blocks=tuple(orbit_blocks))
+        for rows, tp in blocks
+    )
+    return SymmetryClass(chi=chi, n=n, orbit_blocks=orbit_blocks)
 
 
 @functools.cache
@@ -418,20 +407,21 @@ def _compress(sc: SymmetryClass, mats: list[np.ndarray], factor: int = 1) -> np.
     # the class is W (x) S^chi (Schur-Weyl duality), and the translates
     # B = [Q_sigma_1 Z ... Q_sigma_f Z] of each orbit block (_copy_basis)
     # are I (x) F for a basis F of S^chi.  S commutes with every
-    # Q_sigma = V* P(sigma) V, so M = B (I (x) M_W) B^-1, and averaging over
-    # S_m is 1/f^chi times the partial trace over S^chi: with D_t the t-th
-    # row block of B^-1, M_W = (1/f^chi) sum_t D_t V* A P(sigma_t) V Z.  As
-    # V B_t = P(sigma_t) V Z and A P(sigma) = P(sigma) A_sigma, A_sigma the
-    # product with factor sigma(a) on axis a, each standard tableau takes
+    # Q_sigma = V* P(sigma) V, so M = B (I (x) M_W) B^-1 (see _lift), and
+    # averaging over S_m is 1/f^chi times the partial trace over S^chi: with
+    # D_t the t-th row block of B^-1, M_W = (1/f^chi) sum_t D_t V* A P(sigma_t) V Z.
+    # As V B_t = P(sigma_t) V Z and A P(sigma) = P(sigma) A_sigma, A_sigma
+    # the product with factor sigma(a) on axis a, each standard tableau takes
     # one plain chain of m axis products on the dim / f^chi copy columns
     # V Z, and tableaux whose chains name the same factors share one, with
     # one gather of its result per composition (see _dual_product).
     # Returns ``factor`` times the (S, dim, dim) stack; S = 1 without stacks.
-    return _checked("compressed operator", _compress_sum, sc, mats, factor)
+    # The lift holds the only reference to M_W, so it can free M_W early.
+    return _checked("compressed operator", lambda: _lift(sc, _partial_trace(sc, mats, factor)))
 
 
-def _compress_sum(sc: SymmetryClass, mats: list[np.ndarray], factor: int) -> np.ndarray:
-    # _compress before its finiteness check.
+def _partial_trace(sc: SymmetryClass, mats: list[np.ndarray], factor: int) -> np.ndarray:
+    # ``factor`` times M_W, as rows, samples and interleaved (re, im) columns.
     reps, labels = _distinct_factors(mats)
     samples = max((len(rep) for rep in reps if rep.ndim == 3), default=1)
     tableaux = _young_symmetrizer(sc.chi)[1]
@@ -440,7 +430,6 @@ def _compress_sum(sc: SymmetryClass, mats: list[np.ndarray], factor: int) -> np.
         chains.setdefault(tuple(order), []).append(t)
     copy = _copy_columns(sc)
     width = copy.shape[1]
-    # M_W as rows, samples and interleaved (re, im) columns.
     m_w = np.zeros((width, samples, 2 * width))
     for order, ts in chains.items():
         # Shared factors first, so only the stacked ones carry the sample axis.
@@ -448,21 +437,17 @@ def _compress_sum(sc: SymmetryClass, mats: list[np.ndarray], factor: int) -> np.
         for axis in sorted(range(sc.m), key=lambda a: reps[order[a]].ndim):
             w = _axis_product(sc.n, reps[order[axis]], w, axis)
         _dual_product(sc, w, ts, m_w)
-    # Freed before the lift, which holds three (S, dim, dim) arrays.
-    del copy, w
     m_w *= factor / len(tableaux)
-    ys = _translate(sc, m_w)
-    del m_w
-    return _undo_translates(sc, ys)
+    return m_w
 
 
 def _copy_columns(sc: SymmetryClass) -> np.ndarray:
     # V Z, the (n^m, dim / f^chi) real columns of one copy, scattered from
     # each composition's orbit block of V Z.
     blocks = sc.orbit_blocks
-    out = np.zeros((sc.n**sc.m, sum(b.rows.shape[1] * b.copy.shape[1] for b in blocks)))
+    out = np.zeros((sc.n**sc.m, sum(b.z.size for b in blocks)))
     for b in blocks:
-        out[b.rows[:, :, None], b.ycols[: b.copy.shape[1]].T] = b.copy[:, None, :]
+        out[b.rows[:, :, None], b.z.T] = b.copy[:, None, :]
     return out
 
 
@@ -476,38 +461,31 @@ def _dual_product(sc: SymmetryClass, w: np.ndarray, ts: list[int], m_w: np.ndarr
     # (re, im) entries, with the orbits, samples and columns side by side.
     flat = w.view(np.float64).swapaxes(0, 1)
     for b in sc.orbit_blocks:
-        z = b.ycols[: b.copy.shape[1]]
         part = b.dual[ts].sum(axis=0) @ flat[b.rows].reshape(len(b.rows), -1)
-        m_w[z] += part.reshape(z.shape + m_w.shape[1:])
+        m_w[b.z] += part.reshape(b.z.shape + m_w.shape[1:])
 
 
-def _translate(sc: SymmetryClass, m_w: np.ndarray) -> np.ndarray:
-    # The (S, dim, f, dim / f) stack of Y_t = B_t M_W from m_w as
-    # _dual_product leaves it, one orbit block and translate at a time, each
-    # a real GEMM of the template's (rank, width) ``frame[t]`` written
-    # straight into its rows of Y_t.
+def _lift(sc: SymmetryClass, m_w: np.ndarray) -> np.ndarray:
+    # M = B (I (x) M_W) B^-1, (S, dim, dim), from M_W as _partial_trace
+    # leaves it.  Y_t = B_t M_W: per composition, the orbits' copy rows z of
+    # M_W times the template's (f, rank, width) ``frame``, f GEMMs in one
+    # call (one (f rank, width) GEMM can round differently), written into
+    # their rows of every Y_t.  M.T = B^-T Y.T: the rows t * width + z of
+    # Y.T, t = 1..f, are an orbit's columns of B in order, so each
+    # composition is one gather and one GEMM with B^-T.  Both take (re, im)
+    # interleaved, orbits, samples and columns side by side.  M_W and the
+    # products are freed before the transpose; M.T is written over Y.
     f, width = len(sc.orbit_blocks[0].frame), len(m_w)
     ys = np.empty((m_w.shape[1], sc.dim, f, width), dtype=np.complex128)
-    out = ys.view(np.float64).transpose(1, 2, 0, 3)
+    out = ys.view(np.float64).transpose(2, 1, 0, 3)
     for b in sc.orbit_blocks:
-        m_rows = m_w[b.ycols[: b.copy.shape[1]]].reshape(b.copy.shape[1], -1)
-        for t, frame in enumerate(b.frame):
-            out[b.at, t] = (frame @ m_rows).reshape(b.at.shape + m_w.shape[1:])
-    return ys
-
-
-def _undo_translates(sc: SymmetryClass, ys: np.ndarray) -> np.ndarray:
-    # M = [Y_1 ... Y_f] B^-1 from the (S, dim, f, dim / f) stack ys: each
-    # orbit's columns of M are its f * rank / f columns of the Y_i times its
-    # composition's B^-1.  On the transpose, M.T = B^-T [Y_1 ... Y_f].T, the
-    # rows of each composition are one gather and one real GEMM on the
-    # interleaved (re, im) entries, with the orbits, samples and rows of M
-    # side by side.  ys is not read again once yt holds its transpose, so
-    # M.T is written over it.
-    yt = np.ascontiguousarray(ys.reshape(-1, ys.shape[2] * ys.shape[3]).T)
+        part = b.frame @ m_w[b.z].reshape(len(b.z), -1)
+        out[:, b.at] = part.reshape((f,) + b.at.shape + m_w.shape[1:])
+    del m_w, part
+    yt = np.ascontiguousarray(ys.reshape(-1, f * width).T).reshape(f, width, -1)
     out_t = ys.reshape(sc.dim, -1)
     for b in sc.orbit_blocks:
-        part = b.binv.T @ yt[b.ycols].view(np.float64).reshape(len(b.ycols), -1)
+        part = b.binv.T @ yt[:, b.z].view(np.float64).reshape(len(b.binv), -1)
         out_t[b.at] = part.view(np.complex128).reshape(b.at.shape + (-1,))
     del yt
     return np.ascontiguousarray(out_t.T).reshape(len(ys), sc.dim, sc.dim)

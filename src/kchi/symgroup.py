@@ -24,6 +24,8 @@ from .combinat import (
     MultiIndex,
     Partition,
     _check_type,
+    _integer,
+    _shown,
     multiplicity_partition,
     partitions_of,
 )
@@ -53,7 +55,7 @@ def character(lam: Partition, rho: Partition) -> int:
         )
     if lam.size > MAX_CHARACTER_DEGREE:
         raise ResourceError(
-            f"character values capped at m <= {MAX_CHARACTER_DEGREE}, got m={lam.size}"
+            f"character values capped at m <= {MAX_CHARACTER_DEGREE}, got m={_shown(lam.size)}"
         )
     return _mn_character(lam.parts, rho.parts)
 
@@ -128,11 +130,12 @@ class CharTable:
 @lru_cache(maxsize=None)
 def char_table(m: int) -> CharTable:
     """The character table of S_m, computed once per m and cached."""
+    m = _integer(m, "m")
     if m < 1:
-        raise DomainError(f"m must be positive, got {m}")
+        raise DomainError(f"m must be positive, got {_shown(m)}")
     if m > MAX_CHARACTER_DEGREE:
         raise ResourceError(
-            f"character tables capped at m <= {MAX_CHARACTER_DEGREE}, got {m}"
+            f"character tables capped at m <= {MAX_CHARACTER_DEGREE}, got {_shown(m)}"
         )
     parts = partitions_of(m)
     values = tuple(
@@ -198,7 +201,7 @@ def character_sum_over_stabilizer(lam: Partition, alpha: MultiIndex) -> int:
     m = alpha.m
     if lam.size != m:
         raise DomainError(
-            f"character shape {lam} has size {lam.size}, multi-index has domain {m}"
+            f"character shape {lam} has size {_shown(lam.size)}, multi-index has domain {m}"
         )
     if m > MAX_STABILIZER_DEGREE:
         raise ResourceError(

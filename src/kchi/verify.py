@@ -24,6 +24,7 @@ import numpy as np
 from .combinat import (
     Partition,
     _integer,
+    _shown,
     enumerate_maps,
     majorizes,
     multiplicity_partition,
@@ -629,9 +630,9 @@ def run_verify(max_n: int = 4, seed: int = 0) -> dict:
     """Run every verification area and assemble the JSON report."""
     max_n, seed = _integer(max_n, "max_n"), _integer(seed, "seed")
     if not 2 <= max_n <= MAX_N:
-        raise DomainError(f"max_n must be between 2 and the cap {MAX_N}, got {max_n}")
+        raise DomainError(f"max_n must be between 2 and the cap {MAX_N}, got {_shown(max_n)}")
     if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+        raise DomainError(f"seed must be >= 0, got {_shown(seed)}")
     criteria = []
     total = 0
     failed = 0

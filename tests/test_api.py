@@ -72,6 +72,7 @@ def test_the_package_imports_with_numpy_alone():
 
 EYE3 = np.eye(3)
 RNG = kchi.sample_rng(0, 0)
+HUGE = 10**5000
 
 # Each input is invalid at one public boundary.
 BAD_CALLS = {
@@ -157,6 +158,47 @@ BAD_CALLS = {
     "mixed_immanant of 5": lambda: kchi.mixed_immanant(Partition((2, 1)), 5),
     "random_matrix with rng None": lambda: kchi.random_matrix(2, None),
     "random_unit_matrix with rng None": lambda: kchi.random_unit_matrix(2, None),
+    # Integers past Python's 4300-digit limit for str, which the error
+    # message must not print as digits.
+    "perturbation_bounds with a huge delta": lambda: kchi.perturbation_bounds(
+        Partition((1,)), [1], delta=HUGE
+    ),
+    "nu_omega of a huge integer": lambda: kchi.nu_omega(Partition((1,)), [HUGE]),
+    "elementary_symmetric of a huge integer": lambda: kchi.elementary_symmetric(1, [HUGE]),
+    "elementary_symmetric of a huge negative degree": lambda: kchi.elementary_symmetric(-HUGE, [1]),
+    "dk_norm_formula of a huge integer": lambda: kchi.dk_norm_formula(Partition((1,)), 1, [HUGE]),
+    "dk_norm_formula with a huge k": lambda: kchi.dk_norm_formula(Partition((1,)), HUGE, [1]),
+    "Partition of a huge part and text": lambda: Partition((HUGE, "x")),
+    "Partition of a huge negative part": lambda: Partition((-HUGE,)),
+    "MultiIndex with a huge entry": lambda: kchi.MultiIndex((HUGE,), 2),
+    "build_symmetry_class with a huge negative n": lambda: kchi.build_symmetry_class(
+        Partition((2, 1)), -HUGE
+    ),
+    "char_table of a huge negative m": lambda: kchi.char_table(-HUGE),
+    "partitions_of a huge negative m": lambda: kchi.partitions_of(-HUGE),
+    "dk_norm_verify with a huge k": lambda: kchi.dk_norm_verify(
+        kchi.build_symmetry_class(Partition((2, 1)), 3), EYE3, HUGE
+    ),
+    "dk_norm_verify with huge samples": lambda: kchi.dk_norm_verify(
+        kchi.build_symmetry_class(Partition((2, 1)), 3), EYE3, 1, samples=HUGE
+    ),
+    "sample_rng with a huge seed": lambda: kchi.sample_rng(HUGE, 0),
+    "random_matrix of a huge negative size": lambda: kchi.random_matrix(-HUGE, RNG),
+    "Permutation of a huge image": lambda: kchi.Permutation((HUGE, 1)),
+    "Permutation of a float image": lambda: kchi.Permutation((1.5, 2)),
+    "dk_immanant of a huge partition": lambda: kchi.dk_immanant(
+        Partition((HUGE,)), EYE3, []
+    ),
+}
+
+# Each input is valid but past a documented size cap.
+OVERSIZED_CALLS = {
+    "build_symmetry_class with a huge n": lambda: kchi.build_symmetry_class(
+        Partition((2, 1)), HUGE
+    ),
+    "char_table of a huge m": lambda: kchi.char_table(HUGE),
+    "partitions_of a huge m": lambda: kchi.partitions_of(HUGE),
+    "immanant of a huge partition": lambda: kchi.immanant(Partition((HUGE,)), EYE3),
 }
 
 
@@ -166,4 +208,10 @@ def test_bad_input_raises_only_package_errors(call):
     # sizes are checked before any draw.  Each is a bad argument, so each
     # is a DomainError.
     with pytest.raises(kchi.DomainError):
+        call()
+
+
+@pytest.mark.parametrize("call", OVERSIZED_CALLS.values(), ids=OVERSIZED_CALLS.keys())
+def test_oversized_input_raises_a_resource_error(call):
+    with pytest.raises(kchi.ResourceError):
         call()

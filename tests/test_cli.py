@@ -384,6 +384,15 @@ def test_an_oversized_n_exits_three_before_the_operator_is_drawn(capsys, monkeyp
     assert err.startswith("kchi: ") and err.count("\n") == 1
 
 
+def test_a_2000_digit_n_exits_three_with_one_line(capsys):
+    # n^m then has 6000 digits, past Python's limit for printing an int, so
+    # the cap's message names its size rather than its digits.
+    code, out, err = run_cli(capsys, ["norm", "--chi", "2,1", "--n", "9" * 2000, "--k", "1"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("kchi: ") and err.count("\n") == 1
+
+
 def test_wrong_shape_matrix_is_a_domain_error(capsys, tmp_path):
     path = write_matrix(tmp_path / "a.json", np.eye(3))
     code, _, _ = run_cli(

@@ -639,6 +639,28 @@ def test_perturbation_bound_dominates_immanant_changes():
                 assert np.isclose(change, bound, rtol=1e-12), (chi.parts, delta)
 
 
+def test_perturbation_bound_is_attained_by_the_operator():
+    # With t = p w* (polar), K_chi(t + delta w*) - K_chi(t) is
+    # (K_chi(p + delta I) - K_chi(p)) K_chi(w*), K_chi(w*) is unitary, and
+    # K_chi(p + delta I) and K_chi(p) share their eigenvectors, so the
+    # change's norm is the largest prod(nu_alpha + delta) - prod(nu_alpha),
+    # the bound at nu_omega(chi): equality on every class with m <= n <= 4.
+    worst = 0.0
+    for n in range(1, 5):
+        rng = sample_rng(37, n)
+        for m in range(1, n + 1):
+            for chi in partitions_of(m):
+                sc = build_symmetry_class(chi, n)
+                for _ in range(3):
+                    t = random_matrix(n, rng)
+                    w_star = polar(t)[1].conj().T
+                    for delta in (0.01, 0.1, 1.0):
+                        bound = perturbation_bounds(chi, singular_values(t), delta)
+                        change = k_chi_matrix(sc, t + delta * w_star) - k_chi_matrix(sc, t)
+                        worst = max(worst, abs(spectral_norm(change) - bound) / bound)
+    assert worst <= 1e-12
+
+
 def test_perturbation_bounds_validation():
     with pytest.raises(DomainError):
         perturbation_bounds(Partition((2,)), (1.0, 1.0), -0.5)

@@ -318,18 +318,21 @@ def dense_product_class(sc):
     # the dual, and it ends in Y_t = B_t M_W and [Y_1 ... Y_f] times the
     # block-diagonal B^-1 of all orbits, with D_t and B_t the row and column
     # blocks of that B^-1 and of its inverse.
+    # The copy column z of translate t is column t * width + z of
+    # [Y_1 ... Y_f], so the dense block's z is every copy column in order.
     blocks = sc.orbit_blocks
     positions = np.arange(sc.n**sc.m)
-    copy = np.zeros((sc.n**sc.m, sum(b.rows.shape[1] * b.copy.shape[1] for b in blocks)))
+    tableaux = kchi.symclass._young_symmetrizer(sc.chi)[1]
+    f, width = len(tableaux), sc.dim // len(tableaux)
+    copy = np.zeros((sc.n**sc.m, width))
     binv = np.zeros((sc.dim, sc.dim))
     for b in blocks:
-        copy[b.rows[:, :, None], b.ycols[: b.copy.shape[1]].T] = b.copy[:, None, :]
-        binv[b.ycols[:, None, :], b.at[None, :, :]] = b.binv[:, :, None]
+        copy[b.rows[:, :, None], b.z.T] = b.copy[:, None, :]
+        ycols = (np.arange(f)[:, None, None] * width + b.z).reshape(-1, b.z.shape[1])
+        binv[ycols[:, None, :], b.at[None, :, :]] = b.binv[:, :, None]
     # (P(sigma) x)[beta] = x[beta o sigma], on every multi-index beta.
     words = np.stack(np.unravel_index(positions, (sc.n,) * sc.m), axis=-1)
-    tableaux = kchi.symclass._young_symmetrizer(sc.chi)[1]
     perms = np.eye(len(positions))[kchi.symclass._encode(words[:, tableaux] + 1, sc.n).T]
-    f, width = len(tableaux), copy.shape[1]
     block = kchi.symclass._OrbitBlock(
         rows=positions[:, None],
         cols=np.sort(np.concatenate([b.rows[b.cols] for b in blocks], axis=None)),
@@ -337,7 +340,7 @@ def dense_product_class(sc):
         ortho_t=sc.inclusion.T.copy(),
         coeffs=sc.basis_b,
         copy=copy,
-        ycols=np.arange(sc.dim)[:, None],
+        z=np.arange(width)[:, None],
         binv=binv,
         dual=binv.reshape(f, width, sc.dim) @ sc.inclusion.T @ perms,
         frame=np.linalg.inv(binv).reshape(sc.dim, f, width).transpose(1, 0, 2),
@@ -426,17 +429,18 @@ def test_the_copy_route_matches_the_per_arrangement_sum(chi, n):
 def test_one_dimensional_characters_run_on_v_itself(chi, n):
     # f^chi = 1 for (m) and (1^m): the one copy is the whole class, so the
     # kernel's one chain starts from V itself, with the identity as the
-    # only tableau, and B = B^-1 = [[1.0]] leave the bits of V.T A V as
-    # they are.
+    # only tableau, each orbit's copy column is its basis column, and
+    # B = B^-1 = [[1.0]] make the lift return M_W with its bits.
     sc = build_symmetry_class(chi, n)
     assert np.array_equal(kchi.symclass._copy_columns(sc), sc.inclusion)
     for block in sc.orbit_blocks:
-        assert len(block.frame) == 1
+        assert np.array_equal(block.z, block.at)
         assert np.array_equal(block.binv, np.ones((1, 1)))
         assert np.array_equal(block.frame, np.ones((1, 1, 1)))
-    rng = sample_rng(21, 0)
-    ys = rng.standard_normal((2, sc.dim, 1, sc.dim, 2)).view(np.complex128)[..., 0]
-    assert np.array_equal(kchi.symclass._undo_translates(sc, ys.copy()), ys[:, :, 0])
+    # M_W as the partial trace leaves it: rows, samples, (re, im) columns.
+    m_w = sample_rng(21, 0).standard_normal((sc.dim, 2, 2 * sc.dim))
+    want = m_w.view(np.complex128).transpose(1, 0, 2).copy()
+    assert np.array_equal(kchi.symclass._lift(sc, m_w), want)
 
 
 def test_the_tensor_evaluates_only_sorted_unit_tuples(monkeypatch):
