@@ -233,6 +233,14 @@ def _top_singular_values(gram: np.ndarray, exponent: np.ndarray) -> np.ndarray:
     return _checked("spectral norm", tops)
 
 
+def _spectral_norms(stack: np.ndarray) -> np.ndarray:
+    # The top singular value of each matrix of an (S, r, c) stack, with
+    # spectral_norm's bits for each: the same scaling by _peak_exponents,
+    # Gram matrix and eigensolver, one batched call of each.
+    exponent = _peak_exponents(stack)
+    return _top_singular_values(_gram(stack * np.ldexp(1.0, -exponent)[:, None, None]), exponent)
+
+
 # Relative slack on the Gram bound of _largest_spectral_norm.  Its rounding
 # error, and the eigensolver's on a top singular value, are a few hundred
 # ulps at every dimension the package reaches, far inside it.

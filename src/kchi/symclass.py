@@ -459,9 +459,12 @@ def _dual_product(sc: SymmetryClass, w: np.ndarray, ts: list[int], m_w: np.ndarr
     # (width, orbit size) ``dual[t]``, so the sum is one gather of its
     # orbits' rows and one real GEMM with the summed duals, on interleaved
     # (re, im) entries, with the orbits, samples and columns side by side.
+    # A chain of one tableau, as every chain is at f^chi = 1, reads its dual
+    # as a view.
     flat = w.view(np.float64).swapaxes(0, 1)
     for b in sc.orbit_blocks:
-        part = b.dual[ts].sum(axis=0) @ flat[b.rows].reshape(len(b.rows), -1)
+        dual = b.dual[ts[0]] if len(ts) == 1 else b.dual[ts].sum(axis=0)
+        part = dual @ flat[b.rows].reshape(len(b.rows), -1)
         m_w[b.z] += part.reshape(b.z.shape + m_w.shape[1:])
 
 

@@ -53,11 +53,14 @@ def character(lam: Partition, rho: Partition) -> int:
         raise DomainError(
             f"shape {lam} and cycle type {rho} partition different numbers"
         )
-    if lam.size > MAX_CHARACTER_DEGREE:
-        raise ResourceError(
-            f"character values capped at m <= {MAX_CHARACTER_DEGREE}, got m={_shown(lam.size)}"
-        )
+    _check_degree(lam.size, "character values")
     return _mn_character(lam.parts, rho.parts)
+
+
+def _check_degree(m: int, what: str) -> None:
+    # The cap on m, checked before any work that grows with m.
+    if m > MAX_CHARACTER_DEGREE:
+        raise ResourceError(f"{what} capped at m <= {MAX_CHARACTER_DEGREE}, got m={_shown(m)}")
 
 
 @cache
@@ -85,13 +88,15 @@ def _mn_character(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
 def degree(lam: Partition) -> int:
     """chi_lambda(id), the dimension of the irreducible representation."""
     _check_type(Partition, lam)
+    _check_degree(lam.size, "degrees")
     return character(lam, Partition((1,) * lam.size))
 
 
 def class_size(rho: Partition) -> int:
-    """Number of permutations in S_m with cycle type rho."""
+    """Number of permutations in S_m with cycle type rho, for m <= MAX_CHARACTER_DEGREE."""
     _check_type(Partition, rho)
     m = rho.size
+    _check_degree(m, "class sizes")
     centralizer = 1
     for part, count in _part_multiplicities(rho.parts):
         centralizer *= part**count * math.factorial(count)
@@ -133,10 +138,7 @@ def char_table(m: int) -> CharTable:
     m = _integer(m, "m")
     if m < 1:
         raise DomainError(f"m must be positive, got {_shown(m)}")
-    if m > MAX_CHARACTER_DEGREE:
-        raise ResourceError(
-            f"character tables capped at m <= {MAX_CHARACTER_DEGREE}, got {_shown(m)}"
-        )
+    _check_degree(m, "character tables")
     parts = partitions_of(m)
     values = tuple(
         tuple(character(lam, rho) for rho in parts) for lam in parts

@@ -8,9 +8,13 @@ enumeration, hook lengths).  Beyond ``max_n`` the scope is fixed; the
 sample counts ``SUP_TUPLES``, ``SUP_DRAWS``, ``FD_CASES``,
 ``IMMANANT_TUPLES``, ``SLACK_SAMPLES`` and ``PERTURBATIONS`` are module
 constants.  A criterion's i-th random draw reads ``sample_rng(seed, i)``.
-``run_verify`` runs all areas and folds the rows into one JSON-ready
-report.  Reports contain only deterministic values, so a rerun with the
-same arguments and seed is byte-identical.
+A criterion first reads its draws in that order and then evaluates each
+(class, k) group of them as one stack: one call of the class kernel
+(``symclass._dk_stack``) and one batched spectral norm per group, each
+sample's norm with ``spectral_norm``'s bits.  ``run_verify`` runs all
+areas and folds the rows into one JSON-ready report.  Reports contain only
+deterministic values, so a rerun with the same arguments and seed is
+byte-identical.
 """
 
 from __future__ import annotations
@@ -30,17 +34,16 @@ from .combinat import (
     multiplicity_partition,
     partitions_of,
 )
-from .denselin import hermitian_eigenvalues, polar, singular_values, spectral_norm
+from .denselin import _spectral_norms, hermitian_eigenvalues, polar, singular_values
 from .errors import DomainError
 from .norms import (
+    _dk_immanant_raw,
     _dk_norm_sup,
     _immanant_sup,
     _relative_error,
-    dk_immanant,
     dk_immanant_bound,
     dk_kchi_via_immanants,
     dk_norm_formula,
-    immanant,
     lambda_eigenvalue,
     nu_omega,
     perturbation_bounds,
@@ -48,7 +51,7 @@ from .norms import (
     random_unit_matrix,
     sample_rng,
 )
-from .symclass import SymmetryClass, build_symmetry_class, dk_kchi, k_chi_matrix
+from .symclass import SymmetryClass, _dk_stack, build_symmetry_class
 from .symgroup import (
     char_table,
     character,
@@ -155,6 +158,24 @@ def _draws(seed: int):
         yield sample_rng(seed, index)
 
 
+def _polar_draws(rngs, n: int):
+    # A random operator T from each generator: the singular values of each,
+    # and the (S, n, n) stack of their PSD polar factors.
+    nus, ps = [], []
+    for rng in rngs:
+        t = random_matrix(n, rng)
+        nus.append(singular_values(t))
+        ps.append(polar(t)[0])
+    return nus, np.array(ps)
+
+
+def _at_identity(sc: SymmetryClass, ps: np.ndarray, k: int) -> np.ndarray:
+    # D^k K_chi(P)(I, ..., I) at each P of an (S, n, n) stack, as
+    # (S, dim, dim); at k = m it does not depend on P and is evaluated once.
+    values = _dk_stack(sc, ps, [np.eye(sc.n, dtype=np.complex128)] * k)
+    return np.broadcast_to(values, (len(ps),) + values.shape[1:])
+
+
 def _characters(m: int, n: int) -> list[Partition]:
     # The characters of S_m whose symmetry class on C^n is nonzero.
     return [chi for chi in partitions_of(m) if chi.length <= n]
@@ -179,22 +200,18 @@ def check_norm_identity(seed: int = 0, max_n: int = 4) -> list[CheckResult]:
     draws = _draws(seed)
     for m, n, chi in _classes(top, top, min_m=2):
         sc = build_symmetry_class(chi, n)
-        eye = np.eye(n, dtype=np.complex128)
-        worst = {k: 0.0 for k in range(1, m + 1)}
-        for rng in itertools.islice(draws, 20):
-            t = random_matrix(n, rng)
-            nu = singular_values(t)
-            p, _ = polar(t)
-            for k in range(1, m + 1):
-                observed = spectral_norm(dk_kchi(sc, p, [eye] * k))
-                expected = dk_norm_formula(chi, k, nu, n=n)
-                worst[k] = max(worst[k], _relative_error(observed, expected))
+        nus, ps = _polar_draws(itertools.islice(draws, 20), n)
         for k in range(1, m + 1):
+            observed = _spectral_norms(_at_identity(sc, ps, k))
+            worst = max(
+                _relative_error(value, dk_norm_formula(chi, k, nu, n=n))
+                for value, nu in zip(observed, nus)
+            )
             results.append(
                 _at_most(
                     "derivative norm equals closed formula",
                     {"chi": list(chi.parts), "n": n, "k": k, "draws": 20},
-                    worst[k], 1e-7, "relative error",
+                    worst, 1e-7, "relative error",
                 )
             )
     return results
@@ -260,7 +277,8 @@ def check_sup_attainment(seed: int = 0, max_n: int = 4) -> list[CheckResult]:
     Random unit-norm direction tuples stay below the formula, while the
     inverse unitary polar factor attains it, at each configured (n, m, k)
     of SUP_CONFIGS: SUP_DRAWS base points per class, each followed on its
-    own generator by SUP_TUPLES tuples.
+    own generator by SUP_TUPLES tuples.  The attained values of a class are
+    evaluated as one stack once its suprema are sampled.
     """
     results = []
     draws = _draws(seed)
@@ -270,16 +288,18 @@ def check_sup_attainment(seed: int = 0, max_n: int = 4) -> list[CheckResult]:
         for chi in _characters(m, n):
             sc = build_symmetry_class(chi, n)
             excess = -math.inf
-            attain_err = 0.0
+            ts, formulas = [], []
             for rng in itertools.islice(draws, SUP_DRAWS):
                 t = random_matrix(n, rng)
-                nu = singular_values(t)
-                formula = dk_norm_formula(chi, k, nu, n=n)
-                _, w = polar(t)
-                attained = spectral_norm(dk_kchi(sc, t, [w.conj().T] * k))
-                attain_err = max(attain_err, _relative_error(attained, formula))
+                formula = dk_norm_formula(chi, k, singular_values(t), n=n)
                 sup = _dk_norm_sup(sc, t, k, SUP_TUPLES, rng)
                 excess = max(excess, sup - formula)
+                ts.append(t)
+                formulas.append(formula)
+            ts = np.array(ts)
+            ws = np.array([polar(t)[1] for t in ts])
+            attained = _spectral_norms(_dk_stack(sc, ts, [ws.conj().swapaxes(1, 2)] * k))
+            attain_err = max(map(_relative_error, attained, formulas))
             params = {"chi": list(chi.parts), "n": n, "k": k, "draws": SUP_DRAWS}
             results += [
                 _at_most(
@@ -296,21 +316,32 @@ def check_sup_attainment(seed: int = 0, max_n: int = 4) -> list[CheckResult]:
     return results
 
 
+def _k_chi_stacks(sc: SymmetryClass, points) -> np.ndarray:
+    # K_chi at every sample of a list of equal (S, n, n) stacks, in one
+    # kernel call, as (len(points), S, dim, dim).
+    values = _dk_stack(sc, np.concatenate(points), [])
+    return values.reshape(len(points), -1, sc.dim, sc.dim)
+
+
 def _fd_derivative(sc: SymmetryClass, t: np.ndarray, xs, step: float) -> np.ndarray:
-    # Central differences of the induced-operator map, one direction at a
-    # time: order 1 uses two evaluations, order 2 uses the four-point
-    # mixed stencil.
+    # Central differences of the induced-operator map on (S, n, n) stacks of
+    # base points and directions, one direction at a time: order 1 uses two
+    # evaluations, order 2 uses the four-point mixed stencil.
     if len(xs) == 1:
         (x,) = xs
-        plus = k_chi_matrix(sc, t + step * x)
-        minus = k_chi_matrix(sc, t - step * x)
+        plus, minus = _k_chi_stacks(sc, [t + step * x, t - step * x])
         return (plus - minus) / (2.0 * step)
     if len(xs) == 2:
         x, y = xs
-        pp = k_chi_matrix(sc, t + step * x + step * y)
-        pm = k_chi_matrix(sc, t + step * x - step * y)
-        mp = k_chi_matrix(sc, t - step * x + step * y)
-        mm = k_chi_matrix(sc, t - step * x - step * y)
+        pp, pm, mp, mm = _k_chi_stacks(
+            sc,
+            [
+                t + step * x + step * y,
+                t + step * x - step * y,
+                t - step * x + step * y,
+                t - step * x - step * y,
+            ],
+        )
         return (pp - pm - mp + mm) / (4.0 * step * step)
     raise DomainError(f"finite differences implemented for orders 1 and 2, got {len(xs)}")
 
@@ -327,13 +358,14 @@ def check_finite_differences(seed: int = 0, max_n: int = 4) -> list[CheckResult]
     for chi in partitions_of(size):
         sc = build_symmetry_class(chi, size)
         for k in (1, 2):
-            worst = 0.0
+            ts, xs = [], []
             for rng in itertools.islice(draws, FD_CASES):
-                t = random_matrix(size, rng)
-                xs = [random_unit_matrix(size, rng) for _ in range(k)]
-                algebraic = dk_kchi(sc, t, xs)
-                numeric = _fd_derivative(sc, t, xs, FD_STEP)
-                worst = max(worst, _relative_error(numeric, algebraic))
+                ts.append(random_matrix(size, rng))
+                xs.append([random_unit_matrix(size, rng) for _ in range(k)])
+            ts, xs = np.array(ts), list(np.array(xs).swapaxes(0, 1))
+            algebraic = _dk_stack(sc, ts, xs)
+            numeric = _fd_derivative(sc, ts, xs, FD_STEP)
+            worst = max(map(_relative_error, numeric, algebraic))
             results.append(
                 _at_most(
                     "finite differences confirm the derivative",
@@ -355,14 +387,10 @@ def check_spectrum(seed: int = 0, max_n: int = 4) -> list[CheckResult]:
     draws = _draws(seed)
     for m, n, chi in _classes(top, top):
         sc = build_symmetry_class(chi, n)
-        eye = np.eye(n, dtype=np.complex128)
+        nus, ps = _polar_draws(itertools.islice(draws, 3), n)
         worst = 0.0
-        for rng in itertools.islice(draws, 3):
-            t = random_matrix(n, rng)
-            nu = singular_values(t)
-            p, _ = polar(t)
-            for k in range(1, m + 1):
-                mat = dk_kchi(sc, p, [eye] * k)
+        for k in range(1, m + 1):
+            for mat, nu in zip(_at_identity(sc, ps, k), nus):
                 got = np.sort(hermitian_eigenvalues(mat))
                 want = np.sort([lambda_eigenvalue(a, k, nu) for a in sc.delta_hat])
                 worst = max(worst, float(np.max(np.abs(got - want))))
@@ -420,12 +448,12 @@ def check_power_factorization(seed: int = 0, max_n: int = 4) -> list[CheckResult
             continue
         for chi in _characters(m, n):
             sc = build_symmetry_class(chi, n)
-            worst = 0.0
-            for rng in itertools.islice(draws, 20):
-                a = random_matrix(n, rng)
-                direct = k_chi_matrix(sc, a)
-                via = dk_kchi_via_immanants(sc, a, [])
-                worst = max(worst, _relative_error(via, direct))
+            mats = np.array([random_matrix(n, rng) for rng in itertools.islice(draws, 20)])
+            direct = _dk_stack(sc, mats, [])
+            worst = max(
+                _relative_error(dk_kchi_via_immanants(sc, a, []), value)
+                for a, value in zip(mats, direct)
+            )
             results.append(
                 _at_most(
                     "power map factors through immanants",
@@ -486,6 +514,7 @@ def check_taylor_perturbation(seed: int = 0, max_n: int = 4) -> list[CheckResult
     Both polynomial maps must rebuild exactly from their derivatives, and the
     perturbation bound, times chi(1) for the immanant, must dominate actual
     differences over PERTURBATIONS draws at perturbation norms 0.01, 0.1, 1.
+    The perturbations are evaluated one stack per character.
     """
     size = min(3, max_n)
     results = []
@@ -495,23 +524,19 @@ def check_taylor_perturbation(seed: int = 0, max_n: int = 4) -> list[CheckResult
 
     for chi in chis:
         sc = classes[chi]
-        worst_op = 0.0
-        worst_imm = 0.0
-        for rng in itertools.islice(draws, 5):
-            t = random_matrix(size, rng)
-            x = random_matrix(size, rng)
-            total = np.zeros((sc.dim, sc.dim), dtype=np.complex128)
-            for k in range(0, size + 1):
-                total += dk_kchi(sc, t, [x] * k) / math.factorial(k)
-            direct = k_chi_matrix(sc, t + x)
-            worst_op = max(worst_op, _relative_error(total, direct))
-            a = random_matrix(size, rng)
-            y = random_matrix(size, rng)
-            scalar = sum(
-                dk_immanant(chi, a, [y] * k) / math.factorial(k)
-                for k in range(0, size + 1)
-            )
-            worst_imm = max(worst_imm, _relative_error(scalar, immanant(chi, a + y)))
+        # Each draw reads t, x, a and y in turn.
+        drawn = [
+            [random_matrix(size, rng) for _ in range(4)] for rng in itertools.islice(draws, 5)
+        ]
+        t, x, a, y = map(np.array, zip(*drawn))
+        total = np.zeros((len(t), sc.dim, sc.dim), dtype=np.complex128)
+        for k in range(0, size + 1):
+            total += _dk_stack(sc, t, [x] * k) / math.factorial(k)
+        scalar = sum(
+            _dk_immanant_raw(chi, a, [y] * k) / math.factorial(k) for k in range(0, size + 1)
+        )
+        worst_op = max(map(_relative_error, total, _dk_stack(sc, t + x, [])))
+        worst_imm = max(map(_relative_error, scalar, _dk_immanant_raw(chi, a + y, [])))
         params = {"chi": list(chi.parts), "n": size, "draws": 5}
         results += [
             _at_most(
@@ -523,23 +548,26 @@ def check_taylor_perturbation(seed: int = 0, max_n: int = 4) -> list[CheckResult
         ]
 
     deltas = (0.01, 0.1, 1.0)
-    worst_op_violation = -math.inf
-    worst_imm_violation = -math.inf
+    groups: dict[Partition, list] = {}
     for i, rng in enumerate(itertools.islice(draws, PERTURBATIONS)):
         delta = deltas[i % len(deltas)]
         chi = chis[i % len(chis)]
-        sc = classes[chi]
         t = random_matrix(size, rng)
         x = delta * random_unit_matrix(size, rng)
-        nu = singular_values(t)
-        bound = perturbation_bounds(chi, nu, delta)
-        actual_op = spectral_norm(k_chi_matrix(sc, t + x) - k_chi_matrix(sc, t))
-        worst_op_violation = max(worst_op_violation, actual_op - bound)
+        bound = perturbation_bounds(chi, singular_values(t), delta)
         a = random_matrix(size, rng)
         y = delta * random_unit_matrix(size, rng)
         bound_imm = degree(chi) * perturbation_bounds(chi, singular_values(a), delta)
-        actual_imm = abs(immanant(chi, a + y) - immanant(chi, a))
-        worst_imm_violation = max(worst_imm_violation, actual_imm - bound_imm)
+        groups.setdefault(chi, []).append((t, x, a, y, bound, bound_imm))
+    worst_op_violation = -math.inf
+    worst_imm_violation = -math.inf
+    for chi, group in groups.items():
+        t, x, a, y, bound, bound_imm = map(np.array, zip(*group))
+        sc = classes[chi]
+        actual_op = _spectral_norms(_dk_stack(sc, t + x, []) - _dk_stack(sc, t, []))
+        worst_op_violation = max(worst_op_violation, float(np.max(actual_op - bound)))
+        actual_imm = np.abs(_dk_immanant_raw(chi, a + y, []) - _dk_immanant_raw(chi, a, []))
+        worst_imm_violation = max(worst_imm_violation, float(np.max(actual_imm - bound_imm)))
     params = {"n": size, "perturbations": PERTURBATIONS, "deltas": list(deltas)}
     return results + [
         _at_most(

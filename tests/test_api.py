@@ -199,6 +199,8 @@ OVERSIZED_CALLS = {
     "char_table of a huge m": lambda: kchi.char_table(HUGE),
     "partitions_of a huge m": lambda: kchi.partitions_of(HUGE),
     "immanant of a huge partition": lambda: kchi.immanant(Partition((HUGE,)), EYE3),
+    "degree of a huge partition": lambda: kchi.degree(Partition((HUGE,))),
+    "class_size of a huge partition": lambda: kchi.class_size(Partition((HUGE,))),
 }
 
 

@@ -23,7 +23,7 @@ from kchi import (
     svd,
 )
 import kchi.denselin
-from kchi.denselin import _largest_spectral_norm
+from kchi.denselin import _largest_spectral_norm, _spectral_norms
 
 RECON_TOL = 1e-10
 ORACLE_TOL = 1e-9
@@ -281,6 +281,23 @@ def test_largest_spectral_norm_equals_the_full_svd_maximum(case):
     assert _largest_spectral_norm(stack, floor) == max(
         floor, *(spectral_norm(x) for x in stack)
     )
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(floored_stacks())
+def test_spectral_norms_are_each_samples_spectral_norm(case):
+    stack, _ = case
+    want = [spectral_norm(x) for x in stack]
+    assert np.array_equal(_spectral_norms(stack), want)
+    wide = stack[:, :1]
+    assert np.array_equal(_spectral_norms(wide), [spectral_norm(x) for x in wide])
+
+
+def test_spectral_norms_of_a_stack_holding_nan_is_a_numeric_error():
+    stack = random_complex(np.random.default_rng(53), 3 * 4, 4).reshape(3, 4, 4)
+    stack[1, 2, 0] = np.nan
+    with pytest.raises(NumericError, match="spectral norm"):
+        _spectral_norms(stack)
 
 
 def spy(monkeypatch, name):

@@ -818,14 +818,15 @@ def test_tensor_route_stays_within_the_byte_budget(monkeypatch, budget):
 
 def test_sup_criterion_runs_the_kernel_on_matrix_units_only(monkeypatch):
     # Per base point the supremum criterion may call the kernel only to
-    # build the derivative tensor, ceil(n^{2k} / chunk) times, and once for
-    # the attaining directions; evaluating the 200 drawn tuples per chunk
-    # through the kernel would take ceil(200 / 64) + 1 = 5 calls.
+    # build the derivative tensor, ceil(n^{2k} / chunk) times, and per class
+    # once more, on the stack of its base points, for the attaining
+    # directions; evaluating the 200 drawn tuples per chunk through the
+    # kernel would take ceil(200 / 64) = 4 calls per base point.
     calls = collections.Counter()
     compress = kchi.symclass._compress
 
     def counting_compress(sc, mats, *factor):
-        calls[sc.chi, sc.n, mats[0].tobytes()] += 1
+        calls[sc.chi, sc.n, mats[0].shape, mats[0].tobytes()] += 1
         return compress(sc, mats, *factor)
 
     monkeypatch.setattr(kchi.symclass, "_compress", counting_compress)
@@ -834,14 +835,20 @@ def test_sup_criterion_runs_the_kernel_on_matrix_units_only(monkeypatch):
     results = kchi.verify.check_sup_attainment(seed=0, max_n=3)
     assert all(r.passed for r in results)
     monkeypatch.undo()
-    classes = collections.Counter()
-    for (chi, n, _), count in calls.items():
+    base_points = collections.Counter()
+    stacked = collections.Counter()
+    for (chi, n, shape, _), count in calls.items():
+        if shape == (2, n, n):
+            stacked[chi, n] += count
+            continue
+        assert shape == (n, n)
         m, k = next((m, k) for nn, m, k in kchi.verify.SUP_CONFIGS if nn == n and m == chi.size)
         sc = build_symmetry_class(chi, n)
         chunk = _sample_chunk(16 * n**m * sc.dim)
-        assert count <= math.ceil(n ** (2 * k) / chunk) + 1
-        classes[chi, n] += 1
-    assert len(classes) == 5 and set(classes.values()) == {2}
+        assert count <= math.ceil(n ** (2 * k) / chunk)
+        base_points[chi, n] += 1
+    assert len(base_points) == 5 and set(base_points.values()) == {2}
+    assert stacked == dict.fromkeys(base_points, 1)
 
 
 @pytest.mark.parametrize(
