@@ -252,10 +252,12 @@ def _largest_spectral_norm(stack: np.ndarray, floor: float) -> float:
 
     The value has the bits of ``max(floor, spectral_norm(x) for x in
     stack)``.  A third of the samples at a time is scaled by
-    _peak_exponents and its Gram matrices ``G = X* X`` built once.  Once the
-    running best is positive, a sample whose upper bound
-    ``||G^2||_F^{1/4}`` on its top singular value, widened by _GRAM_MARGIN,
-    stays below it cannot raise it; the others reach the eigensolver.
+    _peak_exponents and its Gram matrices ``G = X* X`` built once.  A
+    sample whose upper bound ``||G^2||_F^{1/4}`` on its top singular value,
+    widened by _GRAM_MARGIN, stays below a positive running best cannot
+    raise it; the others reach the eigensolver.  A third of several samples
+    with no positive best yet takes one first, the sample of the largest
+    bound.
     """
     exponent = _peak_exponents(stack)
     scale = np.ldexp(1.0, -exponent)[:, None, None]
@@ -264,9 +266,14 @@ def _largest_spectral_norm(stack: np.ndarray, floor: float) -> float:
     for lo in range(0, len(stack), step):
         block = slice(lo, lo + step)
         gram, powers = _gram(stack[block] * scale[block]), exponent[block]
-        if best > 0:
+        if best > 0 or len(gram) > 1:
+            bounds = _upper_bounds(gram, powers)
+            keep = np.ones(len(gram), dtype=bool)
+            if not best > 0:
+                keep[np.argmax(bounds)] = False
+                best = max(best, float(_top_singular_values(gram[~keep], powers[~keep])[0]))
             # "Not below" rather than "at least", so a NaN sample is kept.
-            keep = ~(_upper_bounds(gram, powers) < best)
+            keep &= ~(bounds < best)
             gram, powers = gram[keep], powers[keep]
         if len(gram):
             best = max(best, float(np.max(_top_singular_values(gram, powers))))

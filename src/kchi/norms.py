@@ -27,7 +27,7 @@ from .combinat import _shown
 from .denselin import _checked, _distinct_factors, _largest_spectral_norm, _require_finite
 from .denselin import _matrices, as_matrix, polar, singular_values, spectral_norm
 from .errors import DomainError, NumericError, ResourceError
-from .symclass import SymmetryClass, _dk_stack, _operators
+from .symclass import SymmetryClass, _dk_copy, _operators
 from .symclass import build_symmetry_class, dk_kchi
 from .symgroup import _permutation_characters, degree
 
@@ -61,30 +61,33 @@ MAX_MIXED_SIZE = 6
 
 REPORT_TOL = 1e-7
 
-# Random unit tuples are drawn and evaluated at most SAMPLE_CHUNK at a
-# time, so the sampling verifiers' memory does not grow with the sample
-# count, and only as many as keep the largest per-chunk array within
-# SAMPLE_CHUNK_BYTES, so it does not grow with the class either.  In the
-# compression kernel that is 16 n^m dim bytes per tuple, which bounds its
-# (S, dim, dim) translates and output (dim <= n^m) and each of its states,
-# (S, n^m, dim / f^chi) complex, of which it holds at most three: the copy
-# columns V Z, a tableau chain's state and its next axis product.  The
-# immanant sum keeps all it holds at once within SAMPLE_CHUNK_BYTES: its
-# live (S, n!) complex states, a product and its gathered entries (see
-# _immanant_sup).  A class too large for two tuples is evaluated one tuple
-# at a time.  Every class `run_verify` samples, and the (2,1)/4
-# `kchi norm`, has n^m * dim at most 2560 and gets the full chunk.  A
-# derivative supremum that contracts each chunk against the base
-# point's (n^{2k}, dim^2) tensor (see _dk_norm_sup) keeps the same chunks,
-# and takes that route only when the tensor and a chunk's (S, n^{2k}) outer
-# products also fit SAMPLE_CHUNK_BYTES.  Reducing a chunk's (S, dim, dim)
-# values to their largest spectral norm takes about one more array of that
-# size (denselin._largest_spectral_norm), less than a state since dim <= n^m.
-SAMPLE_CHUNK = 64
-SAMPLE_CHUNK_BYTES = 1 << 22
-# A supremum whose samples pass more than this through that array in all is
-# refused: at the 1e7 to 1e8 B/s both routes reach on a 2-CPU box, 16 GiB
-# is 3 to 30 minutes.  100 samples of (2,1,1)/8 at the cap take 7.4 GB.
+# Random unit tuples are drawn and evaluated a chunk at a time, each of as
+# many tuples as keep all the arrays the chunk holds at once within
+# SAMPLE_CHUNK_BYTES, and at least one, so a supremum's memory grows
+# neither with the sample count nor, beyond one tuple, with the class (see
+# _sampled_max).  A tuple's draw holds about seven arrays of the size of
+# its k directions, and then the directions stay beside its evaluation.  A
+# derivative supremum evaluates and norms each sample on the kernel's one
+# Schur-module copy (symclass._dk_copy), (w, w) with w = dim / f^chi, and a
+# tuple holds two such complex arrays: its value and, a third of the chunk
+# at a time, the norm's scaled copy, Gram matrix and Gram square
+# (denselin._largest_spectral_norm).  Through the kernel a tuple also holds
+# three (n^m, w) complex states (see symclass._compress; the copy columns
+# V Z are the class's).  A supremum over more tuples than its n^{2k}
+# matrix-unit tuples contracts each chunk against the base point's
+# (n^{2k}, w^2) tensor instead (see _dk_norm_sup): a tuple then holds at
+# most two rows of (n^{2k}) outer products beside the tensor, and the route
+# is taken only when the tensor and the values it is gathered from fit the
+# budget.  The immanant sum holds, per tuple, its live (n!) complex states,
+# a product and its gathered entries (see _immanant_sup).  Every class
+# `run_verify` samples takes the tensor route, in chunks of 150 to 1000
+# tuples at n = 3 and of 69 at n = 4; (3,1) on C^6 is evaluated one tuple
+# at a time.
+SAMPLE_CHUNK_BYTES = 1 << 20
+# A supremum whose samples pass more than this through their largest
+# per-tuple array in all is refused: at the 1e7 to 1e8 B/s both routes
+# reach on a 2-CPU box, 16 GiB is 3 to 30 minutes.  100 samples of
+# (2,1,1)/8 at the cap take 2.5 GB through the kernel's (n^m, w) state.
 SAMPLE_BUDGET_BYTES = 1 << 34
 
 
@@ -264,24 +267,96 @@ def random_unit_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed random unitary n x n matrix, of spectral norm one."""
     n = _positive_size(n)
     _check_type(np.random.Generator, rng)
-    return _unit_stack(n, 1, rng, 1)[0, 0]
+    return _haar_units(rng.standard_normal((2, n, n)))
 
 
 def _unit_stack(n: int, k: int, rng: np.random.Generator, count: int) -> np.ndarray:
     # count Haar unitary k-tuples from rng, as one (count, k, n, n) stack
-    # equal to count * k random_unit_matrix calls on rng.  Q of each complex
-    # Gaussian's QR, its columns times the phases of R's diagonal, is Haar
-    # distributed (Mezzadri, Notices AMS 54, 2007); a zero pivot's phase is
-    # 1, so no draw is rejected.
-    normals = rng.standard_normal((count, k, 2, n, n))
-    q, r = np.linalg.qr(normals[:, :, 0] + 1j * normals[:, :, 1])
-    return q * np.exp(1j * np.angle(np.diagonal(r, axis1=-2, axis2=-1)))[..., None, :]
+    # equal to count * k random_unit_matrix calls on rng.
+    return _haar_units(rng.standard_normal((count, k, 2, n, n)))
 
 
-def _sample_chunk(tuple_bytes: int) -> int:
-    # Tuples per chunk when one tuple's largest working array takes
-    # ``tuple_bytes``: SAMPLE_CHUNK, fewer for large arrays, at least one.
-    return max(1, min(SAMPLE_CHUNK, SAMPLE_CHUNK_BYTES // tuple_bytes))
+def _haar_units(normals: np.ndarray) -> np.ndarray:
+    # The unitaries of the complex Gaussians re + i im of a (..., 2, n, n)
+    # stack of normals (re, im), in its shape: Q of each one's QR, its
+    # columns times the phases of R's diagonal, is Haar distributed
+    # (Mezzadri, Notices AMS 54, 2007), and a zero pivot's phase is 1, so no
+    # draw is rejected.  All of them take one _householder call, on the
+    # normals with the matrices moved to the last axis.
+    n = normals.shape[-1]
+    flat = normals.reshape(-1, 2, n, n)
+    parts = _householder(np.moveaxis(flat, 0, -1).copy())
+    units = np.empty((len(flat), n, n), dtype=np.complex128)
+    units.real, units.imag = parts.transpose(0, 3, 1, 2)
+    return units.reshape(normals.shape[:-3] + (n, n))
+
+
+def _householder(a: np.ndarray) -> np.ndarray:
+    # Q D of the Householder QR A = Q R of each complex matrix of a stack,
+    # D the phases of R's diagonal, 1 at a zero pivot: a (2, n, n, B) array
+    # of (re, im) parts, rows, columns and matrices, overwritten with Q D.
+    # Column j x of the reduced A is reflected onto -e |x| e_j, e the phase
+    # of x_j (1 where x_j = 0), by H_j = I - tau v v*, v = x + e |x| e_j, so
+    # R_jj's phase is -e; where x_j is the column's only nonzero entry, or
+    # there is none, as in the last column, H_j = I and the phase is e.  R
+    # itself is not kept.  Every operation is a real elementwise one across
+    # the matrices, and each sum runs over the rows in order, so a matrix's
+    # bits do not depend on how many share the batch.
+    n = a.shape[1]
+    reflectors = []
+    for j in range(n):
+        x = a[:, j:, j]
+        squares = x[0] * x[0] + x[1] * x[1]
+        head = np.sqrt(squares[0])
+        phase = x[:, 0] / np.where(head > 0, head, np.inf)
+        phase[0] += head == 0
+        if j == n - 1:
+            reflectors.append((None, None, phase))
+            break
+        tail = squares[1]
+        for row in squares[2:]:
+            tail = tail + row
+        norm = np.sqrt(squares[0] + tail)
+        v = x.copy()
+        v[:, 0] += phase * norm
+        # 2 / |v|^2, as |v|^2 = (head + norm)^2 + tail = 2 norm (norm + head).
+        tau = 1.0 / np.where(tail > 0, norm * (norm + head), np.inf)
+        _reflect(v, tau, a[:, j:, j + 1 :])
+        reflectors.append((v, tau, np.where(tail > 0, -phase, phase)))
+    # Q D = H_1 (H_2 (... (H_n D))), the last reflector first: rows and
+    # columns j.. of H_{j+1} ... H_n D are D_jj (+) the rest, and the others
+    # are the identity's.
+    a[:] = 0.0
+    for j in range(n - 1, -1, -1):
+        v, tau, a[:, j, j] = reflectors[j]
+        if v is not None:
+            _reflect(v, tau, a[:, j:, j:])
+    return a
+
+
+def _reflect(v: np.ndarray, tau: np.ndarray, b: np.ndarray) -> None:
+    # b -= tau v (v* b) in place, for each matrix of (re, im) stacks: b is
+    # (2, rows, cols, B), v (2, rows, B) and tau (B,).  The complex products
+    # are summed from the real products of v's parts with b's.
+    re, im = v[:, :, None]
+    p, q = re * b, im * b
+    p[0] += q[1]
+    p[1] -= q[0]
+    dots = p[:, 0]
+    for row in range(1, p.shape[1]):
+        dots = dots + p[:, row]
+    dots *= tau
+    del p, q
+    p, q = re * dots[:, None], im * dots[:, None]
+    p[0] -= q[1]
+    p[1] += q[0]
+    b -= p
+
+
+def _sample_chunk(tuple_bytes: int, held: int = 0) -> int:
+    # Tuples per chunk when each tuple holds ``tuple_bytes`` at once beside
+    # ``held`` bytes: as many as fit SAMPLE_CHUNK_BYTES, at least one.
+    return max(1, (SAMPLE_CHUNK_BYTES - held) // tuple_bytes)
 
 
 def _check_samples(samples: int, tuple_bytes: int) -> int:
@@ -300,81 +375,108 @@ def _check_samples(samples: int, tuple_bytes: int) -> int:
 
 
 def _sampled_max(
-    reduce, n: int, k: int, samples: int, rng: np.random.Generator, chunk: int
+    reduce, n: int, k: int, samples: int, rng: np.random.Generator, tuple_bytes: int,
+    held: int = 0,
 ) -> float:
     # Largest value over ``samples`` random unit k-tuples of n x n matrices,
-    # read in order from rng ``chunk`` at a time, so the tuples do not
-    # depend on the chunk size.  ``reduce(xs, best)`` takes the k direction
-    # stacks (S, n, n) of one chunk and the largest value so far, and
-    # returns the largest value including the chunk's.
+    # read in order from rng a chunk at a time, so the tuples do not depend
+    # on the chunk size.  ``reduce(xs, best)`` takes the k direction stacks
+    # (S, n, n) of one chunk and the largest value so far, and returns the
+    # largest value including the chunk's.  A tuple holds its draw, about
+    # seven arrays of the size of its directions (_haar_units), and then its
+    # directions beside the ``tuple_bytes`` its evaluation holds; a chunk
+    # holds ``held`` more bytes besides (see SAMPLE_CHUNK_BYTES).
+    directions = 16 * k * n * n
+    chunk = _sample_chunk(max(7 * directions, directions + tuple_bytes), held)
     best = 0.0
     for lo in range(0, samples, chunk):
-        units = _unit_stack(n, k, rng, min(chunk, samples - lo))
-        best = reduce(list(units.swapaxes(0, 1)), best)
+        units = _unit_stack(n, k, rng, min(chunk, samples - lo)).swapaxes(0, 1)
+        best = reduce(list(units), best)
+        # Freed before the next chunk is drawn.
+        del units
     return best
 
 
-def _tensor_route(n: int, dim: int, k: int, samples: int, chunk: int) -> bool:
+def _tensor_route(n: int, width: int, k: int, samples: int) -> bool:
     # Whether _dk_norm_sup contracts against the derivative tensor: its
     # n^{2k} matrix-unit tuples must take fewer kernel evaluations than the
-    # samples, and its largest arrays, the (n^{2k}, dim^2) tensor and a
-    # chunk's (S, n^{2k}) outer products, must fit SAMPLE_CHUNK_BYTES.
+    # samples, and the (n^{2k}, w^2) tensor and the values it is gathered
+    # from must fit SAMPLE_CHUNK_BYTES.
     units = n ** (2 * k)
-    return units < samples and 16 * units * max(dim * dim, chunk) <= SAMPLE_CHUNK_BYTES
+    return units < samples and 2 * 16 * units * width * width <= SAMPLE_CHUNK_BYTES
 
 
 def _derivative_tensor(sc: SymmetryClass, t: np.ndarray, k: int, chunk: int) -> np.ndarray:
-    # D^k K_chi(t) on every k-tuple of matrix units, as the (n^{2k}, dim^2)
-    # tensor L: row r holds the value on (E_1, ..., E_k) where E_i is unit
-    # d_i, the i-th most significant base-n^2 digit of r, and unit a n + b is
-    # E_ab.  The derivative is symmetric in its directions, so only the
-    # C(n^2 + k - 1, k) tuples with non-decreasing digits go through the
-    # kernel, ``chunk`` at a time, and every row is read from its sorted tuple.
+    # D^k K_chi(t) on the one copy (symclass._dk_copy) at every k-tuple of
+    # matrix units, as the (n^{2k}, w^2) tensor L: row r holds the value on
+    # (E_1, ..., E_k) where E_i is unit d_i, the i-th most significant
+    # base-n^2 digit of r, and unit a n + b is E_ab.  The derivative is
+    # symmetric in its directions, so only the C(n^2 + k - 1, k) tuples with
+    # non-decreasing digits go through the kernel, ``chunk`` at a time, and
+    # every row is read from its sorted tuple.
     units = np.eye(sc.n**2, dtype=np.complex128).reshape(-1, sc.n, sc.n)
     digits = np.indices((sc.n**2,) * k).reshape(k, -1)
     ordered = np.sort(digits, axis=0)
     sorted_rows = np.flatnonzero((digits == ordered).all(axis=0))
     reps = digits[:, sorted_rows]
-    blocks = [
-        _dk_stack(sc, t, [units[d[lo : lo + chunk]] for d in reps])
-        for lo in range(0, reps.shape[1], chunk)
-    ]
-    values = np.concatenate(blocks).reshape(reps.shape[1], -1)
+    width = sc.copy_columns.shape[1]
+    values = np.empty((reps.shape[1], width * width), dtype=np.complex128)
+    for lo in range(0, reps.shape[1], chunk):
+        value = _dk_copy(sc, t, [units[d[lo : lo + chunk]] for d in reps])
+        values[lo : lo + chunk] = value.reshape(len(value), -1)
     codes = np.ravel_multi_index(tuple(ordered), (sc.n**2,) * k)
     return values[np.searchsorted(sorted_rows, codes)]
 
 
-def _contract(tensor: np.ndarray, xs: list[np.ndarray], dim: int) -> np.ndarray:
-    # D^k K_chi(t)(X_1, ..., X_k) for each sample of the k direction stacks
-    # (S, n, n), by multilinearity: the (S, n^{2k}) outer products of the
-    # directions' entries, ordered as the tensor's rows, times the tensor.
+def _contract(tensor: np.ndarray, xs: list[np.ndarray], width: int) -> np.ndarray:
+    # D^k K_chi(t)(X_1, ..., X_k) on the one copy for each sample of the k
+    # direction stacks (S, n, n), by multilinearity: the (S, n^{2k}) outer
+    # products of the directions' entries, ordered as the tensor's rows,
+    # times the tensor.  The product is taken a block of rows at a time, of
+    # at most 2^16 multiply-adds, which OpenBLAS runs on one thread (on a
+    # 2-CPU box its zgemm took a second thread from about 1.5e5): waking a
+    # second one for a GEMM this small between the draws and the norms took
+    # longer than the GEMM, 0.22-0.26 ms rather than 0.1 ms for a (69, 16)
+    # by (16, 400) product, and a time slice when the other CPU was busy.
     outer = xs[0].reshape(len(xs[0]), -1)
     for x in xs[1:]:
         outer = (outer[:, :, None] * x.reshape(len(x), 1, -1)).reshape(len(x), -1)
-    return _checked("derivative", np.matmul, outer, tensor).reshape(-1, dim, dim)
+    step = max(1, (1 << 16) // tensor.size)
+
+    def product():
+        out = np.empty((len(outer), tensor.shape[1]), dtype=np.complex128)
+        for lo in range(0, len(outer), step):
+            np.matmul(outer[lo : lo + step], tensor, out=out[lo : lo + step])
+        return out
+
+    return _checked("derivative", product).reshape(-1, width, width)
 
 
 def _dk_norm_sup(
     sc: SymmetryClass, t: np.ndarray, k: int, samples: int, rng: np.random.Generator
 ) -> float:
-    # Sampled sup of ||D^k K_chi(t)(X_1, ..., X_k)|| over random unit tuples.
-    # The chunk is sized for the kernel's (S, n^m, dim) array.  When
-    # _tensor_route allows, the kernel runs only on the n^{2k} matrix-unit
-    # tuples, once per base point, and each chunk of drawn tuples is one
-    # GEMM against that tensor; otherwise each chunk is one kernel call.
-    # Either way only the chunk's samples that can beat the running
-    # maximum reach LAPACK.
-    tuple_bytes = 16 * sc.n**sc.m * sc.dim
-    samples = _check_samples(samples, tuple_bytes)
-    chunk = _sample_chunk(tuple_bytes)
-    if _tensor_route(sc.n, sc.dim, k, samples, chunk):
-        tensor = _derivative_tensor(sc, t, k, chunk)
-        evaluate = lambda xs: _contract(tensor, xs, sc.dim)
+    # Sampled sup of ||D^k K_chi(t)(X_1, ..., X_k)|| over random unit tuples,
+    # each evaluated and normed on the one copy, whose norm is the class's
+    # (symclass._dk_copy).  When _tensor_route allows, the kernel runs only
+    # on the n^{2k} matrix-unit tuples, once per base point, and each chunk
+    # of drawn tuples is one GEMM against that tensor; otherwise each chunk
+    # is one kernel call.  Either way only the chunk's samples that can beat
+    # the running maximum reach LAPACK.  Chunks are sized as set out at
+    # SAMPLE_CHUNK_BYTES.
+    n, width = sc.n, sc.copy_columns.shape[1]
+    samples = _check_samples(samples, 16 * n**sc.m * width)
+    values = 2 * 16 * width * width
+    kernel = 3 * 16 * n**sc.m * width + values
+    if _tensor_route(n, width, k, samples):
+        held = 16 * n ** (2 * k) * width * width
+        tensor = _derivative_tensor(sc, t, k, _sample_chunk(kernel, held))
+        evaluate = lambda xs: _contract(tensor, xs, width)
+        tuple_bytes = 2 * 16 * n ** (2 * k) + values
     else:
-        evaluate = lambda xs: _dk_stack(sc, t, xs)
+        evaluate, held, tuple_bytes = lambda xs: _dk_copy(sc, t, xs), 0, kernel
     return _sampled_max(
         lambda xs, best: _largest_spectral_norm(evaluate(xs), best),
-        sc.n, k, samples, rng, chunk,
+        n, k, samples, rng, tuple_bytes, held,
     )
 
 
@@ -627,10 +729,9 @@ def _immanant_sup(
     n = chi.size
     tuple_bytes = 16 * math.factorial(n) * (_live_states([n - k] + [1] * k) + 2)
     samples = _check_samples(samples, tuple_bytes)
-    chunk = _sample_chunk(tuple_bytes)
     return _sampled_max(
         lambda xs, best: max(best, float(np.max(np.abs(_dk_immanant_raw(chi, a, xs))))),
-        n, k, samples, rng, chunk,
+        n, k, samples, rng, tuple_bytes,
     )
 
 

@@ -106,7 +106,8 @@ class SymmetryClass:
     in product-basis coordinates) and ``basis_b`` (the real upper
     triangular change of basis expressing those columns through the
     e*-basis indexed by ``delta_hat``) are decoded or scattered from the
-    blocks on first access; both arrays are float64.
+    blocks on first access, and so is ``copy_columns``, the copy columns
+    V Z of the whole class; all three arrays are float64.
     """
 
     chi: Partition
@@ -146,6 +147,17 @@ class SymmetryClass:
         out = np.zeros((self.dim, self.dim))
         for block in self.orbit_blocks:
             out[block.at[:, None], block.at] = block.coeffs[:, :, None]
+        return out
+
+    @functools.cached_property
+    def copy_columns(self) -> np.ndarray:
+        # V Z, the (n^m, dim / f^chi) real columns of the kernel's one
+        # Schur-module copy, scattered from each orbit block's ``copy``;
+        # read-only, as every kernel call shares it.
+        out = np.zeros((self.n**self.m, sum(b.z.size for b in self.orbit_blocks)))
+        for block in self.orbit_blocks:
+            out[block.rows[:, :, None], block.z.T] = block.copy[:, None, :]
+        out.setflags(write=False)
         return out
 
 
@@ -428,7 +440,7 @@ def _partial_trace(sc: SymmetryClass, mats: list[np.ndarray], factor: int) -> np
     chains: dict[tuple[int, ...], list[int]] = {}
     for t, order in enumerate(np.array(labels)[tableaux].tolist()):
         chains.setdefault(tuple(order), []).append(t)
-    copy = _copy_columns(sc)
+    copy = sc.copy_columns
     width = copy.shape[1]
     m_w = np.zeros((width, samples, 2 * width))
     for order, ts in chains.items():
@@ -439,16 +451,6 @@ def _partial_trace(sc: SymmetryClass, mats: list[np.ndarray], factor: int) -> np
         _dual_product(sc, w, ts, m_w)
     m_w *= factor / len(tableaux)
     return m_w
-
-
-def _copy_columns(sc: SymmetryClass) -> np.ndarray:
-    # V Z, the (n^m, dim / f^chi) real columns of one copy, scattered from
-    # each composition's orbit block of V Z.
-    blocks = sc.orbit_blocks
-    out = np.zeros((sc.n**sc.m, sum(b.z.size for b in blocks)))
-    for b in blocks:
-        out[b.rows[:, :, None], b.z.T] = b.copy[:, None, :]
-    return out
 
 
 def _dual_product(sc: SymmetryClass, w: np.ndarray, ts: list[int], m_w: np.ndarray) -> None:
@@ -476,20 +478,23 @@ def _lift(sc: SymmetryClass, m_w: np.ndarray) -> np.ndarray:
     # their rows of every Y_t.  M.T = B^-T Y.T: the rows t * width + z of
     # Y.T, t = 1..f, are an orbit's columns of B in order, so each
     # composition is one gather and one GEMM with B^-T.  Both take (re, im)
-    # interleaved, orbits, samples and columns side by side.  M_W and the
-    # products are freed before the transpose; M.T is written over Y.
+    # interleaved, orbits, samples and columns side by side.  Each
+    # composition's product is freed before the next, and M_W before the
+    # transpose; M.T is written over Y.
     f, width = len(sc.orbit_blocks[0].frame), len(m_w)
     ys = np.empty((m_w.shape[1], sc.dim, f, width), dtype=np.complex128)
     out = ys.view(np.float64).transpose(2, 1, 0, 3)
     for b in sc.orbit_blocks:
         part = b.frame @ m_w[b.z].reshape(len(b.z), -1)
         out[:, b.at] = part.reshape((f,) + b.at.shape + m_w.shape[1:])
-    del m_w, part
+        del part
+    del m_w
     yt = np.ascontiguousarray(ys.reshape(-1, f * width).T).reshape(f, width, -1)
     out_t = ys.reshape(sc.dim, -1)
     for b in sc.orbit_blocks:
         part = b.binv.T @ yt[:, b.z].view(np.float64).reshape(len(b.binv), -1)
         out_t[b.at] = part.view(np.complex128).reshape(b.at.shape + (-1,))
+        del part
     del yt
     return np.ascontiguousarray(out_t.T).reshape(len(ys), sc.dim, sc.dim)
 
@@ -501,12 +506,28 @@ def _axis_product(n: int, mat: np.ndarray, w: np.ndarray, axis: int) -> np.ndarr
     return out.reshape(len(out), w.shape[1], -1)
 
 
-def _dk_stack(sc: SymmetryClass, t: np.ndarray, xs: list[np.ndarray]) -> np.ndarray:
-    # D^k K_chi(t) on k = len(xs) <= m directions, each an (n, n) matrix or
-    # an (S, n, n) stack of per-sample directions; returns (S, dim, dim).
+def _dk_factors(sc: SymmetryClass, t: np.ndarray, xs: list[np.ndarray]):
+    # The factors and the factor m!/(m-k)! of D^k K_chi(t) on k = len(xs)
+    # <= m directions, each an (n, n) matrix or an (S, n, n) stack of
+    # per-sample directions.
     k = len(xs)
-    factor = math.factorial(sc.m) // math.factorial(sc.m - k)
-    return _compress(sc, [t] * (sc.m - k) + list(xs), factor)
+    return [t] * (sc.m - k) + list(xs), math.factorial(sc.m) // math.factorial(sc.m - k)
+
+
+def _dk_stack(sc: SymmetryClass, t: np.ndarray, xs: list[np.ndarray]) -> np.ndarray:
+    # D^k K_chi(t) as an (S, dim, dim) stack; see _dk_factors.
+    return _compress(sc, *_dk_factors(sc, t, xs))
+
+
+def _dk_copy(sc: SymmetryClass, t: np.ndarray, xs: list[np.ndarray]) -> np.ndarray:
+    # D^k K_chi(t) on the kernel's one Schur-module copy: M_W as an
+    # (S, w, w) stack, w = dim / f^chi; see _dk_factors.  M Z = Z M_W for
+    # the orthonormal copy columns Z, and in an orthonormal frame of
+    # V_chi = W (x) S^chi the operator is (a unitary image of M_W) (x) I,
+    # so M's singular values are M_W's, each f^chi times: a norm needs only
+    # M_W, which the lift would make f^chi times wider.
+    m_w = _checked("compressed operator", _partial_trace, sc, *_dk_factors(sc, t, xs))
+    return np.ascontiguousarray(m_w.view(np.complex128).transpose(1, 0, 2))
 
 
 def _operators(sc: SymmetryClass, *groups) -> list[np.ndarray]:

@@ -11,10 +11,14 @@ constants.  A criterion's i-th random draw reads ``sample_rng(seed, i)``.
 A criterion first reads its draws in that order and then evaluates each
 (class, k) group of them as one stack: one call of the class kernel
 (``symclass._dk_stack``) and one batched spectral norm per group, each
-sample's norm with ``spectral_norm``'s bits.  ``run_verify`` runs all
-areas and folds the rows into one JSON-ready report.  Reports contain only
-deterministic values, so a rerun with the same arguments and seed is
-byte-identical.
+sample's norm with ``spectral_norm``'s bits.  The sampled suprema instead
+evaluate and norm each random tuple on the kernel's one Schur-module copy,
+``dim / f^chi`` wide (``symclass._dk_copy``), in chunks sized by bytes, so
+their norms equal the full operator's only up to rounding, not with
+``spectral_norm``'s bits; the supremum criterion checks that equality at
+its attaining points.  ``run_verify`` runs all areas and folds the rows
+into one JSON-ready report.  Reports contain only deterministic values, so
+a rerun with the same arguments and seed is byte-identical.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .errors import DomainError
 from .norms import (
     _dk_immanant_raw,
     _dk_norm_sup,
+    _haar_units,
     _immanant_sup,
     _relative_error,
     dk_immanant_bound,
@@ -48,10 +53,9 @@ from .norms import (
     nu_omega,
     perturbation_bounds,
     random_matrix,
-    random_unit_matrix,
     sample_rng,
 )
-from .symclass import SymmetryClass, _dk_stack, build_symmetry_class
+from .symclass import SymmetryClass, _dk_copy, _dk_stack, build_symmetry_class
 from .symgroup import (
     char_table,
     character,
@@ -156,6 +160,12 @@ def _draws(seed: int):
     # on the module at each step so that a substitute sees every call.
     for index in itertools.count():
         yield sample_rng(seed, index)
+
+
+def _unit_normals(n: int, rng, *shape: int) -> np.ndarray:
+    # The normals of random_unit_matrix calls on rng, as many as ``shape``
+    # holds, for one _haar_units call on a whole criterion's draws.
+    return rng.standard_normal(shape + (2, n, n))
 
 
 def _polar_draws(rngs, n: int):
@@ -277,8 +287,10 @@ def check_sup_attainment(seed: int = 0, max_n: int = 4) -> list[CheckResult]:
     Random unit-norm direction tuples stay below the formula, while the
     inverse unitary polar factor attains it, at each configured (n, m, k)
     of SUP_CONFIGS: SUP_DRAWS base points per class, each followed on its
-    own generator by SUP_TUPLES tuples.  The attained values of a class are
-    evaluated as one stack once its suprema are sampled.
+    own generator by SUP_TUPLES tuples.  The sampled values are normed on
+    the kernel's one Schur-module copy; the attained values of a class are
+    evaluated on the full class as one stack once its suprema are sampled,
+    and their norms on the copy must equal those.
     """
     results = []
     draws = _draws(seed)
@@ -297,9 +309,11 @@ def check_sup_attainment(seed: int = 0, max_n: int = 4) -> list[CheckResult]:
                 ts.append(t)
                 formulas.append(formula)
             ts = np.array(ts)
-            ws = np.array([polar(t)[1] for t in ts])
-            attained = _spectral_norms(_dk_stack(sc, ts, [ws.conj().swapaxes(1, 2)] * k))
+            directions = [np.array([polar(t)[1] for t in ts]).conj().swapaxes(1, 2)] * k
+            attained = _spectral_norms(_dk_stack(sc, ts, directions))
             attain_err = max(map(_relative_error, attained, formulas))
+            on_copy = _spectral_norms(_dk_copy(sc, ts, directions))
+            copy_err = max(map(_relative_error, on_copy, attained))
             params = {"chi": list(chi.parts), "n": n, "k": k, "draws": SUP_DRAWS}
             results += [
                 _at_most(
@@ -311,6 +325,11 @@ def check_sup_attainment(seed: int = 0, max_n: int = 4) -> list[CheckResult]:
                     "unitary polar directions attain the formula",
                     params,
                     attain_err, 1e-7, "relative error",
+                ),
+                _at_most(
+                    "the copy's norm equals the full class's norm",
+                    params,
+                    copy_err, 1e-12, "relative error",
                 ),
             ]
     return results
@@ -361,8 +380,8 @@ def check_finite_differences(seed: int = 0, max_n: int = 4) -> list[CheckResult]
             ts, xs = [], []
             for rng in itertools.islice(draws, FD_CASES):
                 ts.append(random_matrix(size, rng))
-                xs.append([random_unit_matrix(size, rng) for _ in range(k)])
-            ts, xs = np.array(ts), list(np.array(xs).swapaxes(0, 1))
+                xs.append(_unit_normals(size, rng, k))
+            ts, xs = np.array(ts), list(_haar_units(np.array(xs)).swapaxes(0, 1))
             algebraic = _dk_stack(sc, ts, xs)
             numeric = _fd_derivative(sc, ts, xs, FD_STEP)
             worst = max(map(_relative_error, numeric, algebraic))
@@ -553,16 +572,17 @@ def check_taylor_perturbation(seed: int = 0, max_n: int = 4) -> list[CheckResult
         delta = deltas[i % len(deltas)]
         chi = chis[i % len(chis)]
         t = random_matrix(size, rng)
-        x = delta * random_unit_matrix(size, rng)
+        x = _unit_normals(size, rng)
         bound = perturbation_bounds(chi, singular_values(t), delta)
         a = random_matrix(size, rng)
-        y = delta * random_unit_matrix(size, rng)
+        y = _unit_normals(size, rng)
         bound_imm = degree(chi) * perturbation_bounds(chi, singular_values(a), delta)
-        groups.setdefault(chi, []).append((t, x, a, y, bound, bound_imm))
+        groups.setdefault(chi, []).append((t, x, a, y, delta, bound, bound_imm))
     worst_op_violation = -math.inf
     worst_imm_violation = -math.inf
     for chi, group in groups.items():
-        t, x, a, y, bound, bound_imm = map(np.array, zip(*group))
+        t, x, a, y, delta, bound, bound_imm = map(np.array, zip(*group))
+        x, y = delta[:, None, None] * _haar_units(np.array([x, y]))
         sc = classes[chi]
         actual_op = _spectral_norms(_dk_stack(sc, t + x, []) - _dk_stack(sc, t, []))
         worst_op_violation = max(worst_op_violation, float(np.max(actual_op - bound)))

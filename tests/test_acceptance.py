@@ -58,6 +58,20 @@ def test_criterion_03_supremum_and_attainment():
     run_criterion(3, "supremum and attainment", verify.check_sup_attainment(seed=0))
 
 
+def test_copy_row_fails_on_a_copy_norm_off_by_1e_10(monkeypatch):
+    # The copy row compares the copy's norms with the full class's at the
+    # attaining points, so a copy evaluation off by 1e-10 fails every class.
+    monkeypatch.setattr(verify, "SUP_TUPLES", 20)
+    monkeypatch.setattr(verify, "SUP_DRAWS", 2)
+    dk_copy = verify._dk_copy
+    monkeypatch.setattr(verify, "_dk_copy", lambda *args: dk_copy(*args) * (1 + 1e-10))
+    rows = [
+        r for r in verify.check_sup_attainment(seed=0, max_n=3)
+        if r.name == "the copy's norm equals the full class's norm"
+    ]
+    assert len(rows) == 5 and not any(r.passed for r in rows), rows
+
+
 def test_criterion_04_finite_differences():
     run_criterion(4, "finite differences", verify.check_finite_differences(seed=0))
 

@@ -1,13 +1,15 @@
 """The stacked sampling route against the one-sample-at-a-time reference.
 
 A sampled supremum reads its random unitary tuples in order from one
-generator, at most SAMPLE_CHUNK at a time, and evaluates each chunk through
-the batched compression kernel or immanant sum, or, for a derivative
-supremum over more tuples than the derivative has matrix-unit tuples,
-through one product with its k-linear tensor.  The reference route below is
-the per-sample loop they replaced: one ``random_unit_matrix`` call per
-direction on the same generator, one kernel call per tuple, with the
-factors applied to the tensor axes (or immanant columns) in order, one
+generator, in chunks sized by the bytes they hold, and evaluates each chunk
+through the batched compression kernel or immanant sum, or, for a
+derivative supremum over more tuples than the derivative has matrix-unit
+tuples, through one product with its k-linear tensor.  A derivative
+supremum evaluates and norms each sample on the kernel's one Schur-module
+copy; the tests below also compare it with the full class.  The reference
+route below is the per-sample loop they replaced: one ``random_unit_matrix``
+call per direction on the same generator, one kernel call per tuple, with
+the factors applied to the tensor axes (or immanant columns) in order, one
 distinct arrangement at a time.  The kernel sums one plain product per
 standard tableau, and the mixed immanants sum over sub-multisets of the
 factors; the tests below also compare them with that per-arrangement sum,
@@ -30,6 +32,7 @@ from kchi import (
     DomainError,
     Partition,
     build_symmetry_class,
+    degree,
     dk_immanant,
     dk_kchi,
     dk_norm_verify,
@@ -46,17 +49,17 @@ from kchi import (
     sym_op_product,
 )
 from kchi.cli import main
-from kchi.denselin import _distinct_arrangements
+from kchi.denselin import _distinct_arrangements, _spectral_norms
 from kchi.norms import (
-    SAMPLE_CHUNK,
     SAMPLE_CHUNK_BYTES,
     _contract,
     _derivative_tensor,
+    _householder,
     _sample_chunk,
     _tensor_route,
     _unit_stack,
 )
-from kchi.symclass import _dk_stack
+from kchi.symclass import _dk_copy, _dk_stack
 from kchi.symgroup import _permutation_characters
 from test_symclass import SMALL_CLASSES
 
@@ -230,6 +233,37 @@ def test_draws_are_the_haar_factors_of_their_gaussians(n, k, chunk):
     diagonal = np.diagonal(r, axis1=-2, axis2=-1)
     assert (np.abs(diagonal.imag) <= HAAR_TOL * scale[..., 0]).all()
     assert (diagonal.real > 0).all()
+
+
+LAPACK_TOL = 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_householder_draws_match_lapack_qr(n):
+    # 10^4 draws against LAPACK's QR of the same Gaussians, with Q's columns
+    # times the phases of R's diagonal, the rule the batched Householder QR
+    # keeps.
+    count = 10_000
+    units = _unit_stack(n, 1, sample_rng(26, n), count)[:, 0]
+    normals = sample_rng(26, n).standard_normal((count, 2, n, n))
+    q, r = np.linalg.qr(normals[:, 0] + 1j * normals[:, 1])
+    phases = np.exp(1j * np.angle(np.diagonal(r, axis1=-2, axis2=-1)))
+    assert np.abs(units - q * phases[:, None, :]).max() <= LAPACK_TOL
+
+
+def test_rank_deficient_stacks_still_give_unitaries():
+    # A repeated column leaves a pivot of rounding size and a zero column a
+    # zero pivot, whose phase is 1: every matrix still gives a unitary with
+    # no NaN, and the zero matrix gives the identity.
+    parts = sample_rng(27, 0).standard_normal((2, 4, 4, 30))
+    parts[:, :, 2] = parts[:, :, 0]
+    parts[:, :, 3, :10] = 0.0
+    parts[:, :, :, 20:] = 0.0
+    out = _householder(parts)
+    units = (out[0] + 1j * out[1]).transpose(2, 0, 1)
+    assert np.isfinite(units).all()
+    assert np.abs(units.conj().swapaxes(1, 2) @ units - np.eye(4)).max() <= HAAR_TOL
+    assert np.array_equal(units[20:], np.broadcast_to(np.eye(4), (10, 4, 4)))
 
 
 def test_batched_kernel_matches_the_per_sample_loop():
@@ -432,7 +466,7 @@ def test_one_dimensional_characters_run_on_v_itself(chi, n):
     # only tableau, each orbit's copy column is its basis column, and
     # B = B^-1 = [[1.0]] make the lift return M_W with its bits.
     sc = build_symmetry_class(chi, n)
-    assert np.array_equal(kchi.symclass._copy_columns(sc), sc.inclusion)
+    assert np.array_equal(sc.copy_columns, sc.inclusion)
     for block in sc.orbit_blocks:
         assert np.array_equal(block.z, block.at)
         assert np.array_equal(block.binv, np.ones((1, 1)))
@@ -443,18 +477,70 @@ def test_one_dimensional_characters_run_on_v_itself(chi, n):
     assert np.array_equal(kchi.symclass._lift(sc, m_w), want)
 
 
+COPY_TOL = 1e-14
+
+
+def test_copy_columns_are_orthonormal_and_kept_on_the_class():
+    # V Z on every class with n^m <= 256: orthonormal within 1e-14, dim /
+    # f^chi columns in the class, read-only, decoded once, and the bits of
+    # scattering each orbit block's copy columns.
+    for m in range(1, kchi.symclass.MAX_TENSOR_FACTORS + 1):
+        for n in range(1, int(256 ** (1 / m) + 1e-9) + 1):
+            for chi in partitions_of(m):
+                if chi.length > n:
+                    continue
+                sc = build_symmetry_class(chi, n)
+                vz = sc.copy_columns
+                assert vz.shape == (n**m, sc.dim // degree(chi))
+                assert np.abs(vz.T @ vz - np.eye(vz.shape[1])).max() <= COPY_TOL
+                lengths = np.linalg.norm(sc.inclusion.T @ vz, axis=0)
+                assert np.abs(lengths - 1).max() <= COPY_TOL
+                assert not vz.flags.writeable and sc.copy_columns is vz
+                want = np.zeros_like(vz)
+                for b in sc.orbit_blocks:
+                    want[b.rows[:, :, None], b.z.T] = b.copy[:, None, :]
+                assert np.array_equal(vz, want)
+
+
+def full_width_sup(sc, t, k, samples, rng):
+    # The sampled supremum with every tuple evaluated and normed on the
+    # full (dim, dim) class, 20 tuples at a time.
+    units = _unit_stack(sc.n, k, rng, samples).swapaxes(0, 1)
+    return max(
+        float(np.max(_spectral_norms(_dk_stack(sc, t, list(units[:, lo : lo + 20])))))
+        for lo in range(0, samples, 20)
+    )
+
+
+@pytest.mark.parametrize(
+    "chi, n, k",
+    [((2, 1), 3, 1), ((2, 1), 3, 2), ((2, 2), 3, 2), ((2, 1), 4, 1), ((3, 1), 4, 2)],
+)
+@pytest.mark.parametrize("tensor", [False, True], ids=["kernel", "tensor"])
+def test_copy_width_suprema_equal_the_full_width_ones(monkeypatch, chi, n, k, tensor):
+    # Each sample is evaluated and normed on the one copy, f^chi times
+    # narrower than the class; on either route the supremum equals the one
+    # taken on the full class within 1e-13, relative.
+    monkeypatch.setattr(kchi.norms, "_tensor_route", lambda *args: tensor)
+    sc = build_symmetry_class(Partition(chi), n)
+    t = random_matrix(n, sample_rng(28, n))
+    got = kchi.norms._dk_norm_sup(sc, t, k, 150, sample_rng(29, k))
+    want = full_width_sup(sc, t, k, 150, sample_rng(29, k))
+    assert abs(got - want) <= REFERENCE_TOL * want
+
+
 def test_the_tensor_evaluates_only_sorted_unit_tuples(monkeypatch):
     # D^k K_chi is symmetric in its directions: (2,1)/3 at k = 2 sends the
     # C(9 + 1, 2) = 45 sorted of its 81 matrix-unit tuples through the
     # kernel, and each of the other rows equals its sorted tuple's.
     evaluated = []
-    dk_stack = kchi.norms._dk_stack
+    dk_copy = kchi.norms._dk_copy
 
     def counting(sc, t, xs):
         evaluated.append(len(xs[0]))
-        return dk_stack(sc, t, xs)
+        return dk_copy(sc, t, xs)
 
-    monkeypatch.setattr(kchi.norms, "_dk_stack", counting)
+    monkeypatch.setattr(kchi.norms, "_dk_copy", counting)
     sc = build_symmetry_class(Partition((2, 1)), 3)
     t = random_matrix(3, sample_rng(22, 0))
     tensor = _derivative_tensor(sc, t, 2, 16)
@@ -662,14 +748,19 @@ def test_a_derivative_holds_no_more_than_three_stacks(monkeypatch):
         assert peak <= bound, (k, peak, bound)
 
 
-@pytest.mark.parametrize(
-    "samples", [1, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 1000]
-)
+# The bytes a (2,1)/3 tuple at k = 2 holds through the kernel: three
+# (n^m, w) = (27, 8) complex states, two (8, 8) values and two (3, 3)
+# directions.
+KERNEL_TUPLE_BYTES = 16 * (3 * 27 * 8 + 2 * 8 * 8 + 2 * 9)
+
+
+@pytest.mark.parametrize("samples", [1, 63, 64, 65, 1000])
 def test_sampled_suprema_match_the_reference_loop(monkeypatch, samples):
     # (2,1)/3 at k = 2 has 9^2 = 81 matrix-unit tuples: samples 1 to 65
-    # evaluate each chunk through the kernel, 1000 contract each chunk
+    # evaluate chunks of 64 through the kernel, 1000 contract each chunk
     # against the derivative tensor.  On either route the report equals the
     # one that takes every evaluated sample's top singular value.
+    monkeypatch.setattr(kchi.norms, "SAMPLE_CHUNK_BYTES", 64 * KERNEL_TUPLE_BYTES)
     sc = build_symmetry_class(Partition((2, 1)), 3)
     t = random_matrix(3, sample_rng(1, 10**6))
     report = dk_norm_verify(sc, t, 2, samples=samples, seed=4)
@@ -743,7 +834,7 @@ def test_norm_at_extreme_magnitudes_prints_the_full_svd_bytes(
 def test_tensor_contraction_matches_the_kernel():
     # Multilinearity as a second route: the tensor built on matrix units,
     # contracted with directions that are not unit-norm, against the kernel
-    # on those directions.
+    # on those directions, both on the one copy of width w = dim / f^chi.
     rng = sample_rng(8, 0)
     samples = 5
     for m in range(1, 4):
@@ -752,27 +843,27 @@ def test_tensor_contraction_matches_the_kernel():
                 if chi.length > n:
                     continue
                 sc = build_symmetry_class(chi, n)
+                width = sc.dim // degree(chi)
                 t = random_matrix(n, rng)
-                chunk = _sample_chunk(16 * n**m * sc.dim)
                 for k in range(1, m + 1):
-                    tensor = _derivative_tensor(sc, t, k, chunk)
-                    assert tensor.shape == (n ** (2 * k), sc.dim**2)
+                    tensor = _derivative_tensor(sc, t, k, 7)
+                    assert tensor.shape == (n ** (2 * k), width**2)
                     xs = [
                         np.array([3.0 * random_matrix(n, rng) for _ in range(samples)])
                         for _ in range(k)
                     ]
-                    want = _dk_stack(sc, t, xs)
-                    got = _contract(tensor, xs, sc.dim)
+                    want = _dk_copy(sc, t, xs)
+                    got = _contract(tensor, xs, width)
                     assert np.abs(got - want).max() <= KERNEL_TOL * np.abs(want).max()
 
 
 def test_kernel_route_where_the_tensor_is_no_cheaper_or_too_large(monkeypatch):
     # The cli_session `norm` call, (2,1)/4 at k = 2 with 100 samples, has
-    # 4^4 = 256 > 100 matrix-unit tuples; (3,1)/6 at k = 1 has a 36 x 630^2
-    # tensor of 229 MB, judged without building the class.  Both evaluate
-    # each chunk through the kernel.
-    assert not _tensor_route(4, 40, 2, 100, _sample_chunk(16 * 4**3 * 40))
-    assert not _tensor_route(6, 630, 1, 10**6, _sample_chunk(16 * 6**4 * 630))
+    # 4^4 = 256 > 100 matrix-unit tuples; (3,1)/6 at k = 1 has a 36 x 210^2
+    # tensor of 25 MB on its copy of width 630 / 3, judged without building
+    # the class.  Both evaluate each chunk through the kernel.
+    assert not _tensor_route(4, 20, 2, 100)
+    assert not _tensor_route(6, 210, 1, 10**6)
 
     def no_tensor(*args):
         raise AssertionError("the tensor route was taken")
@@ -783,18 +874,20 @@ def test_kernel_route_where_the_tensor_is_no_cheaper_or_too_large(monkeypatch):
     assert report.ok
 
 
-@pytest.mark.parametrize("budget", [SAMPLE_CHUNK_BYTES, 1 << 14, 2048])
+@pytest.mark.parametrize("budget", [1 << 22, SAMPLE_CHUNK_BYTES, 1 << 14, 2048])
 def test_tensor_route_stays_within_the_byte_budget(monkeypatch, budget):
-    # With budget 2048, (1,1)/2 at k = 2 has a 256-byte tensor, but its
-    # chunk of 32 tuples has 32 x 16 outer products of 8192 bytes: it keeps
-    # the kernel route.
+    # The route is taken when the tensor takes at most half the budget, and
+    # then the tensor, a chunk's outer products and its values fit it
+    # together: with budget 2048, (1,1)/2 at k = 2 has a 256-byte tensor
+    # and takes chunks of two tuples, while (2,)/2 at k = 2 has a 2304-byte
+    # tensor and keeps the kernel route.
     taken = []
     contract = kchi.norms._contract
 
-    def recording_contract(tensor, xs, dim):
+    def recording_contract(tensor, xs, width):
         outer_bytes = 16 * len(xs[0]) * len(tensor)
-        value = contract(tensor, xs, dim)
-        taken.append(max(tensor.nbytes, outer_bytes, value.nbytes))
+        value = contract(tensor, xs, width)
+        taken.append(tensor.nbytes + outer_bytes + value.nbytes)
         return value
 
     monkeypatch.setattr(kchi.norms, "_contract", recording_contract)
@@ -809,27 +902,28 @@ def test_tensor_route_stays_within_the_byte_budget(monkeypatch, budget):
         sc = build_symmetry_class(Partition(chi), n)
         taken.clear()
         dk_norm_verify(sc, random_matrix(n, rng), k, samples=200, seed=1)
-        chunk = _sample_chunk(16 * n ** sum(chi) * sc.dim)
-        assert bool(taken) == _tensor_route(n, sc.dim, k, 200, chunk)
+        width = sc.dim // degree(sc.chi)
+        assert bool(taken) == _tensor_route(n, width, k, 200)
         assert all(size <= budget for size in taken)
         routes.add(bool(taken))
     assert routes == ({True, False} if budget < SAMPLE_CHUNK_BYTES else {True})
 
 
 def test_sup_criterion_runs_the_kernel_on_matrix_units_only(monkeypatch):
-    # Per base point the supremum criterion may call the kernel only to
-    # build the derivative tensor, ceil(n^{2k} / chunk) times, and per class
-    # once more, on the stack of its base points, for the attaining
-    # directions; evaluating the 200 drawn tuples per chunk through the
-    # kernel would take ceil(200 / 64) = 4 calls per base point.
+    # Per base point the supremum criterion calls the kernel only to build
+    # the derivative tensor, whose at most C(9 + 1, 2) = 45 sorted unit
+    # tuples fit one chunk, and per class twice more, on the stack of its
+    # base points, for the attaining directions on the full class and on
+    # the copy; evaluating the 200 drawn tuples through the kernel would
+    # take a call per chunk.
     calls = collections.Counter()
-    compress = kchi.symclass._compress
+    partial_trace = kchi.symclass._partial_trace
 
-    def counting_compress(sc, mats, *factor):
+    def counting_partial_trace(sc, mats, factor):
         calls[sc.chi, sc.n, mats[0].shape, mats[0].tobytes()] += 1
-        return compress(sc, mats, *factor)
+        return partial_trace(sc, mats, factor)
 
-    monkeypatch.setattr(kchi.symclass, "_compress", counting_compress)
+    monkeypatch.setattr(kchi.symclass, "_partial_trace", counting_partial_trace)
     monkeypatch.setattr(kchi.verify, "SUP_TUPLES", 200)
     monkeypatch.setattr(kchi.verify, "SUP_DRAWS", 2)
     results = kchi.verify.check_sup_attainment(seed=0, max_n=3)
@@ -841,39 +935,44 @@ def test_sup_criterion_runs_the_kernel_on_matrix_units_only(monkeypatch):
         if shape == (2, n, n):
             stacked[chi, n] += count
             continue
-        assert shape == (n, n)
-        m, k = next((m, k) for nn, m, k in kchi.verify.SUP_CONFIGS if nn == n and m == chi.size)
-        sc = build_symmetry_class(chi, n)
-        chunk = _sample_chunk(16 * n**m * sc.dim)
-        assert count <= math.ceil(n ** (2 * k) / chunk)
+        assert shape == (n, n) and count == 1
         base_points[chi, n] += 1
     assert len(base_points) == 5 and set(base_points.values()) == {2}
-    assert stacked == dict.fromkeys(base_points, 1)
+    assert stacked == dict.fromkeys(base_points, 2)
 
 
 @pytest.mark.parametrize(
-    "rows, dim",
-    # (n^m, dim) of (2,1)/4, the largest class run_verify samples, of
-    # (3,1)/4, of the class_ladder rung (3,1)/6, and of (2,1,1)/8 at the
+    "rows, dim, f",
+    # (n^m, dim, f^chi) of (2,1)/4, the largest class run_verify samples,
+    # of (3,1)/4, of the class_ladder rung (3,1)/6, and of (2,1,1)/8 at the
     # dimension cap, whose inclusion alone is 74 MB.
-    [(64, 40), (256, 135), (1296, 630), (4096, 1134)],
+    [
+        pytest.param(64, 40, 2, id="64-40"),
+        pytest.param(256, 135, 3, id="256-135"),
+        pytest.param(1296, 630, 3, id="1296-630"),
+        pytest.param(4096, 1134, 3, id="4096-1134"),
+    ],
 )
-def test_chunk_keeps_the_kernel_stack_bounded(rows, dim):
-    tuple_bytes = 16 * rows * dim
-    chunk = _sample_chunk(tuple_bytes)
-    assert 1 <= chunk <= SAMPLE_CHUNK
-    assert chunk * tuple_bytes <= max(SAMPLE_CHUNK_BYTES, tuple_bytes)
-    if 2 * tuple_bytes > SAMPLE_CHUNK_BYTES:
-        assert chunk == 1
-    if SAMPLE_CHUNK * tuple_bytes <= SAMPLE_CHUNK_BYTES:
-        assert chunk == SAMPLE_CHUNK
+def test_chunk_keeps_the_kernel_stack_bounded(rows, dim, f):
+    # A kernel tuple holds three (n^m, w) states and two (w, w) values,
+    # w = dim / f^chi: a chunk takes as many as fit the budget beside what
+    # it holds besides, and one when none does.
+    width = dim // f
+    tuple_bytes = 16 * (3 * rows * width + 2 * width * width)
+    for held in (0, 100_000):
+        chunk = _sample_chunk(tuple_bytes, held)
+        assert chunk >= 1
+        if chunk > 1:
+            assert chunk * tuple_bytes + held <= SAMPLE_CHUNK_BYTES
+        assert (chunk + 1) * tuple_bytes + held > SAMPLE_CHUNK_BYTES
 
 
 def test_verifiers_draw_chunks_sized_from_the_class(monkeypatch):
-    # With the byte budget shrunk, (2,1)/3 (n^m * dim = 432) fits 5 tuples
-    # per chunk and the n = 3 immanant sum at k = 1 (six arrays of 3!
-    # entries: four live states, a product and its gathered entries) fits
-    # 7; the suprema still equal the reference loop's.
+    # With the byte budget shrunk, (2,1)/3 at k = 2 (KERNEL_TUPLE_BYTES per
+    # tuple) fits 5 tuples per chunk and the n = 3 immanant sum at
+    # k = 1 fits 7: its draw's seven (3, 3) arrays outweigh its six arrays
+    # of 3! entries (four live states, a product and its gathered entries)
+    # and its direction.  The suprema still equal the reference loop's.
     sizes = []
     stack = kchi.norms._unit_stack
 
@@ -882,7 +981,7 @@ def test_verifiers_draw_chunks_sized_from_the_class(monkeypatch):
         return stack(n, k, rng, count)
 
     monkeypatch.setattr(kchi.norms, "_unit_stack", recording_stack)
-    monkeypatch.setattr(kchi.norms, "SAMPLE_CHUNK_BYTES", 16 * 432 * 5 + 100)
+    monkeypatch.setattr(kchi.norms, "SAMPLE_CHUNK_BYTES", 5 * KERNEL_TUPLE_BYTES + 100)
     sc = build_symmetry_class(Partition((2, 1)), 3)
     t = random_matrix(3, sample_rng(1, 10**6))
     report = dk_norm_verify(sc, t, 2, samples=23, seed=4)
@@ -893,7 +992,7 @@ def test_verifiers_draw_chunks_sized_from_the_class(monkeypatch):
     assert abs(report.sample_max - want) <= KERNEL_TOL * want
 
     sizes.clear()
-    monkeypatch.setattr(kchi.norms, "SAMPLE_CHUNK_BYTES", 16 * 36 * 7)
+    monkeypatch.setattr(kchi.norms, "SAMPLE_CHUNK_BYTES", 16 * 7 * 9 * 7)
     chi = Partition((2, 1))
     a = random_matrix(3, sample_rng(2, 10**6))
     report = immanant_bound_verify(chi, a, 1, samples=23, seed=6)

@@ -86,7 +86,7 @@ def reference_sup_attainment(seed, max_n):
         for chi in _characters(m, n):
             sc = build_symmetry_class(chi, n)
             excess = -math.inf
-            attain_err = 0.0
+            attain_err = copy_err = 0.0
             for rng in itertools.islice(rngs, draws_per_class):
                 t = random_matrix(n, rng)
                 nu = singular_values(t)
@@ -94,6 +94,8 @@ def reference_sup_attainment(seed, max_n):
                 _, w = polar(t)
                 attained = spectral_norm(dk_kchi(sc, t, [w.conj().T] * k))
                 attain_err = max(attain_err, _relative_error(attained, formula))
+                on_copy = spectral_norm(kchi.symclass._dk_copy(sc, t, [w.conj().T] * k)[0])
+                copy_err = max(copy_err, _relative_error(on_copy, attained))
                 sup = _dk_norm_sup(sc, t, k, tuples, rng)
                 excess = max(excess, sup - formula)
             params = {"chi": list(chi.parts), "n": n, "k": k, "draws": draws_per_class}
@@ -107,6 +109,11 @@ def reference_sup_attainment(seed, max_n):
                     "unitary polar directions attain the formula",
                     params,
                     attain_err, 1e-7, "relative error",
+                ),
+                _at_most(
+                    "the copy's norm equals the full class's norm",
+                    params,
+                    copy_err, 1e-12, "relative error",
                 ),
             ]
     return results
@@ -292,8 +299,9 @@ def test_stacked_criteria_match_their_per_draw_loops(name, seed):
 
 
 def test_the_certificate_makes_few_kernel_calls(monkeypatch):
-    # One stacked kernel call per (class, k) group of draws: 132 at
-    # max_n = 3, where one call per draw made 1355.
+    # One stacked kernel call per (class, k) group of draws: 137 at
+    # max_n = 3, five of them the copy rows, where one call per draw made
+    # 1355.
     calls = []
     partial_trace = kchi.symclass._partial_trace
 
