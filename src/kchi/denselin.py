@@ -11,10 +11,12 @@ conventions the rest of the package relies on:
   triangular coefficient matrix ``b`` with ``ortho = vectors @ b``.
 * ``spectral_norm(a)`` is ``sqrt(lambda_max(G))`` for the Gram matrix ``G``
   of ``a`` on its smaller side, with ``a`` first scaled by the power of two
-  of its largest entry; LAPACK computes the eigenvalues of ``G`` only, not
-  an SVD.  It is the one-matrix case of ``_largest_spectral_norm``, which
-  gives the largest over a stack and sends to LAPACK only the samples whose
-  bound can beat the running best.
+  of its largest entry; not an SVD but LAPACK's eigenvalues of ``G``, or
+  from ``_KRYLOV_MIN_DIM`` on a Lanczos value proved by a Cholesky
+  factorization (``_top_singular_values``).  It is the one-matrix case of
+  ``_largest_spectral_norm``, which gives the largest over a stack and sends
+  to the eigensolver only the samples whose bound can beat the running
+  best.
 
 Matrices are numpy arrays of complex128.  The Kronecker product is capped
 at ``DEFAULT_DIMENSION_CAP`` rows and columns so accidental blowups fail
@@ -123,7 +125,16 @@ def polar(t) -> tuple[np.ndarray, np.ndarray]:
 
 
 def spectral_norm(a) -> float:
-    """Operator norm: the largest singular value."""
+    """Operator norm: the largest singular value.
+
+    Below ``_KRYLOV_MIN_DIM`` columns and rows it is LAPACK's, to a few ulps
+    per dimension.  From that width on it is a Lanczos value proved to lie
+    within ``delta / 2`` (relative, up to the rounding of a Cholesky
+    factorization) of the largest singular value, ``delta = _KRYLOV_SLACK *
+    dim * eps`` for the smaller side ``dim``; ``delta / 2`` is far below the
+    ``64 * dim * eps`` the tests allow against a full SVD.  See
+    _top_singular_values.
+    """
     a = as_matrix(a)
     if a.size == 0:
         return 0.0
@@ -226,11 +237,110 @@ def _gram(stack: np.ndarray) -> np.ndarray:
 
 
 def _top_singular_values(gram: np.ndarray, exponent: np.ndarray) -> np.ndarray:
-    # 2**exponent * sqrt(lambda_max(G)) for each Gram matrix G of a stack of
-    # matrices scaled by _peak_exponents: their top singular values, from
-    # LAPACK's eigenvalues of G alone.
-    tops = lambda: np.ldexp(np.sqrt(np.linalg.eigvalsh(gram)[..., -1]), exponent)
-    return _checked("spectral norm", tops)
+    """``2**exponent * sqrt(lambda_max(G))`` for each Gram matrix of a stack.
+
+    The matrices were scaled by _peak_exponents, so these are their top
+    singular values.  Below ``_KRYLOV_MIN_DIM`` the whole stack goes to
+    LAPACK's batched ``eigvalsh``, which computes every eigenvalue of each
+    ``G``.  From that width on each ``G`` takes _krylov_top: a Lanczos value
+    ``theta`` proved by a Cholesky factorization of ``theta (1 + delta) I -
+    G``, so the value returned is within ``delta / 2`` (relative, up to the
+    rounding of that factorization) of the true top singular value, where
+    ``delta = _KRYLOV_SLACK * dim * eps`` and ``delta / 2`` is far below
+    the ``64 * dim * eps`` the tests allow against a full SVD.  When the
+    proof fails the value is ``eigvalsh``'s.  The wide route overwrites each
+    ``G`` while it factors it and restores it exactly, so the stack must be
+    the caller's own.
+    """
+    if gram.shape[-1] < _KRYLOV_MIN_DIM:
+        tops = lambda: np.sqrt(np.linalg.eigvalsh(gram)[..., -1])
+    else:
+        tops = lambda: np.array([_krylov_top(g) for g in gram])
+    return _checked("spectral norm", lambda: np.ldexp(tops(), exponent))
+
+
+# The Gram width from which _top_singular_values takes the Lanczos route.
+# Best of 5 at one BLAS thread on a 2-CPU x86-64 host with OpenBLAS 0.3.31:
+# on Gram matrices of D^1 K_chi, _krylov_top took 0.58 ms against
+# eigvalsh's 0.51 ms at dim 80, 0.85 against 1.64 ms at 135 and 4.9 against
+# 13.7 ms at 315; on Gaussian ones, whose top eigenvalue lies close to the
+# rest, 3.5 against 2.8 ms at 160 and even at 256.  Two threads read alike.
+_KRYLOV_MIN_DIM = 160
+# Lanczos steps before _krylov_top gives up; class_ladder's evaluations
+# settle in 10-29, Gaussian Gram matrices in 30-46.
+_KRYLOV_STEPS = 64
+# delta = _KRYLOV_SLACK * dim * eps, the relative margin of the proof.
+_KRYLOV_SLACK = 8
+
+
+def _krylov_top(gram: np.ndarray) -> float:
+    # sqrt(lambda_max(G)) of one PSD Gram matrix G: the Lanczos value theta
+    # once a Cholesky factorization of theta (1 + delta) I - G shows that no
+    # eigenvalue lies above theta (1 + delta), else LAPACK's eigvalsh of G.
+    # The factorization's LinAlgError is the proof's "no", not a failure.
+    dim = len(gram)
+    delta = _KRYLOV_SLACK * dim * np.finfo(np.float64).eps
+    theta = _lanczos_top(gram, delta)
+    if theta > 0 and _factors_below(gram, theta * (1.0 + delta)):
+        return np.sqrt(theta)
+    return np.sqrt(np.linalg.eigvalsh(gram)[-1])
+
+
+def _krylov_start(dim: int) -> np.ndarray:
+    # Lanczos's fixed start, a pseudo-random complex unit vector.  Not a
+    # column of G: K_chi of a block-diagonal T is block-diagonal, and such a
+    # start could stay inside one block.
+    z = np.random.default_rng(0).standard_normal((2, dim))
+    z = z[0] + 1j * z[1]
+    return z / np.linalg.norm(z)
+
+
+def _lanczos_top(gram: np.ndarray, delta: float) -> float:
+    # The top Ritz value theta of Lanczos on G, with full reorthogonalization
+    # (classical Gram-Schmidt twice), from _krylov_start.  It stops once the
+    # Ritz pair's residual r has r^2 <= delta/4 * theta * (theta - theta_2),
+    # theta_2 the next Ritz value, so that theta lies within about delta/4
+    # of the eigenvalue it settles on, or once the Krylov space is
+    # invariant.  NaN if G is not finite or theta does not settle within
+    # _KRYLOV_STEPS steps.
+    basis = np.empty((_KRYLOV_STEPS + 1, len(gram)), dtype=np.complex128)
+    basis[0] = _krylov_start(len(gram))
+    alpha = np.empty(_KRYLOV_STEPS)
+    beta = np.empty(_KRYLOV_STEPS)
+    for j in range(_KRYLOV_STEPS):
+        w = gram @ basis[j]
+        alpha[j] = np.vdot(basis[j], w).real
+        for _ in range(2):
+            w -= np.conj(basis[: j + 1] @ np.conj(w)) @ basis[: j + 1]
+        beta[j] = np.linalg.norm(w)
+        if not np.isfinite(alpha[j] + beta[j]):
+            return np.nan
+        ritz, vecs = np.linalg.eigh(np.diag(alpha[: j + 1]) + np.diag(beta[:j], -1))
+        theta = ritz[-1]
+        gap = theta - (ritz[-2] if j else 0.0)
+        if (beta[j] * vecs[-1, -1]) ** 2 <= delta / 4 * theta * gap or not beta[j] > 0:
+            return theta
+        basis[j + 1] = w / beta[j]
+    return np.nan
+
+
+def _factors_below(gram: np.ndarray, ceiling: float) -> bool:
+    # Whether Cholesky factors ceiling * I - G, that is, whether no
+    # eigenvalue of G reaches ceiling, up to the factorization's backward
+    # error (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    # ch. 10).  The difference is formed in G itself, not in a copy, and G
+    # is restored exactly: negation is exact, and its diagonal is kept.
+    diag = gram.diagonal().copy()
+    np.negative(gram, out=gram)
+    np.fill_diagonal(gram, ceiling - diag)
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        np.negative(gram, out=gram)
+        np.fill_diagonal(gram, diag)
+    return True
 
 
 def _spectral_norms(stack: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ from kchi import (
 )
 import kchi.denselin
 from kchi.denselin import _largest_spectral_norm, _spectral_norms
+from test_symclass import random_unitary
 
 RECON_TOL = 1e-10
 ORACLE_TOL = 1e-9
@@ -184,6 +185,8 @@ def test_spectral_norm_inequalities():
 
 NORM_SHAPES = [(1, 1), (1, 9), (9, 1), (1, 150), (150, 1), (2, 3), (3, 2), (7, 7), (17, 40)]
 NORM_SHAPES += [(40, 17), (90, 150), (150, 150)]
+# Gram matrices at least _KRYLOV_MIN_DIM wide take the Lanczos route.
+NORM_SHAPES += [(200, 200), (170, 420)]
 
 
 @pytest.mark.parametrize("exponent", [0, -1074, -600, 600, 1000])
@@ -226,16 +229,160 @@ def test_spectral_norm_copies_the_adjoint_a_block_at_a_time():
     assert peak <= 2.5 * a.nbytes, peak
 
 
+def with_gram_spectrum(rng, eigenvalues, right):
+    # A square matrix U diag(sqrt(eigenvalues)) right*, U Haar: its Gram
+    # matrix X* X is right diag(eigenvalues) right*.
+    u = random_unitary(rng, len(eigenvalues))
+    return (u * np.sqrt(eigenvalues)) @ right.conj().T
+
+
+def planted_past_the_start(dim):
+    # A matrix whose Gram matrix has top eigenvalue 1.1 with an eigenvector
+    # orthogonal to the Lanczos start, next eigenvalue 1 and the rest in
+    # [0, 0.1].  Lanczos settles on 1 in a few steps, long before rounding
+    # can grow the planted direction, so the proof must fail.
+    rng = np.random.default_rng(59)
+    start = kchi.denselin._krylov_start(dim)
+    q, _ = np.linalg.qr(np.column_stack([start, random_complex(rng, dim)]))
+    right = np.roll(q, -1, axis=1)
+    eigenvalues = np.concatenate([[1.1, 1.0], rng.uniform(0.0, 0.1, dim - 2)])
+    return with_gram_spectrum(rng, eigenvalues, right)
+
+
+def scaled_gram(x):
+    # spectral_norm's own Gram matrix of x, and the power of two it scaled by.
+    exponent = kchi.denselin._peak_exponents(x[None])[0]
+    return kchi.denselin._gram(x[None] * np.ldexp(1.0, -exponent))[0], exponent
+
+
+def record_lapack(monkeypatch):
+    # Record a copy of each eigvalsh argument and whether each Cholesky
+    # factorization succeeded.
+    calls = {"eigvalsh": [], "cholesky": []}
+    eigvalsh, cholesky = np.linalg.eigvalsh, np.linalg.cholesky
+
+    def recorded_eigvalsh(a):
+        calls["eigvalsh"].append(np.array(a))
+        return eigvalsh(a)
+
+    def recorded_cholesky(a):
+        try:
+            factor = cholesky(a)
+        except np.linalg.LinAlgError:
+            calls["cholesky"].append(False)
+            raise
+        calls["cholesky"].append(True)
+        return factor
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded_eigvalsh)
+    monkeypatch.setattr(np.linalg, "cholesky", recorded_cholesky)
+    return calls
+
+
+def test_the_proof_factors_the_gram_matrix_in_place():
+    # Beside G the wide route holds its Lanczos basis and the Cholesky
+    # factor; a proof on a copy of G would hold one more G.
+    x = random_complex(np.random.default_rng(43), 600)
+    gram, exponent = scaled_gram(x)
+    want = gram.copy()
+    tracemalloc.start()
+    try:
+        kchi.denselin._top_singular_values(gram[None], np.array([exponent]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * gram.nbytes, peak
+    assert np.array_equal(gram, want)
+
+
 def test_eigensolver_failure_is_a_numeric_error(monkeypatch):
     def fail(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
+    wide = planted_past_the_start(200)
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     x = random_complex(np.random.default_rng(37), 4)
     with pytest.raises(NumericError):
         spectral_norm(x)
     with pytest.raises(NumericError):
         _largest_spectral_norm(np.stack([x, 2 * x]), 0.0)
+    # The wide route's proof fails on this input, so it reaches eigvalsh.
+    with pytest.raises(NumericError, match="spectral norm did not converge"):
+        spectral_norm(wide)
+
+
+def test_a_failed_proof_returns_eigvalsh_of_the_unchanged_gram_matrix(monkeypatch):
+    x = planted_past_the_start(200)
+    gram, exponent = scaled_gram(x)
+    calls = record_lapack(monkeypatch)
+    got = spectral_norm(x)
+    assert calls["cholesky"] == [False]
+    assert len(calls["eigvalsh"]) == 1
+    assert np.array_equal(calls["eigvalsh"][0], gram)
+    assert got == np.ldexp(np.sqrt(np.linalg.eigvalsh(gram)[-1]), exponent)
+    assert np.isclose(got, np.sqrt(1.1))
+
+
+def test_a_failing_factorization_falls_back_to_eigvalsh(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    x = random_complex(np.random.default_rng(61), 200)
+    gram, exponent = scaled_gram(x)
+    want = np.ldexp(np.sqrt(np.linalg.eigvalsh(gram)[-1]), exponent)
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    assert spectral_norm(x) == want
+
+
+def test_a_triple_top_eigenvalue_is_proved(monkeypatch):
+    # I_3 (x) M under a Haar conjugation, as the (3,1) classes are: each
+    # singular value of M three times.
+    rng = np.random.default_rng(67)
+    m = random_complex(rng, 60)
+    x = random_unitary(rng, 180) @ np.kron(np.eye(3), m) @ random_unitary(rng, 180)
+    want = np.linalg.svd(x, compute_uv=False)
+    assert np.isclose(want[2], want[0], rtol=1e-12)
+    eps = np.finfo(np.float64).eps
+    calls = record_lapack(monkeypatch)
+    got = spectral_norm(x)
+    assert calls == {"eigvalsh": [], "cholesky": [True]}
+    assert abs(got - want[0]) <= 64 * 180 * eps * want[0]
+
+
+def test_a_near_tie_at_the_top_is_within_the_svd_rule():
+    # lambda_1 / lambda_2 = 1 + 1e-10: Lanczos cannot tell the two apart in
+    # its step cap, and whichever route answers must still be accurate.
+    rng = np.random.default_rng(71)
+    eigenvalues = np.concatenate([[1.0 + 1e-10, 1.0], rng.uniform(0.0, 0.9, 198)])
+    x = with_gram_spectrum(rng, eigenvalues, random_unitary(rng, 200))
+    want = np.linalg.svd(x, compute_uv=False)[0]
+    eps = np.finfo(np.float64).eps
+    assert abs(spectral_norm(x) - want) <= 64 * 200 * eps * want
+
+
+def test_wide_zero_and_rank_one_matrices():
+    # Lanczos finds an invariant subspace at once on both; the zero matrix
+    # has no proof and takes eigvalsh.  A rank-one u v* has norm |u| |v|,
+    # here 3 * sqrt(256) = 48, found to a few ulps as eigvalsh finds it.
+    assert spectral_norm(np.zeros((170, 200))) == 0.0
+    eps = np.finfo(np.float64).eps
+    x = np.zeros((256, 256))
+    x[0] = 3.0
+    assert abs(spectral_norm(x) - 48.0) <= 4 * eps * 48.0
+    rng = np.random.default_rng(79)
+    for _ in range(5):
+        u, v = random_complex(rng, 200, 1), random_complex(rng, 180, 1)
+        want = np.linalg.norm(u) * np.linalg.norm(v)
+        assert abs(spectral_norm(u @ v.conj().T) - want) <= 4 * eps * want
+
+
+def test_stacked_routes_keep_the_bits_of_spectral_norm_when_wide():
+    rng = np.random.default_rng(73)
+    stack = random_complex(rng, 3 * 170, 170).reshape(3, 170, 170)
+    stack[1] = random_complex(rng, 170, 1) @ random_complex(rng, 1, 170)
+    want = [spectral_norm(x) for x in stack]
+    assert np.array_equal(_spectral_norms(stack), want)
+    assert _largest_spectral_norm(stack, 0.0) == max(want)
 
 
 SAMPLE_KINDS = ("gaussian", "rank one", "zero", "copy")

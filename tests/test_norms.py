@@ -205,6 +205,19 @@ def test_norm_report_on_random_operators():
             assert report.ok, (chi.parts, n, k)
 
 
+def test_wide_class_norms_take_the_lanczos_route():
+    # (3,1)/5 has dim 315, past denselin._KRYLOV_MIN_DIM: K_chi's norm is a
+    # proved Lanczos value, and it matches the full SVD as the narrow norms do.
+    sc = build_symmetry_class(Partition((3, 1)), 5)
+    rng = np.random.default_rng(83)
+    k = k_chi_matrix(sc, rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    assert k.shape == (315, 315)
+    want = np.linalg.svd(k, compute_uv=False)[0]
+    assert abs(spectral_norm(k) - want) <= 64 * 315 * np.finfo(np.float64).eps * want
+    t = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    assert dk_norm_verify(sc, t, 1, samples=20, seed=0).ok
+
+
 def test_norm_report_is_deterministic():
     sc = build_symmetry_class(Partition((2,)), 2)
     t = np.array([[1.0, 2.0], [0.0, 1.0j]])
