@@ -216,7 +216,7 @@ def _peak_exponents(stack: np.ndarray) -> np.ndarray:
     return np.maximum(np.frexp(peak)[1], -1021)
 
 
-# Bytes of conjugated columns that _gram copies at a time.
+# Bytes of one matrix's conjugated columns that _gram copies at a time.
 _GRAM_BLOCK_BYTES = 1 << 20
 
 
@@ -224,15 +224,20 @@ def _gram(stack: np.ndarray) -> np.ndarray:
     # G = X* X of each X in a stack (..., r, c), or for r < c the conjugate
     # of X X*, which has the same eigenvalues: the Gram matrix on the smaller
     # side.  It is built a block of rows at a time, so only that block of
-    # X*, not all of it, is copied beside X and G.
+    # X*, not all of it, is copied beside X and G.  A block multiplies only
+    # the columns from its own first one on, and its part right of the
+    # diagonal block, conjugated, fills the rows below it in its columns.
+    # The blocks depend on one matrix's shape, not on the stack's size, so a
+    # matrix gets the same bits alone or in a stack.
     if stack.shape[-2] < stack.shape[-1]:
         stack = stack.swapaxes(-1, -2)
     cols = stack.shape[-1]
     gram = np.empty(stack.shape[:-2] + (cols, cols), dtype=np.complex128)
-    step = max(1, _GRAM_BLOCK_BYTES // stack[..., :1].nbytes)
+    step = max(1, _GRAM_BLOCK_BYTES // (stack.itemsize * stack.shape[-2]))
     for lo in range(0, cols, step):
-        rows = slice(lo, lo + step)
-        np.matmul(stack[..., rows].conj().swapaxes(-1, -2), stack, out=gram[..., rows, :])
+        hi = lo + step
+        np.matmul(stack[..., lo:hi].conj().swapaxes(-1, -2), stack[..., lo:], out=gram[..., lo:hi, lo:])
+        np.conjugate(gram[..., lo:hi, hi:].swapaxes(-1, -2), out=gram[..., hi:, lo:hi])
     return gram
 
 

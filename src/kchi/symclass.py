@@ -74,6 +74,9 @@ _OrbitBlock = collections.namedtuple("_OrbitBlock", ("rows", "at", "z") + _SHARE
 # One composition's n-independent part, shared by every class of its chi;
 # see _template.
 _Template = collections.namedtuple("_Template", _SHARED + ("words",))
+# The orbit blocks of one shape, stacked for the lift; see
+# SymmetryClass.column_groups.
+_ColumnGroup = collections.namedtuple("_ColumnGroup", ("at", "z", "binv"))
 
 
 @dataclass(frozen=True)
@@ -90,8 +93,8 @@ class SymmetryClass:
     basis.  The rest serve the kernel's one Schur-module copy (see
     ``_compress``): ``copy`` is the orbit's ``(orbit size, rank / f^chi)``
     block of the copy columns V Z, ``z[:, g]`` are the g-th orbit's
-    ``rank / f^chi`` copy columns among all dim / f^chi (its columns of
-    each translate Y_t too), ``binv`` is the ``(rank, rank)`` inverse of
+    ``rank / f^chi`` copy columns among all dim / f^chi (its rows and
+    columns of M_W too), ``binv`` is the ``(rank, rank)`` inverse of
     the translates' coordinates B, ``dual[t]`` the
     ``(rank / f^chi, orbit size)`` product D_t V* P(sigma_t) of B^-1's
     t-th block of rows with the basis block read through the t-th
@@ -107,7 +110,9 @@ class SymmetryClass:
     triangular change of basis expressing those columns through the
     e*-basis indexed by ``delta_hat``) are decoded or scattered from the
     blocks on first access, and so is ``copy_columns``, the copy columns
-    V Z of the whole class; all three arrays are float64.
+    V Z of the whole class; all three arrays are float64.  The lift's
+    ``column_groups``, the blocks of one shape stacked, are also formed on
+    first access.
     """
 
     chi: Partition
@@ -159,6 +164,26 @@ class SymmetryClass:
             out[block.rows[:, :, None], block.z.T] = block.copy[:, None, :]
         out.setflags(write=False)
         return out
+
+    @functools.cached_property
+    def column_groups(self) -> tuple[_ColumnGroup, ...]:
+        # The lift's column side (see _lift): the orbit blocks whose
+        # compositions share their rank, copy width and orbit count, with
+        # ``at`` and ``z`` stacked to (C, rank, G) and (C, width, G) and
+        # ``binv`` as (f^chi, C width rank): each composition's rows of B^-1
+        # for the t-th tableau, the compositions side by side.
+        shapes: dict[tuple[int, ...], list[_OrbitBlock]] = {}
+        for block in self.orbit_blocks:
+            shapes.setdefault(block.at.shape + block.z.shape, []).append(block)
+        f = len(self.orbit_blocks[0].frame)
+        return tuple(
+            _ColumnGroup(
+                np.array([b.at for b in blocks]),
+                np.array([b.z for b in blocks]),
+                np.concatenate([b.binv.reshape(f, -1) for b in blocks], axis=1),
+            )
+            for blocks in shapes.values()
+        )
 
 
 def build_symmetry_class(chi: Partition, n: int) -> SymmetryClass:
@@ -428,7 +453,8 @@ def _compress(sc: SymmetryClass, mats: list[np.ndarray], factor: int = 1) -> np.
     # V Z, and tableaux whose chains name the same factors share one, with
     # one gather of its result per composition (see _dual_product).
     # Returns ``factor`` times the (S, dim, dim) stack; S = 1 without stacks.
-    # The lift holds the only reference to M_W, so it can free M_W early.
+    # The lift writes each block of M once, straight from M_W's rows and
+    # columns of that block's orbits, with no (S, dim, dim) array but M.
     return _checked("compressed operator", lambda: _lift(sc, _partial_trace(sc, mats, factor)))
 
 
@@ -472,31 +498,42 @@ def _dual_product(sc: SymmetryClass, w: np.ndarray, ts: list[int], m_w: np.ndarr
 
 def _lift(sc: SymmetryClass, m_w: np.ndarray) -> np.ndarray:
     # M = B (I (x) M_W) B^-1, (S, dim, dim), from M_W as _partial_trace
-    # leaves it.  Y_t = B_t M_W: per composition, the orbits' copy rows z of
-    # M_W times the template's (f, rank, width) ``frame``, f GEMMs in one
-    # call (one (f rank, width) GEMM can round differently), written into
-    # their rows of every Y_t.  M.T = B^-T Y.T: the rows t * width + z of
-    # Y.T, t = 1..f, are an orbit's columns of B in order, so each
-    # composition is one gather and one GEMM with B^-T.  Both take (re, im)
-    # interleaved, orbits, samples and columns side by side.  Each
-    # composition's product is freed before the next, and M_W before the
-    # transpose; M.T is written over Y.
-    f, width = len(sc.orbit_blocks[0].frame), len(m_w)
-    ys = np.empty((m_w.shape[1], sc.dim, f, width), dtype=np.complex128)
-    out = ys.view(np.float64).transpose(2, 1, 0, 3)
+    # leaves it.  B and B^-1 are block diagonal over the orbits, so the
+    # block of M on orbit g of composition c (rows) and orbit g' of
+    # composition c' (columns) is sum_t F_t X D_t: F_t is the template's
+    # (rank, width) ``frame[t]`` of c, D_t the t-th (width', rank') block of
+    # rows of the ``binv`` of c', and X = M_W[z_c[:, g], z_c'[:, g']].  Read
+    # row-major, that is X times the pair kernel K = sum_t F_t (x) D_t^T,
+    # (rank rank', width width').  For each c and each column group (see
+    # SymmetryClass.column_groups), one GEMM of the frame with the group's
+    # binv forms the kernels of every c' of the group, one gather takes X
+    # for every orbit pair and sample, one real GEMM per c' multiplies, with
+    # the (re, im) parts side by side, and one scatter writes the result
+    # into M, the only (S, dim, dim) array.  The kernels are formed on every
+    # call: kept for every class under the caps they would take 65.7 MB,
+    # three times the templates.  With f^chi = 1, for (m) and (1^m), each
+    # orbit's z is its at and B = B^-1 = [[1.0]], so M is M_W itself.
+    samples, f = m_w.shape[1], len(sc.orbit_blocks[0].frame)
+    copies = m_w.view(np.complex128)
+    if f == 1:
+        return np.ascontiguousarray(copies.transpose(1, 0, 2))
+    out = np.empty((samples, sc.dim, sc.dim), dtype=np.complex128)
+    samples_last = out.transpose(1, 2, 0)
     for b in sc.orbit_blocks:
-        part = b.frame @ m_w[b.z].reshape(len(b.z), -1)
-        out[:, b.at] = part.reshape((f,) + b.at.shape + m_w.shape[1:])
-        del part
-    del m_w
-    yt = np.ascontiguousarray(ys.reshape(-1, f * width).T).reshape(f, width, -1)
-    out_t = ys.reshape(sc.dim, -1)
-    for b in sc.orbit_blocks:
-        part = b.binv.T @ yt[:, b.z].view(np.float64).reshape(len(b.binv), -1)
-        out_t[b.at] = part.view(np.complex128).reshape(b.at.shape + (-1,))
-        del part
-    del yt
-    return np.ascontiguousarray(out_t.T).reshape(len(ys), sc.dim, sc.dim)
+        (rank, orbits), width = b.at.shape, len(b.z)
+        frame = b.frame.transpose(1, 2, 0).reshape(rank * width, f)
+        rows, z = b.at[:, None, :, None], b.z[:, None, :, None]
+        for group in sc.column_groups:
+            count, rank2, orbits2 = group.at.shape
+            width2 = group.z.shape[1]
+            kernel = (frame @ group.binv).reshape(rank, width, count, width2, rank2)
+            kernel = kernel.transpose(2, 0, 4, 1, 3).reshape(count, rank * rank2, -1)
+            # (count, width, width2, orbits, orbits2, S) entries of M_W.
+            x = copies[z, :, group.z[:, None, :, None, :]]
+            part = kernel @ x.reshape(count, width * width2, -1).view(np.float64)
+            part = part.view(np.complex128).reshape(count, rank, rank2, orbits, orbits2, samples)
+            samples_last[rows, group.at[:, None, :, None, :]] = part
+    return out
 
 
 def _axis_product(n: int, mat: np.ndarray, w: np.ndarray, axis: int) -> np.ndarray:

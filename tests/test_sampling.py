@@ -18,6 +18,7 @@ count their products and bound their memory.
 
 import collections
 import dataclasses
+import functools
 import json
 import math
 import tracemalloc
@@ -59,7 +60,7 @@ from kchi.norms import (
     _tensor_route,
     _unit_stack,
 )
-from kchi.symclass import _dk_copy, _dk_stack
+from kchi.symclass import _dk_copy, _dk_factors, _dk_stack
 from kchi.symgroup import _permutation_characters
 from test_symclass import SMALL_CLASSES
 
@@ -349,11 +350,11 @@ def dense_product_class(sc):
     # The class with one block over all n^m rows and every column, so the
     # kernel's partial trace is the dense D_t V.T @ P(sigma_t) W of its own
     # chains, with each P(sigma_t) a dense permutation matrix folded into
-    # the dual, and it ends in Y_t = B_t M_W and [Y_1 ... Y_f] times the
-    # block-diagonal B^-1 of all orbits, with D_t and B_t the row and column
-    # blocks of that B^-1 and of its inverse.
-    # The copy column z of translate t is column t * width + z of
-    # [Y_1 ... Y_f], so the dense block's z is every copy column in order.
+    # the dual, with D_t and B_t the row and column blocks of the
+    # block-diagonal B^-1 of all orbits and of its inverse.  The copy column
+    # z of translate t is column t * width + z of B, so the dense block's z
+    # is every copy column in order.  Its one block is as wide as the class,
+    # so it is lifted by dense_lift, not by the kernel's pair kernels.
     blocks = sc.orbit_blocks
     positions = np.arange(sc.n**sc.m)
     tableaux = kchi.symclass._young_symmetrizer(sc.chi)[1]
@@ -382,12 +383,33 @@ def dense_product_class(sc):
     return dataclasses.replace(sc, orbit_blocks=(block,))
 
 
+def dense_lift(sc, m_w):
+    # M = B (I (x) M_W) B^-1 with B and B^-1 scattered from each orbit
+    # block's frame and binv into dense (dim, dim) matrices, for M_W as the
+    # partial trace leaves it; column t * width + z of B is the copy column
+    # z of translate t.
+    f, width = len(sc.orbit_blocks[0].frame), len(m_w)
+    b_mat, binv = np.zeros((sc.dim, sc.dim)), np.zeros((sc.dim, sc.dim))
+    for b in sc.orbit_blocks:
+        ycols = (np.arange(f)[:, None, None] * width + b.z).reshape(-1, b.z.shape[1])
+        binv[ycols[:, None, :], b.at[None, :, :]] = b.binv[:, :, None]
+        frame = b.frame.transpose(1, 0, 2).reshape(len(b.at), -1)
+        b_mat[b.at[:, None, :], ycols[None, :, :]] = frame[:, :, None]
+    copies = m_w.view(np.complex128).transpose(1, 0, 2)
+    return np.stack([b_mat @ np.kron(np.eye(f), x) @ binv for x in copies])
+
+
+def dense_compress(sc, mats, factor=1):
+    # The kernel's partial trace, lifted by dense_lift.
+    return dense_lift(sc, kchi.symclass._partial_trace(sc, mats, factor))
+
+
 @pytest.mark.parametrize("chi, n", ORBIT_BLOCK_CLASSES)
 def test_the_orbit_block_product_matches_the_dense_product(chi, n):
     # k_chi_matrix, dk_kchi for k = 0..m and a stacked _dk_stack take one
     # product per composition and tableau; against the dense partial trace
-    # of the same chains and against the per-arrangement reference,
-    # relative to the largest entry.
+    # of the same chains, lifted through dense B and B^-1, and against the
+    # per-arrangement reference, relative to the largest entry.
     sc = build_symmetry_class(chi, n)
     dense = dense_product_class(sc)
     rng = sample_rng(19, 0)
@@ -397,16 +419,16 @@ def test_the_orbit_block_product_matches_the_dense_product(chi, n):
         assert np.abs(got - want).max() <= ORBIT_BLOCK_TOL * np.abs(want).max()
 
     got = k_chi_matrix(sc, t)
-    check(got, k_chi_matrix(dense, t))
+    check(got, dense_compress(dense, [t] * sc.m)[0])
     check(got, reference_compress(sc, [t] * sc.m))
     for k in range(sc.m + 1):
         xs = [random_matrix(n, rng) for _ in range(k)]
         got = dk_kchi(sc, t, xs)
-        check(got, dk_kchi(dense, t, xs))
+        check(got, dense_compress(dense, *_dk_factors(dense, t, xs))[0])
         check(got, reference_dk_kchi(sc, t, xs))
     xs = [np.array([random_matrix(n, rng) for _ in range(3)]) for _ in range(min(2, sc.m))]
     got = _dk_stack(sc, t, xs)
-    check(got, _dk_stack(dense, t, xs))
+    check(got, dense_compress(dense, *_dk_factors(dense, t, xs)))
     for s in range(3):
         check(got[s], reference_dk_kchi(sc, t, [x[s] for x in xs]))
 
@@ -475,6 +497,71 @@ def test_one_dimensional_characters_run_on_v_itself(chi, n):
     m_w = sample_rng(21, 0).standard_normal((sc.dim, 2, 2 * sc.dim))
     want = m_w.view(np.complex128).transpose(1, 0, 2).copy()
     assert np.array_equal(kchi.symclass._lift(sc, m_w), want)
+
+
+# (chi, n, widths): f^chi = 2, 3, 5 and 16, and the copy widths rank /
+# f^chi of their compositions.
+LIFT_CLASSES = [
+    (Partition((2, 2)), 4, {1, 2}),
+    (Partition((3, 1)), 4, {1, 2, 3}),
+    (Partition((3, 2)), 4, {1, 2, 3}),
+    (Partition((3, 2, 1)), 3, {1, 2}),
+    (Partition((3, 2, 1)), 4, {1, 2, 4}),
+]
+# The lift against its dense references, relative to the largest entry of
+# the reference; the largest error seen on these classes is 2.4e-15.
+LIFT_TOL = 1e-14
+
+
+def dense_symmetrized(mats):
+    # The mean over the distinct arrangements of np.kron of the factors.
+    reps, orders = _distinct_arrangements(mats)
+    return sum(functools.reduce(np.kron, [reps[i] for i in order]) for order in orders) / len(orders)
+
+
+@pytest.mark.parametrize("chi, n, widths", [case for case in LIFT_CLASSES if case[1] ** case[0].size <= 1024])
+def test_the_lift_matches_the_dense_compression(chi, n, widths):
+    # K_chi and a stacked D^1 K_chi against V.T S V, with V the inclusion
+    # and S the dense mean of np.kron over the arrangements of the factors.
+    sc = build_symmetry_class(chi, n)
+    assert {len(b.z) for b in sc.orbit_blocks} == widths
+    v, rng = sc.inclusion, sample_rng(24, 0)
+    t = random_matrix(n, rng)
+    xs = [np.array([random_matrix(n, rng) for _ in range(3)])]
+    want = [v.T @ dense_symmetrized([t] * sc.m) @ v]
+    want += [sc.m * v.T @ dense_symmetrized([t] * (sc.m - 1) + [x]) @ v for x in xs[0]]
+    got = [k_chi_matrix(sc, t), *_dk_stack(sc, t, xs)]
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= LIFT_TOL * np.abs(w).max()
+
+
+@pytest.mark.parametrize("chi, n, widths", LIFT_CLASSES)
+def test_the_lift_matches_dense_translates(chi, n, widths):
+    # B (I (x) M_W) B^-1 with dense B and B^-1, on random M_W at one sample
+    # and at three.
+    sc = build_symmetry_class(chi, n)
+    assert {len(b.z) for b in sc.orbit_blocks} == widths
+    width = sc.dim // degree(chi)
+    for samples in (1, 3):
+        m_w = sample_rng(25, samples).standard_normal((width, samples, 2 * width))
+        want = dense_lift(sc, m_w)
+        assert np.abs(kchi.symclass._lift(sc, m_w) - want).max() <= LIFT_TOL * np.abs(want).max()
+
+
+def test_the_lift_holds_little_beside_its_result():
+    # M is written once, with one composition's pair blocks beside it: at
+    # (3,1)/5 the traced peak is at most 1.25 times M's bytes, where a
+    # transposed copy of M would take 2.
+    sc = build_symmetry_class(Partition((3, 1)), 5)
+    width = sc.dim // 3
+    m_w = sample_rng(26, 0).standard_normal((width, 2, 2 * width))
+    tracemalloc.start()
+    try:
+        out = kchi.symclass._lift(sc, m_w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * out.nbytes, (peak, out.nbytes)
 
 
 COPY_TOL = 1e-14
