@@ -65,12 +65,14 @@ REPORT_TOL = 1e-7
 # many tuples as keep all the arrays the chunk holds at once within
 # SAMPLE_CHUNK_BYTES, and at least one, so a supremum's memory grows
 # neither with the sample count nor, beyond one tuple, with the class (see
-# _sampled_max).  A tuple's draw holds about seven arrays of the size of
-# its k directions, and then the directions stay beside its evaluation.  A
-# derivative supremum evaluates and norms each sample on the kernel's one
-# Schur-module copy (symclass._dk_copy), (w, w) with w = dim / f^chi, and a
-# tuple holds two such complex arrays: its value and, a third of the chunk
-# at a time, the norm's scaled copy, Gram matrix and Gram square
+# _sampled_max).  A tuple's draw holds at most four arrays of the size of
+# its k directions, its normals, its unitaries and one column's temporaries
+# (tracemalloc read 2.8 to 4.0 of them at n = 1..8), and then the
+# directions stay beside its evaluation.  A derivative supremum evaluates
+# and norms each sample on the kernel's one Schur-module copy
+# (symclass._dk_copy), (w, w) with w = dim / f^chi, and a tuple holds two
+# such complex arrays: its value and, a third of the chunk at a time, the
+# norm's scaled copy, Gram matrix and Gram square
 # (denselin._largest_spectral_norm).  Through the kernel a tuple also holds
 # three (n^m, w) complex states (see symclass._compress; the copy columns
 # V Z are the class's).  A supremum over more tuples than its n^{2k}
@@ -278,79 +280,22 @@ def _unit_stack(n: int, k: int, rng: np.random.Generator, count: int) -> np.ndar
 
 def _haar_units(normals: np.ndarray) -> np.ndarray:
     # The unitaries of the complex Gaussians re + i im of a (..., 2, n, n)
-    # stack of normals (re, im), in its shape: Q of each one's QR, its
-    # columns times the phases of R's diagonal, is Haar distributed
-    # (Mezzadri, Notices AMS 54, 2007), and a zero pivot's phase is 1, so no
-    # draw is rejected.  All of them take one _householder call, on the
-    # normals with the matrices moved to the last axis.
-    n = normals.shape[-1]
-    flat = normals.reshape(-1, 2, n, n)
-    parts = _householder(np.moveaxis(flat, 0, -1).copy())
-    units = np.empty((len(flat), n, n), dtype=np.complex128)
-    units.real, units.imag = parts.transpose(0, 3, 1, 2)
-    return units.reshape(normals.shape[:-3] + (n, n))
-
-
-def _householder(a: np.ndarray) -> np.ndarray:
-    # Q D of the Householder QR A = Q R of each complex matrix of a stack,
-    # D the phases of R's diagonal, 1 at a zero pivot: a (2, n, n, B) array
-    # of (re, im) parts, rows, columns and matrices, overwritten with Q D.
-    # Column j x of the reduced A is reflected onto -e |x| e_j, e the phase
-    # of x_j (1 where x_j = 0), by H_j = I - tau v v*, v = x + e |x| e_j, so
-    # R_jj's phase is -e; where x_j is the column's only nonzero entry, or
-    # there is none, as in the last column, H_j = I and the phase is e.  R
-    # itself is not kept.  Every operation is a real elementwise one across
-    # the matrices, and each sum runs over the rows in order, so a matrix's
-    # bits do not depend on how many share the batch.
-    n = a.shape[1]
-    reflectors = []
-    for j in range(n):
-        x = a[:, j:, j]
-        squares = x[0] * x[0] + x[1] * x[1]
-        head = np.sqrt(squares[0])
-        phase = x[:, 0] / np.where(head > 0, head, np.inf)
-        phase[0] += head == 0
-        if j == n - 1:
-            reflectors.append((None, None, phase))
-            break
-        tail = squares[1]
-        for row in squares[2:]:
-            tail = tail + row
-        norm = np.sqrt(squares[0] + tail)
-        v = x.copy()
-        v[:, 0] += phase * norm
-        # 2 / |v|^2, as |v|^2 = (head + norm)^2 + tail = 2 norm (norm + head).
-        tau = 1.0 / np.where(tail > 0, norm * (norm + head), np.inf)
-        _reflect(v, tau, a[:, j:, j + 1 :])
-        reflectors.append((v, tau, np.where(tail > 0, -phase, phase)))
-    # Q D = H_1 (H_2 (... (H_n D))), the last reflector first: rows and
-    # columns j.. of H_{j+1} ... H_n D are D_jj (+) the rest, and the others
-    # are the identity's.
-    a[:] = 0.0
-    for j in range(n - 1, -1, -1):
-        v, tau, a[:, j, j] = reflectors[j]
-        if v is not None:
-            _reflect(v, tau, a[:, j:, j:])
-    return a
-
-
-def _reflect(v: np.ndarray, tau: np.ndarray, b: np.ndarray) -> None:
-    # b -= tau v (v* b) in place, for each matrix of (re, im) stacks: b is
-    # (2, rows, cols, B), v (2, rows, B) and tau (B,).  The complex products
-    # are summed from the real products of v's parts with b's.
-    re, im = v[:, :, None]
-    p, q = re * b, im * b
-    p[0] += q[1]
-    p[1] -= q[0]
-    dots = p[:, 0]
-    for row in range(1, p.shape[1]):
-        dots = dots + p[:, row]
-    dots *= tau
-    del p, q
-    p, q = re * dots[:, None], im * dots[:, None]
-    p[0] -= q[1]
-    p[1] += q[0]
-    b -= p
+    # stack of normals (re, im), in its shape: Q of each one's QR whose R has
+    # a real positive diagonal, which is Haar distributed (Mezzadri, Notices
+    # AMS 54, 2007).  Classical Gram-Schmidt, columns in order, takes each
+    # column off the ones before it twice, which keeps Q unitary to rounding
+    # (Giraud, Langou and Rozloznik, Comput. Math. Appl. 50, 2005).  Every
+    # sum is an einsum over one matrix's rows, with no BLAS call, so a
+    # matrix's bits depend neither on how many share the stack nor on the
+    # thread count.
+    q = np.empty(normals.shape[:-3] + normals.shape[-2:], dtype=np.complex128)
+    q.real, q.imag = np.moveaxis(normals, -3, 0)
+    for j in range(q.shape[-1]):
+        x, done = q[..., j], q[..., :j]
+        for _ in range(2):
+            x -= np.einsum("...ij,...j->...i", done, np.einsum("...ij,...i->...j", done.conj(), x))
+        x /= np.sqrt(np.einsum("...i,...i->...", x.conj(), x).real)[..., None]
+    return q
 
 
 def _sample_chunk(tuple_bytes: int, held: int = 0) -> int:
@@ -382,12 +327,12 @@ def _sampled_max(
     # read in order from rng a chunk at a time, so the tuples do not depend
     # on the chunk size.  ``reduce(xs, best)`` takes the k direction stacks
     # (S, n, n) of one chunk and the largest value so far, and returns the
-    # largest value including the chunk's.  A tuple holds its draw, about
-    # seven arrays of the size of its directions (_haar_units), and then its
+    # largest value including the chunk's.  A tuple holds its draw, at most
+    # four arrays of the size of its directions (_haar_units), and then its
     # directions beside the ``tuple_bytes`` its evaluation holds; a chunk
     # holds ``held`` more bytes besides (see SAMPLE_CHUNK_BYTES).
     directions = 16 * k * n * n
-    chunk = _sample_chunk(max(7 * directions, directions + tuple_bytes), held)
+    chunk = _sample_chunk(max(4 * directions, directions + tuple_bytes), held)
     best = 0.0
     for lo in range(0, samples, chunk):
         units = _unit_stack(n, k, rng, min(chunk, samples - lo)).swapaxes(0, 1)

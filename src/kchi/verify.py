@@ -162,12 +162,6 @@ def _draws(seed: int):
         yield sample_rng(seed, index)
 
 
-def _unit_normals(n: int, rng, *shape: int) -> np.ndarray:
-    # The normals of random_unit_matrix calls on rng, as many as ``shape``
-    # holds, for one _haar_units call on a whole criterion's draws.
-    return rng.standard_normal(shape + (2, n, n))
-
-
 def _polar_draws(rngs, n: int):
     # A random operator T from each generator: the singular values of each,
     # and the (S, n, n) stack of their PSD polar factors.
@@ -380,7 +374,7 @@ def check_finite_differences(seed: int = 0, max_n: int = 4) -> list[CheckResult]
             ts, xs = [], []
             for rng in itertools.islice(draws, FD_CASES):
                 ts.append(random_matrix(size, rng))
-                xs.append(_unit_normals(size, rng, k))
+                xs.append(rng.standard_normal((k, 2, size, size)))
             ts, xs = np.array(ts), list(_haar_units(np.array(xs)).swapaxes(0, 1))
             algebraic = _dk_stack(sc, ts, xs)
             numeric = _fd_derivative(sc, ts, xs, FD_STEP)
@@ -572,10 +566,10 @@ def check_taylor_perturbation(seed: int = 0, max_n: int = 4) -> list[CheckResult
         delta = deltas[i % len(deltas)]
         chi = chis[i % len(chis)]
         t = random_matrix(size, rng)
-        x = _unit_normals(size, rng)
+        x = rng.standard_normal((2, size, size))
         bound = perturbation_bounds(chi, singular_values(t), delta)
         a = random_matrix(size, rng)
-        y = _unit_normals(size, rng)
+        y = rng.standard_normal((2, size, size))
         bound_imm = degree(chi) * perturbation_bounds(chi, singular_values(a), delta)
         groups.setdefault(chi, []).append((t, x, a, y, delta, bound, bound_imm))
     worst_op_violation = -math.inf

@@ -55,7 +55,7 @@ from kchi.norms import (
     SAMPLE_CHUNK_BYTES,
     _contract,
     _derivative_tensor,
-    _householder,
+    _haar_units,
     _sample_chunk,
     _tensor_route,
     _unit_stack,
@@ -239,32 +239,58 @@ def test_draws_are_the_haar_factors_of_their_gaussians(n, k, chunk):
 LAPACK_TOL = 1e-13
 
 
+def lapack_factors(normals):
+    # LAPACK's QR of the complex Gaussians of (count, 2, n, n) normals: Q
+    # and the phases of R's diagonal.
+    q, r = np.linalg.qr(normals[:, 0] + 1j * normals[:, 1])
+    return q, np.exp(1j * np.angle(np.diagonal(r, axis1=-2, axis2=-1)))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_householder_draws_match_lapack_qr(n):
+def test_draws_match_lapack_qr_with_the_phases_of_r(n):
     # 10^4 draws against LAPACK's QR of the same Gaussians, with Q's columns
-    # times the phases of R's diagonal, the rule the batched Householder QR
-    # keeps.
+    # times the phases of R's diagonal, the rule that makes R's diagonal
+    # real and positive as Gram-Schmidt's is.
     count = 10_000
     units = _unit_stack(n, 1, sample_rng(26, n), count)[:, 0]
-    normals = sample_rng(26, n).standard_normal((count, 2, n, n))
-    q, r = np.linalg.qr(normals[:, 0] + 1j * normals[:, 1])
-    phases = np.exp(1j * np.angle(np.diagonal(r, axis1=-2, axis2=-1)))
+    q, phases = lapack_factors(sample_rng(26, n).standard_normal((count, 2, n, n)))
     assert np.abs(units - q * phases[:, None, :]).max() <= LAPACK_TOL
 
 
+def haar_moments_hold(units):
+    # Moments of a Haar unitary, each within 6 standard errors of its
+    # sample: E tr U = 0, E |tr U|^2 = 1 and E |U_11|^2 = 1/n (Diaconis and
+    # Shahshahani, J. Appl. Probab. 31A, 1994).  The 1e-13 covers rounding
+    # where a statistic has no spread, as at n = 1.
+    n = units.shape[-1]
+    trace = np.trace(units, axis1=-2, axis2=-1)
+    cases = [(trace, 0.0), (np.abs(trace) ** 2, 1.0), (np.abs(units[:, 0, 0]) ** 2, 1.0 / n)]
+    return all(
+        abs(values.mean() - want) <= 6 * values.std() / math.sqrt(len(values)) + 1e-13
+        for values, want in cases
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_draws_have_the_haar_moments(n):
+    # A check of the distribution that takes no QR: 2 * 10^4 draws pass,
+    # and LAPACK's Q of the same Gaussians without the phase rule, which is
+    # not Haar distributed, fails (its mean trace is real and away from 0).
+    count = 20_000
+    units = _unit_stack(n, 1, sample_rng(28, n), count)[:, 0]
+    assert haar_moments_hold(units)
+    q, _ = lapack_factors(sample_rng(28, n).standard_normal((count, 2, n, n)))
+    assert not haar_moments_hold(q)
+
+
 def test_rank_deficient_stacks_still_give_unitaries():
-    # A repeated column leaves a pivot of rounding size and a zero column a
-    # zero pivot, whose phase is 1: every matrix still gives a unitary with
-    # no NaN, and the zero matrix gives the identity.
+    # A repeated column leaves a pivot of rounding size: every matrix still
+    # gives a unitary with no NaN.
     parts = sample_rng(27, 0).standard_normal((2, 4, 4, 30))
     parts[:, :, 2] = parts[:, :, 0]
-    parts[:, :, 3, :10] = 0.0
-    parts[:, :, :, 20:] = 0.0
-    out = _householder(parts)
-    units = (out[0] + 1j * out[1]).transpose(2, 0, 1)
+    units = _haar_units(np.moveaxis(parts, -1, 0))
     assert np.isfinite(units).all()
     assert np.abs(units.conj().swapaxes(1, 2) @ units - np.eye(4)).max() <= HAAR_TOL
-    assert np.array_equal(units[20:], np.broadcast_to(np.eye(4), (10, 4, 4)))
 
 
 def test_batched_kernel_matches_the_per_sample_loop():
@@ -730,6 +756,20 @@ def test_an_immanant_supremum_stays_within_its_chunk_budget():
     assert peak <= SAMPLE_CHUNK_BYTES
 
 
+def test_the_permanent_slack_supremum_stays_within_its_chunk_budget():
+    # verify's strict-slack row: the permanent of diag(1, 0) at k = 1 over
+    # SLACK_SAMPLES tuples, whose chunks are sized by the draw, not by the
+    # sum's five arrays of 2! entries.
+    a = np.diag([1.0, 0.0]).astype(np.complex128)
+    tracemalloc.start()
+    try:
+        immanant_bound_verify(Partition((2,)), a, 1, samples=kchi.verify.SLACK_SAMPLES)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= SAMPLE_CHUNK_BYTES
+
+
 def count_axis_products(monkeypatch):
     # Records, per call of the axis-product helper, whether it ran on the
     # sample axis.
@@ -1056,10 +1096,10 @@ def test_chunk_keeps_the_kernel_stack_bounded(rows, dim, f):
 
 def test_verifiers_draw_chunks_sized_from_the_class(monkeypatch):
     # With the byte budget shrunk, (2,1)/3 at k = 2 (KERNEL_TUPLE_BYTES per
-    # tuple) fits 5 tuples per chunk and the n = 3 immanant sum at
-    # k = 1 fits 7: its draw's seven (3, 3) arrays outweigh its six arrays
-    # of 3! entries (four live states, a product and its gathered entries)
-    # and its direction.  The suprema still equal the reference loop's.
+    # tuple) fits 5 tuples per chunk and the n = 2 permanent at k = 1 fits
+    # 7: its draw's four (2, 2) arrays outweigh its five arrays of 2!
+    # entries (three live states, a product and its gathered entries) and
+    # its direction.  The suprema still equal the reference loop's.
     sizes = []
     stack = kchi.norms._unit_stack
 
@@ -1079,12 +1119,12 @@ def test_verifiers_draw_chunks_sized_from_the_class(monkeypatch):
     assert abs(report.sample_max - want) <= KERNEL_TOL * want
 
     sizes.clear()
-    monkeypatch.setattr(kchi.norms, "SAMPLE_CHUNK_BYTES", 16 * 7 * 9 * 7)
-    chi = Partition((2, 1))
-    a = random_matrix(3, sample_rng(2, 10**6))
+    monkeypatch.setattr(kchi.norms, "SAMPLE_CHUNK_BYTES", 16 * 4 * 4 * 7)
+    chi = Partition((2,))
+    a = random_matrix(2, sample_rng(2, 10**6))
     report = immanant_bound_verify(chi, a, 1, samples=23, seed=6)
     assert sizes == [7, 7, 7, 2]
-    want = reference_sup(lambda xs: abs(reference_dk_immanant(chi, a, xs)), 3, 1, 23, 6)
+    want = reference_sup(lambda xs: abs(reference_dk_immanant(chi, a, xs)), 2, 1, 23, 6)
     assert abs(report.sample_sup - want) <= KERNEL_TOL * want
 
 
