@@ -39,7 +39,6 @@ from .norms import (
     ImmanantReport,
     dk_immanant,
     dk_immanant_bound,
-    dk_immanant_via_power,
     dk_kchi_via_immanants,
     dk_norm_formula,
     dk_norm_verify,
@@ -120,7 +119,6 @@ __all__ = [
     "immanant_matrix",
     "mixed_immanant_matrix",
     "dk_kchi_via_immanants",
-    "dk_immanant_via_power",
     "dk_immanant_bound",
     "ImmanantReport",
     "immanant_bound_verify",

@@ -27,8 +27,7 @@ from .combinat import _shown
 from .denselin import _checked, _distinct_factors, _largest_spectral_norm, _require_finite
 from .denselin import _matrices, as_matrix, polar, singular_values, spectral_norm
 from .errors import DomainError, NumericError, ResourceError
-from .symclass import SymmetryClass, _dk_copy, _operators
-from .symclass import build_symmetry_class, dk_kchi
+from .symclass import SymmetryClass, _dk_copy, _operators, dk_kchi
 from .symgroup import _permutation_characters, degree
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
     "immanant_matrix",
     "mixed_immanant_matrix",
     "dk_kchi_via_immanants",
-    "dk_immanant_via_power",
     "dk_immanant_bound",
     "ImmanantReport",
     "immanant_bound_verify",
@@ -343,10 +341,12 @@ def _sampled_max(
 
 
 def _tensor_route(n: int, width: int, k: int, samples: int) -> bool:
-    # Whether _dk_norm_sup contracts against the derivative tensor: its
-    # n^{2k} matrix-unit tuples must take fewer kernel evaluations than the
-    # samples, and the (n^{2k}, w^2) tensor and the values it is gathered
-    # from must fit SAMPLE_CHUNK_BYTES.
+    # Whether _dk_norm_sup contracts against the derivative tensor: the
+    # samples must outnumber its n^{2k} matrix-unit tuples, as the expanded
+    # tensor and each sample's contraction against it scale with n^{2k}
+    # (only the C(n^2 + k - 1, k) sorted tuples go through the kernel), and
+    # the (n^{2k}, w^2) tensor and the values it is gathered from must fit
+    # SAMPLE_CHUNK_BYTES.
     units = n ** (2 * k)
     return units < samples and 2 * 16 * units * width * width <= SAMPLE_CHUNK_BYTES
 
@@ -612,28 +612,6 @@ def dk_kchi_via_immanants(sc: SymmetryClass, a, xs) -> np.ndarray:
     mixed = mixed_immanant_matrix(sc, mat, x_mats)
     coeff = degree(sc.chi) / math.factorial(sc.m - k)
     return _checked("immanant route", lambda: coeff * (sc.basis_b.T @ mixed @ sc.basis_b))
-
-
-def dk_immanant_via_power(chi: Partition, a, xs) -> complex:
-    """Immanant derivative extracted from the induced-operator derivative.
-
-    Builds the symmetry class with n = |chi| and reads off the diagonal
-    entry at gamma = (1,...,n):
-    D^k d_chi(A)(Xs) = (n!/chi(id)) * c* D^k K_chi(A)(Xs) c with
-    c the gamma column of the inverse change of basis.
-    """
-    _check_type(Partition, chi)
-    n = chi.size
-    mat = as_matrix(a, n=n)
-    sc = build_symmetry_class(chi, n)
-    gamma = MultiIndex(tuple(range(1, n + 1)), n)
-    pos = sc.delta_hat.index(gamma)
-    unit = np.zeros(sc.dim, dtype=np.complex128)
-    unit[pos] = 1.0
-    c = np.linalg.solve(sc.basis_b, unit)
-    deriv = dk_kchi(sc, mat, xs)
-    value = c.conj() @ deriv @ c
-    return complex(value * math.factorial(n) / degree(chi))
 
 
 def dk_immanant_bound(chi: Partition, k: int, nu) -> float:

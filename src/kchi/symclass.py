@@ -423,11 +423,16 @@ def symmetrized_kron(ops) -> np.ndarray:
 
     Sums one Kronecker product per distinct arrangement of the factors
     (see ``_distinct_arrangements``).  The class kernels below compute its
-    compression without forming this n^m x n^m matrix.
+    compression without forming this n^m x n^m matrix.  More than
+    MAX_TENSOR_FACTORS factors are refused before any arrangement is listed.
     """
     mats = _matrices(ops, square=True)
     if not mats:
         raise DomainError("symmetrized product needs at least one factor")
+    if len(mats) > MAX_TENSOR_FACTORS:
+        raise ResourceError(
+            f"tensor power capped at m <= {MAX_TENSOR_FACTORS}, got m={len(mats)}"
+        )
     reps, orders = _distinct_arrangements(mats)
     total = None
     for order in orders:

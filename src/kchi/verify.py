@@ -16,9 +16,12 @@ evaluate and norm each random tuple on the kernel's one Schur-module copy,
 ``dim / f^chi`` wide (``symclass._dk_copy``), in chunks sized by bytes, so
 their norms equal the full operator's only up to rounding, not with
 ``spectral_norm``'s bits; the supremum criterion checks that equality at
-its attaining points.  ``run_verify`` runs all areas and folds the rows
-into one JSON-ready report.  Reports contain only deterministic values, so
-a rerun with the same arguments and seed is byte-identical.
+its attaining points.  A bounded row's measure and tolerance are written
+once, in ``_ROWS``, and a criterion hands ``_at_most`` the row's per-case
+values, of which it reports the worst.  ``run_verify`` runs all areas and
+folds the rows into one JSON-ready report.  Reports contain only
+deterministic values, so a rerun with the same arguments and seed is
+byte-identical.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .combinat import (
 from .denselin import _spectral_norms, hermitian_eigenvalues, polar, singular_values
 from .errors import DomainError
 from .norms import (
+    REPORT_TOL,
     _dk_immanant_raw,
     _dk_norm_sup,
     _haar_units,
@@ -134,10 +138,35 @@ class CheckResult:
         }
 
 
-def _at_most(
-    name: str, params: dict, observed, tolerance: float, measure: str
-) -> CheckResult:
-    """A row that passes when the observed ``measure`` is at most ``tolerance``."""
+# Each bounded row's measure and tolerance, by row name.  The four rows that
+# `kchi norm` and `kchi bound` also judge take those reports' REPORT_TOL.
+_ROWS = {
+    "derivative norm equals closed formula": ("relative error", REPORT_TOL),
+    "full symmetric reduction": ("relative error", 1e-9),
+    "antisymmetric reduction": ("relative error", 1e-9),
+    "first derivative matches double sum": ("absolute error", 1e-10),
+    "sampled directions never beat the formula": ("sup - formula", REPORT_TOL),
+    "unitary polar directions attain the formula": ("relative error", REPORT_TOL),
+    "the copy's norm equals the full class's norm": ("relative error", 1e-12),
+    "finite differences confirm the derivative": ("relative error", 1e-5),
+    "derivative spectrum matches eigenvalue formula": ("max eigenvalue deviation", 1e-7),
+    "power map factors through immanants": ("relative error", 1e-9),
+    "immanant derivative stays below bound": ("sup - bound", REPORT_TOL),
+    "operator Taylor series is exact": ("relative error", 1e-9),
+    "immanant Taylor series is exact": ("relative error", 1e-9),
+    "operator perturbation bound dominates": ("difference - bound", 1e-8),
+    "immanant perturbation bound dominates": ("difference - bound", 1e-8),
+}
+
+
+def _at_most(name: str, params: dict, values) -> CheckResult:
+    """Row ``name`` of _ROWS: the worst of its per-case ``values`` against its tolerance.
+
+    ``values`` is a list or array of the row's measure, one entry per case; a
+    nan among them is the worst value, so the row fails.
+    """
+    measure, tolerance = _ROWS[name]
+    observed = float(np.max(values))
     return CheckResult(
         name=name,
         params=params,
@@ -207,17 +236,12 @@ def check_norm_identity(seed: int = 0, max_n: int = 4) -> list[CheckResult]:
         nus, ps = _polar_draws(itertools.islice(draws, 20), n)
         for k in range(1, m + 1):
             observed = _spectral_norms(_at_identity(sc, ps, k))
-            worst = max(
+            errors = [
                 _relative_error(value, dk_norm_formula(chi, k, nu, n=n))
                 for value, nu in zip(observed, nus)
-            )
-            results.append(
-                _at_most(
-                    "derivative norm equals closed formula",
-                    {"chi": list(chi.parts), "n": n, "k": k, "draws": 20},
-                    worst, 1e-7, "relative error",
-                )
-            )
+            ]
+            params = {"chi": list(chi.parts), "n": n, "k": k, "draws": 20}
+            results.append(_at_most("derivative norm equals closed formula", params, errors))
     return results
 
 
@@ -234,9 +258,7 @@ def check_special_reductions(seed: int = 0, max_n: int = 4) -> list[CheckResult]
     draws = _draws(seed)
     for m in range(2, top + 1):
         for n in range(m, top + 1):
-            sym_worst = 0.0
-            wedge_worst = 0.0
-            bds_worst = 0.0
+            sym_errs, wedge_errs, bds_errs = [], [], []
             for rng in itertools.islice(draws, 50):
                 nu = np.sort(rng.uniform(0.0, 2.0, size=n))[::-1]
                 for k in range(1, m + 1):
@@ -244,12 +266,12 @@ def check_special_reductions(seed: int = 0, max_n: int = 4) -> list[CheckResult]
                     sym_ref = (
                         math.factorial(m) / math.factorial(m - k) * nu[0] ** (m - k)
                     )
-                    sym_worst = max(sym_worst, _relative_error(sym_val, sym_ref))
+                    sym_errs.append(_relative_error(sym_val, sym_ref))
                     wedge_val = dk_norm_formula(Partition((1,) * m), k, nu, n=n)
                     wedge_ref = math.factorial(k) * sum(
                         math.prod(c) for c in itertools.combinations(nu[:m], m - k)
                     )
-                    wedge_worst = max(wedge_worst, _relative_error(wedge_val, wedge_ref))
+                    wedge_errs.append(_relative_error(wedge_val, wedge_ref))
                 for chi in _characters(m, n):
                     selection = nu_omega(chi, nu)
                     double_sum = sum(
@@ -257,20 +279,12 @@ def check_special_reductions(seed: int = 0, max_n: int = 4) -> list[CheckResult]
                         for j in range(m)
                     )
                     val = dk_norm_formula(chi, 1, nu, n=n)
-                    bds_worst = max(bds_worst, abs(val - double_sum))
+                    bds_errs.append(abs(val - double_sum))
             params = {"m": m, "n": n, "spectra": 50}
             results += [
-                _at_most(
-                    "full symmetric reduction", params, sym_worst, 1e-9, "relative error"
-                ),
-                _at_most(
-                    "antisymmetric reduction", params, wedge_worst, 1e-9, "relative error"
-                ),
-                _at_most(
-                    "first derivative matches double sum",
-                    params,
-                    bds_worst, 1e-10, "absolute error",
-                ),
+                _at_most("full symmetric reduction", params, sym_errs),
+                _at_most("antisymmetric reduction", params, wedge_errs),
+                _at_most("first derivative matches double sum", params, bds_errs),
             ]
     return results
 
@@ -293,37 +307,33 @@ def check_sup_attainment(seed: int = 0, max_n: int = 4) -> list[CheckResult]:
             continue
         for chi in _characters(m, n):
             sc = build_symmetry_class(chi, n)
-            excess = -math.inf
-            ts, formulas = [], []
+            ts, formulas, excess = [], [], []
             for rng in itertools.islice(draws, SUP_DRAWS):
                 t = random_matrix(n, rng)
                 formula = dk_norm_formula(chi, k, singular_values(t), n=n)
-                sup = _dk_norm_sup(sc, t, k, SUP_TUPLES, rng)
-                excess = max(excess, sup - formula)
+                excess.append(_dk_norm_sup(sc, t, k, SUP_TUPLES, rng) - formula)
                 ts.append(t)
                 formulas.append(formula)
             ts = np.array(ts)
             directions = [np.array([polar(t)[1] for t in ts]).conj().swapaxes(1, 2)] * k
             attained = _spectral_norms(_dk_stack(sc, ts, directions))
-            attain_err = max(map(_relative_error, attained, formulas))
             on_copy = _spectral_norms(_dk_copy(sc, ts, directions))
-            copy_err = max(map(_relative_error, on_copy, attained))
             params = {"chi": list(chi.parts), "n": n, "k": k, "draws": SUP_DRAWS}
             results += [
                 _at_most(
                     "sampled directions never beat the formula",
                     {**params, "tuples": SUP_TUPLES},
-                    excess, 1e-7, "sup - formula",
+                    excess,
                 ),
                 _at_most(
                     "unitary polar directions attain the formula",
                     params,
-                    attain_err, 1e-7, "relative error",
+                    list(map(_relative_error, attained, formulas)),
                 ),
                 _at_most(
                     "the copy's norm equals the full class's norm",
                     params,
-                    copy_err, 1e-12, "relative error",
+                    list(map(_relative_error, on_copy, attained)),
                 ),
             ]
     return results
@@ -378,12 +388,11 @@ def check_finite_differences(seed: int = 0, max_n: int = 4) -> list[CheckResult]
             ts, xs = np.array(ts), list(_haar_units(np.array(xs)).swapaxes(0, 1))
             algebraic = _dk_stack(sc, ts, xs)
             numeric = _fd_derivative(sc, ts, xs, FD_STEP)
-            worst = max(map(_relative_error, numeric, algebraic))
             results.append(
                 _at_most(
                     "finite differences confirm the derivative",
                     {"chi": list(chi.parts), "n": size, "k": k, "cases": FD_CASES},
-                    worst, 1e-5, "relative error",
+                    list(map(_relative_error, numeric, algebraic)),
                 )
             )
     return results
@@ -401,17 +410,17 @@ def check_spectrum(seed: int = 0, max_n: int = 4) -> list[CheckResult]:
     for m, n, chi in _classes(top, top):
         sc = build_symmetry_class(chi, n)
         nus, ps = _polar_draws(itertools.islice(draws, 3), n)
-        worst = 0.0
+        deviations = []
         for k in range(1, m + 1):
             for mat, nu in zip(_at_identity(sc, ps, k), nus):
                 got = np.sort(hermitian_eigenvalues(mat))
                 want = np.sort([lambda_eigenvalue(a, k, nu) for a in sc.delta_hat])
-                worst = max(worst, float(np.max(np.abs(got - want))))
+                deviations.append(np.max(np.abs(got - want)))
         results.append(
             _at_most(
                 "derivative spectrum matches eigenvalue formula",
                 {"chi": list(chi.parts), "n": n, "draws": 3},
-                worst, 1e-7, "max eigenvalue deviation",
+                deviations,
             )
         )
     return results
@@ -428,19 +437,16 @@ def check_membership_routes(seed: int = 0, max_n: int = 4) -> list[CheckResult]:
     results = []
     for m in range(1, top + 1):
         for n in range(1, top + 1):
-            disagreements = 0
-            pairs = 0
-            for chi in partitions_of(m):
-                for alpha in enumerate_maps("gamma", m, n):
-                    by_sum = character_sum_over_stabilizer(chi, alpha) != 0
-                    by_major = majorizes(chi, multiplicity_partition(alpha))
-                    pairs += 1
-                    if by_sum != by_major:
-                        disagreements += 1
+            pairs = [(chi, a) for chi in partitions_of(m) for a in enumerate_maps("gamma", m, n)]
+            disagreements = sum(
+                (character_sum_over_stabilizer(chi, a) != 0)
+                != majorizes(chi, multiplicity_partition(a))
+                for chi, a in pairs
+            )
             results.append(
                 _exact(
                     "stabilizer sum agrees with majorization",
-                    {"m": m, "n": n, "pairs": pairs},
+                    {"m": m, "n": n, "pairs": len(pairs)},
                     disagreements,
                 )
             )
@@ -463,17 +469,12 @@ def check_power_factorization(seed: int = 0, max_n: int = 4) -> list[CheckResult
             sc = build_symmetry_class(chi, n)
             mats = np.array([random_matrix(n, rng) for rng in itertools.islice(draws, 20)])
             direct = _dk_stack(sc, mats, [])
-            worst = max(
+            errors = [
                 _relative_error(dk_kchi_via_immanants(sc, a, []), value)
                 for a, value in zip(mats, direct)
-            )
-            results.append(
-                _at_most(
-                    "power map factors through immanants",
-                    {"chi": list(chi.parts), "n": n, "draws": 20},
-                    worst, 1e-9, "relative error",
-                )
-            )
+            ]
+            params = {"chi": list(chi.parts), "n": n, "draws": 20}
+            results.append(_at_most("power map factors through immanants", params, errors))
     return results
 
 
@@ -495,12 +496,11 @@ def check_immanant_bound(seed: int = 0, max_n: int = 4) -> list[CheckResult]:
                 a = random_matrix(n, rng)
                 bound = dk_immanant_bound(chi, k, singular_values(a))
                 sup = _immanant_sup(chi, a, k, IMMANANT_TUPLES, rng)
-                excess = sup - bound
                 results.append(
                     _at_most(
                         "immanant derivative stays below bound",
                         {"chi": list(chi.parts), "n": n, "k": k, "tuples": IMMANANT_TUPLES},
-                        excess, 1e-7, "sup - bound",
+                        [sup - bound],
                     )
                 )
     if max_n >= 2:
@@ -548,16 +548,12 @@ def check_taylor_perturbation(seed: int = 0, max_n: int = 4) -> list[CheckResult
         scalar = sum(
             _dk_immanant_raw(chi, a, [y] * k) / math.factorial(k) for k in range(0, size + 1)
         )
-        worst_op = max(map(_relative_error, total, _dk_stack(sc, t + x, [])))
-        worst_imm = max(map(_relative_error, scalar, _dk_immanant_raw(chi, a + y, [])))
+        op_errs = list(map(_relative_error, total, _dk_stack(sc, t + x, [])))
+        imm_errs = list(map(_relative_error, scalar, _dk_immanant_raw(chi, a + y, [])))
         params = {"chi": list(chi.parts), "n": size, "draws": 5}
         results += [
-            _at_most(
-                "operator Taylor series is exact", params, worst_op, 1e-9, "relative error"
-            ),
-            _at_most(
-                "immanant Taylor series is exact", params, worst_imm, 1e-9, "relative error"
-            ),
+            _at_most("operator Taylor series is exact", params, op_errs),
+            _at_most("immanant Taylor series is exact", params, imm_errs),
         ]
 
     deltas = (0.01, 0.1, 1.0)
@@ -572,28 +568,19 @@ def check_taylor_perturbation(seed: int = 0, max_n: int = 4) -> list[CheckResult
         y = rng.standard_normal((2, size, size))
         bound_imm = degree(chi) * perturbation_bounds(chi, singular_values(a), delta)
         groups.setdefault(chi, []).append((t, x, a, y, delta, bound, bound_imm))
-    worst_op_violation = -math.inf
-    worst_imm_violation = -math.inf
+    op_excess, imm_excess = [], []
     for chi, group in groups.items():
         t, x, a, y, delta, bound, bound_imm = map(np.array, zip(*group))
         x, y = delta[:, None, None] * _haar_units(np.array([x, y]))
         sc = classes[chi]
         actual_op = _spectral_norms(_dk_stack(sc, t + x, []) - _dk_stack(sc, t, []))
-        worst_op_violation = max(worst_op_violation, float(np.max(actual_op - bound)))
+        op_excess.extend(actual_op - bound)
         actual_imm = np.abs(_dk_immanant_raw(chi, a + y, []) - _dk_immanant_raw(chi, a, []))
-        worst_imm_violation = max(worst_imm_violation, float(np.max(actual_imm - bound_imm)))
+        imm_excess.extend(actual_imm - bound_imm)
     params = {"n": size, "perturbations": PERTURBATIONS, "deltas": list(deltas)}
     return results + [
-        _at_most(
-            "operator perturbation bound dominates",
-            params,
-            worst_op_violation, 1e-8, "difference - bound",
-        ),
-        _at_most(
-            "immanant perturbation bound dominates",
-            params,
-            worst_imm_violation, 1e-8, "difference - bound",
-        ),
+        _at_most("operator perturbation bound dominates", params, op_excess),
+        _at_most("immanant perturbation bound dominates", params, imm_excess),
     ]
 
 
@@ -625,28 +612,27 @@ def check_characters(seed: int = 0, max_n: int = 4) -> list[CheckResult]:
     for m in range(1, 7):
         table = char_table(m)
         fact = math.factorial(m)
-        worst = 0
-        for lam in table.partitions:
-            for mu in table.partitions:
-                total = sum(
-                    class_size(rho) * table.value(lam, rho) * table.value(mu, rho)
-                    for rho in table.partitions
-                )
-                wanted = fact if lam == mu else 0
-                worst = max(worst, abs(total - wanted))
-        results.append(_exact("first orthogonality relations", {"m": m}, worst))
+        orthogonality_misses = sum(
+            sum(
+                class_size(rho) * table.value(lam, rho) * table.value(mu, rho)
+                for rho in table.partitions
+            )
+            != (fact if lam == mu else 0)
+            for lam, mu in itertools.product(table.partitions, repeat=2)
+        )
+        results.append(
+            _exact("first orthogonality relations", {"m": m}, orthogonality_misses)
+        )
         degree_misses = sum(
             1 for lam in table.partitions if degree(lam) != _hook_degree(lam)
         )
         results.append(
             _exact("degrees match hook length formula", {"m": m}, degree_misses)
         )
-    standard = Partition((2, 1))
-    misses = 0
-    for rho in char_table(3).partitions:
-        fixed = sum(1 for part in rho.parts if part == 1)
-        if character(standard, rho) != fixed - 1:
-            misses += 1
+    misses = sum(
+        character(Partition((2, 1)), rho) != rho.parts.count(1) - 1
+        for rho in char_table(3).partitions
+    )
     return results + [
         _exact(
             "standard character of S_3 counts fixed points minus one", {"m": 3}, misses

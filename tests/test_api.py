@@ -21,6 +21,7 @@ REMOVED = {
     "identity_permutation",
     "orbit_and_stabilizer",
     "PerturbationBounds",
+    "dk_immanant_via_power",
 }
 
 # Present on the dev box, but never a dependency of the package.

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import kchi.combinat
 from kchi import (
     DomainError,
     MultiIndex,
@@ -164,6 +165,21 @@ def test_enumerate_maps_rejects_bad_arguments():
     for mode in ("descending", "strict"):
         with pytest.raises(DomainError):
             enumerate_maps(mode, 2, 2)
+
+
+def test_enumerate_maps_refuses_families_past_the_cap(monkeypatch):
+    # No family larger than S_MAX_ORBIT_DEGREE is listed, and a refused one
+    # forms no map: m = 1 and n = 8! + 1 is the first count past the cap.
+    cap = math.factorial(kchi.combinat.MAX_ORBIT_DEGREE)
+    assert len(enumerate_maps("gamma", 1, cap)) == cap
+    monkeypatch.setattr(kchi.combinat, "MultiIndex", None)
+    for mode in ("gamma", "increasing"):
+        with pytest.raises(ResourceError):
+            enumerate_maps(mode, 1, cap + 1)
+    # 2^16 maps, and counts far past the cap that are never computed.
+    for mode, m, n in [("gamma", 16, 2), ("gamma", 10**9, 3), ("increasing", 10**9, 10**9)]:
+        with pytest.raises(ResourceError):
+            enumerate_maps(mode, m, n)
 
 
 def test_multi_index_validation():

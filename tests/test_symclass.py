@@ -795,6 +795,16 @@ def test_symmetrized_kron_grouping_matches_full_average():
     np.testing.assert_allclose(symmetrized_kron(ops), full, atol=EXACT_TOL)
 
 
+def test_symmetrized_kron_refuses_more_factors_than_the_cap(monkeypatch):
+    # 7! arrangements of seven 1 x 1 factors would be listed before any
+    # Kronecker product checked its size.
+    ops = [np.eye(1)] * kchi.symclass.MAX_TENSOR_FACTORS
+    np.testing.assert_allclose(symmetrized_kron(ops), np.eye(1))
+    monkeypatch.setattr(kchi.symclass, "_distinct_arrangements", None)
+    with pytest.raises(ResourceError):
+        symmetrized_kron(ops + [np.eye(1)])
+
+
 def test_sym_op_product_is_symmetric_in_its_arguments():
     rng = np.random.default_rng(41)
     sc = build_symmetry_class(Partition((2, 1)), 3)

@@ -2,8 +2,8 @@
 
 Each criterion that evaluates per draw reads its draws in order and then
 evaluates each (class, k) group as one stack.  The references below are the
-per-draw loops: one kernel call and one spectral norm per draw.  Their rows
-must agree with the criteria's in every field but ``observed``, which the
+per-draw loops: one kernel call and one spectral norm per draw, each row's
+per-draw values reduced by ``verify._at_most``.  Their rows must agree with the criteria's in every field but ``observed``, which the
 stacked kernel may round differently, within 1e-14.  The finite-difference
 rows are rounding noise amplified by 1/FD_STEP^2 and need only pass.
 """
@@ -38,7 +38,7 @@ from kchi import (
     singular_values,
     spectral_norm,
 )
-from kchi.norms import _dk_norm_sup, _relative_error
+from kchi.norms import REPORT_TOL, _dk_norm_sup, _relative_error
 from kchi.verify import _at_most, _characters, _classes
 
 OBSERVED_TOL = 1e-14
@@ -56,7 +56,7 @@ def reference_norm_identity(seed, max_n):
     for m, n, chi in _classes(top, top, min_m=2):
         sc = build_symmetry_class(chi, n)
         eye = np.eye(n, dtype=np.complex128)
-        worst = {k: 0.0 for k in range(1, m + 1)}
+        errors = {k: [] for k in range(1, m + 1)}
         for rng in itertools.islice(rngs, 20):
             t = random_matrix(n, rng)
             nu = singular_values(t)
@@ -64,13 +64,13 @@ def reference_norm_identity(seed, max_n):
             for k in range(1, m + 1):
                 observed = spectral_norm(dk_kchi(sc, p, [eye] * k))
                 expected = dk_norm_formula(chi, k, nu, n=n)
-                worst[k] = max(worst[k], _relative_error(observed, expected))
+                errors[k].append(_relative_error(observed, expected))
         for k in range(1, m + 1):
             results.append(
                 _at_most(
                     "derivative norm equals closed formula",
                     {"chi": list(chi.parts), "n": n, "k": k, "draws": 20},
-                    worst[k], 1e-7, "relative error",
+                    errors[k],
                 )
             )
     return results
@@ -85,36 +85,26 @@ def reference_sup_attainment(seed, max_n):
             continue
         for chi in _characters(m, n):
             sc = build_symmetry_class(chi, n)
-            excess = -math.inf
-            attain_err = copy_err = 0.0
+            excess, attain_errs, copy_errs = [], [], []
             for rng in itertools.islice(rngs, draws_per_class):
                 t = random_matrix(n, rng)
                 nu = singular_values(t)
                 formula = dk_norm_formula(chi, k, nu, n=n)
                 _, w = polar(t)
                 attained = spectral_norm(dk_kchi(sc, t, [w.conj().T] * k))
-                attain_err = max(attain_err, _relative_error(attained, formula))
+                attain_errs.append(_relative_error(attained, formula))
                 on_copy = spectral_norm(kchi.symclass._dk_copy(sc, t, [w.conj().T] * k)[0])
-                copy_err = max(copy_err, _relative_error(on_copy, attained))
-                sup = _dk_norm_sup(sc, t, k, tuples, rng)
-                excess = max(excess, sup - formula)
+                copy_errs.append(_relative_error(on_copy, attained))
+                excess.append(_dk_norm_sup(sc, t, k, tuples, rng) - formula)
             params = {"chi": list(chi.parts), "n": n, "k": k, "draws": draws_per_class}
             results += [
                 _at_most(
                     "sampled directions never beat the formula",
                     {**params, "tuples": tuples},
-                    excess, 1e-7, "sup - formula",
+                    excess,
                 ),
-                _at_most(
-                    "unitary polar directions attain the formula",
-                    params,
-                    attain_err, 1e-7, "relative error",
-                ),
-                _at_most(
-                    "the copy's norm equals the full class's norm",
-                    params,
-                    copy_err, 1e-12, "relative error",
-                ),
+                _at_most("unitary polar directions attain the formula", params, attain_errs),
+                _at_most("the copy's norm equals the full class's norm", params, copy_errs),
             ]
     return results
 
@@ -141,18 +131,18 @@ def reference_finite_differences(seed, max_n):
     for chi in partitions_of(size):
         sc = build_symmetry_class(chi, size)
         for k in (1, 2):
-            worst = 0.0
+            errors = []
             for rng in itertools.islice(rngs, cases):
                 t = random_matrix(size, rng)
                 xs = [random_unit_matrix(size, rng) for _ in range(k)]
                 algebraic = dk_kchi(sc, t, xs)
                 numeric = reference_fd_derivative(sc, t, xs, kchi.verify.FD_STEP)
-                worst = max(worst, _relative_error(numeric, algebraic))
+                errors.append(_relative_error(numeric, algebraic))
             results.append(
                 _at_most(
                     "finite differences confirm the derivative",
                     {"chi": list(chi.parts), "n": size, "k": k, "cases": cases},
-                    worst, 1e-5, "relative error",
+                    errors,
                 )
             )
     return results
@@ -165,7 +155,7 @@ def reference_spectrum(seed, max_n):
     for m, n, chi in _classes(top, top):
         sc = build_symmetry_class(chi, n)
         eye = np.eye(n, dtype=np.complex128)
-        worst = 0.0
+        deviations = []
         for rng in itertools.islice(rngs, 3):
             t = random_matrix(n, rng)
             nu = singular_values(t)
@@ -174,12 +164,12 @@ def reference_spectrum(seed, max_n):
                 mat = dk_kchi(sc, p, [eye] * k)
                 got = np.sort(hermitian_eigenvalues(mat))
                 want = np.sort([lambda_eigenvalue(a, k, nu) for a in sc.delta_hat])
-                worst = max(worst, float(np.max(np.abs(got - want))))
+                deviations.append(np.max(np.abs(got - want)))
         results.append(
             _at_most(
                 "derivative spectrum matches eigenvalue formula",
                 {"chi": list(chi.parts), "n": n, "draws": 3},
-                worst, 1e-7, "max eigenvalue deviation",
+                deviations,
             )
         )
     return results
@@ -193,17 +183,17 @@ def reference_power_factorization(seed, max_n):
             continue
         for chi in _characters(m, n):
             sc = build_symmetry_class(chi, n)
-            worst = 0.0
+            errors = []
             for rng in itertools.islice(rngs, 20):
                 a = random_matrix(n, rng)
                 direct = k_chi_matrix(sc, a)
                 via = dk_kchi_via_immanants(sc, a, [])
-                worst = max(worst, _relative_error(via, direct))
+                errors.append(_relative_error(via, direct))
             results.append(
                 _at_most(
                     "power map factors through immanants",
                     {"chi": list(chi.parts), "n": n, "draws": 20},
-                    worst, 1e-9, "relative error",
+                    errors,
                 )
             )
     return results
@@ -218,8 +208,7 @@ def reference_taylor_perturbation(seed, max_n):
     classes = {chi: build_symmetry_class(chi, size) for chi in chis}
     for chi in chis:
         sc = classes[chi]
-        worst_op = 0.0
-        worst_imm = 0.0
+        op_errs, imm_errs = [], []
         for rng in itertools.islice(rngs, 5):
             t = random_matrix(size, rng)
             x = random_matrix(size, rng)
@@ -227,21 +216,20 @@ def reference_taylor_perturbation(seed, max_n):
             for k in range(0, size + 1):
                 total += dk_kchi(sc, t, [x] * k) / math.factorial(k)
             direct = k_chi_matrix(sc, t + x)
-            worst_op = max(worst_op, _relative_error(total, direct))
+            op_errs.append(_relative_error(total, direct))
             a = random_matrix(size, rng)
             y = random_matrix(size, rng)
             scalar = sum(
                 dk_immanant(chi, a, [y] * k) / math.factorial(k) for k in range(0, size + 1)
             )
-            worst_imm = max(worst_imm, _relative_error(scalar, immanant(chi, a + y)))
+            imm_errs.append(_relative_error(scalar, immanant(chi, a + y)))
         params = {"chi": list(chi.parts), "n": size, "draws": 5}
         results += [
-            _at_most("operator Taylor series is exact", params, worst_op, 1e-9, "relative error"),
-            _at_most("immanant Taylor series is exact", params, worst_imm, 1e-9, "relative error"),
+            _at_most("operator Taylor series is exact", params, op_errs),
+            _at_most("immanant Taylor series is exact", params, imm_errs),
         ]
     deltas = (0.01, 0.1, 1.0)
-    worst_op_violation = -math.inf
-    worst_imm_violation = -math.inf
+    op_excess, imm_excess = [], []
     for i, rng in enumerate(itertools.islice(rngs, perturbations)):
         delta = deltas[i % len(deltas)]
         chi = chis[i % len(chis)]
@@ -250,24 +238,16 @@ def reference_taylor_perturbation(seed, max_n):
         x = delta * random_unit_matrix(size, rng)
         bound = perturbation_bounds(chi, singular_values(t), delta)
         actual_op = spectral_norm(k_chi_matrix(sc, t + x) - k_chi_matrix(sc, t))
-        worst_op_violation = max(worst_op_violation, actual_op - bound)
+        op_excess.append(actual_op - bound)
         a = random_matrix(size, rng)
         y = delta * random_unit_matrix(size, rng)
         bound_imm = degree(chi) * perturbation_bounds(chi, singular_values(a), delta)
         actual_imm = abs(immanant(chi, a + y) - immanant(chi, a))
-        worst_imm_violation = max(worst_imm_violation, actual_imm - bound_imm)
+        imm_excess.append(actual_imm - bound_imm)
     params = {"n": size, "perturbations": perturbations, "deltas": list(deltas)}
     return results + [
-        _at_most(
-            "operator perturbation bound dominates",
-            params,
-            worst_op_violation, 1e-8, "difference - bound",
-        ),
-        _at_most(
-            "immanant perturbation bound dominates",
-            params,
-            worst_imm_violation, 1e-8, "difference - bound",
-        ),
+        _at_most("operator perturbation bound dominates", params, op_excess),
+        _at_most("immanant perturbation bound dominates", params, imm_excess),
     ]
 
 
@@ -296,6 +276,51 @@ def test_stacked_criteria_match_their_per_draw_loops(name, seed):
             assert row.observed == ref.observed
         elif name != "check_finite_differences":
             assert abs(row.observed - ref.observed) <= OBSERVED_TOL, (row, ref)
+
+
+# Every bounded row's measure and tolerance, written out here once: a
+# tolerance loosened in verify._ROWS fails this test.
+ROWS = {
+    "derivative norm equals closed formula": ("relative error", 1e-7),
+    "full symmetric reduction": ("relative error", 1e-9),
+    "antisymmetric reduction": ("relative error", 1e-9),
+    "first derivative matches double sum": ("absolute error", 1e-10),
+    "sampled directions never beat the formula": ("sup - formula", 1e-7),
+    "unitary polar directions attain the formula": ("relative error", 1e-7),
+    "the copy's norm equals the full class's norm": ("relative error", 1e-12),
+    "finite differences confirm the derivative": ("relative error", 1e-5),
+    "derivative spectrum matches eigenvalue formula": ("max eigenvalue deviation", 1e-7),
+    "power map factors through immanants": ("relative error", 1e-9),
+    "immanant derivative stays below bound": ("sup - bound", 1e-7),
+    "operator Taylor series is exact": ("relative error", 1e-9),
+    "immanant Taylor series is exact": ("relative error", 1e-9),
+    "operator perturbation bound dominates": ("difference - bound", 1e-8),
+    "immanant perturbation bound dominates": ("difference - bound", 1e-8),
+}
+
+
+def test_the_row_table_is_pinned():
+    assert kchi.verify._ROWS == ROWS
+    # The rows that `kchi norm` and `kchi bound` also judge read their tolerance.
+    shared = [name for name, (_, tol) in kchi.verify._ROWS.items() if tol is REPORT_TOL]
+    assert len(shared) == 4, shared
+
+
+def test_every_bounded_row_of_a_report_is_in_the_table():
+    report = kchi.verify.run_verify(max_n=3)
+    bounded = {
+        row["name"]
+        for criterion in report["criteria"]
+        for row in criterion["checks"]
+        if " <= " in str(row["expected"])
+    }
+    assert bounded == set(ROWS)
+
+
+@pytest.mark.parametrize("values", [[0.0, float("nan"), 1.0], [float("nan")], [1.0, float("nan")]])
+def test_a_nan_case_fails_its_row(values):
+    row = _at_most("full symmetric reduction", {}, values)
+    assert math.isnan(row.observed) and not row.passed
 
 
 def test_the_certificate_makes_few_kernel_calls(monkeypatch):
