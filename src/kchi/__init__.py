@@ -42,12 +42,9 @@ from .norms import (
     dk_kchi_via_immanants,
     dk_norm_formula,
     dk_norm_verify,
-    elementary_symmetric,
     immanant,
     immanant_bound_verify,
-    immanant_matrix,
     lambda_eigenvalue,
-    mixed_immanant,
     mixed_immanant_matrix,
     nu_omega,
     perturbation_bounds,
@@ -60,7 +57,6 @@ from .symclass import (
     build_symmetry_class,
     dk_kchi,
     k_chi_matrix,
-    sym_op_product,
     symmetrized_kron,
 )
 from .symgroup import (
@@ -104,19 +100,15 @@ __all__ = [
     "SymmetryClass",
     "build_symmetry_class",
     "symmetrized_kron",
-    "sym_op_product",
     "k_chi_matrix",
     "dk_kchi",
-    "elementary_symmetric",
     "nu_omega",
     "dk_norm_formula",
     "lambda_eigenvalue",
     "DerivReport",
     "dk_norm_verify",
     "immanant",
-    "mixed_immanant",
     "dk_immanant",
-    "immanant_matrix",
     "mixed_immanant_matrix",
     "dk_kchi_via_immanants",
     "dk_immanant_bound",

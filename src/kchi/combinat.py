@@ -300,35 +300,24 @@ def multiplicity_partition(alpha: MultiIndex) -> Partition:
     return Partition(tuple(sorted(counts.values(), reverse=True)))
 
 
-def enumerate_maps(mode: str, m: int, n: int) -> tuple[MultiIndex, ...]:
-    """All multi-indices ``{1..m} -> {1..n}`` of a given kind, in lex order.
+def enumerate_maps(m: int, n: int) -> tuple[MultiIndex, ...]:
+    """Every multi-index ``{1..m} -> {1..n}``, in lex order.
 
-    ``mode`` selects the family: ``"gamma"`` (every map) or ``"increasing"``
-    (weakly increasing).  No more maps are listed than ``all_permutations``
-    lists elements of S_MAX_ORBIT_DEGREE; a larger family is refused before
-    any map is formed.
+    A family of more maps, or of longer maps, than ``all_permutations``
+    lists elements of S_MAX_ORBIT_DEGREE is refused before any map is formed.
     """
     m, n = _integer(m, "m"), _integer(n)
     if m < 1 or n < 1:
         raise DomainError(f"m and n must be positive, got m={_shown(m)}, n={_shown(n)}")
-    if mode not in ("gamma", "increasing"):
-        raise DomainError(f"unknown enumeration mode {mode!r}")
-    gamma = mode == "gamma"
-    # Each family has at least 2^lead maps: n^m >= 2^m for n >= 2, and
-    # C(n + m - 1, m) >= C(2j, j) >= 2^j for j = min(m, n - 1).  The count
-    # is taken exactly only when that bound leaves it small.
-    lead = m * (n > 1) if gamma else min(m, n - 1)
+    # n^m >= 2^m for n >= 2, so the count is taken exactly only when that
+    # bound leaves it small.
     cap = math.factorial(MAX_ORBIT_DEGREE)
-    if lead >= cap.bit_length() or (n**m if gamma else math.comb(n + m - 1, m)) > cap:
+    if m > cap or m * (n > 1) >= cap.bit_length() or n**m > cap:
         raise ResourceError(
-            f"refusing to enumerate more than {cap} maps, got m={_shown(m)}, n={_shown(n)}"
+            f"refusing to enumerate more than {cap} maps or maps of more than {cap} entries, "
+            f"got m={_shown(m)}, n={_shown(n)}"
         )
-    values = range(1, n + 1)
-    if gamma:
-        tuples = itertools.product(values, repeat=m)
-    else:
-        tuples = itertools.combinations_with_replacement(values, m)
-    return tuple(MultiIndex(t, n) for t in tuples)
+    return tuple(MultiIndex(t, n) for t in itertools.product(range(1, n + 1), repeat=m))
 
 
 def all_permutations(m: int) -> tuple[Permutation, ...]:

@@ -31,16 +31,13 @@ from .symclass import SymmetryClass, _dk_copy, _operators, dk_kchi
 from .symgroup import _permutation_characters, degree
 
 __all__ = [
-    "elementary_symmetric",
     "nu_omega",
     "dk_norm_formula",
     "lambda_eigenvalue",
     "DerivReport",
     "dk_norm_verify",
     "immanant",
-    "mixed_immanant",
     "dk_immanant",
-    "immanant_matrix",
     "mixed_immanant_matrix",
     "dk_kchi_via_immanants",
     "dk_immanant_bound",
@@ -89,18 +86,6 @@ SAMPLE_CHUNK_BYTES = 1 << 20
 # reach on a 2-CPU box, 16 GiB is 3 to 30 minutes.  100 samples of
 # (2,1,1)/8 at the cap take 2.5 GB through the kernel's (n^m, w) state.
 SAMPLE_BUDGET_BYTES = 1 << 34
-
-
-def elementary_symmetric(t: int, values) -> float:
-    """The elementary symmetric polynomial p_t of the given values.
-
-    p_0 = 1 and p_t = 0 when t exceeds the number of values.
-    """
-    t = _integer(t, "elementary symmetric degree")
-    if t < 0:
-        raise DomainError(f"elementary symmetric degree must be >= 0, got {_shown(t)}")
-    vals = _reals(values, "elementary symmetric arguments")
-    return _coefficients(vals)[t] if t <= len(vals) else 0.0
 
 
 def _coefficients(values) -> list[float]:
@@ -537,24 +522,6 @@ def _dk_immanant_raw(chi: Partition, a: np.ndarray, xs: list[np.ndarray]):
     return _checked("immanant derivative", value)
 
 
-def mixed_immanant(chi: Partition, xs) -> complex:
-    """The symmetrized immanant with column j drawn from the sigma(j)-th argument.
-
-    Takes n = |chi| matrices; fully symmetric and multilinear, and equal
-    to d_chi(A) when every argument is A.
-    """
-    _check_type(Partition, chi)
-    n = chi.size
-    if n > MAX_MIXED_SIZE:
-        raise ResourceError(
-            f"mixed immanants capped at n <= {MAX_MIXED_SIZE}, got n={_shown(n)}"
-        )
-    mats = _matrices(xs, n=n)
-    if len(mats) != n:
-        raise DomainError(f"chi={chi} needs {n} matrices, got {len(mats)}")
-    return complex(_checked("mixed immanant", _mixed_immanant_raw, chi, *_distinct_factors(mats)))
-
-
 def dk_immanant(chi: Partition, a, xs) -> complex:
     """k-th directional derivative of the immanant map at ``a``.
 
@@ -572,15 +539,6 @@ def dk_immanant(chi: Partition, a, xs) -> complex:
     if k == 0:
         return immanant(chi, mat)
     return complex(_dk_immanant_raw(chi, mat, x_mats))
-
-
-def immanant_matrix(sc: SymmetryClass, a) -> np.ndarray:
-    """Matrix of submatrix immanants d_chi(A[gamma|delta]) over the basis index set.
-
-    Row gamma and column delta run over delta_hat; the selection repeats
-    rows and columns of ``a`` as prescribed by the multi-indices.
-    """
-    return mixed_immanant_matrix(sc, a, [])
 
 
 def mixed_immanant_matrix(sc: SymmetryClass, a, xs) -> np.ndarray:

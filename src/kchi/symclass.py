@@ -56,7 +56,6 @@ __all__ = [
     "SymmetryClass",
     "build_symmetry_class",
     "symmetrized_kron",
-    "sym_op_product",
     "k_chi_matrix",
     "dk_kchi",
     "MAX_TENSOR_FACTORS",
@@ -578,19 +577,6 @@ def _operators(sc: SymmetryClass, *groups) -> list[np.ndarray]:
     # each sequence, in order, as an (n, n) matrix.
     _check_type(SymmetryClass, sc)
     return [mat for ops in groups for mat in _matrices(ops, n=sc.n)]
-
-
-def sym_op_product(sc: SymmetryClass, ops) -> np.ndarray:
-    """The compression of the symmetrized tensor product to the class.
-
-    Takes m operators on C^n and returns the |delta_hat| x |delta_hat|
-    matrix of X^1 * ... * X^m in the orthonormal basis; the result is
-    invariant under permuting the operators.
-    """
-    mats = _operators(sc, ops)
-    if len(mats) != sc.m:
-        raise DomainError(f"expected {sc.m} operators, got {len(mats)}")
-    return _compress(sc, mats)[0]
 
 
 def k_chi_matrix(sc: SymmetryClass, a) -> np.ndarray:

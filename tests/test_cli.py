@@ -283,6 +283,24 @@ def test_verify_failure_exits_four(capsys, monkeypatch):
     assert json.loads(out)["all_passed"] is False
 
 
+def test_a_non_finite_row_prints_its_report_and_exits_four(capsys, monkeypatch):
+    # A case whose measure is nan fails its row, and the report still
+    # prints, as strict JSON, with that row's observed value null.
+    def nan_row(seed, max_n):
+        return [kchi.verify._at_most("full symmetric reduction", {}, [0.0, float("nan")])]
+
+    monkeypatch.setattr(
+        "kchi.verify.CRITERIA",
+        (("character table oracles", kchi.verify.check_characters), ("nan row", nan_row)),
+    )
+    code, out, err = run_cli(capsys, ["verify", "--max-n", "2"])
+    assert (code, err) == (4, "")
+    report = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in the report"))
+    assert report["all_passed"] is False and report["failed_checks"] == 1
+    (row,) = report["criteria"][1]["checks"]
+    assert row["observed"] is None and row["passed"] is False
+
+
 @pytest.mark.parametrize(
     "command,flags",
     [

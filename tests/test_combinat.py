@@ -124,7 +124,7 @@ def test_omega_of_rejects_narrow_codomain():
 
 def test_omega_of_is_lex_minimum_with_that_multiplicity():
     for m, n in [(2, 2), (3, 3), (4, 3), (4, 4)]:
-        everything = enumerate_maps("gamma", m, n)
+        everything = enumerate_maps(m, n)
         for pi in partitions_of(m):
             if pi.length > n:
                 continue
@@ -147,39 +147,37 @@ def test_multiplicity_partition_ignores_order(entries):
 
 def test_enumerate_maps_counts():
     for m, n in [(1, 1), (2, 3), (3, 2), (3, 4), (4, 4)]:
-        assert len(enumerate_maps("gamma", m, n)) == n**m
-        assert len(enumerate_maps("increasing", m, n)) == math.comb(n + m - 1, m)
+        maps = enumerate_maps(m, n)
+        assert len(maps) == n**m
+        # One weakly increasing representative per S_m-orbit.
+        weak = [a for a in maps if list(a.entries) == sorted(a.entries)]
+        assert len(weak) == math.comb(n + m - 1, m)
 
 
 def test_enumerate_maps_order_and_membership():
-    for mode in ("gamma", "increasing"):
-        maps = enumerate_maps(mode, 2, 3)
-        assert list(maps) == sorted(maps)
-    increasing = enumerate_maps("increasing", 2, 2)
-    assert [a.entries for a in increasing] == [(1, 1), (1, 2), (2, 2)]
+    maps = enumerate_maps(2, 3)
+    assert list(maps) == sorted(maps)
+    assert [a.entries for a in enumerate_maps(2, 2)] == [(1, 1), (1, 2), (2, 1), (2, 2)]
 
 
 def test_enumerate_maps_rejects_bad_arguments():
-    with pytest.raises(DomainError):
-        enumerate_maps("gamma", 0, 2)
-    for mode in ("descending", "strict"):
+    for m, n in [(0, 2), (2, 0), (2, 2.5), ("2", 2)]:
         with pytest.raises(DomainError):
-            enumerate_maps(mode, 2, 2)
+            enumerate_maps(m, n)
 
 
 def test_enumerate_maps_refuses_families_past_the_cap(monkeypatch):
-    # No family larger than S_MAX_ORBIT_DEGREE is listed, and a refused one
-    # forms no map: m = 1 and n = 8! + 1 is the first count past the cap.
+    # No family larger than S_MAX_ORBIT_DEGREE, and no map longer, is
+    # listed, and a refused one forms no map: m = 1 and n = 8! + 1 is the
+    # first count past the cap, and at n = 1 the one map has m entries.
     cap = math.factorial(kchi.combinat.MAX_ORBIT_DEGREE)
-    assert len(enumerate_maps("gamma", 1, cap)) == cap
+    assert len(enumerate_maps(1, cap)) == cap
+    assert enumerate_maps(cap, 1)[0].entries == (1,) * cap
     monkeypatch.setattr(kchi.combinat, "MultiIndex", None)
-    for mode in ("gamma", "increasing"):
+    # 2^16 maps, and counts or lengths far past the cap that are never computed.
+    for m, n in [(1, cap + 1), (cap + 1, 1), (10**5000, 1), (16, 2), (10**9, 3), (10**9, 10**9)]:
         with pytest.raises(ResourceError):
-            enumerate_maps(mode, 1, cap + 1)
-    # 2^16 maps, and counts far past the cap that are never computed.
-    for mode, m, n in [("gamma", 16, 2), ("gamma", 10**9, 3), ("increasing", 10**9, 10**9)]:
-        with pytest.raises(ResourceError):
-            enumerate_maps(mode, m, n)
+            enumerate_maps(m, n)
 
 
 def test_multi_index_validation():

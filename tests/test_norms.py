@@ -24,14 +24,11 @@ from kchi import (
     dk_kchi_via_immanants,
     dk_norm_formula,
     dk_norm_verify,
-    elementary_symmetric,
     hermitian_eigenvalues,
     immanant,
     immanant_bound_verify,
-    immanant_matrix,
     k_chi_matrix,
     lambda_eigenvalue,
-    mixed_immanant,
     mixed_immanant_matrix,
     nu_omega,
     partitions_of,
@@ -42,9 +39,8 @@ from kchi import (
     sample_rng,
     singular_values,
     spectral_norm,
-    sym_op_product,
 )
-from kchi.norms import REPORT_TOL
+from kchi.norms import REPORT_TOL, _coefficients
 
 FORMULA_TOL = 1e-9
 ROUTE_TOL = 1e-9
@@ -61,20 +57,15 @@ def combinations_oracle(t, values):
 
 
 def test_elementary_symmetric_frozen():
-    assert elementary_symmetric(0, (3.0, 2.0, 1.0)) == 1.0
-    assert elementary_symmetric(1, (3.0, 2.0, 1.0)) == 6.0
-    assert elementary_symmetric(2, (3.0, 2.0, 1.0)) == 11.0
-    assert elementary_symmetric(3, (3.0, 2.0, 1.0)) == 6.0
-    assert elementary_symmetric(4, (3.0, 2.0, 1.0)) == 0.0
-    with pytest.raises(DomainError):
-        elementary_symmetric(-1, (1.0,))
+    # p_0, ..., p_3 of (3, 2, 1), as every closed form reads them.
+    assert _coefficients((3.0, 2.0, 1.0)) == [1.0, 6.0, 11.0, 6.0]
 
 
-@given(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=8), st.integers(0, 8))
-def test_elementary_symmetric_matches_combinations(values, t):
-    got = elementary_symmetric(t, values)
-    expected = combinations_oracle(t, values)
-    assert abs(got - expected) <= 1e-9 * max(1.0, abs(expected))
+@given(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=8))
+def test_elementary_symmetric_matches_combinations(values):
+    for t, got in enumerate(_coefficients(values)):
+        expected = combinations_oracle(t, values)
+        assert abs(got - expected) <= 1e-9 * max(1.0, abs(expected))
 
 
 def test_nu_omega_selection():
@@ -357,6 +348,12 @@ def test_immanant_argument_checks():
         immanant(Partition((9,)), np.eye(9))
 
 
+def mixed_immanant(chi, xs):
+    # The symmetrized immanant of n = |chi| matrices: D^n d_chi at any
+    # point, here the first matrix, over n!.
+    return dk_immanant(chi, xs[0], xs) / math.factorial(chi.size)
+
+
 def test_mixed_immanant_frozen_example():
     value = mixed_immanant(Partition((2,)), [np.eye(2), np.ones((2, 2))])
     assert np.isclose(value, 1.0)
@@ -376,6 +373,8 @@ def test_mixed_immanant_is_symmetric_and_multilinear():
     base = mixed_immanant(chi, xs)
     for perm in itertools.permutations(xs):
         assert np.isclose(mixed_immanant(chi, list(perm)), base, atol=1e-12)
+    # At k = n the derivative does not depend on the point.
+    assert np.isclose(dk_immanant(chi, np.eye(3), xs) / 6, base, atol=1e-12)
     y = rng.standard_normal((3, 3))
     lhs = mixed_immanant(chi, [2.0 * xs[0] + y, xs[1], xs[2]])
     rhs = 2.0 * base + mixed_immanant(chi, [y, xs[1], xs[2]])
@@ -383,10 +382,11 @@ def test_mixed_immanant_is_symmetric_and_multilinear():
 
 
 def test_mixed_immanant_argument_checks():
+    # More directions than n, and n past MAX_MIXED_SIZE.
     with pytest.raises(DomainError):
-        mixed_immanant(Partition((2,)), [np.eye(2)])
+        dk_immanant(Partition((2,)), np.eye(2), [np.eye(2)] * 3)
     with pytest.raises(ResourceError):
-        mixed_immanant(Partition((7,)), [np.eye(7)] * 7)
+        dk_immanant(Partition((7,)), np.eye(7), [np.eye(7)] * 7)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +482,6 @@ def test_immanant_routes_past_the_largest_double_are_numeric_errors():
     big = 1e200 * np.eye(3)
     routes = [
         lambda: mixed_immanant_matrix(sc, big, []),
-        lambda: immanant_matrix(sc, big),
         lambda: dk_kchi_via_immanants(sc, big, []),
         lambda: dk_kchi_via_immanants(sc, big, [np.eye(3)]),
     ]
@@ -504,7 +503,7 @@ def test_power_map_factorization():
         routed = dk_kchi_via_immanants(sc, a, [])
         scale = max(1.0, float(np.abs(direct).max()))
         assert np.abs(direct - routed).max() <= ROUTE_TOL * scale
-        imm = immanant_matrix(sc, a)
+        imm = mixed_immanant_matrix(sc, a, [])
         gamma = sc.delta_hat.index(MultiIndex(tuple(range(1, n + 1)), n)) if n == sc.m else None
         if gamma is not None:
             # the full-index diagonal entry of the immanant matrix is d_chi(A)
@@ -620,7 +619,7 @@ def test_perturbation_bounds_are_a_taylor_tail():
     delta = 0.25
     sel = nu_omega(chi, nu)
     expected = sum(
-        elementary_symmetric(3 - k, sel) * delta**k for k in range(1, 4)
+        combinations_oracle(3 - k, sel) * delta**k for k in range(1, 4)
     )
     assert np.isclose(perturbation_bounds(chi, nu, delta), expected)
 
@@ -700,17 +699,20 @@ CHI = Partition((2, 1))
 SC = build_symmetry_class(CHI, 3)
 EYE = np.eye(3)
 
-# each call puts ``op`` in one operator slot; the other operators are valid
+# each call puts ``op`` in one operator slot; the other operators are valid.
+# The symmetrized product, the mixed immanant and the immanant matrix are
+# dk_kchi at k = m, dk_immanant at k = n and mixed_immanant_matrix with no
+# directions.
 OPERATOR_CALLS = {
     "k_chi_matrix": lambda op: k_chi_matrix(SC, op),
-    "sym_op_product": lambda op: sym_op_product(SC, [EYE, op, EYE]),
+    "sym_op_product": lambda op: dk_kchi(SC, EYE, [EYE, op, EYE]),
     "dk_kchi": lambda op: dk_kchi(SC, EYE, [op]),
     "dk_kchi k > m": lambda op: dk_kchi(SC, op, [EYE] * 4),
     "dk_norm_verify": lambda op: dk_norm_verify(SC, op, 1, samples=1),
     "immanant": lambda op: immanant(CHI, op),
-    "mixed_immanant": lambda op: mixed_immanant(CHI, [EYE, EYE, op]),
+    "mixed_immanant": lambda op: dk_immanant(CHI, EYE, [EYE, EYE, op]),
     "dk_immanant": lambda op: dk_immanant(CHI, EYE, [op]),
-    "immanant_matrix": lambda op: immanant_matrix(SC, op),
+    "immanant_matrix": lambda op: mixed_immanant_matrix(SC, op, []),
     "mixed_immanant_matrix": lambda op: mixed_immanant_matrix(SC, EYE, [op]),
     "dk_kchi_via_immanants": lambda op: dk_kchi_via_immanants(SC, op, [EYE]),
     "dk_kchi_via_immanants k > m": lambda op: dk_kchi_via_immanants(SC, op, [EYE] * 4),

@@ -40,14 +40,12 @@ from kchi import (
     immanant_bound_verify,
     k_chi_matrix,
     matrix_to_pairs,
-    mixed_immanant,
     mixed_immanant_matrix,
     partitions_of,
     random_matrix,
     random_unit_matrix,
     sample_rng,
     spectral_norm,
-    sym_op_product,
 )
 from kchi.cli import main
 from kchi.denselin import _distinct_arrangements, _spectral_norms
@@ -473,9 +471,10 @@ COPY_CLASSES = [
 @pytest.mark.parametrize("chi, n", COPY_CLASSES)
 def test_the_copy_route_matches_the_per_arrangement_sum(chi, n):
     # The kernel sums on one Schur-module copy (dim / f^chi columns) and
-    # reads the rest from the translates; k_chi_matrix, sym_op_product and
-    # _dk_stack for k = 0..m, on shared and on stacked directions, match the
-    # per-arrangement sum on all of V within 1e-14 of the largest entry.
+    # reads the rest from the translates; k_chi_matrix, the symmetrized
+    # product (dk_kchi at k = m over m!) and _dk_stack for k = 0..m, on
+    # shared and on stacked directions, match the per-arrangement sum on all
+    # of V within 1e-14 of the largest entry.
     sc = build_symmetry_class(chi, n)
     m = sc.m
     rng = sample_rng(20, 0)
@@ -486,7 +485,7 @@ def test_the_copy_route_matches_the_per_arrangement_sum(chi, n):
 
     check(k_chi_matrix(sc, t), reference_compress(sc, [t] * m))
     ops = [random_matrix(n, rng) for _ in range(m)]
-    check(sym_op_product(sc, ops), reference_compress(sc, ops))
+    check(dk_kchi(sc, t, ops) / math.factorial(m), reference_compress(sc, ops))
     for k in range(m + 1):
         xs = [random_matrix(n, rng) for _ in range(k)]
         check(_dk_stack(sc, t, xs)[0], reference_dk_kchi(sc, t, xs))
@@ -678,7 +677,8 @@ def test_immanant_sums_match_the_per_arrangement_sum(chi):
         for xs in direction_kinds(k, lambda: random_matrix(n, rng)) + [[a] * k]:
             assert close_to_reference(dk_immanant(chi, a, xs), reference_dk_immanant(chi, a, xs))
             mats = [a] * (n - k) + xs
-            assert close_to_reference(mixed_immanant(chi, mats), reference_mixed_immanant(chi, mats))
+            mixed = dk_immanant(chi, a, mats) / math.factorial(n)
+            assert close_to_reference(mixed, reference_mixed_immanant(chi, mats))
         for xs in direction_kinds(k, draw_stack):
             got = kchi.norms._dk_immanant_raw(chi, a, xs)
             for s, value in enumerate(np.broadcast_to(got, (2,))):
@@ -730,7 +730,7 @@ def test_column_gathers_follow_the_sub_multisets(monkeypatch):
     rng = sample_rng(22, 0)
     a, *xs = [random_matrix(4, rng) for _ in range(5)]
     for call, count, arrangements in [
-        (lambda: mixed_immanant(chi, xs), 32, 24),
+        (lambda: dk_immanant(chi, a, xs), 32, 24),
         (lambda: kchi.immanant(chi, a), 4, 1),
         (lambda: dk_immanant(chi, a, xs[:1]), 10, 4),
         (lambda: dk_immanant(chi, a, xs[:2]), 20, 12),
@@ -800,7 +800,7 @@ def test_axis_products_follow_the_tableau_chains(monkeypatch):
     xs = [random_matrix(2, rng) for _ in range(5)]
     ys = [random_matrix(3, rng) for _ in range(6)]
     for call, count in [
-        (lambda: sym_op_product(sc5, xs), 25),
+        (lambda: dk_kchi(sc5, xs[0], xs), 25),
         (lambda: k_chi_matrix(sc5, xs[0]), 5),
         (lambda: dk_kchi(sc4, xs[0], xs[1:4]), 12),
         (lambda: dk_kchi(sc4, xs[0], xs[1:2]), 8),
@@ -836,9 +836,9 @@ def test_the_symmetrized_product_does_not_depend_on_the_order():
     sc = build_symmetry_class(Partition((3, 2)), 2)
     rng = sample_rng(25, 0)
     ops = [random_matrix(2, rng) for _ in range(5)]
-    want = sym_op_product(sc, ops)
+    want = dk_kchi(sc, ops[0], ops)
     for order in [(4, 3, 2, 1, 0), (1, 0, 2, 3, 4), (2, 4, 0, 3, 1)]:
-        got = sym_op_product(sc, [ops[i] for i in order])
+        got = dk_kchi(sc, ops[0], [ops[i] for i in order])
         assert np.abs(got - want).max() <= ORBIT_BLOCK_TOL * np.abs(want).max()
 
 

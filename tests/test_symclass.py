@@ -26,7 +26,6 @@ from kchi import (
     enumerate_maps,
     k_chi_matrix,
     multiplicity_partition,
-    sym_op_product,
     symmetrized_kron,
 )
 
@@ -407,7 +406,8 @@ def reference_class(chi, n):
     """
     m = chi.size
     delta_bar, orbits = [], []
-    for a in enumerate_maps("increasing", m, n):
+    for entries in itertools.combinations_with_replacement(range(1, n + 1), m):
+        a = MultiIndex(entries, n)
         stabilizer = math.prod(math.factorial(c) for c in multiplicity_partition(a).parts)
         rank = degree(chi) * character_sum_over_stabilizer(chi, a) // stabilizer
         if rank == 0:
@@ -652,7 +652,7 @@ def test_decoded_indices_equal_validated_ones(chi, n):
 def test_estar_coords_are_brute_force_projector_columns(chi, n):
     sc = build_symmetry_class(chi, n)
     k = brute_force_projector(chi, n)
-    for alpha in enumerate_maps("gamma", sc.m, sc.n):
+    for alpha in enumerate_maps(sc.m, sc.n):
         np.testing.assert_allclose(
             estar_coords(sc, alpha), k[:, index_of(sc, alpha)], atol=EXACT_TOL
         )
@@ -692,7 +692,8 @@ def test_extreme_characters_have_closed_form_bases():
         assert [a.entries for a in wedge.delta_hat] == list(strict)
         assert wedge.dim == math.comb(n, m)
         power = build_symmetry_class(Partition((m,)), n)
-        assert power.delta_hat == enumerate_maps("increasing", m, n)
+        weak = itertools.combinations_with_replacement(range(1, n + 1), m)
+        assert [a.entries for a in power.delta_hat] == list(weak)
         assert power.dim == math.comb(n + m - 1, m)
 
 
@@ -701,7 +702,7 @@ def test_tensor_norms_follow_stabilizer_sums():
     for chi, n in SMALL_CLASSES:
         sc = build_symmetry_class(chi, n)
         scale = degree(chi) / math.factorial(sc.m)
-        for alpha in enumerate_maps("gamma", sc.m, sc.n):
+        for alpha in enumerate_maps(sc.m, sc.n):
             coords = estar_coords(sc, alpha)
             norm_sq = float(np.real(coords.conj() @ coords))
             expected = scale * character_sum_over_stabilizer(chi, alpha)
@@ -732,7 +733,7 @@ def test_omega_is_exactly_the_support():
         sc = build_symmetry_class(chi, n)
         support = {
             alpha
-            for alpha in enumerate_maps("gamma", sc.m, sc.n)
+            for alpha in enumerate_maps(sc.m, sc.n)
             if np.linalg.norm(estar_coords(sc, alpha)) > 1e-12
         }
         assert set(sc.omega) == support
@@ -763,7 +764,7 @@ def test_build_respects_dimension_cap():
 def test_index_of_is_the_lexicographic_position():
     for chi, n in SMALL_CLASSES:
         sc = build_symmetry_class(chi, n)
-        positions = [index_of(sc, a) for a in enumerate_maps("gamma", sc.m, sc.n)]
+        positions = [index_of(sc, a) for a in enumerate_maps(sc.m, sc.n)]
         assert positions == list(range(n**sc.m))
 
 
@@ -805,13 +806,21 @@ def test_symmetrized_kron_refuses_more_factors_than_the_cap(monkeypatch):
         symmetrized_kron(ops + [np.eye(1)])
 
 
+def symmetrized_product(sc, ops):
+    # The compressed symmetrized product X^1 * ... * X^m of m operators:
+    # D^m K_chi at any point, here the first operator, over m!.
+    return dk_kchi(sc, ops[0], ops) / math.factorial(sc.m)
+
+
 def test_sym_op_product_is_symmetric_in_its_arguments():
     rng = np.random.default_rng(41)
     sc = build_symmetry_class(Partition((2, 1)), 3)
     ops = [random_complex(rng, 3) for _ in range(3)]
-    base = sym_op_product(sc, ops)
+    base = symmetrized_product(sc, ops)
     for perm in itertools.permutations(ops):
-        np.testing.assert_allclose(sym_op_product(sc, list(perm)), base, atol=EXACT_TOL)
+        np.testing.assert_allclose(symmetrized_product(sc, list(perm)), base, atol=EXACT_TOL)
+    # At k = m the derivative does not depend on the point.
+    np.testing.assert_allclose(dk_kchi(sc, np.eye(3), ops) / 6, base, atol=EXACT_TOL)
 
 
 def test_sym_op_product_with_equal_factors_is_the_power_map():
@@ -820,7 +829,7 @@ def test_sym_op_product_with_equal_factors_is_the_power_map():
         sc = build_symmetry_class(chi, n)
         t = random_complex(rng, n)
         np.testing.assert_allclose(
-            sym_op_product(sc, [t] * sc.m), k_chi_matrix(sc, t), atol=EXACT_TOL
+            symmetrized_product(sc, [t] * sc.m), k_chi_matrix(sc, t), atol=EXACT_TOL
         )
 
 
@@ -839,7 +848,7 @@ def test_kernels_match_the_symmetrized_kron_reference(chi, n):
         np.testing.assert_allclose(value, expected, rtol=0, atol=EXACT_TOL * scale)
 
     ops = [random_complex(rng, n) for _ in range(sc.m)]
-    check(sym_op_product(sc, ops), reference(ops))
+    check(symmetrized_product(sc, ops), reference(ops))
     t = random_complex(rng, n)
     check(k_chi_matrix(sc, t), reference([t] * sc.m))
     for k in range(1, sc.m + 1):
@@ -849,11 +858,12 @@ def test_kernels_match_the_symmetrized_kron_reference(chi, n):
 
 
 def test_sym_op_product_rejects_wrong_shapes():
+    # Operators on another space, at the point or among the directions.
     sc = build_symmetry_class(Partition((2,)), 2)
     with pytest.raises(DomainError):
-        sym_op_product(sc, [np.eye(2)])
+        dk_kchi(sc, np.eye(2), [np.eye(3), np.eye(3)])
     with pytest.raises(DomainError):
-        sym_op_product(sc, [np.eye(3), np.eye(3)])
+        dk_kchi(sc, np.eye(3), [np.eye(2), np.eye(2)])
 
 
 # ---------------------------------------------------------------------------

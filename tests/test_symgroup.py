@@ -260,7 +260,7 @@ def test_stabilizer_sum_examples():
 
 def test_stabilizer_sum_by_direct_summation():
     for m, n in [(2, 2), (3, 2), (3, 3), (4, 2)]:
-        for alpha in enumerate_maps("gamma", m, n):
+        for alpha in enumerate_maps(m, n):
             stabilizer = [
                 s
                 for s in all_permutations(m)
@@ -273,7 +273,8 @@ def test_stabilizer_sum_by_direct_summation():
 
 def test_stabilizer_sum_vanishing_matches_majorization():
     for m, n in [(3, 3), (4, 3), (5, 4)]:
-        for alpha in enumerate_maps("increasing", m, n):
+        for entries in itertools.combinations_with_replacement(range(1, n + 1), m):
+            alpha = MultiIndex(entries, n)
             mu = multiplicity_partition(alpha)
             for lam in partitions_of(m):
                 nonzero = character_sum_over_stabilizer(lam, alpha) != 0
