@@ -14,7 +14,8 @@ conventions the rest of the package relies on:
   of its largest entry; not an SVD but LAPACK's eigenvalues of ``G``, or
   from ``_KRYLOV_MIN_DIM`` on a Lanczos value proved by a Cholesky
   factorization (``_top_singular_values``).  It is the one-matrix case of
-  ``_largest_spectral_norm``, which gives the largest over a stack and sends
+  ``_spectral_norms``, which norms each matrix of a stack with the same
+  bits; ``_largest_spectral_norm`` gives the largest over a stack and sends
   to the eigensolver only the samples whose bound can beat the running
   best.
 
@@ -25,8 +26,6 @@ fast.  Every result is finite or raises ``NumericError`` (``_checked``), so
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -138,7 +137,7 @@ def spectral_norm(a) -> float:
     a = as_matrix(a)
     if a.size == 0:
         return 0.0
-    return _largest_spectral_norm(a[None], 0.0)
+    return float(_spectral_norms(a[None])[0])
 
 
 def hermitian_eigenvalues(a) -> np.ndarray:
@@ -192,18 +191,6 @@ def _distinct_factors(mats) -> tuple[list[np.ndarray], list[int]]:
             reps.append(mat)
         labels.append(label)
     return reps, labels
-
-
-def _distinct_arrangements(mats) -> tuple[list[np.ndarray], list[tuple[int, ...]]]:
-    """The distinct factors of a multiset of matrices and their distinct orderings.
-
-    Returns ``(reps, orders)`` with ``reps`` from ``_distinct_factors``;
-    each order lists, slot by slot, the index into ``reps``.  Averaging a
-    multilinear expression over the orders equals averaging it over all
-    m! permutations; they come in sorted order, so sums are bit-stable.
-    """
-    reps, labels = _distinct_factors(mats)
-    return reps, sorted(set(itertools.permutations(labels)))
 
 
 def _peak_exponents(stack: np.ndarray) -> np.ndarray:

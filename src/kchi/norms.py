@@ -64,14 +64,14 @@ REPORT_TOL = 1e-7
 # its k directions, its normals, its unitaries and one column's temporaries
 # (tracemalloc read 2.8 to 4.0 of them at n = 1..8), and then the
 # directions stay beside its evaluation.  A derivative supremum evaluates
-# and norms each sample on the kernel's one Schur-module copy
-# (symclass._dk_copy), (w, w) with w = dim / f^chi, and a tuple holds two
-# such complex arrays: its value and, a third of the chunk at a time, the
-# norm's scaled copy, Gram matrix and Gram square
-# (denselin._largest_spectral_norm).  Through the kernel a tuple also holds
-# three (n^m, w) complex states (see symclass._compress; the copy columns
-# V Z are the class's).  A supremum over more tuples than its n^{2k}
-# matrix-unit tuples contracts each chunk against the base point's
+# and norms each sample on the kernel's one Schur-module copy, M_W of
+# symclass._partial_trace, (w, w) with w = dim / f^chi, never lifted to the
+# class (symclass._lift), and a tuple holds two such complex arrays: its
+# value and, a third of the chunk at a time, the norm's scaled copy, Gram
+# matrix and Gram square (denselin._largest_spectral_norm).  Through the
+# partial trace a tuple also holds three (n^m, w) complex states (the copy
+# columns V Z are the class's).  A supremum over more tuples than its
+# n^{2k} matrix-unit tuples contracts each chunk against the base point's
 # (n^{2k}, w^2) tensor instead (see _dk_norm_sup): a tuple then holds at
 # most two rows of (n^{2k}) outer products beside the tensor, and the route
 # is taken only when the tensor and the values it is gathered from fit the
@@ -255,12 +255,6 @@ def random_unit_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
     return _haar_units(rng.standard_normal((2, n, n)))
 
 
-def _unit_stack(n: int, k: int, rng: np.random.Generator, count: int) -> np.ndarray:
-    # count Haar unitary k-tuples from rng, as one (count, k, n, n) stack
-    # equal to count * k random_unit_matrix calls on rng.
-    return _haar_units(rng.standard_normal((count, k, 2, n, n)))
-
-
 def _haar_units(normals: np.ndarray) -> np.ndarray:
     # The unitaries of the complex Gaussians re + i im of a (..., 2, n, n)
     # stack of normals (re, im), in its shape: Q of each one's QR whose R has
@@ -307,7 +301,8 @@ def _sampled_max(
     held: int = 0,
 ) -> float:
     # Largest value over ``samples`` random unit k-tuples of n x n matrices,
-    # read in order from rng a chunk at a time, so the tuples do not depend
+    # read in order from rng a chunk at a time, each chunk's tuples equal to
+    # as many random_unit_matrix calls on rng, so the tuples do not depend
     # on the chunk size.  ``reduce(xs, best)`` takes the k direction stacks
     # (S, n, n) of one chunk and the largest value so far, and returns the
     # largest value including the chunk's.  A tuple holds its draw, at most
@@ -318,8 +313,8 @@ def _sampled_max(
     chunk = _sample_chunk(max(4 * directions, directions + tuple_bytes), held)
     best = 0.0
     for lo in range(0, samples, chunk):
-        units = _unit_stack(n, k, rng, min(chunk, samples - lo)).swapaxes(0, 1)
-        best = reduce(list(units), best)
+        units = _haar_units(rng.standard_normal((min(chunk, samples - lo), k, 2, n, n)))
+        best = reduce(list(units.swapaxes(0, 1)), best)
         # Freed before the next chunk is drawn.
         del units
     return best
@@ -461,47 +456,36 @@ def _mixed_immanant_raw(chi: Partition, reps, labels):
     # Mean of d_chi over the distinct assignments of its columns to the
     # arguments, reps[i] filling as many of them as ``labels`` holds i (from
     # _distinct_factors); arguments are (n, n) matrices or (..., n, n)
-    # stacks.  The sub-multiset sum (_arrangement_sum) runs over the
-    # columns: a state holds, for each permutation p, the products of the
-    # entries (p(j), j) so far, and chi(p) = chi(p^-1) makes their sum
-    # against chi d_chi.
+    # stacks.  A state holds, for each permutation p, the products of the
+    # entries (p(j), j) over the columns j so far, and chi(p) = chi(p^-1)
+    # makes their sum against chi d_chi.  After the first j columns the sum
+    # of the states over the arrangements depends only on the sub-multiset
+    # of arguments used, so one state is kept per sub-multiset; each column
+    # gathers every argument with copies left and adds the results that
+    # reach the same sub-multiset.
     counts = [labels.count(i) for i in range(len(reps))]
     images, values = _permutation_characters(chi)
-    gather = lambda rep, state, j: state * rep[..., images[:, j], j]
-    start = np.ones(len(values))
-    total = _arrangement_sum(gather, start, list(zip(reps, counts)), range(chi.size))
-    return total @ values / (math.factorial(chi.size) // math.prod(map(math.factorial, counts)))
-
-
-def _arrangement_sum(apply, w: np.ndarray, factors, slots) -> np.ndarray:
-    # The sum over the distinct arrangements of the multiset ``factors``
-    # ((matrix, multiplicity) pairs) on ``slots``, in order, applied to w,
-    # where ``apply(mat, state, slot)`` applies one factor at one slot (a
-    # column in _mixed_immanant_raw).  After the first j slots the sum of
-    # the partial products depends only on the sub-multiset of factors used,
-    # so one state is kept per sub-multiset; each step applies every factor
-    # with copies left and adds the results that reach the same sub-multiset.
-    states = {(0,) * len(factors): w}
-    for slot in slots:
+    states = {(0,) * len(reps): np.ones(len(values))}
+    for j in range(chi.size):
         step: dict[tuple[int, ...], np.ndarray] = {}
         for used in list(states):
             state = states.pop(used)
-            for i, (mat, copies) in enumerate(factors):
-                if used[i] < copies:
+            for i, rep in enumerate(reps):
+                if used[i] < counts[i]:
                     key = used[:i] + (used[i] + 1,) + used[i + 1 :]
-                    term = apply(mat, state, slot)
+                    term = state * rep[..., images[:, j], j]
                     if key in step:
                         step[key] += term
                     else:
                         step[key] = term
         states = step
-    (w,) = states.values()
-    return w
+    (total,) = states.values()
+    return total @ values / (math.factorial(chi.size) // math.prod(map(math.factorial, counts)))
 
 
 def _live_states(counts) -> int:
     # Most sub-multisets of two consecutive sizes: the states
-    # _arrangement_sum holds at once over factors of multiplicities ``counts``.
+    # _mixed_immanant_raw holds at once over arguments of multiplicities ``counts``.
     sizes = [1]
     for copies in counts:
         sizes = [sum(sizes[max(0, j - copies) : j + 1]) for j in range(len(sizes) + copies)]

@@ -19,8 +19,9 @@ read-only, by every class of that chi (see _template).  The operator
 kernels take the S_m-average of a Kronecker product as 1/chi(1) times its
 partial trace over the Specht factor of the class: one plain product per
 standard tableau on one of the chi(1) Schur-module copies in the class,
-with the rest of the operator read from the copy's translates under S_m
-(see _compress).
+with the rest of the operator read from the copy's translates under S_m.
+One function, _partial_trace, forms that copy's operator M_W at a point
+and directions, and _lift writes the whole operator from it.
 
 The class carries three distinguished index sets:
 
@@ -47,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .combinat import MultiIndex, Partition, _check_type, _positive_size, _shown, majorizes
-from .denselin import DEFAULT_DIMENSION_CAP, _distinct_arrangements, _distinct_factors
+from .denselin import DEFAULT_DIMENSION_CAP, _distinct_factors
 from .denselin import _checked, _matrices, gram_schmidt, kron
 from .errors import DomainError, NumericError, ResourceError
 from .symgroup import _permutation_characters, _permutation_classes, _stabilizer_sum, degree
@@ -89,12 +90,13 @@ class SymmetryClass:
     e*-vectors it keeps, ``at[:, g]`` the basis columns they carry, and
     ``ortho_t`` the shared ``(rank, orbit size)`` block of the orthonormal
     basis, with ``coeffs`` the ``(rank, rank)`` block of its change of
-    basis.  The rest serve the kernel's one Schur-module copy (see
-    ``_compress``): ``copy`` is the orbit's ``(orbit size, rank / f^chi)``
-    block of the copy columns V Z, ``z[:, g]`` are the g-th orbit's
-    ``rank / f^chi`` copy columns among all dim / f^chi (its rows and
-    columns of M_W too), ``binv`` is the ``(rank, rank)`` inverse of
-    the translates' coordinates B, ``dual[t]`` the
+    basis.  The rest serve the kernel's one Schur-module copy, whose
+    operator M_W ``_partial_trace`` forms and ``_lift`` lifts to the class:
+    ``copy`` is the orbit's ``(orbit size, rank / f^chi)`` block of the
+    copy columns V Z, ``z[:, g]`` are the g-th orbit's ``rank / f^chi``
+    copy columns among all dim / f^chi (its rows and columns of M_W too),
+    ``binv`` is the ``(rank, rank)`` inverse of the translates'
+    coordinates B, ``dual[t]`` the
     ``(rank / f^chi, orbit size)`` product D_t V* P(sigma_t) of B^-1's
     t-th block of rows with the basis block read through the t-th
     standard tableau's permutation, and ``frame[t]`` the
@@ -226,7 +228,7 @@ def build_symmetry_class(chi: Partition, n: int) -> SymmetryClass:
     kept = np.sort(np.concatenate([rows[:, tp.cols] for rows, tp in blocks], axis=None))
     leads = [rows[:, tp.cols[: tp.copy.shape[1]]] for rows, tp in blocks]
     leads = np.sort(np.concatenate(leads, axis=None))
-    # Stored with the orbit axis first, the layout _compress reads.
+    # Stored with the orbit axis first, the layout _partial_trace reads.
     orbit_blocks = tuple(
         _OrbitBlock(
             rows.T.copy(),
@@ -262,13 +264,13 @@ def _template(chi: Partition, c: tuple[int, ...]):
         )
     if not by_majorization:
         return None
-    chi_one, scale = _scale(chi)
+    chi_one = degree(chi)
     # The template orbit as its 0-based words in lexicographic order; with
     # no index asked for, np.unique imports numpy.ma (9 ms, 1.2 MB).
     orbit = np.repeat(np.arange(r), c)[_permutation_classes(m)[0]]
     words = np.unique(orbit, axis=0, return_index=True)[0]
     rank = chi_one * total // math.prod(math.factorial(k) for k in c)
-    cols, ortho, coeffs = _orbit_basis(chi, words, rank, scale)
+    cols, ortho, coeffs = _orbit_basis(chi, words, rank, chi_one / math.factorial(m))
     # Row 0 of an orbit is its weakly increasing representative.
     if 0 not in cols:
         raise NumericError("basis sweep dropped an orbit representative")
@@ -282,13 +284,6 @@ def _template(chi: Partition, c: tuple[int, ...]):
     for array in template:
         array.setflags(write=False)
     return template
-
-
-@functools.cache
-def _scale(chi: Partition) -> tuple[int, float]:
-    # chi(1) and the e*-columns' scale chi(1)/m!.
-    chi_one = degree(chi)
-    return chi_one, chi_one / math.factorial(chi.size)
 
 
 def _encode(entries: np.ndarray, n: int) -> np.ndarray:
@@ -377,7 +372,7 @@ def _relabel(words: np.ndarray, perms: np.ndarray) -> np.ndarray:
 
 def _copy_basis(words, ortho, symmetrizer, tableaux, width: int):
     # One orbit's share of one Schur-module copy of the class (see
-    # _compress), from its (orbit size, rank) basis block ``ortho``.  The
+    # _partial_trace), from its (orbit size, rank) basis block ``ortho``.  The
     # Young symmetrizer maps V_chi onto one copy, so its image on the
     # orbit, in the orbit's basis coordinates, must have rank ``width`` =
     # rank / f^chi; Z is an orthonormal basis of it.  The translates
@@ -420,10 +415,12 @@ def _copy_basis(words, ortho, symmetrizer, tableaux, width: int):
 def symmetrized_kron(ops) -> np.ndarray:
     """The symmetrized tensor product (1/m!) sum_sigma X^{sigma(1)} (x) ... (x) X^{sigma(m)}.
 
-    Sums one Kronecker product per distinct arrangement of the factors
-    (see ``_distinct_arrangements``).  The class kernels below compute its
-    compression without forming this n^m x n^m matrix.  More than
-    MAX_TENSOR_FACTORS factors are refused before any arrangement is listed.
+    Sums one Kronecker product per distinct arrangement of the factors:
+    equal factors share a label (``_distinct_factors``), and the distinct
+    orderings of the labels come in sorted order, so the sum is bit-stable.
+    The class kernels below compute its compression without forming this
+    n^m x n^m matrix.  More than MAX_TENSOR_FACTORS factors are refused
+    before any arrangement is listed.
     """
     mats = _matrices(ops, square=True)
     if not mats:
@@ -432,7 +429,8 @@ def symmetrized_kron(ops) -> np.ndarray:
         raise ResourceError(
             f"tensor power capped at m <= {MAX_TENSOR_FACTORS}, got m={len(mats)}"
         )
-    reps, orders = _distinct_arrangements(mats)
+    reps, labels = _distinct_factors(mats)
+    orders = sorted(set(itertools.permutations(labels)))
     total = None
     for order in orders:
         term = functools.reduce(kron, [reps[i] for i in order])
@@ -440,38 +438,41 @@ def symmetrized_kron(ops) -> np.ndarray:
     return total / len(orders)
 
 
-def _compress(sc: SymmetryClass, mats: list[np.ndarray], factor: int = 1) -> np.ndarray:
-    # M = V* S V, S the mean over S_m of the conjugates P(s) A P(s)^-1 of
-    # A = A_1 (x) ... (x) A_m, for S samples at once, with each factor
-    # applied to its own tensor axis.  A factor is one (n, n) matrix that
-    # every sample shares or an (S, n, n) stack.  As a module of GL(n) x S_m
-    # the class is W (x) S^chi (Schur-Weyl duality), and the translates
-    # B = [Q_sigma_1 Z ... Q_sigma_f Z] of each orbit block (_copy_basis)
-    # are I (x) F for a basis F of S^chi.  S commutes with every
-    # Q_sigma = V* P(sigma) V, so M = B (I (x) M_W) B^-1 (see _lift), and
-    # averaging over S_m is 1/f^chi times the partial trace over S^chi: with
-    # D_t the t-th row block of B^-1, M_W = (1/f^chi) sum_t D_t V* A P(sigma_t) V Z.
-    # As V B_t = P(sigma_t) V Z and A P(sigma) = P(sigma) A_sigma, A_sigma
-    # the product with factor sigma(a) on axis a, each standard tableau takes
-    # one plain chain of m axis products on the dim / f^chi copy columns
-    # V Z, and tableaux whose chains name the same factors share one, with
-    # one gather of its result per composition (see _dual_product).
-    # Returns ``factor`` times the (S, dim, dim) stack; S = 1 without stacks.
-    # The lift writes each block of M once, straight from M_W's rows and
-    # columns of that block's orbits, with no (S, dim, dim) array but M.
-    return _checked("compressed operator", lambda: _lift(sc, _partial_trace(sc, mats, factor)))
-
-
-def _partial_trace(sc: SymmetryClass, mats: list[np.ndarray], factor: int) -> np.ndarray:
-    # ``factor`` times M_W, as rows, samples and interleaved (re, im) columns.
-    reps, labels = _distinct_factors(mats)
+def _partial_trace(sc: SymmetryClass, t: np.ndarray, xs: list[np.ndarray]) -> np.ndarray:
+    # D^k K_chi(t) on k = len(xs) <= m directions, each an (n, n) matrix or
+    # an (S, n, n) stack of per-sample directions, on the kernel's one
+    # Schur-module copy: m!/(m-k)! times M_W as an (S, w, w) complex stack,
+    # w = dim / f^chi; S = 1 without stacks.  The derivative is m!/(m-k)!
+    # times M = V* S V, S the mean over S_m of the conjugates
+    # P(s) A P(s)^-1 of A = A_1 (x) ... (x) A_m, with m-k factors t and the
+    # directions, each factor applied to its own tensor axis.  As a module
+    # of GL(n) x S_m the class is W (x) S^chi (Schur-Weyl duality), and the
+    # translates B = [Q_sigma_1 Z ... Q_sigma_f Z] of each orbit block
+    # (_copy_basis) are I (x) F for a basis F of S^chi.  S commutes with
+    # every Q_sigma = V* P(sigma) V, so M = B (I (x) M_W) B^-1 (see _lift),
+    # and averaging over S_m is 1/f^chi times the partial trace over S^chi:
+    # with D_t the t-th row block of B^-1,
+    # M_W = (1/f^chi) sum_t D_t V* A P(sigma_t) V Z.  As V B_t = P(sigma_t) V Z
+    # and A P(sigma) = P(sigma) A_sigma, A_sigma the product with factor
+    # sigma(a) on axis a, each standard tableau takes one plain chain of m
+    # axis products on the dim / f^chi copy columns V Z, and tableaux whose
+    # chains name the same factors share one, with one gather of its result
+    # per composition (see _dual_product).  M Z = Z M_W for the orthonormal
+    # copy columns Z, and in an orthonormal frame of V_chi = W (x) S^chi the
+    # operator is (a unitary image of M_W) (x) I, so M's singular values are
+    # M_W's, each f^chi times: a norm needs only M_W, which the lift would
+    # make f^chi times wider.
+    k = len(xs)
+    reps, labels = _distinct_factors([t] * (sc.m - k) + list(xs))
     samples = max((len(rep) for rep in reps if rep.ndim == 3), default=1)
     tableaux = _young_symmetrizer(sc.chi)[1]
     chains: dict[tuple[int, ...], list[int]] = {}
-    for t, order in enumerate(np.array(labels)[tableaux].tolist()):
-        chains.setdefault(tuple(order), []).append(t)
+    for tableau, order in enumerate(np.array(labels)[tableaux].tolist()):
+        chains.setdefault(tuple(order), []).append(tableau)
     copy = sc.copy_columns
     width = copy.shape[1]
+    # Rows, samples and interleaved (re, im) columns, the layout the duals'
+    # GEMMs write.
     m_w = np.zeros((width, samples, 2 * width))
     for order, ts in chains.items():
         # Shared factors first, so only the stacked ones carry the sample axis.
@@ -479,8 +480,8 @@ def _partial_trace(sc: SymmetryClass, mats: list[np.ndarray], factor: int) -> np
         for axis in sorted(range(sc.m), key=lambda a: reps[order[a]].ndim):
             w = _axis_product(sc.n, reps[order[axis]], w, axis)
         _dual_product(sc, w, ts, m_w)
-    m_w *= factor / len(tableaux)
-    return m_w
+    m_w *= math.factorial(sc.m) // math.factorial(sc.m - k) / len(tableaux)
+    return np.ascontiguousarray(m_w.view(np.complex128).transpose(1, 0, 2))
 
 
 def _dual_product(sc: SymmetryClass, w: np.ndarray, ts: list[int], m_w: np.ndarray) -> None:
@@ -501,8 +502,8 @@ def _dual_product(sc: SymmetryClass, w: np.ndarray, ts: list[int], m_w: np.ndarr
 
 
 def _lift(sc: SymmetryClass, m_w: np.ndarray) -> np.ndarray:
-    # M = B (I (x) M_W) B^-1, (S, dim, dim), from M_W as _partial_trace
-    # leaves it.  B and B^-1 are block diagonal over the orbits, so the
+    # M = B (I (x) M_W) B^-1, (S, dim, dim), from the (S, w, w) stack M_W of
+    # _partial_trace.  B and B^-1 are block diagonal over the orbits, so the
     # block of M on orbit g of composition c (rows) and orbit g' of
     # composition c' (columns) is sum_t F_t X D_t: F_t is the template's
     # (rank, width) ``frame[t]`` of c, D_t the t-th (width', rank') block of
@@ -517,10 +518,10 @@ def _lift(sc: SymmetryClass, m_w: np.ndarray) -> np.ndarray:
     # call: kept for every class under the caps they would take 65.7 MB,
     # three times the templates.  With f^chi = 1, for (m) and (1^m), each
     # orbit's z is its at and B = B^-1 = [[1.0]], so M is M_W itself.
-    samples, f = m_w.shape[1], len(sc.orbit_blocks[0].frame)
-    copies = m_w.view(np.complex128)
+    samples, f = len(m_w), len(sc.orbit_blocks[0].frame)
     if f == 1:
-        return np.ascontiguousarray(copies.transpose(1, 0, 2))
+        return m_w
+    copies = m_w.transpose(1, 0, 2)
     out = np.empty((samples, sc.dim, sc.dim), dtype=np.complex128)
     samples_last = out.transpose(1, 2, 0)
     for b in sc.orbit_blocks:
@@ -547,28 +548,14 @@ def _axis_product(n: int, mat: np.ndarray, w: np.ndarray, axis: int) -> np.ndarr
     return out.reshape(len(out), w.shape[1], -1)
 
 
-def _dk_factors(sc: SymmetryClass, t: np.ndarray, xs: list[np.ndarray]):
-    # The factors and the factor m!/(m-k)! of D^k K_chi(t) on k = len(xs)
-    # <= m directions, each an (n, n) matrix or an (S, n, n) stack of
-    # per-sample directions.
-    k = len(xs)
-    return [t] * (sc.m - k) + list(xs), math.factorial(sc.m) // math.factorial(sc.m - k)
-
-
 def _dk_stack(sc: SymmetryClass, t: np.ndarray, xs: list[np.ndarray]) -> np.ndarray:
-    # D^k K_chi(t) as an (S, dim, dim) stack; see _dk_factors.
-    return _compress(sc, *_dk_factors(sc, t, xs))
+    # D^k K_chi(t) as an (S, dim, dim) stack: the lift of _partial_trace.
+    return _checked("compressed operator", lambda: _lift(sc, _partial_trace(sc, t, xs)))
 
 
 def _dk_copy(sc: SymmetryClass, t: np.ndarray, xs: list[np.ndarray]) -> np.ndarray:
-    # D^k K_chi(t) on the kernel's one Schur-module copy: M_W as an
-    # (S, w, w) stack, w = dim / f^chi; see _dk_factors.  M Z = Z M_W for
-    # the orthonormal copy columns Z, and in an orthonormal frame of
-    # V_chi = W (x) S^chi the operator is (a unitary image of M_W) (x) I,
-    # so M's singular values are M_W's, each f^chi times: a norm needs only
-    # M_W, which the lift would make f^chi times wider.
-    m_w = _checked("compressed operator", _partial_trace, sc, *_dk_factors(sc, t, xs))
-    return np.ascontiguousarray(m_w.view(np.complex128).transpose(1, 0, 2))
+    # D^k K_chi(t) on the one copy, M_W as an (S, w, w) stack; see _partial_trace.
+    return _checked("compressed operator", _partial_trace, sc, t, xs)
 
 
 def _operators(sc: SymmetryClass, *groups) -> list[np.ndarray]:
@@ -586,7 +573,8 @@ def k_chi_matrix(sc: SymmetryClass, a) -> np.ndarray:
     the compression of that power is exactly the induced operator; the
     map is multiplicative in ``a``.
     """
-    return _compress(sc, _operators(sc, [a]) * sc.m)[0]
+    (a_mat,) = _operators(sc, [a])
+    return _dk_stack(sc, a_mat, [])[0]
 
 
 def dk_kchi(sc: SymmetryClass, t, xs) -> np.ndarray:

@@ -13,6 +13,7 @@ is this same table that gets used.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -98,19 +99,9 @@ def class_size(rho: Partition) -> int:
     m = rho.size
     _check_degree(m, "class sizes")
     centralizer = 1
-    for part, count in _part_multiplicities(rho.parts):
+    for part, count in collections.Counter(rho.parts).items():
         centralizer *= part**count * math.factorial(count)
     return math.factorial(m) // centralizer
-
-
-def _part_multiplicities(parts: tuple[int, ...]) -> list[tuple[int, int]]:
-    out: list[tuple[int, int]] = []
-    for p in parts:
-        if out and out[-1][0] == p:
-            out[-1] = (p, out[-1][1] + 1)
-        else:
-            out.append((p, 1))
-    return out
 
 
 @dataclass(frozen=True)

@@ -59,12 +59,13 @@ def test_criterion_03_supremum_and_attainment():
 
 
 def test_copy_row_fails_on_a_copy_norm_off_by_1e_10(monkeypatch):
-    # The copy row compares the copy's norms with the full class's at the
-    # attaining points, so a copy evaluation off by 1e-10 fails every class.
+    # The copy row compares the copy's norms at the attaining points with
+    # those of their lift to the full class, so a lift off by 1e-10, which
+    # puts each copy norm 1e-10 away from the full class's, fails every class.
     monkeypatch.setattr(verify, "SUP_TUPLES", 20)
     monkeypatch.setattr(verify, "SUP_DRAWS", 2)
-    dk_copy = verify._dk_copy
-    monkeypatch.setattr(verify, "_dk_copy", lambda *args: dk_copy(*args) * (1 + 1e-10))
+    lift = verify._lift
+    monkeypatch.setattr(verify, "_lift", lambda *args: lift(*args) * (1 + 1e-10))
     rows = [
         r for r in verify.check_sup_attainment(seed=0, max_n=3)
         if r.name == "the copy's norm equals the full class's norm"
@@ -159,17 +160,20 @@ def test_at_most_rows_state_their_tolerance_once():
 
 
 def test_check_results_serialize_numpy_scalars():
-    # checks accumulate errors through array arithmetic, so numpy scalars
-    # can end up in the fields; the report must still be valid json
-    check = verify.CheckResult(
-        name="coercion",
-        params={"m": 4},
-        expected="relative error <= 1e-09",
-        observed=np.float64(2.1e-16),
-        tolerance=1e-9,
-        passed=np.bool_(True),
-    )
-    obj = check.to_json_obj()
-    assert type(obj["observed"]) is float
-    assert obj["passed"] is True
-    json.dumps(obj)
+    # Criteria accumulate errors through array arithmetic, so numpy scalars
+    # and arrays reach _at_most; it and _exact write Python floats, ints and
+    # bools into the row, so a row is strict JSON as it stands, and so is
+    # every row of a report.
+    values = np.array([np.float64(2.1e-16), 0.0])
+    for row in [
+        verify._at_most("full symmetric reduction", {"m": 4}, values),
+        verify._at_most("full symmetric reduction", {"m": 4}, list(values)),
+        verify._exact("first orthogonality relations", {"m": 4}, 0),
+    ]:
+        obj = row.to_json_obj()
+        assert type(obj["observed"]) in (float, int) and obj["passed"] is True
+        json.dumps(obj, allow_nan=False)
+    for criterion in verify.run_verify(max_n=2)["criteria"]:
+        for row in criterion["checks"]:
+            assert type(row["observed"]) in (float, int), row
+            assert type(row["tolerance"]) is float and type(row["passed"]) is bool

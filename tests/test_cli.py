@@ -301,6 +301,44 @@ def test_a_non_finite_row_prints_its_report_and_exits_four(capsys, monkeypatch):
     assert row["observed"] is None and row["passed"] is False
 
 
+def test_a_nan_in_the_kernel_fails_its_criteria_and_exits_four(capsys, monkeypatch):
+    # A NaN in M_W of (2,1)/3 stops every criterion that evaluates that
+    # class with a NumericError.  Each of them is one failed row that
+    # carries the error's message, the other criteria still run, and the
+    # report prints as strict JSON.
+    partial_trace = kchi.symclass._partial_trace
+
+    def poisoned(sc, t, xs):
+        m_w = partial_trace(sc, t, xs)
+        if (sc.chi.parts, sc.n) == ((2, 1), 3):
+            m_w[..., 0, 0] = np.nan
+        return m_w
+
+    monkeypatch.setattr(kchi.symclass, "_partial_trace", poisoned)
+    code, out, err = run_cli(capsys, ["verify", "--max-n", "3"])
+    assert (code, err) == (4, "")
+    report = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in the report"))
+    assert report["all_passed"] is False
+    failed = {
+        criterion["name"]: row
+        for criterion in report["criteria"]
+        for row in criterion["checks"]
+        if not row["passed"]
+    }
+    assert report["failed_checks"] == len(failed)
+    assert set(failed) == {
+        "derivative norm identity",
+        "supremum and attainment",
+        "finite differences",
+        "derivative spectrum",
+        "immanant factorization",
+        "Taylor and perturbation bounds",
+    }
+    for row in failed.values():
+        assert row["name"] == "values are finite"
+        assert row["observed"] == "compressed operator is not finite: the computation overflowed"
+
+
 @pytest.mark.parametrize(
     "command,flags",
     [
@@ -493,7 +531,7 @@ def test_huge_sample_counts_exit_two_before_drawing(capsys, monkeypatch, tmp_pat
     def no_draws(*args):
         raise AssertionError("tuples were drawn")
 
-    monkeypatch.setattr(kchi.norms, "_unit_stack", no_draws)
+    monkeypatch.setattr(kchi.norms, "_haar_units", no_draws)
     if argv[-1] == "--input":
         argv = [*argv, write_matrix(tmp_path / "eye2.json", np.eye(2))]
     code, out, err = run_cli(capsys, [*argv, "--samples", str(2**64)])
@@ -517,7 +555,7 @@ def test_sample_counts_past_the_budget_exit_three_promptly(
     def no_draws(*args):
         raise AssertionError("tuples were drawn")
 
-    monkeypatch.setattr(kchi.norms, "_unit_stack", no_draws)
+    monkeypatch.setattr(kchi.norms, "_haar_units", no_draws)
     path = write_matrix(tmp_path / "eye2.json", np.eye(2))
     started = time.monotonic()
     code, out, err = run_cli(capsys, [*argv, "--input", path, "--samples", str(samples)])

@@ -1,8 +1,8 @@
 """Known defects patched into the certificate, each named by a row that fails.
 
 Each entry of DEFECTS patches one defect into the library, runs
-``run_verify(max_n=3)`` and names the bounded rows (``verify._ROWS``) that
-must fail.  The class templates and Young symmetrizers are cached per
+``run_verify(max_n=3)`` and names the bounded rows (``verify._ROWS``), or
+the row of a criterion that raised ``NumericError``, that must fail.  The class templates and Young symmetrizers are cached per
 process: a defect in their build clears them first, for the patched build
 to take effect, and every defect clears them after it, so that later tests
 see clean ones.
@@ -21,6 +21,8 @@ import kchi.verify as verify
 from kchi import Partition, build_symmetry_class
 
 CHI = Partition((2, 1))
+# The row of a criterion that raised NumericError.
+NUMERIC_ROW = "values are finite"
 
 # The cached functions themselves, as a defect may patch their names.
 CACHES = (symclass._template, symclass._young_symmetrizer)
@@ -73,28 +75,40 @@ def symmetrizer_sign_flipped(monkeypatch):
 
 
 def direction_transposed(monkeypatch):
-    # _dk_factors takes the first direction transposed.
-    factors = symclass._dk_factors
+    # _partial_trace takes the first direction transposed.
+    partial_trace = symclass._partial_trace
 
     def transposed(sc, t, xs):
         xs = list(xs)
         if xs:
             xs[0] = np.swapaxes(xs[0], -1, -2)
-        return factors(sc, t, xs)
+        return partial_trace(sc, t, xs)
 
-    monkeypatch.setattr(symclass, "_dk_factors", transposed)
+    monkeypatch.setattr(symclass, "_partial_trace", transposed)
 
 
 def factor_at_k_minus_one(monkeypatch):
-    # _dk_factors scales by m!/(m-k+1)! rather than m!/(m-k)!.
-    factors = symclass._dk_factors
+    # _partial_trace scales by m!/(m-k+1)! rather than m!/(m-k)!.
+    partial_trace = symclass._partial_trace
 
     def shifted(sc, t, xs):
-        mats, _ = factors(sc, t, xs)
         k = len(xs)
-        return mats, math.factorial(sc.m) // math.factorial(sc.m - k + 1) if k else 1
+        return partial_trace(sc, t, xs) / (sc.m - k + 1) if k else partial_trace(sc, t, xs)
 
-    monkeypatch.setattr(symclass, "_dk_factors", shifted)
+    monkeypatch.setattr(symclass, "_partial_trace", shifted)
+
+
+def nan_in_one_class(monkeypatch):
+    # _partial_trace puts a NaN into M_W of (2, 1) on C^3.
+    partial_trace = symclass._partial_trace
+
+    def poisoned(sc, t, xs):
+        m_w = partial_trace(sc, t, xs)
+        if (sc.chi, sc.n) == (CHI, 3):
+            m_w[..., 0, 0] = np.nan
+        return m_w
+
+    monkeypatch.setattr(symclass, "_partial_trace", poisoned)
 
 
 def frame_perturbed(perturb):
@@ -131,7 +145,7 @@ DEFECTS = {
         tableau_dropped,
         {"derivative norm equals closed formula"},
     ),
-    "one direction transposed in _dk_factors": (
+    "one direction transposed in _partial_trace": (
         direction_transposed,
         {"unitary polar directions attain the formula", "finite differences confirm the derivative"},
     ),
@@ -160,6 +174,9 @@ DEFECTS = {
             "derivative spectrum matches eigenvalue formula",
         },
     ),
+    # Every criterion that evaluates (2,1)/3 stops at the NaN, and each of
+    # them is one failed row that carries the error's message.
+    "a NaN in one class's M_W": (nan_in_one_class, {NUMERIC_ROW}),
 }
 
 
@@ -171,7 +188,7 @@ def clean_caches():
 
 @pytest.mark.parametrize("patch,rows", DEFECTS.values(), ids=list(DEFECTS))
 def test_each_defect_fails_a_named_row(clean_caches, monkeypatch, patch, rows):
-    assert rows <= set(verify._ROWS)
+    assert rows <= {*verify._ROWS, NUMERIC_ROW}
     patch(monkeypatch)
     report = verify.run_verify(max_n=3)
     # The failing report is still strict JSON, as `kchi verify` prints it.

@@ -19,6 +19,7 @@ count their products and bound their memory.
 import collections
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import tracemalloc
@@ -48,7 +49,7 @@ from kchi import (
     spectral_norm,
 )
 from kchi.cli import main
-from kchi.denselin import _distinct_arrangements, _spectral_norms
+from kchi.denselin import _distinct_factors, _spectral_norms
 from kchi.norms import (
     SAMPLE_CHUNK_BYTES,
     _contract,
@@ -56,13 +57,25 @@ from kchi.norms import (
     _haar_units,
     _sample_chunk,
     _tensor_route,
-    _unit_stack,
 )
-from kchi.symclass import _dk_copy, _dk_factors, _dk_stack
+from kchi.symclass import _dk_copy, _dk_stack, _partial_trace
 from kchi.symgroup import _permutation_characters
 from test_symclass import SMALL_CLASSES
 
 KERNEL_TOL = 1e-12
+
+
+def distinct_arrangements(mats):
+    # The distinct factors and their distinct orderings, in sorted order,
+    # as symmetrized_kron lists them.
+    reps, labels = _distinct_factors(mats)
+    return reps, sorted(set(itertools.permutations(labels)))
+
+
+def unit_stack(n, k, rng, count):
+    # count Haar unitary k-tuples from rng, as one (count, k, n, n) stack,
+    # drawn as a sampled supremum draws a chunk.
+    return _haar_units(rng.standard_normal((count, k, 2, n, n)))
 
 
 def reference_compress(sc, mats):
@@ -74,7 +87,7 @@ def reference_compress(sc, mats):
     # factors drifts by 1.5e-14 (relative) at (6)/1, against a rational
     # evaluation.
     n, m, v = sc.n, sc.m, sc.inclusion
-    reps, orders = _distinct_arrangements(mats)
+    reps, orders = distinct_arrangements(mats)
     partial = []
     for order in orders:
         w = v
@@ -99,7 +112,7 @@ def reference_mixed_immanant(chi, mats):
     # on (n, n) matrices or on (..., n, n) stacks of equal shape.
     n = chi.size
     images, values = _permutation_characters(chi)
-    reps, orders = _distinct_arrangements(mats)
+    reps, orders = distinct_arrangements(mats)
     total = 0.0
     for order in orders:
         scratch = np.stack([reps[label][..., :, j] for j, label in enumerate(order)], axis=-1)
@@ -138,7 +151,7 @@ def test_chunked_draws_equal_sequential_draws(n, k):
     # Chunk sizes that do not divide the 197 tuples: each chunk continues
     # the generator where the last one stopped.
     rng = sample_rng(5, 17)
-    got = np.concatenate([_unit_stack(n, k, rng, count) for count in (64, 1, 63, 64, 5)])
+    got = np.concatenate([unit_stack(n, k, rng, count) for count in (64, 1, 63, 64, 5)])
     assert np.array_equal(got, reference_draws(n, k, sample_rng(5, 17), 197))
 
 
@@ -169,7 +182,7 @@ def test_sample_rng_key_words_across_word_boundaries(seed, index):
     assert np.array_equal(state["key"], words)
     assert not state["counter"].any()
     want = reference_draws(2, 2, np.random.Generator(np.random.Philox(key=words)), 6)
-    assert np.array_equal(_unit_stack(2, 2, sample_rng(seed, index), 6), want)
+    assert np.array_equal(unit_stack(2, 2, sample_rng(seed, index), 6), want)
 
 
 def test_seeds_and_indices_from_2_to_the_64_are_rejected():
@@ -198,7 +211,7 @@ def test_sample_counts_outside_1_to_2_to_the_64_are_rejected(monkeypatch, sample
     def no_draws(*args):
         raise AssertionError("tuples were drawn")
 
-    monkeypatch.setattr(kchi.norms, "_unit_stack", no_draws)
+    monkeypatch.setattr(kchi.norms, "_haar_units", no_draws)
     sc = build_symmetry_class(Partition((2, 1)), 2)
     with pytest.raises(DomainError):
         dk_norm_verify(sc, np.eye(2), 1, samples=samples)
@@ -220,7 +233,7 @@ def test_draws_are_the_haar_factors_of_their_gaussians(n, k, chunk):
     count = 65
     rng = sample_rng(21, n * 10 + k)
     units = np.concatenate(
-        [_unit_stack(n, k, rng, min(chunk, count - lo)) for lo in range(0, count, chunk)]
+        [unit_stack(n, k, rng, min(chunk, count - lo)) for lo in range(0, count, chunk)]
     )
     normals = sample_rng(21, n * 10 + k).standard_normal((count, k, 2, n, n))
     gauss = normals[:, :, 0] + 1j * normals[:, :, 1]
@@ -250,7 +263,7 @@ def test_draws_match_lapack_qr_with_the_phases_of_r(n):
     # times the phases of R's diagonal, the rule that makes R's diagonal
     # real and positive as Gram-Schmidt's is.
     count = 10_000
-    units = _unit_stack(n, 1, sample_rng(26, n), count)[:, 0]
+    units = unit_stack(n, 1, sample_rng(26, n), count)[:, 0]
     q, phases = lapack_factors(sample_rng(26, n).standard_normal((count, 2, n, n)))
     assert np.abs(units - q * phases[:, None, :]).max() <= LAPACK_TOL
 
@@ -275,7 +288,7 @@ def test_draws_have_the_haar_moments(n):
     # and LAPACK's Q of the same Gaussians without the phase rule, which is
     # not Haar distributed, fails (its mean trace is real and away from 0).
     count = 20_000
-    units = _unit_stack(n, 1, sample_rng(28, n), count)[:, 0]
+    units = unit_stack(n, 1, sample_rng(28, n), count)[:, 0]
     assert haar_moments_hold(units)
     q, _ = lapack_factors(sample_rng(28, n).standard_normal((count, 2, n, n)))
     assert not haar_moments_hold(q)
@@ -409,23 +422,22 @@ def dense_product_class(sc):
 
 def dense_lift(sc, m_w):
     # M = B (I (x) M_W) B^-1 with B and B^-1 scattered from each orbit
-    # block's frame and binv into dense (dim, dim) matrices, for M_W as the
-    # partial trace leaves it; column t * width + z of B is the copy column
-    # z of translate t.
-    f, width = len(sc.orbit_blocks[0].frame), len(m_w)
+    # block's frame and binv into dense (dim, dim) matrices, for each M_W of
+    # an (S, w, w) stack; column t * width + z of B is the copy column z of
+    # translate t.
+    f, width = len(sc.orbit_blocks[0].frame), m_w.shape[-1]
     b_mat, binv = np.zeros((sc.dim, sc.dim)), np.zeros((sc.dim, sc.dim))
     for b in sc.orbit_blocks:
         ycols = (np.arange(f)[:, None, None] * width + b.z).reshape(-1, b.z.shape[1])
         binv[ycols[:, None, :], b.at[None, :, :]] = b.binv[:, :, None]
         frame = b.frame.transpose(1, 0, 2).reshape(len(b.at), -1)
         b_mat[b.at[:, None, :], ycols[None, :, :]] = frame[:, :, None]
-    copies = m_w.view(np.complex128).transpose(1, 0, 2)
-    return np.stack([b_mat @ np.kron(np.eye(f), x) @ binv for x in copies])
+    return np.stack([b_mat @ np.kron(np.eye(f), x) @ binv for x in m_w])
 
 
-def dense_compress(sc, mats, factor=1):
+def dense_dk(sc, t, xs):
     # The kernel's partial trace, lifted by dense_lift.
-    return dense_lift(sc, kchi.symclass._partial_trace(sc, mats, factor))
+    return dense_lift(sc, _partial_trace(sc, t, xs))
 
 
 @pytest.mark.parametrize("chi, n", ORBIT_BLOCK_CLASSES)
@@ -443,16 +455,16 @@ def test_the_orbit_block_product_matches_the_dense_product(chi, n):
         assert np.abs(got - want).max() <= ORBIT_BLOCK_TOL * np.abs(want).max()
 
     got = k_chi_matrix(sc, t)
-    check(got, dense_compress(dense, [t] * sc.m)[0])
+    check(got, dense_dk(dense, t, [])[0])
     check(got, reference_compress(sc, [t] * sc.m))
     for k in range(sc.m + 1):
         xs = [random_matrix(n, rng) for _ in range(k)]
         got = dk_kchi(sc, t, xs)
-        check(got, dense_compress(dense, *_dk_factors(dense, t, xs))[0])
+        check(got, dense_dk(dense, t, xs)[0])
         check(got, reference_dk_kchi(sc, t, xs))
     xs = [np.array([random_matrix(n, rng) for _ in range(3)]) for _ in range(min(2, sc.m))]
     got = _dk_stack(sc, t, xs)
-    check(got, dense_compress(dense, *_dk_factors(dense, t, xs)))
+    check(got, dense_dk(dense, t, xs))
     for s in range(3):
         check(got[s], reference_dk_kchi(sc, t, [x[s] for x in xs]))
 
@@ -518,9 +530,9 @@ def test_one_dimensional_characters_run_on_v_itself(chi, n):
         assert np.array_equal(block.z, block.at)
         assert np.array_equal(block.binv, np.ones((1, 1)))
         assert np.array_equal(block.frame, np.ones((1, 1, 1)))
-    # M_W as the partial trace leaves it: rows, samples, (re, im) columns.
-    m_w = sample_rng(21, 0).standard_normal((sc.dim, 2, 2 * sc.dim))
-    want = m_w.view(np.complex128).transpose(1, 0, 2).copy()
+    # M_W as the partial trace leaves it: an (S, w, w) complex stack.
+    m_w = sample_rng(21, 0).standard_normal((2, sc.dim, 2 * sc.dim)).view(np.complex128)
+    want = m_w.copy()
     assert np.array_equal(kchi.symclass._lift(sc, m_w), want)
 
 
@@ -540,7 +552,7 @@ LIFT_TOL = 1e-14
 
 def dense_symmetrized(mats):
     # The mean over the distinct arrangements of np.kron of the factors.
-    reps, orders = _distinct_arrangements(mats)
+    reps, orders = distinct_arrangements(mats)
     return sum(functools.reduce(np.kron, [reps[i] for i in order]) for order in orders) / len(orders)
 
 
@@ -568,7 +580,8 @@ def test_the_lift_matches_dense_translates(chi, n, widths):
     assert {len(b.z) for b in sc.orbit_blocks} == widths
     width = sc.dim // degree(chi)
     for samples in (1, 3):
-        m_w = sample_rng(25, samples).standard_normal((width, samples, 2 * width))
+        m_w = sample_rng(25, samples).standard_normal((samples, width, 2 * width))
+        m_w = m_w.view(np.complex128)
         want = dense_lift(sc, m_w)
         assert np.abs(kchi.symclass._lift(sc, m_w) - want).max() <= LIFT_TOL * np.abs(want).max()
 
@@ -579,7 +592,7 @@ def test_the_lift_holds_little_beside_its_result():
     # transposed copy of M would take 2.
     sc = build_symmetry_class(Partition((3, 1)), 5)
     width = sc.dim // 3
-    m_w = sample_rng(26, 0).standard_normal((width, 2, 2 * width))
+    m_w = sample_rng(26, 0).standard_normal((2, width, 2 * width)).view(np.complex128)
     tracemalloc.start()
     try:
         out = kchi.symclass._lift(sc, m_w)
@@ -617,7 +630,7 @@ def test_copy_columns_are_orthonormal_and_kept_on_the_class():
 def full_width_sup(sc, t, k, samples, rng):
     # The sampled supremum with every tuple evaluated and normed on the
     # full (dim, dim) class, 20 tuples at a time.
-    units = _unit_stack(sc.n, k, rng, samples).swapaxes(0, 1)
+    units = unit_stack(sc.n, k, rng, samples).swapaxes(0, 1)
     return max(
         float(np.max(_spectral_norms(_dk_stack(sc, t, list(units[:, lo : lo + 20])))))
         for lo in range(0, samples, 20)
@@ -703,20 +716,22 @@ def test_mixed_immanant_matrix_matches_the_per_arrangement_sum(chi, n):
 
 
 def count_column_gathers(monkeypatch):
-    # Records, per mixed-immanant sum, how often it gathered a column.
+    # Records, per mixed-immanant sum, how often it gathered a column: each
+    # gather reads one column images[:, j] of the permutation rows.
     calls = []
-    arrangement_sum = kchi.norms._arrangement_sum
+    characters = kchi.norms._permutation_characters
 
-    def counting(apply, w, factors, slots):
-        calls.append(0)
-
-        def counted(*args):
+    class Columns(np.ndarray):
+        def __getitem__(self, key):
             calls[-1] += 1
-            return apply(*args)
+            return np.asarray(self)[key]
 
-        return arrangement_sum(counted, w, factors, slots)
+    def counting(chi):
+        calls.append(0)
+        images, values = characters(chi)
+        return images.view(Columns), values
 
-    monkeypatch.setattr(kchi.norms, "_arrangement_sum", counting)
+    monkeypatch.setattr(kchi.norms, "_permutation_characters", counting)
     return calls
 
 
@@ -1039,16 +1054,16 @@ def test_tensor_route_stays_within_the_byte_budget(monkeypatch, budget):
 def test_sup_criterion_runs_the_kernel_on_matrix_units_only(monkeypatch):
     # Per base point the supremum criterion calls the kernel only to build
     # the derivative tensor, whose at most C(9 + 1, 2) = 45 sorted unit
-    # tuples fit one chunk, and per class twice more, on the stack of its
-    # base points, for the attaining directions on the full class and on
-    # the copy; evaluating the 200 drawn tuples through the kernel would
-    # take a call per chunk.
+    # tuples fit one chunk, and per class once more, on the stack of its
+    # base points, for the attaining directions on the copy, which it lifts
+    # to the full class; evaluating the 200 drawn tuples through the kernel
+    # would take a call per chunk.
     calls = collections.Counter()
     partial_trace = kchi.symclass._partial_trace
 
-    def counting_partial_trace(sc, mats, factor):
-        calls[sc.chi, sc.n, mats[0].shape, mats[0].tobytes()] += 1
-        return partial_trace(sc, mats, factor)
+    def counting_partial_trace(sc, t, xs):
+        calls[sc.chi, sc.n, t.shape, t.tobytes()] += 1
+        return partial_trace(sc, t, xs)
 
     monkeypatch.setattr(kchi.symclass, "_partial_trace", counting_partial_trace)
     monkeypatch.setattr(kchi.verify, "SUP_TUPLES", 200)
@@ -1065,7 +1080,7 @@ def test_sup_criterion_runs_the_kernel_on_matrix_units_only(monkeypatch):
         assert shape == (n, n) and count == 1
         base_points[chi, n] += 1
     assert len(base_points) == 5 and set(base_points.values()) == {2}
-    assert stacked == dict.fromkeys(base_points, 2)
+    assert stacked == dict.fromkeys(base_points, 1)
 
 
 @pytest.mark.parametrize(
@@ -1101,13 +1116,13 @@ def test_verifiers_draw_chunks_sized_from_the_class(monkeypatch):
     # entries (three live states, a product and its gathered entries) and
     # its direction.  The suprema still equal the reference loop's.
     sizes = []
-    stack = kchi.norms._unit_stack
+    haar_units = kchi.norms._haar_units
 
-    def recording_stack(n, k, rng, count):
-        sizes.append(count)
-        return stack(n, k, rng, count)
+    def recording_units(normals):
+        sizes.append(len(normals))
+        return haar_units(normals)
 
-    monkeypatch.setattr(kchi.norms, "_unit_stack", recording_stack)
+    monkeypatch.setattr(kchi.norms, "_haar_units", recording_units)
     monkeypatch.setattr(kchi.norms, "SAMPLE_CHUNK_BYTES", 5 * KERNEL_TUPLE_BYTES + 100)
     sc = build_symmetry_class(Partition((2, 1)), 3)
     t = random_matrix(3, sample_rng(1, 10**6))
@@ -1141,20 +1156,22 @@ def test_sampled_rows_continue_their_base_points_generators(monkeypatch, criteri
     # next base point is drawn; the strict-slack row reads one more.
     opened = []
     drawn = collections.Counter()
-    unit_stack = kchi.norms._unit_stack
     draw_base = kchi.verify.sample_rng
 
+    class RecordingGenerator(np.random.Generator):
+        # Counts the tuples drawn from it: a supremum's chunk of tuples is
+        # one (count, k, 2, n, n) array of normals.
+        def standard_normal(self, size=None, *args, **kwargs):
+            if np.ndim(size) == 1 and len(size) == 5:
+                assert self is opened[-1][1]
+                drawn[id(self)] += size[0]
+            return super().standard_normal(size, *args, **kwargs)
+
     def recording_rng(seed, index):
-        rng = draw_base(seed, index)
+        rng = RecordingGenerator(draw_base(seed, index).bit_generator)
         opened.append((index, rng))
         return rng
 
-    def recording_stack(n, k, rng, count):
-        assert rng is opened[-1][1]
-        drawn[id(rng)] += count
-        return unit_stack(n, k, rng, count)
-
-    monkeypatch.setattr(kchi.norms, "_unit_stack", recording_stack)
     monkeypatch.setattr(kchi.verify, "sample_rng", recording_rng)
     for name, value in scope.items():
         monkeypatch.setattr(kchi.verify, name, value)

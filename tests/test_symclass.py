@@ -129,7 +129,7 @@ def cold_templates():
     steps must make them run, and no template made under a patch may
     outlive the test.
     """
-    caches = (kchi.symclass._template, kchi.symclass._young_symmetrizer, kchi.symclass._scale)
+    caches = (kchi.symclass._template, kchi.symclass._young_symmetrizer)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -249,8 +249,8 @@ def test_the_build_computes_each_orbit_quantity_once(monkeypatch, cold_templates
     # in the class, but only the 8 compositions of 4.  Membership is decided
     # once per composition, and the orbit basis and copy are computed once
     # for each of the 4 member compositions (1,1,1,1), (2,1,1), (1,2,1),
-    # (1,1,2); chi(1) is taken once per chi, and the validating stabilizer
-    # sum and multiplicity partition never.  A second build reads every
+    # (1,1,2), each taking chi(1) from the cached character values; the
+    # validating stabilizer sum and multiplicity partition are never taken.  A second build reads every
     # template from the cache and computes none of them again.
     calls = collections.Counter()
 
@@ -269,7 +269,7 @@ def test_the_build_computes_each_orbit_quantity_once(monkeypatch, cold_templates
     count(kchi.symgroup, "character_sum_over_stabilizer")
     sc = build_symmetry_class(Partition((2, 1, 1)), 8)
     assert len(sc.delta_bar) == 238
-    assert calls == {"majorizes": 8, "_orbit_basis": 4, "_copy_basis": 4, "degree": 1}
+    assert calls == {"majorizes": 8, "_orbit_basis": 4, "_copy_basis": 4, "degree": 4}
     calls.clear()
     assert len(build_symmetry_class(Partition((2, 1, 1)), 8).delta_bar) == 238
     assert calls == {}
@@ -798,10 +798,11 @@ def test_symmetrized_kron_grouping_matches_full_average():
 
 def test_symmetrized_kron_refuses_more_factors_than_the_cap(monkeypatch):
     # 7! arrangements of seven 1 x 1 factors would be listed before any
-    # Kronecker product checked its size.
+    # Kronecker product checked its size; the cap is checked before the
+    # factors are even labelled.
     ops = [np.eye(1)] * kchi.symclass.MAX_TENSOR_FACTORS
     np.testing.assert_allclose(symmetrized_kron(ops), np.eye(1))
-    monkeypatch.setattr(kchi.symclass, "_distinct_arrangements", None)
+    monkeypatch.setattr(kchi.symclass, "_distinct_factors", None)
     with pytest.raises(ResourceError):
         symmetrized_kron(ops + [np.eye(1)])
 
